@@ -6,34 +6,70 @@
 //! * **contains** — a fragment `f` of `d` contains `k`: `(S3:contains, f, d)`
 //!   (one tuple per ancestor-or-self `d` of `f`, each with itself as
 //!   source);
-//! * **tags** — a tag on a fragment `f` of `d` whose keyword is `k` gives
-//!   `(S3:relatedTo, f, author)`; more generally *any* connection of a tag
-//!   on `f` flows to `d` as `S3:relatedTo`, keeping its source;
-//! * **endorsements** — a keyword-less tag (like/+1/retweet) on `x`
+//! * **tags** (rule T) — a tag on a fragment `f` of `d` whose keyword is `k`
+//!   gives `(S3:relatedTo, f, author)`; more generally *any* connection of a
+//!   tag on `f` flows to `d` as `S3:relatedTo`, keeping its source;
+//! * **endorsements** (rule E) — a keyword-less tag (like/+1/retweet) on `x`
 //!   *inherits* `x`'s connections with the endorser as source (they then
 //!   flow back to ancestors by the tag rule — the paper's `(S3:relatedTo,
 //!   d0.5.1, u5)` example);
-//! * **higher-level tags** (R4) — a tag on a tag contributes through the
-//!   same two rules, chained;
-//! * **comments** — when a comment `c` on fragment `f` is connected to `k`,
-//!   every ancestor `d` of `f` gains `(S3:commentsOn, f, src)` with the
-//!   source carried over (the paper's `(S3:commentsOn, d0.3.2, d2)`
+//! * **higher-level tags** (R4, rule E′) — a tag on a tag contributes
+//!   through the same two rules, chained;
+//! * **comments** (rule C) — when a comment `c` on fragment `f` is connected
+//!   to `k`, every ancestor `d` of `f` gains `(S3:commentsOn, f, src)` with
+//!   the source carried over (the paper's `(S3:commentsOn, d0.3.2, d2)`
 //!   example).
 //!
-//! The rules are mutually recursive; we compute the fixpoint with a
-//! worklist over a finite tuple domain, so it terminates. The result is
+//! The rules are mutually recursive; [`ConnectionIndex::build`] runs them
+//! to their least fixpoint over a finite tuple domain. The result is
 //! **seeker-independent** and is built once per instance; at query time
 //! `con(d, k) = ⋃_{k' ∈ Ext(k)} conDirect(d, k')` (see DESIGN.md §3.3/§3.5).
 //!
-//! Each stored tuple also records `|pos(d, f)|` (the structural depth used
-//! by the concrete score), so scores never need to re-walk the tree.
+//! # Evaluation: each rule fires once per projection
+//!
+//! A tuple is a *signature* — `(type, frag, kw)` at a document node,
+//! `(type, origin_frag, kw)` at a tag — plus a source. What a rule emits
+//! depends on only part of the tuple that triggers it:
+//!
+//! | rule | trigger | emits | ignores |
+//! |---|---|---|---|
+//! | E  | tuple at an endorsed node | the signature at each endorsement, endorser as source | `src` |
+//! | E′ | tuple at an endorsed tag | the signature at each endorsement, endorser as source | `src` |
+//! | C  | tuple at a comment root | `(commentsOn, target, src, kw)` at the target's ancestors | `type`, `frag` |
+//! | T  | tuple at a tag | `(relatedTo, frag, src, kw)` at the subject's ancestors (or lifted to the subject tag) | `type` |
+//!
+//! So E and E′ fire when a signature is *first seen* at an item, not once
+//! per source; C stops at the commented fragment itself when the tuple it
+//! would spread is already there (only C produces `commentsOn` tuples, and
+//! it always writes a target's whole ancestor chain at once); T fires per
+//! new `(signature, source)`. "First seen" is no side set: each item a
+//! rule writes to has one map `signature → (slot, first source)`, whose
+//! vacant entry is the test, and one set of `(slot, source)` words for
+//! the later sources of its signatures. The work is therefore
+//! O(inputs + derived tuples × ancestor depth): an endorsed document with
+//! *E* endorsers costs ∝ *E* per signature, where re-firing E per source
+//! cost ∝ *E*².
+//!
+//! # Frozen layout
+//!
+//! One [`Arc`]'d block per document tree: a directory of `(node, keyword)`
+//! entries, sorted, over one flat [`Connection`] array in `(node, keyword,
+//! frag, src, type)` order. Connections never leave a content component,
+//! and a component is a union of whole trees, so a scoped rebuild replaces
+//! the blocks of the touched trees and shares every other block with the
+//! previous index by refcount. Each stored tuple records `|pos(d, f)|`
+//! (the structural depth used by the concrete score), so scores never
+//! re-walk the tree.
 
 use crate::ids::{TagId, TagSubject};
-use s3_doc::{DocNodeId, Forest};
+use crate::instance::Tombstones;
+use s3_doc::{DocNodeId, Forest, TreeId};
 use s3_graph::NodeId;
 use s3_text::KeywordId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Connection type (§3.2): how `d` relates to the keyword.
@@ -71,39 +107,233 @@ pub struct TagInput {
     pub keyword: Option<KeywordId>,
 }
 
-/// Connection tuple carried by a *tag* during the fixpoint. A tag's only
-/// fragment is itself (paper footnote 6), so tuples remember instead the
-/// *originating* document fragment when one exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TagConn {
-    ctype: ConnType,
-    origin_frag: Option<DocNodeId>,
-    src: NodeId,
-    kw: KeywordId,
+/// What one build covers. A cold build covers everything; live ingestion
+/// reruns the rules inside the touched content components only and keeps
+/// every other tree's block from `prev`. Connections never cross content
+/// components (tags, comments and containment all stay inside one), so
+/// when the scope is a union of components this equals a full rebuild — at
+/// the cost of the touched components only.
+pub(crate) struct Scope<'a> {
+    /// The document trees to recompute, ascending. Must be
+    /// component-closed: a tree commented on from, or commenting on, an
+    /// in-scope tree is in scope.
+    pub(crate) docs: Vec<TreeId>,
+    /// The tags taking part: exactly those whose subject lies in `docs`.
+    pub(crate) tags: Vec<TagId>,
+    /// Tombstones. Dead documents seed no `contains` connections and dead
+    /// tags take no part, so dead entities' entries come out empty —
+    /// which makes a cold build the byte-identity reference for live
+    /// deletions too. Comment edges of dead documents must already be
+    /// gone from `comments` (the builder removes them at retraction).
+    pub(crate) dead: &'a Tombstones,
+    /// The index every tree outside `docs` keeps its block from; `None`
+    /// for a cold build, whose `docs` is every tree.
+    pub(crate) prev: Option<&'a ConnectionIndex>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct DocConn {
+impl<'a> Scope<'a> {
+    /// The cold-build scope: every tree and every tag.
+    pub(crate) fn all(forest: &Forest, num_tags: usize, dead: &'a Tombstones) -> Self {
+        Scope {
+            docs: forest.trees().collect(),
+            tags: (0..num_tags as u32).map(TagId).collect(),
+            dead,
+            prev: None,
+        }
+    }
+}
+
+/// Exact work counts of one build: a clock-free measure of what the
+/// fixpoint cost against what it produced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BuildCounters {
+    /// Distinct tuples derived, at documents and at tags.
+    pub(crate) tuples: u64,
+    /// Set-insert attempts made by the seeds and the rules.
+    pub(crate) rule_firings: u64,
+}
+
+/// Multiply-rotate hasher for the fixpoint's working sets. Their keys are
+/// dense ids this program assigned (document nodes, tags, keywords, graph
+/// nodes), not bytes chosen outside it, so SipHash's collision resistance
+/// buys nothing here and costs most of an insert.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upwards; the table indexes by the low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// `origin_frag` of a tag tuple that has none (a keyword tag on a tag).
+const NO_ORIGIN: u32 = u32::MAX;
+
+/// Where a tuple sits and what it says, minus its source. `item` is a
+/// document node id, or `num_nodes + tag id`; `frag` is the fragment at a
+/// document and the originating fragment (or [`NO_ORIGIN`]) at a tag — a
+/// tag's only fragment is itself (paper footnote 6), so its tuples
+/// remember the document fragment they came from instead.
+#[derive(Debug, Clone, Copy)]
+struct Signature {
+    item: u32,
+    frag: u32,
+    kw: KeywordId,
     ctype: ConnType,
+}
+
+/// A newly derived tuple waiting for the rules it triggers.
+#[derive(Debug, Clone, Copy)]
+struct Derived {
+    sig: Signature,
+    src: NodeId,
+    /// No tuple with this signature existed at the item before.
+    first: bool,
+}
+
+/// The tuples at one item.
+#[derive(Default)]
+struct ItemSets {
+    /// Signature, as `(frag << 32 | kw, type)` → its dense slot and first
+    /// source.
+    sigs: IdMap<(u64, ConnType), (u32, NodeId)>,
+    /// `slot << 32 | src` for every later source of a signature.
+    later_sources: HashSet<u64, BuildHasherDefault<IdHasher>>,
+}
+
+/// The fixpoint's working sets, one pair of tables per item that a rule
+/// wrote to: the rules dwell on one document and the tags around it, so
+/// small per-item tables stay in cache where one table over all tuples
+/// misses on every insert. Their total size follows the scope's output.
+#[derive(Default)]
+struct Derivation {
+    sets: IdMap<u32, ItemSets>,
+    pending: Vec<Derived>,
+    counters: BuildCounters,
+}
+
+impl Derivation {
+    /// Add a tuple no rule can derive and no other seed repeats — a
+    /// `contains` tuple at a document — so it needs no entry to be found
+    /// by: its signature is first seen here and never again.
+    fn seed(&mut self, sig: Signature, src: NodeId) {
+        self.counters.rule_firings += 1;
+        self.counters.tuples += 1;
+        self.pending.push(Derived { sig, src, first: true });
+    }
+
+    /// Add one tuple; true when it is new (it then awaits its rules).
+    fn derive(&mut self, sig: Signature, src: NodeId) -> bool {
+        self.counters.rule_firings += 1;
+        let set = self.sets.entry(sig.item).or_default();
+        let next = set.sigs.len();
+        let key = (u64::from(sig.frag) << 32 | u64::from(sig.kw.0), sig.ctype);
+        let first = match set.sigs.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert((u32::try_from(next).expect("fewer than 2^32 signatures"), src));
+                true
+            }
+            Entry::Occupied(e) => {
+                let (slot, first_src) = *e.get();
+                let word = u64::from(slot) << 32 | u64::from(src.0);
+                if first_src == src || !set.later_sources.insert(word) {
+                    return false;
+                }
+                false
+            }
+        };
+        self.counters.tuples += 1;
+        self.pending.push(Derived { sig, src, first });
+        true
+    }
+}
+
+/// A stored tuple in frozen order: `(node, keyword, frag, src, type)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Stored {
+    doc: DocNodeId,
+    kw: KeywordId,
     frag: DocNodeId,
     src: NodeId,
+    ctype: ConnType,
+}
+
+/// One directory entry: the connections of `(node, kw)` end at `end` in
+/// the block's flat array and start where the previous entry ends.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct DirEntry {
+    node: DocNodeId,
     kw: KeywordId,
+    end: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Item {
-    Doc(DocNodeId),
-    Tag(TagId),
+/// The connections of one document tree.
+#[derive(Debug, Default, Serialize, Deserialize)]
+struct TreeBlock {
+    /// Sorted by `(node, kw)`.
+    dir: Vec<DirEntry>,
+    /// Per entry sorted by `(frag, src, type)`.
+    conns: Vec<Connection>,
 }
 
-/// The frozen `con` index. Per-document entries are `Arc`-shared: an
-/// incremental rebuild (`rebuilt_scoped`, crate-internal) keeps untouched
-/// documents' entries by bumping a refcount instead of deep-cloning the
-/// maps, making the live `apply` path O(touched) in memory traffic.
+impl TreeBlock {
+    fn span(&self, entry: usize) -> &[Connection] {
+        let start = if entry == 0 { 0 } else { self.dir[entry - 1].end as usize };
+        &self.conns[start..self.dir[entry].end as usize]
+    }
+
+    fn entries_of(&self, d: DocNodeId) -> std::ops::Range<usize> {
+        let start = self.dir.partition_point(|e| e.node < d);
+        start..start + self.dir[start..].partition_point(|e| e.node == d)
+    }
+
+    /// While building: close the entry of `(node, kw)` over the
+    /// connections pushed since the previous one; `None` when the tree
+    /// outgrows the `u32` offsets.
+    fn close_entry(&mut self, node: DocNodeId, kw: KeywordId) -> Option<()> {
+        self.dir.push(DirEntry { node, kw, end: u32::try_from(self.conns.len()).ok()? });
+        Some(())
+    }
+
+    /// Done building: drop the spare capacity and share.
+    fn freeze(mut self) -> Arc<TreeBlock> {
+        self.dir.shrink_to_fit();
+        self.conns.shrink_to_fit();
+        Arc::new(self)
+    }
+}
+
+/// The frozen `con` index: one block per document tree, `Arc`-shared, so
+/// an incremental rebuild keeps untouched trees by bumping a refcount
+/// instead of copying them — the live `apply` path is O(touched) in
+/// memory traffic.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ConnectionIndex {
-    /// Per doc node: keyword → connections, sorted by (frag, src, type).
-    per_doc: Vec<Arc<HashMap<KeywordId, Vec<Connection>>>>,
+    /// Per document node, its tree.
+    tree_of: Vec<TreeId>,
+    /// Per tree, its connections; trees without any share one empty block.
+    trees: Vec<Arc<TreeBlock>>,
     /// Total number of stored tuples.
     total: usize,
 }
@@ -119,310 +349,213 @@ impl ConnectionIndex {
         comments: &[(DocNodeId, DocNodeId)],
         doc_src_node: impl Fn(DocNodeId) -> NodeId,
     ) -> Self {
-        Self::build_filtered(
-            forest,
-            tags,
-            comments,
-            doc_src_node,
-            |_| true,
-            |_| true,
-            |_| true,
-            |_| true,
-            None,
-        )
+        let dead = Tombstones::default();
+        let scope = Scope::all(forest, tags.len(), &dead);
+        Self::build_scoped(forest, tags, comments, doc_src_node, &scope).0
     }
 
-    /// [`Self::build`] over a tombstoned instance: dead documents seed no
-    /// `contains` connections and dead tags are excluded from the fixpoint
-    /// entirely, so dead entities' entries stay empty — exactly what the
-    /// incremental mutation path produces, making a cold freeze the
-    /// byte-identity reference for live deletions too. Comment edges of
-    /// dead documents must already be gone from `comments` (the builder
-    /// removes them physically at retraction time).
-    pub(crate) fn build_tombstoned(
+    /// Run the rules inside `scope` and freeze: in-scope trees get fresh
+    /// blocks, every other tree shares its block with `scope.prev`.
+    pub(crate) fn build_scoped(
         forest: &Forest,
         tags: &[TagInput],
         comments: &[(DocNodeId, DocNodeId)],
         doc_src_node: impl Fn(DocNodeId) -> NodeId,
-        doc_alive: impl Fn(DocNodeId) -> bool,
-        tag_alive: impl Fn(TagId) -> bool,
-    ) -> Self {
-        Self::build_filtered(
-            forest,
-            tags,
-            comments,
-            doc_src_node,
-            |_| true,
-            |_| true,
-            doc_alive,
-            tag_alive,
-            None,
-        )
-    }
+        scope: &Scope<'_>,
+    ) -> (Self, BuildCounters) {
+        let num_nodes = u32::try_from(forest.num_nodes()).expect("document node ids are u32");
+        assert!(
+            u32::try_from(forest.num_nodes() + tags.len()).is_ok_and(|items| items < NO_ORIGIN),
+            "document nodes and tags share one u32 item space"
+        );
+        let tag_item = |t: TagId| num_nodes + t.0;
+        let live_tags = || scope.tags.iter().copied().filter(|&t| scope.dead.tag_alive(t));
 
-    /// Rebuild the index with the fixpoint restricted to a *component-closed*
-    /// scope: only in-scope documents are seeded and only in-scope tags and
-    /// comments participate, while every out-of-scope document keeps its
-    /// previous entry (`Arc`-shared from `prev` — no copy). Connections
-    /// never cross content components (tags, comments and containment all
-    /// stay inside one), so when the scope is a union of components this
-    /// equals a full rebuild — at the cost of the touched components only.
-    /// This is live ingestion's `con` extension path.
-    ///
-    /// `doc_in_scope` must be component-closed (ancestors/descendants of an
-    /// in-scope fragment are in scope) and `tag_in_scope(i)` must hold
-    /// exactly for tags whose subject lies in scope; `prev` must cover every
-    /// out-of-scope document. `doc_alive`/`tag_alive` carry the tombstone
-    /// sets: dead in-scope entities participate as if absent (their entries
-    /// recompute to empty).
-    #[allow(clippy::too_many_arguments)] // one internal caller chain
-    pub(crate) fn rebuilt_scoped(
-        prev: &ConnectionIndex,
-        forest: &Forest,
-        tags: &[TagInput],
-        comments: &[(DocNodeId, DocNodeId)],
-        doc_src_node: impl Fn(DocNodeId) -> NodeId,
-        doc_in_scope: impl Fn(DocNodeId) -> bool,
-        tag_in_scope: impl Fn(TagId) -> bool,
-        doc_alive: impl Fn(DocNodeId) -> bool,
-        tag_alive: impl Fn(TagId) -> bool,
-    ) -> Self {
-        Self::build_filtered(
-            forest,
-            tags,
-            comments,
-            doc_src_node,
-            doc_in_scope,
-            tag_in_scope,
-            doc_alive,
-            tag_alive,
-            Some(prev),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)] // one internal caller chain
-    fn build_filtered(
-        forest: &Forest,
-        tags: &[TagInput],
-        comments: &[(DocNodeId, DocNodeId)],
-        doc_src_node: impl Fn(DocNodeId) -> NodeId,
-        doc_in_scope: impl Fn(DocNodeId) -> bool,
-        tag_in_scope: impl Fn(TagId) -> bool,
-        doc_alive: impl Fn(DocNodeId) -> bool,
-        tag_alive: impl Fn(TagId) -> bool,
-        prev: Option<&ConnectionIndex>,
-    ) -> Self {
-        let n = forest.num_nodes();
-        let mut doc_sets: Vec<HashSet<DocConn>> = vec![HashSet::new(); n];
-        let mut tag_sets: Vec<HashSet<TagConn>> = vec![HashSet::new(); tags.len()];
-
-        // Lookup structures for the propagation rules (scoped tags and
-        // comments only; rules never leave a component-closed scope).
-        let mut endorsements_on_frag: HashMap<DocNodeId, Vec<TagId>> = HashMap::new();
-        let mut endorsements_on_tag: HashMap<TagId, Vec<TagId>> = HashMap::new();
-        for (i, t) in tags.iter().enumerate() {
-            if !tag_in_scope(TagId(i as u32)) || !tag_alive(TagId(i as u32)) {
-                continue;
-            }
-            if t.keyword.is_none() {
-                match t.subject {
-                    TagSubject::Frag(f) => {
-                        endorsements_on_frag.entry(f).or_default().push(TagId(i as u32))
-                    }
-                    TagSubject::Tag(b) => {
-                        endorsements_on_tag.entry(b).or_default().push(TagId(i as u32))
-                    }
-                }
-            }
-        }
-        let mut comments_of_root: HashMap<DocNodeId, Vec<DocNodeId>> = HashMap::new();
-        for &(root, target) in comments {
-            if doc_in_scope(root) {
-                comments_of_root.entry(root).or_default().push(target);
-            }
-        }
-
-        let mut queue: VecDeque<(Item, DocConn, Option<TagConn>)> = VecDeque::new();
-
-        // Seed 1: contains — every keyword occurrence, pushed to every
-        // ancestor-or-self with itself as source.
-        for idx in 0..n {
-            let f = DocNodeId(idx as u32);
-            if forest.content(f).is_empty() || !doc_in_scope(f) || !doc_alive(f) {
-                continue;
-            }
-            let kws: Vec<KeywordId> = {
-                let mut v = forest.content(f).to_vec();
-                v.sort_unstable();
-                v.dedup();
-                v
+        // What the rules look up (scoped tags and comments only; rules
+        // never leave a component-closed scope).
+        let mut endorsements_on: IdMap<u32, Vec<TagId>> = IdMap::default();
+        for t in live_tags().filter(|t| tags[t.index()].keyword.is_none()) {
+            let subject = match tags[t.index()].subject {
+                TagSubject::Frag(f) => f.0,
+                TagSubject::Tag(b) => tag_item(b),
             };
-            for d in forest.ancestors_or_self(f) {
-                for &kw in &kws {
-                    let conn =
-                        DocConn { ctype: ConnType::Contains, frag: f, src: doc_src_node(d), kw };
-                    if doc_sets[d.index()].insert(conn) {
-                        queue.push_back((Item::Doc(d), conn, None));
-                    }
-                }
+            endorsements_on.entry(subject).or_default().push(t);
+        }
+        let mut comment_targets: IdMap<u32, Vec<DocNodeId>> = IdMap::default();
+        for &(root, target) in comments {
+            if scope.docs.binary_search(&forest.tree_of(root)).is_ok() {
+                comment_targets.entry(root.0).or_default().push(target);
             }
         }
 
-        // Seed 2: keyword tags.
-        for (i, t) in tags.iter().enumerate() {
-            if !tag_in_scope(TagId(i as u32)) || !tag_alive(TagId(i as u32)) {
-                continue;
-            }
-            if let Some(kw) = t.keyword {
-                let origin = match t.subject {
-                    TagSubject::Frag(f) => Some(f),
-                    TagSubject::Tag(_) => None,
-                };
-                let conn = TagConn {
-                    ctype: ConnType::RelatedTo,
-                    origin_frag: origin,
-                    src: t.author_node,
-                    kw,
-                };
-                if tag_sets[i].insert(conn) {
-                    queue.push_back((
-                        Item::Tag(TagId(i as u32)),
-                        DocConn {
-                            ctype: conn.ctype,
-                            frag: DocNodeId(0),
-                            src: conn.src,
-                            kw: conn.kw,
-                        },
-                        Some(conn),
-                    ));
-                }
-            }
-        }
-
-        // Fixpoint.
-        while let Some((item, dconn, tconn)) = queue.pop_front() {
-            match item {
-                Item::Doc(d) => {
-                    // Rule E: endorsements on d inherit its connections,
-                    // with the endorser as source.
-                    if let Some(endorsers) = endorsements_on_frag.get(&d) {
-                        for &a in endorsers {
-                            let inherited = TagConn {
-                                ctype: dconn.ctype,
-                                origin_frag: Some(dconn.frag),
-                                src: tags[a.index()].author_node,
-                                kw: dconn.kw,
-                            };
-                            if tag_sets[a.index()].insert(inherited) {
-                                queue.push_back((Item::Tag(a), dconn, Some(inherited)));
-                            }
-                        }
-                    }
-                    // Rule C: if d is a comment root, its connections flow
-                    // to the ancestors of the commented fragments as
-                    // S3:commentsOn, source carried over.
-                    if let Some(targets) = comments_of_root.get(&d) {
-                        for &f0 in targets {
-                            for anc in forest.ancestors_or_self(f0) {
-                                let conn = DocConn {
-                                    ctype: ConnType::CommentsOn,
-                                    frag: f0,
-                                    src: dconn.src,
-                                    kw: dconn.kw,
-                                };
-                                if doc_sets[anc.index()].insert(conn) {
-                                    queue.push_back((Item::Doc(anc), conn, None));
-                                }
-                            }
-                        }
+        // The rules, run until nothing is pending. The order tuples are
+        // taken in does not matter: the result is the least set closed
+        // under the rules.
+        let mut stored: Vec<Stored> = Vec::new();
+        let mut run_rules = |set: &mut Derivation| {
+            while let Some(Derived { sig, src, first }) = set.pending.pop() {
+                // Rules E and E′: endorsements on the item inherit the
+                // signature, with the endorser as source.
+                if first {
+                    for &a in endorsements_on.get(&sig.item).map_or(&[][..], Vec::as_slice) {
+                        let inherited = Signature { item: tag_item(a), ..sig };
+                        set.derive(inherited, tags[a.index()].author_node);
                     }
                 }
-                Item::Tag(a) => {
-                    let tconn = tconn.expect("tag items carry their tag connection");
-                    // Rule E': endorsements on the tag inherit.
-                    if let Some(endorsers) = endorsements_on_tag.get(&a) {
-                        for &b in endorsers {
-                            let inherited = TagConn { src: tags[b.index()].author_node, ..tconn };
-                            if tag_sets[b.index()].insert(inherited) {
-                                queue.push_back((Item::Tag(b), dconn, Some(inherited)));
+                if sig.item < num_nodes {
+                    stored.push(Stored {
+                        doc: DocNodeId(sig.item),
+                        kw: sig.kw,
+                        frag: DocNodeId(sig.frag),
+                        src,
+                        ctype: sig.ctype,
+                    });
+                    // Rule C: if the item is a comment root, its
+                    // connections flow to the ancestors of the commented
+                    // fragments as S3:commentsOn, source carried over.
+                    // Only this rule makes commentsOn tuples and it writes
+                    // a target's whole chain at once, so a tuple already
+                    // at the target is already at every ancestor.
+                    for &f0 in comment_targets.get(&sig.item).map_or(&[][..], Vec::as_slice) {
+                        let at = |item: u32| Signature {
+                            item,
+                            frag: f0.0,
+                            kw: sig.kw,
+                            ctype: ConnType::CommentsOn,
+                        };
+                        if set.derive(at(f0.0), src) {
+                            for anc in forest.ancestors(f0) {
+                                set.derive(at(anc.0), src);
                             }
                         }
                     }
+                } else {
                     // Rule T: the tag's connections flow to its subject.
-                    match tags[a.index()].subject {
+                    match tags[(sig.item - num_nodes) as usize].subject {
                         TagSubject::Frag(f0) => {
                             for d in forest.ancestors_or_self(f0) {
-                                // Use the originating fragment when it is a
-                                // fragment of d (the paper's d0.5.1 case),
-                                // else the tagged fragment itself.
-                                let frag = match tconn.origin_frag {
-                                    Some(g) if forest.is_ancestor_or_self(d, g) => g,
-                                    _ => f0,
-                                };
-                                let conn = DocConn {
-                                    ctype: ConnType::RelatedTo,
+                                // Use the originating fragment when it is
+                                // a fragment of d (the paper's d0.5.1
+                                // case), else the tagged fragment itself.
+                                let origin_in_d = sig.frag != NO_ORIGIN
+                                    && forest.is_ancestor_or_self(d, DocNodeId(sig.frag));
+                                let frag = if origin_in_d { sig.frag } else { f0.0 };
+                                let flowed = Signature {
+                                    item: d.0,
                                     frag,
-                                    src: tconn.src,
-                                    kw: tconn.kw,
+                                    kw: sig.kw,
+                                    ctype: ConnType::RelatedTo,
                                 };
-                                if doc_sets[d.index()].insert(conn) {
-                                    queue.push_back((Item::Doc(d), conn, None));
-                                }
+                                set.derive(flowed, src);
                             }
                         }
                         TagSubject::Tag(b) => {
-                            let lifted = TagConn { ctype: ConnType::RelatedTo, ..tconn };
-                            if tag_sets[b.index()].insert(lifted) {
-                                queue.push_back((Item::Tag(b), dconn, Some(lifted)));
-                            }
+                            let lifted =
+                                Signature { item: tag_item(b), ctype: ConnType::RelatedTo, ..sig };
+                            set.derive(lifted, src);
                         }
                     }
                 }
             }
-        }
+        };
+        let mut set = Derivation::default();
 
-        // Freeze: group per (doc, keyword), record |pos(d, f)| per tuple.
-        // Out-of-scope documents keep their previous entries by Arc-share
-        // (a refcount bump, not a copy — the O(touched) memory-traffic
-        // contract), and `total` is carried over from `prev` adjusted by
-        // the in-scope documents' old and new counts only.
-        let mut per_doc: Vec<Arc<HashMap<KeywordId, Vec<Connection>>>> = Vec::with_capacity(n);
-        let mut total = prev.map_or(0, |p| p.total);
-        for (idx, set) in doc_sets.into_iter().enumerate() {
-            let d = DocNodeId(idx as u32);
-            if !doc_in_scope(d) {
-                let prev = prev.expect("scoped builds carry the previous index");
-                per_doc.push(Arc::clone(&prev.per_doc[idx]));
+        // Seed: keyword tags.
+        for t in live_tags() {
+            let tag = &tags[t.index()];
+            if let Some(kw) = tag.keyword {
+                let frag = match tag.subject {
+                    TagSubject::Frag(f) => f.0,
+                    TagSubject::Tag(_) => NO_ORIGIN,
+                };
+                let sig = Signature { item: tag_item(t), frag, kw, ctype: ConnType::RelatedTo };
+                set.derive(sig, tag.author_node);
+            }
+        }
+        run_rules(&mut set);
+
+        // Seed: contains — every keyword occurrence, pushed to every
+        // ancestor-or-self with itself as source; the rules run tree by
+        // tree, while the tables a tree's tuples land in are warm.
+        let mut kws: Vec<KeywordId> = Vec::new();
+        for &tree in scope.docs.iter().filter(|&&t| scope.dead.tree_alive(t)) {
+            for f in forest.tree_range(tree).map(|i| DocNodeId(i as u32)) {
+                kws.clear();
+                kws.extend_from_slice(forest.content(f));
+                kws.sort_unstable();
+                kws.dedup();
+                if kws.is_empty() {
+                    continue;
+                }
+                for d in forest.ancestors_or_self(f) {
+                    let src = doc_src_node(d);
+                    for &kw in &kws {
+                        let sig = Signature { item: d.0, frag: f.0, kw, ctype: ConnType::Contains };
+                        set.seed(sig, src);
+                    }
+                }
+            }
+            run_rules(&mut set);
+        }
+        let counters = set.counters;
+        drop(set);
+
+        // Freeze: one block per in-scope tree, |pos(d, f)| recorded per
+        // tuple. Out-of-scope trees keep their previous block by
+        // Arc-share (a refcount bump, not a copy — the O(touched)
+        // memory-traffic contract), and `total` is carried over from
+        // `prev` adjusted by the in-scope trees' old and new counts only.
+        stored.sort_unstable();
+        let empty = Arc::new(TreeBlock::default());
+        let mut trees = scope.prev.map_or_else(Vec::new, |p| p.trees.clone());
+        trees.resize(forest.num_trees(), Arc::clone(&empty));
+        let mut total = scope.prev.map_or(0, |p| p.total);
+        let mut rest = stored.as_slice();
+        for &tree in &scope.docs {
+            let range = forest.tree_range(tree);
+            rest = &rest[rest.partition_point(|s| s.doc.index() < range.start)..];
+            let (own, later) = rest.split_at(rest.partition_point(|s| s.doc.index() < range.end));
+            rest = later;
+            total -= trees[tree.index()].conns.len();
+            total += own.len();
+            if own.is_empty() {
+                trees[tree.index()] = Arc::clone(&empty);
                 continue;
             }
-            if let Some(prev) = prev.filter(|p| idx < p.per_doc.len()) {
-                total -= prev.per_doc[idx].values().map(Vec::len).sum::<usize>();
+            let mut block = TreeBlock::default();
+            for entry in own.chunk_by(|a, b| (a.doc, a.kw) == (b.doc, b.kw)) {
+                let d = entry[0].doc;
+                block.conns.extend(entry.iter().map(|s| {
+                    Connection {
+                        ctype: s.ctype,
+                        frag: s.frag,
+                        depth: forest
+                            .structural_distance(d, s.frag)
+                            .expect("connection fragments are fragments of d")
+                            .min(u8::MAX as u32) as u8,
+                        src: s.src,
+                    }
+                }));
+                block.close_entry(d, entry[0].kw).expect("a tree holds fewer than 2^32 tuples");
             }
-            let mut map: HashMap<KeywordId, Vec<Connection>> = HashMap::new();
-            for c in set {
-                let depth = forest
-                    .structural_distance(d, c.frag)
-                    .expect("connection fragments are fragments of d")
-                    .min(u8::MAX as u32) as u8;
-                map.entry(c.kw).or_default().push(Connection {
-                    ctype: c.ctype,
-                    frag: c.frag,
-                    depth,
-                    src: c.src,
-                });
-                total += 1;
-            }
-            for v in map.values_mut() {
-                v.sort_unstable_by_key(|c| (c.frag, c.src, c.ctype));
-            }
-            per_doc.push(Arc::new(map));
+            trees[tree.index()] = block.freeze();
         }
-        ConnectionIndex { per_doc, total }
+        let tree_of = (0..num_nodes).map(|i| forest.tree_of(DocNodeId(i))).collect();
+        (ConnectionIndex { tree_of, trees, total }, counters)
     }
 
-    /// `conDirect(d, k)`: connections of `d` for the *exact* keyword `k`.
+    fn block_of(&self, d: DocNodeId) -> &TreeBlock {
+        &self.trees[self.tree_of[d.index()].index()]
+    }
+
+    /// `conDirect(d, k)`: connections of `d` for the *exact* keyword `k`,
+    /// in `(frag, src, type)` order.
     pub fn connections(&self, d: DocNodeId, k: KeywordId) -> &[Connection] {
-        self.per_doc[d.index()].get(&k).map(Vec::as_slice).unwrap_or(&[])
+        let block = self.block_of(d);
+        match block.dir.binary_search_by_key(&(d, k), |e| (e.node, e.kw)) {
+            Ok(entry) => block.span(entry),
+            Err(_) => &[],
+        }
     }
 
     /// Does `d` have at least one connection for some keyword in `ext`?
@@ -430,9 +563,10 @@ impl ConnectionIndex {
         ext.iter().any(|k| !self.connections(d, *k).is_empty())
     }
 
-    /// The keywords `d` is connected to.
+    /// The keywords `d` is connected to, ascending.
     pub fn keywords_of(&self, d: DocNodeId) -> impl Iterator<Item = KeywordId> + '_ {
-        self.per_doc[d.index()].keys().copied()
+        let block = self.block_of(d);
+        block.dir[block.entries_of(d)].iter().map(|e| e.kw)
     }
 
     /// Total number of stored tuples.
@@ -452,20 +586,38 @@ impl ConnectionIndex {
         self.smax_table_with(|_, depth| eta.powi(depth as i32))
     }
 
-    /// Serialize for the durable snapshot format. Keyword entries are
-    /// written in ascending keyword order (hash-map iteration order never
-    /// reaches the encoding) and each entry's connection list verbatim —
-    /// the stored `(frag, src, type)` sort order is part of the query
-    /// contract, so a loaded index is bit-identical to the saved one.
+    /// Generic form of [`Self::smax_table`] for arbitrary structural-weight
+    /// functions (generic score models).
+    pub fn smax_table_with(&self, weight: impl Fn(ConnType, u8) -> f64) -> HashMap<KeywordId, f64> {
+        let mut out: HashMap<KeywordId, f64> = HashMap::new();
+        for block in &self.trees {
+            for (entry, e) in block.dir.iter().enumerate() {
+                let s: f64 = block.span(entry).iter().map(|c| weight(c.ctype, c.depth)).sum();
+                let best = out.entry(e.kw).or_insert(0.0);
+                if s > *best {
+                    *best = s;
+                }
+            }
+        }
+        out
+    }
+
+    /// Serialize for the durable snapshot format: per document node, its
+    /// keyword entries in ascending keyword order and each entry's
+    /// connection list verbatim — the stored `(frag, src, type)` sort
+    /// order is part of the query contract, so a loaded index is
+    /// bit-identical to the saved one. The block structure never reaches
+    /// the encoding.
     pub fn snap_write(&self, out: &mut Vec<u8>) {
-        s3_snap::put_usize(out, self.per_doc.len());
-        for map in &self.per_doc {
-            let mut kws: Vec<KeywordId> = map.keys().copied().collect();
-            kws.sort_unstable();
-            s3_snap::put_usize(out, kws.len());
-            for kw in kws {
-                s3_snap::put_u32v(out, kw.0);
-                let conns = &map[&kw];
+        s3_snap::put_usize(out, self.tree_of.len());
+        for idx in 0..self.tree_of.len() {
+            let d = DocNodeId(idx as u32);
+            let block = self.block_of(d);
+            let entries = block.entries_of(d);
+            s3_snap::put_usize(out, entries.len());
+            for entry in entries {
+                s3_snap::put_u32v(out, block.dir[entry].kw.0);
+                let conns = block.span(entry);
                 s3_snap::put_usize(out, conns.len());
                 for c in conns {
                     out.push(match c.ctype {
@@ -481,72 +633,72 @@ impl ConnectionIndex {
         }
     }
 
-    /// Decode an index written by [`Self::snap_write`] for a forest of
-    /// `num_doc_nodes` document nodes. Fragment ids are validated against
-    /// the forest; never panics on malformed input.
+    /// Decode an index written by [`Self::snap_write`] for `forest`.
+    /// Fragment ids are validated against the forest and each node's
+    /// keywords must ascend; never panics on malformed input.
     pub fn snap_read(
         r: &mut s3_snap::SnapReader<'_>,
-        num_doc_nodes: usize,
+        forest: &Forest,
     ) -> Result<Self, s3_snap::SnapError> {
-        let n = r.seq(1)?;
-        if n != num_doc_nodes {
+        let num_doc_nodes = forest.num_nodes();
+        if r.seq(1)? != num_doc_nodes {
             return Err(s3_snap::SnapError::Value("connection index length mismatch"));
         }
-        let mut per_doc: Vec<Arc<HashMap<KeywordId, Vec<Connection>>>> = Vec::with_capacity(n);
+        let empty = Arc::new(TreeBlock::default());
+        let mut trees: Vec<Arc<TreeBlock>> = Vec::with_capacity(forest.num_trees());
         let mut total = 0usize;
-        for _ in 0..n {
-            let nk = r.seq(2)?;
-            let mut map: HashMap<KeywordId, Vec<Connection>> = HashMap::with_capacity(nk);
-            for _ in 0..nk {
-                let kw = KeywordId(r.u32v()?);
-                let nc = r.seq(4)?;
-                let mut conns = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    let ctype = match r.u8()? {
-                        0 => ConnType::Contains,
-                        1 => ConnType::RelatedTo,
-                        2 => ConnType::CommentsOn,
-                        _ => return Err(s3_snap::SnapError::Value("connection-type discriminant")),
-                    };
-                    let frag = r.u32v()?;
-                    if frag as usize >= num_doc_nodes {
-                        return Err(s3_snap::SnapError::Value("connection fragment out of range"));
+        for tree in forest.trees() {
+            let mut block = TreeBlock::default();
+            for d in forest.tree_range(tree).map(|i| DocNodeId(i as u32)) {
+                let mut last_kw = None;
+                for _ in 0..r.seq(2)? {
+                    let kw = KeywordId(r.u32v()?);
+                    if last_kw.is_some_and(|last| last >= kw) {
+                        return Err(s3_snap::SnapError::Value("connection keywords out of order"));
                     }
-                    let depth = r.u8()?;
-                    let src = NodeId(r.u32v()?);
-                    conns.push(Connection { ctype, frag: DocNodeId(frag), depth, src });
+                    last_kw = Some(kw);
+                    for _ in 0..r.seq(4)? {
+                        let ctype = match r.u8()? {
+                            0 => ConnType::Contains,
+                            1 => ConnType::RelatedTo,
+                            2 => ConnType::CommentsOn,
+                            _ => {
+                                return Err(s3_snap::SnapError::Value(
+                                    "connection-type discriminant",
+                                ))
+                            }
+                        };
+                        let frag = r.u32v()?;
+                        if frag as usize >= num_doc_nodes {
+                            return Err(s3_snap::SnapError::Value(
+                                "connection fragment out of range",
+                            ));
+                        }
+                        let depth = r.u8()?;
+                        let src = NodeId(r.u32v()?);
+                        block.conns.push(Connection { ctype, frag: DocNodeId(frag), depth, src });
+                    }
+                    block
+                        .close_entry(d, kw)
+                        .ok_or(s3_snap::SnapError::Value("too many connections in one tree"))?;
                 }
-                if map.insert(kw, conns).is_some() {
-                    return Err(s3_snap::SnapError::Value("duplicate connection keyword"));
-                }
-                total += nc;
             }
-            per_doc.push(Arc::new(map));
+            total += block.conns.len();
+            trees.push(if block.dir.is_empty() { Arc::clone(&empty) } else { block.freeze() });
         }
-        Ok(ConnectionIndex { per_doc, total })
-    }
-
-    /// Generic form of [`Self::smax_table`] for arbitrary structural-weight
-    /// functions (generic score models).
-    pub fn smax_table_with(&self, weight: impl Fn(ConnType, u8) -> f64) -> HashMap<KeywordId, f64> {
-        let mut out: HashMap<KeywordId, f64> = HashMap::new();
-        for map in &self.per_doc {
-            for (&kw, conns) in map.iter() {
-                let s: f64 = conns.iter().map(|c| weight(c.ctype, c.depth)).sum();
-                let e = out.entry(kw).or_insert(0.0);
-                if s > *e {
-                    *e = s;
-                }
-            }
-        }
-        out
+        let tree_of = (0..num_doc_nodes).map(|i| forest.tree_of(DocNodeId(i as u32))).collect();
+        Ok(ConnectionIndex { tree_of, trees, total })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use s3_doc::DocBuilder;
+    use std::collections::VecDeque;
 
     /// Reconstruct the Figure 1 scenario:
     /// * d0 with fragments d0.3.2 (under d0.3) and d0.5.1 (under d0.5);
@@ -761,5 +913,581 @@ mod tests {
         let forest = Forest::new();
         let index = ConnectionIndex::build(&forest, &[], &[], |x| NodeId(x.0));
         assert!(index.is_empty());
+    }
+
+    // ---- The differential oracle: the tuple-at-a-time worklist this
+    // module used before, kept verbatim (fixpoint, freeze and encoding). ----
+
+    /// The index in the oracle's layout: one keyword map per document node.
+    struct Reference {
+        per_doc: Vec<Arc<HashMap<KeywordId, Vec<Connection>>>>,
+        total: usize,
+        /// Distinct tuples derived, at documents and at tags.
+        distinct: usize,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct TagConn {
+        ctype: ConnType,
+        origin_frag: Option<DocNodeId>,
+        src: NodeId,
+        kw: KeywordId,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct DocConn {
+        ctype: ConnType,
+        frag: DocNodeId,
+        src: NodeId,
+        kw: KeywordId,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Item {
+        Doc(DocNodeId),
+        Tag(TagId),
+    }
+
+    #[allow(clippy::too_many_arguments)] // verbatim
+    fn reference_build(
+        forest: &Forest,
+        tags: &[TagInput],
+        comments: &[(DocNodeId, DocNodeId)],
+        doc_src_node: impl Fn(DocNodeId) -> NodeId,
+        doc_in_scope: impl Fn(DocNodeId) -> bool,
+        tag_in_scope: impl Fn(TagId) -> bool,
+        doc_alive: impl Fn(DocNodeId) -> bool,
+        tag_alive: impl Fn(TagId) -> bool,
+        prev: Option<&Reference>,
+    ) -> Reference {
+        let n = forest.num_nodes();
+        let mut doc_sets: Vec<HashSet<DocConn>> = vec![HashSet::new(); n];
+        let mut tag_sets: Vec<HashSet<TagConn>> = vec![HashSet::new(); tags.len()];
+
+        // Lookup structures for the propagation rules (scoped tags and
+        // comments only; rules never leave a component-closed scope).
+        let mut endorsements_on_frag: HashMap<DocNodeId, Vec<TagId>> = HashMap::new();
+        let mut endorsements_on_tag: HashMap<TagId, Vec<TagId>> = HashMap::new();
+        for (i, t) in tags.iter().enumerate() {
+            if !tag_in_scope(TagId(i as u32)) || !tag_alive(TagId(i as u32)) {
+                continue;
+            }
+            if t.keyword.is_none() {
+                match t.subject {
+                    TagSubject::Frag(f) => {
+                        endorsements_on_frag.entry(f).or_default().push(TagId(i as u32))
+                    }
+                    TagSubject::Tag(b) => {
+                        endorsements_on_tag.entry(b).or_default().push(TagId(i as u32))
+                    }
+                }
+            }
+        }
+        let mut comments_of_root: HashMap<DocNodeId, Vec<DocNodeId>> = HashMap::new();
+        for &(root, target) in comments {
+            if doc_in_scope(root) {
+                comments_of_root.entry(root).or_default().push(target);
+            }
+        }
+
+        let mut queue: VecDeque<(Item, DocConn, Option<TagConn>)> = VecDeque::new();
+
+        // Seed 1: contains — every keyword occurrence, pushed to every
+        // ancestor-or-self with itself as source.
+        for idx in 0..n {
+            let f = DocNodeId(idx as u32);
+            if forest.content(f).is_empty() || !doc_in_scope(f) || !doc_alive(f) {
+                continue;
+            }
+            let kws: Vec<KeywordId> = {
+                let mut v = forest.content(f).to_vec();
+                v.sort_unstable();
+                v.dedup();
+                v
+            };
+            for d in forest.ancestors_or_self(f) {
+                for &kw in &kws {
+                    let conn =
+                        DocConn { ctype: ConnType::Contains, frag: f, src: doc_src_node(d), kw };
+                    if doc_sets[d.index()].insert(conn) {
+                        queue.push_back((Item::Doc(d), conn, None));
+                    }
+                }
+            }
+        }
+
+        // Seed 2: keyword tags.
+        for (i, t) in tags.iter().enumerate() {
+            if !tag_in_scope(TagId(i as u32)) || !tag_alive(TagId(i as u32)) {
+                continue;
+            }
+            if let Some(kw) = t.keyword {
+                let origin = match t.subject {
+                    TagSubject::Frag(f) => Some(f),
+                    TagSubject::Tag(_) => None,
+                };
+                let conn = TagConn {
+                    ctype: ConnType::RelatedTo,
+                    origin_frag: origin,
+                    src: t.author_node,
+                    kw,
+                };
+                if tag_sets[i].insert(conn) {
+                    queue.push_back((
+                        Item::Tag(TagId(i as u32)),
+                        DocConn {
+                            ctype: conn.ctype,
+                            frag: DocNodeId(0),
+                            src: conn.src,
+                            kw: conn.kw,
+                        },
+                        Some(conn),
+                    ));
+                }
+            }
+        }
+
+        // Fixpoint.
+        while let Some((item, dconn, tconn)) = queue.pop_front() {
+            match item {
+                Item::Doc(d) => {
+                    // Rule E: endorsements on d inherit its connections,
+                    // with the endorser as source.
+                    if let Some(endorsers) = endorsements_on_frag.get(&d) {
+                        for &a in endorsers {
+                            let inherited = TagConn {
+                                ctype: dconn.ctype,
+                                origin_frag: Some(dconn.frag),
+                                src: tags[a.index()].author_node,
+                                kw: dconn.kw,
+                            };
+                            if tag_sets[a.index()].insert(inherited) {
+                                queue.push_back((Item::Tag(a), dconn, Some(inherited)));
+                            }
+                        }
+                    }
+                    // Rule C: if d is a comment root, its connections flow
+                    // to the ancestors of the commented fragments as
+                    // S3:commentsOn, source carried over.
+                    if let Some(targets) = comments_of_root.get(&d) {
+                        for &f0 in targets {
+                            for anc in forest.ancestors_or_self(f0) {
+                                let conn = DocConn {
+                                    ctype: ConnType::CommentsOn,
+                                    frag: f0,
+                                    src: dconn.src,
+                                    kw: dconn.kw,
+                                };
+                                if doc_sets[anc.index()].insert(conn) {
+                                    queue.push_back((Item::Doc(anc), conn, None));
+                                }
+                            }
+                        }
+                    }
+                }
+                Item::Tag(a) => {
+                    let tconn = tconn.expect("tag items carry their tag connection");
+                    // Rule E': endorsements on the tag inherit.
+                    if let Some(endorsers) = endorsements_on_tag.get(&a) {
+                        for &b in endorsers {
+                            let inherited = TagConn { src: tags[b.index()].author_node, ..tconn };
+                            if tag_sets[b.index()].insert(inherited) {
+                                queue.push_back((Item::Tag(b), dconn, Some(inherited)));
+                            }
+                        }
+                    }
+                    // Rule T: the tag's connections flow to its subject.
+                    match tags[a.index()].subject {
+                        TagSubject::Frag(f0) => {
+                            for d in forest.ancestors_or_self(f0) {
+                                // Use the originating fragment when it is a
+                                // fragment of d (the paper's d0.5.1 case),
+                                // else the tagged fragment itself.
+                                let frag = match tconn.origin_frag {
+                                    Some(g) if forest.is_ancestor_or_self(d, g) => g,
+                                    _ => f0,
+                                };
+                                let conn = DocConn {
+                                    ctype: ConnType::RelatedTo,
+                                    frag,
+                                    src: tconn.src,
+                                    kw: tconn.kw,
+                                };
+                                if doc_sets[d.index()].insert(conn) {
+                                    queue.push_back((Item::Doc(d), conn, None));
+                                }
+                            }
+                        }
+                        TagSubject::Tag(b) => {
+                            let lifted = TagConn { ctype: ConnType::RelatedTo, ..tconn };
+                            if tag_sets[b.index()].insert(lifted) {
+                                queue.push_back((Item::Tag(b), dconn, Some(lifted)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        let distinct = doc_sets.iter().map(HashSet::len).sum::<usize>()
+            + tag_sets.iter().map(HashSet::len).sum::<usize>();
+
+        // Freeze: group per (doc, keyword), record |pos(d, f)| per tuple.
+        // Out-of-scope documents keep their previous entries by Arc-share
+        // (a refcount bump, not a copy — the O(touched) memory-traffic
+        // contract), and `total` is carried over from `prev` adjusted by
+        // the in-scope documents' old and new counts only.
+        let mut per_doc: Vec<Arc<HashMap<KeywordId, Vec<Connection>>>> = Vec::with_capacity(n);
+        let mut total = prev.map_or(0, |p| p.total);
+        for (idx, set) in doc_sets.into_iter().enumerate() {
+            let d = DocNodeId(idx as u32);
+            if !doc_in_scope(d) {
+                let prev = prev.expect("scoped builds carry the previous index");
+                per_doc.push(Arc::clone(&prev.per_doc[idx]));
+                continue;
+            }
+            if let Some(prev) = prev.filter(|p| idx < p.per_doc.len()) {
+                total -= prev.per_doc[idx].values().map(Vec::len).sum::<usize>();
+            }
+            let mut map: HashMap<KeywordId, Vec<Connection>> = HashMap::new();
+            for c in set {
+                let depth = forest
+                    .structural_distance(d, c.frag)
+                    .expect("connection fragments are fragments of d")
+                    .min(u8::MAX as u32) as u8;
+                map.entry(c.kw).or_default().push(Connection {
+                    ctype: c.ctype,
+                    frag: c.frag,
+                    depth,
+                    src: c.src,
+                });
+                total += 1;
+            }
+            for v in map.values_mut() {
+                v.sort_unstable_by_key(|c| (c.frag, c.src, c.ctype));
+            }
+            per_doc.push(Arc::new(map));
+        }
+        Reference { per_doc, total, distinct }
+    }
+
+    fn reference_snap(reference: &Reference) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let out = &mut bytes;
+        s3_snap::put_usize(out, reference.per_doc.len());
+        for map in &reference.per_doc {
+            let mut kws: Vec<KeywordId> = map.keys().copied().collect();
+            kws.sort_unstable();
+            s3_snap::put_usize(out, kws.len());
+            for kw in kws {
+                s3_snap::put_u32v(out, kw.0);
+                let conns = &map[&kw];
+                s3_snap::put_usize(out, conns.len());
+                for c in conns {
+                    out.push(match c.ctype {
+                        ConnType::Contains => 0,
+                        ConnType::RelatedTo => 1,
+                        ConnType::CommentsOn => 2,
+                    });
+                    s3_snap::put_u32v(out, c.frag.0);
+                    out.push(c.depth);
+                    s3_snap::put_u32v(out, c.src.0);
+                }
+            }
+        }
+        bytes
+    }
+
+    // ---- Random corpora for the differential properties. ----
+
+    const AUTHORS: u32 = 4;
+    const KEYWORDS: u32 = 4;
+
+    /// A corpus grown in two phases, like a frozen instance and one ingest
+    /// batch on top of it: `base` is the forest/tag/comment prefix the
+    /// first phase produced.
+    struct Corpus {
+        forest: Forest,
+        tags: Vec<TagInput>,
+        comments: Vec<(DocNodeId, DocNodeId)>,
+        base_forest: Forest,
+        base_tags: usize,
+        base_comments: usize,
+    }
+
+    /// One growth phase: trees of depth ≤ 3 with duplicate-prone content,
+    /// keyword tags and endorsements on fragments and on tags (R4; any
+    /// tag, so subject cycles occur), comments between any two trees (so
+    /// chains and cycles occur).
+    fn grow(rng: &mut StdRng, c: &mut Corpus) {
+        for _ in 0..rng.gen_range(1..=4usize) {
+            let mut b = DocBuilder::new("doc");
+            let mut nodes = vec![(b.root(), 0u32)];
+            for _ in 0..rng.gen_range(0..=5usize) {
+                let (parent, depth) = nodes[rng.gen_range(0..nodes.len())];
+                if depth < 3 {
+                    nodes.push((b.child(parent, "frag"), depth + 1));
+                }
+            }
+            for &(node, _) in &nodes {
+                let content =
+                    (0..rng.gen_range(0..=2u32)).map(|_| KeywordId(rng.gen_range(0..KEYWORDS)));
+                b.set_content(node, content.collect());
+            }
+            c.forest.add_document(b);
+        }
+        let num_nodes = c.forest.num_nodes() as u32;
+        for _ in 0..rng.gen_range(0..=8usize) {
+            let subject = if !c.tags.is_empty() && rng.gen_bool(0.3) {
+                TagSubject::Tag(TagId(rng.gen_range(0..c.tags.len() as u32)))
+            } else {
+                TagSubject::Frag(DocNodeId(rng.gen_range(0..num_nodes)))
+            };
+            c.tags.push(TagInput {
+                subject,
+                author_node: NodeId(1000 + rng.gen_range(0..AUTHORS)),
+                keyword: rng.gen_bool(0.4).then(|| KeywordId(rng.gen_range(0..KEYWORDS))),
+            });
+        }
+        for _ in 0..rng.gen_range(0..=3usize) {
+            let root = c.forest.root(TreeId(rng.gen_range(0..c.forest.num_trees() as u32)));
+            c.comments.push((root, DocNodeId(rng.gen_range(0..num_nodes))));
+        }
+    }
+
+    fn random_corpus(rng: &mut StdRng) -> Corpus {
+        let mut c = Corpus {
+            forest: Forest::new(),
+            tags: Vec::new(),
+            comments: Vec::new(),
+            base_forest: Forest::new(),
+            base_tags: 0,
+            base_comments: 0,
+        };
+        grow(rng, &mut c);
+        c.base_forest = c.forest.clone();
+        c.base_tags = c.tags.len();
+        c.base_comments = c.comments.len();
+        grow(rng, &mut c);
+        c
+    }
+
+    fn random_tombstones(rng: &mut StdRng, trees: usize, tags: usize) -> Tombstones {
+        let mut dead = Tombstones::default();
+        dead.trees.extend((0..trees as u32).map(TreeId).filter(|_| rng.gen_bool(0.15)));
+        dead.tags.extend((0..tags as u32).map(TagId).filter(|_| rng.gen_bool(0.15)));
+        dead
+    }
+
+    /// The comment edges a builder holding `dead` still has.
+    fn live_comments(
+        forest: &Forest,
+        comments: &[(DocNodeId, DocNodeId)],
+        dead: &Tombstones,
+    ) -> Vec<(DocNodeId, DocNodeId)> {
+        let alive = |d: DocNodeId| dead.tree_alive(forest.tree_of(d));
+        comments.iter().copied().filter(|&(root, target)| alive(root) && alive(target)).collect()
+    }
+
+    fn src_of(d: DocNodeId) -> NodeId {
+        NodeId(d.0)
+    }
+
+    fn reference_cold(
+        forest: &Forest,
+        tags: &[TagInput],
+        comments: &[(DocNodeId, DocNodeId)],
+        dead: &Tombstones,
+    ) -> Reference {
+        reference_build(
+            forest,
+            tags,
+            comments,
+            src_of,
+            |_| true,
+            |_| true,
+            |d| dead.doc_alive(forest, d),
+            |t| dead.tag_alive(t),
+            None,
+        )
+    }
+
+    /// Per-document entries, `len()` and the encoding (with its decode
+    /// round trip) agree with the oracle.
+    fn check_same(
+        index: &ConnectionIndex,
+        reference: &Reference,
+        forest: &Forest,
+    ) -> TestCaseResult {
+        prop_assert_eq!(index.len(), reference.total);
+        prop_assert_eq!(index.is_empty(), reference.total == 0);
+        for (idx, map) in reference.per_doc.iter().enumerate() {
+            let d = DocNodeId(idx as u32);
+            let mut kws: Vec<KeywordId> = map.keys().copied().collect();
+            kws.sort_unstable();
+            prop_assert_eq!(index.keywords_of(d).collect::<Vec<_>>(), kws, "keywords of {}", d);
+            for (&kw, conns) in map.iter() {
+                prop_assert_eq!(index.connections(d, kw), conns.as_slice(), "con({}, {:?})", d, kw);
+            }
+            prop_assert!(index.connections(d, KeywordId(KEYWORDS)).is_empty());
+        }
+        let mut bytes = Vec::new();
+        index.snap_write(&mut bytes);
+        prop_assert!(bytes == reference_snap(reference), "encodings differ");
+        let mut reader = s3_snap::SnapReader::new(&bytes);
+        let loaded = ConnectionIndex::snap_read(&mut reader, forest).expect("own encoding loads");
+        prop_assert_eq!(reader.remaining(), 0);
+        prop_assert_eq!(loaded.len(), index.len());
+        let mut again = Vec::new();
+        loaded.snap_write(&mut again);
+        prop_assert!(again == bytes, "the decode round trip changed the encoding");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+
+        /// A cold build equals the oracle's, tombstones included, and the
+        /// `tuples` counter is the oracle's distinct-tuple count.
+        #[test]
+        fn cold_build_equals_the_worklist_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let c = random_corpus(&mut rng);
+            let dead = random_tombstones(&mut rng, c.forest.num_trees(), c.tags.len());
+            let comments = live_comments(&c.forest, &c.comments, &dead);
+            let reference = reference_cold(&c.forest, &c.tags, &comments, &dead);
+            let scope = Scope::all(&c.forest, c.tags.len(), &dead);
+            let (index, counters) =
+                ConnectionIndex::build_scoped(&c.forest, &c.tags, &comments, src_of, &scope);
+            check_same(&index, &reference, &c.forest)?;
+            prop_assert_eq!(counters.tuples as usize, reference.distinct);
+            prop_assert!(counters.rule_firings >= counters.tuples);
+            if dead.trees.is_empty() && dead.tags.is_empty() {
+                let public = ConnectionIndex::build(&c.forest, &c.tags, &comments, src_of);
+                check_same(&public, &reference, &c.forest)?;
+            }
+        }
+
+        /// A rebuild scoped to the content components an ingest batch
+        /// touched (appended trees/tags/comments, new tombstones) equals
+        /// both a cold oracle build of the new state and the oracle's own
+        /// scoped rebuild, and shares every untouched tree's block.
+        #[test]
+        fn scoped_rebuild_equals_a_cold_build(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let c = random_corpus(&mut rng);
+            let (trees, base_trees) = (c.forest.num_trees(), c.base_forest.num_trees());
+
+            // Before: the first phase, with some tombstones.
+            let dead0 = random_tombstones(&mut rng, base_trees, c.base_tags);
+            let comments0 = live_comments(&c.base_forest, &c.comments[..c.base_comments], &dead0);
+            let tags0 = &c.tags[..c.base_tags];
+            let prev_reference = reference_cold(&c.base_forest, tags0, &comments0, &dead0);
+            let scope0 = Scope::all(&c.base_forest, c.base_tags, &dead0);
+            let (prev, _) =
+                ConnectionIndex::build_scoped(&c.base_forest, tags0, &comments0, src_of, &scope0);
+
+            // After: everything, with more tombstones.
+            let mut dead1 = random_tombstones(&mut rng, trees, c.tags.len());
+            dead1.trees.extend(dead0.trees.iter().copied());
+            dead1.tags.extend(dead0.tags.iter().copied());
+            let comments1 = live_comments(&c.forest, &c.comments, &dead1);
+
+            // Content components over trees and tags, tombstones ignored:
+            // coarser than either state's, hence closed in both.
+            let tag_item = |t: TagId| trees + t.index();
+            let mut comp: Vec<usize> = (0..trees + c.tags.len()).collect();
+            let mut unite = |a: usize, b: usize| {
+                let (from, to) = (comp[a], comp[b]);
+                comp.iter_mut().filter(|x| **x == from).for_each(|x| *x = to);
+            };
+            let tree_of = |d: DocNodeId| c.forest.tree_of(d).index();
+            for (i, t) in c.tags.iter().enumerate() {
+                unite(tag_item(TagId(i as u32)), match t.subject {
+                    TagSubject::Frag(f) => tree_of(f),
+                    TagSubject::Tag(b) => tag_item(b),
+                });
+            }
+            for &(root, target) in &c.comments {
+                unite(tree_of(root), tree_of(target));
+            }
+
+            // Touched: what the batch added or killed, plus bystanders.
+            let mut touched: HashSet<usize> = HashSet::new();
+            touched.extend((base_trees..trees).map(|t| comp[t]));
+            touched.extend((c.base_tags..c.tags.len()).map(|t| comp[trees + t]));
+            touched.extend(c.comments[c.base_comments..].iter().map(|&(root, _)| comp[tree_of(root)]));
+            touched.extend(dead1.trees.difference(&dead0.trees).map(|t| comp[t.index()]));
+            touched.extend(dead1.tags.difference(&dead0.tags).map(|&t| comp[tag_item(t)]));
+            touched.extend((0..trees).filter(|_| rng.gen_bool(0.2)).map(|t| comp[t]));
+            let doc_in_scope = |d: DocNodeId| touched.contains(&comp[tree_of(d)]);
+            let tag_in_scope = |t: TagId| touched.contains(&comp[tag_item(t)]);
+
+            let scope = Scope {
+                docs: c.forest.trees().filter(|&t| doc_in_scope(c.forest.root(t))).collect(),
+                tags: (0..c.tags.len() as u32).map(TagId).filter(|&t| tag_in_scope(t)).collect(),
+                dead: &dead1,
+                prev: Some(&prev),
+            };
+            let (index, _) =
+                ConnectionIndex::build_scoped(&c.forest, &c.tags, &comments1, src_of, &scope);
+
+            check_same(&index, &reference_cold(&c.forest, &c.tags, &comments1, &dead1), &c.forest)?;
+            let scoped_reference = reference_build(
+                &c.forest,
+                &c.tags,
+                &comments1,
+                src_of,
+                doc_in_scope,
+                tag_in_scope,
+                |d| dead1.doc_alive(&c.forest, d),
+                |t| dead1.tag_alive(t),
+                Some(&prev_reference),
+            );
+            check_same(&index, &scoped_reference, &c.forest)?;
+            for t in (0..base_trees).filter(|&t| scope.docs.binary_search(&TreeId(t as u32)).is_err()) {
+                prop_assert!(Arc::ptr_eq(&index.trees[t], &prev.trees[t]), "tree {} was copied", t);
+            }
+        }
+    }
+
+    /// The clock-free linearity gate: a retweet cascade — one document, `E`
+    /// endorsers, every second one endorsing the previous endorser's tag —
+    /// costs a bounded number of insert attempts per tuple it derives.
+    /// (Re-firing rule E per source grows ∝ E² here.)
+    #[test]
+    fn a_retweet_cascade_costs_what_it_derives() {
+        for endorsers in [8u32, 64, 512] {
+            let mut forest = Forest::new();
+            let mut b = DocBuilder::new("tweet");
+            b.set_content(b.root(), vec![KeywordId(0), KeywordId(1)]);
+            let text = b.child(b.root(), "text");
+            b.set_content(text, vec![KeywordId(1), KeywordId(2)]);
+            let tree = forest.add_document(b);
+            let d = forest.root(tree);
+            let tags: Vec<TagInput> = (0..endorsers)
+                .map(|i| TagInput {
+                    subject: if i % 2 == 0 {
+                        TagSubject::Frag(d)
+                    } else {
+                        TagSubject::Tag(TagId(i - 1))
+                    },
+                    author_node: NodeId(1000 + i),
+                    keyword: None,
+                })
+                .collect();
+            let dead = Tombstones::default();
+            let scope = Scope::all(&forest, tags.len(), &dead);
+            let (index, counters) =
+                ConnectionIndex::build_scoped(&forest, &tags, &[], src_of, &scope);
+            assert!(counters.rule_firings <= 4 * counters.tuples, "E = {endorsers}: {counters:?}");
+            // Every endorser sources every one of the root's four
+            // (fragment, keyword) occurrences, next to the contains tuples.
+            assert_eq!(index.len(), 4 * (1 + endorsers as usize) + 2, "E = {endorsers}");
+            assert_eq!(index.connections(d, KeywordId(0)).len(), 1 + endorsers as usize);
+            let reference = reference_cold(&forest, &tags, &[], &dead);
+            assert_eq!(counters.tuples as usize, reference.distinct);
+            check_same(&index, &reference, &forest).expect("the cascade equals the oracle");
+        }
     }
 }

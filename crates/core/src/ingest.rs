@@ -42,14 +42,14 @@
 //! untouched warm propagation states onto the new graph
 //! ([`s3_graph::PropagationState::rebase`]) instead of dropping them.
 
-use crate::connections::ConnectionIndex;
+use crate::connections::{ConnectionIndex, Scope};
 use crate::ids::{TagId, TagSubject, UserId};
 use crate::instance::{
     build_graph, derived_social_edges, keyword_bridges, tag_inputs, tag_records, GraphParts,
     InstanceBuilder, RetractionLog, S3Instance,
 };
 use s3_doc::{DocBuilder, DocNodeId, LocalNodeId, TreeId};
-use s3_graph::{CompId, NodeId};
+use s3_graph::{CompId, NodeId, NodeKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -582,20 +582,29 @@ impl InstanceBuilder {
             touched.iter().copied().filter(|c| c.index() >= comps0).collect();
 
         // ---- Extend the con index: rerun the fixpoint inside the touched
-        // components only; untouched documents keep their entries. ----
+        // components only; untouched trees keep their blocks. ----
         let inputs = tag_inputs(&self.tags, &user_nodes);
-        let comp_of_frag =
-            |d: DocNodeId| comps.component_of(graph.node_of_frag(d).expect("registered"));
-        let conn_index = ConnectionIndex::rebuilt_scoped(
-            &prev.conn_index,
+        let mut scope = Scope {
+            docs: touched.iter().flat_map(|&c| graph.component_documents(c)).collect(),
+            tags: touched
+                .iter()
+                .flat_map(|&c| comps.members(c))
+                .filter_map(|&node| match graph.kind(node) {
+                    NodeKind::Tag(t) => Some(TagId(t)),
+                    _ => None,
+                })
+                .collect(),
+            dead: &self.dead,
+            prev: Some(&prev.conn_index),
+        };
+        scope.docs.sort_unstable();
+        scope.tags.sort_unstable();
+        let (conn_index, _) = ConnectionIndex::build_scoped(
             graph.forest(),
             &inputs,
             &comment_pairs,
             |d| graph.node_of_frag(d).expect("registered"),
-            |d| comp_touched[comp_of_frag(d).index()],
-            |t| comp_touched[comps.component_of(tag_nodes[t.index()]).index()],
-            |d| self.dead.doc_alive(&self.forest, d),
-            |t| self.dead.tag_alive(t),
+            &scope,
         );
 
         // ---- Extend the per-component keyword sets. ----

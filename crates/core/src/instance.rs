@@ -1,7 +1,7 @@
 //! The S3 instance: assembly of the social, structured and semantic layers
 //! (paper §2), plus the derived query-time structures.
 
-use crate::connections::{ConnectionIndex, TagInput};
+use crate::connections::{ConnectionIndex, Scope, TagInput};
 use crate::ids::{TagId, TagSubject, UserId};
 use s3_doc::{DocBuilder, DocNodeId, Forest, TreeId};
 use s3_graph::{CompId, EdgeKind, GraphBuilder, NodeId, SocialGraph};
@@ -881,13 +881,12 @@ fn freeze(
     // Connection index (seeker-independent); dead documents and tags are
     // excluded from the fixpoint, so their entries stay empty.
     let inputs = tag_inputs(&tags, &user_nodes);
-    let conn_index = ConnectionIndex::build_tombstoned(
+    let (conn_index, _) = ConnectionIndex::build_scoped(
         graph.forest(),
         &inputs,
         &comment_pairs,
         |d| graph.node_of_frag(d).expect("registered"),
-        |d| dead.doc_alive(graph.forest(), d),
-        |t| dead.tag_alive(t),
+        &Scope::all(graph.forest(), inputs.len(), &dead),
     );
 
     // Keyword ↔ URI bridge (entity mentions are interned in both).

@@ -116,7 +116,7 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<(InstanceBuilder, S3Instance), Snap
     let mut derived = r.block()?;
     let rdf_sat = TripleStore::snap_read(&mut derived)?;
     let graph = SocialGraph::snap_read(builder.forest.clone(), &mut derived)?;
-    let conn_index = ConnectionIndex::snap_read(&mut derived, builder.forest.num_nodes())?;
+    let conn_index = ConnectionIndex::snap_read(&mut derived, &builder.forest)?;
     derived.finish()?;
     r.finish()?;
 
