@@ -22,7 +22,7 @@ use s3_graph::Propagation;
 pub(crate) fn update_candidate_bounds<S: ScoreModel>(
     engine: &S3kEngine<'_, S>,
     scratch: &mut SearchScratch,
-    prop: &Propagation<'_>,
+    prop: &mut Propagation<'_>,
 ) {
     let bound = prop.bound_beyond();
     let lo_parts = &mut scratch.lo_parts;

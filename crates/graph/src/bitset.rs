@@ -9,9 +9,10 @@
 //! O(touched) bit operations.
 //!
 //! The type is deliberately minimal — fixed universe size set by
-//! [`BitSet::resize`], no iteration, no set algebra — because every user
-//! in this workspace journals its own membership list and only ever needs
-//! `get`/`set`/`clear`/`insert`.
+//! [`BitSet::resize`], no set algebra. Most users journal their own
+//! membership list and only need `get`/`set`/`clear`/`insert`; the one
+//! iteration, [`BitSet::ones`], is what lets the propagation read a
+//! step's next border back in ascending id order without sorting it.
 
 /// A fixed-universe set of `usize` keys packed 64 per word.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -100,6 +101,37 @@ impl BitSet {
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+
+    /// The members in ascending order (O(words + members)).
+    pub fn ones(&self) -> Ones<'_> {
+        Ones { words: self.words.iter().enumerate(), word: 0, base: 0 }
+    }
+}
+
+/// Iterator over a [`BitSet`]'s members, ascending: takes the words in
+/// order and peels the lowest set bit off the current one.
+#[derive(Debug, Clone)]
+pub struct Ones<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// Unreported bits of the current word.
+    word: u64,
+    /// Key of the current word's bit 0.
+    base: usize,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (i, &word) = self.words.next()?;
+            (self.word, self.base) = (word, i * 64);
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
 }
 
 #[cfg(test)]
@@ -161,6 +193,21 @@ mod tests {
         let s = BitSet::new();
         assert!(s.is_empty());
         assert_eq!(s.count_ones(), 0);
+        assert_eq!(s.ones().next(), None);
+    }
+
+    #[test]
+    fn ones_ascend_across_word_boundaries() {
+        let mut s = BitSet::with_len(200);
+        let members = [199usize, 0, 65, 63, 128, 64, 127, 1];
+        for &i in &members {
+            s.set(i);
+        }
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(s.ones().collect::<Vec<_>>(), sorted);
+        s.clear_all();
+        assert_eq!(s.ones().next(), None);
     }
 
     #[test]

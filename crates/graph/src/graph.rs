@@ -12,6 +12,32 @@ use s3_doc::{DocNodeId, Forest, TreeId};
 
 const UNREGISTERED: u32 = u32::MAX;
 
+/// Entry of [`SocialGraph::frag_parents`] for a node without a parent
+/// fragment: a tree root, a user or a tag.
+pub const NO_PARENT: u32 = u32::MAX;
+
+/// The flat tree topology: for every fragment node the graph node of its
+/// parent fragment, [`NO_PARENT`] elsewhere. Derived from the forest and
+/// the node kinds (never serialized). `None` when the fragments of a tree
+/// do not sit on consecutive node ids in pre-order — the layout
+/// [`GraphBuilder::register_tree`] produces and every range-based pass
+/// over a tree relies on.
+fn frag_parents(forest: &Forest, kinds: &[NodeKind]) -> Option<Vec<u32>> {
+    let mut parents = vec![NO_PARENT; kinds.len()];
+    for (v, &kind) in kinds.iter().enumerate() {
+        let NodeKind::Frag(f) = kind else { continue };
+        let Some(p) = forest.parent(f) else { continue };
+        // A non-root fragment follows its pre-order predecessor, so the
+        // run after a root is its tree and the parent lies inside it.
+        let prev = NodeKind::Frag(DocNodeId(f.0 - 1));
+        if v == 0 || kinds[v - 1] != prev {
+            return None;
+        }
+        parents[v] = (v - (f.index() - p.index())) as u32;
+    }
+    Some(parents)
+}
+
 /// Mutable graph under construction. Nodes of a registered document tree
 /// receive contiguous ids in pre-order.
 #[derive(Debug)]
@@ -197,10 +223,13 @@ impl GraphBuilder {
             None => Components::build(n, &self.kinds, tree_ranges, content_edges),
         };
 
+        let frag_parent =
+            frag_parents(&self.forest, &self.kinds).expect("trees register contiguously");
         SocialGraph {
             forest: self.forest,
             kinds: self.kinds,
             frag_node: self.frag_node,
+            frag_parent,
             tree_root_node: self.tree_root_node,
             offsets,
             targets,
@@ -221,6 +250,7 @@ pub struct SocialGraph {
     forest: Forest,
     kinds: Vec<NodeKind>,
     frag_node: Vec<u32>,
+    frag_parent: Vec<u32>,
     tree_root_node: Vec<u32>,
     offsets: Vec<u32>,
     targets: Vec<NodeId>,
@@ -282,12 +312,30 @@ impl SocialGraph {
         self.frag_of_node(node).map(|f| self.forest.tree_of(f))
     }
 
-    /// Graph-node range of a registered tree (contiguous, pre-order).
-    pub fn tree_node_range(&self, tree: TreeId) -> Option<std::ops::Range<usize>> {
+    /// The graph node of a registered tree's root (the first node of its
+    /// contiguous range).
+    pub fn tree_root_node(&self, tree: TreeId) -> Option<NodeId> {
         match self.tree_root_node[tree.index()] {
             UNREGISTERED => None,
-            base => Some(base as usize..base as usize + self.forest.tree_len(tree)),
+            base => Some(NodeId(base)),
         }
+    }
+
+    /// Graph-node range of a registered tree (contiguous, pre-order).
+    pub fn tree_node_range(&self, tree: TreeId) -> Option<std::ops::Range<usize>> {
+        let base = self.tree_root_node(tree)?.index();
+        Some(base..base + self.forest.tree_len(tree))
+    }
+
+    /// The tree topology as one flat per-node array: the graph node of
+    /// each fragment node's parent fragment, [`NO_PARENT`] for tree roots,
+    /// users and tags. A tree's nodes are consecutive in pre-order, so the
+    /// run of entries other than `NO_PARENT` after a root is exactly that
+    /// tree, and the run after any fragment `v` with entries `>= v` is its
+    /// subtree — the propagation's per-tree passes read these contiguous
+    /// slices instead of walking the forest.
+    pub fn frag_parents(&self) -> &[u32] {
+        &self.frag_parent
     }
 
     /// Outgoing network edges of a node: `(target, kind, weight)`.
@@ -320,6 +368,11 @@ impl SocialGraph {
     /// vertical neighbor of `n` — the denominator of path normalization.
     pub fn neighborhood_weight(&self, node: NodeId) -> f64 {
         self.nb_weight[node.index()]
+    }
+
+    /// `W(neigh(n))` of every node, indexed by node id.
+    pub fn neighborhood_weights(&self) -> &[f64] {
+        &self.nb_weight
     }
 
     /// The vertical neighborhood of a node, as graph nodes (ancestors +
@@ -537,10 +590,13 @@ impl SocialGraph {
             nb_weight.push(nw);
         }
         let components = Components::snap_read(r, n)?;
+        let frag_parent = frag_parents(&forest, &kinds)
+            .ok_or(SnapError::Value("a tree's fragment nodes are not consecutive"))?;
         Ok(SocialGraph {
             forest,
             kinds,
             frag_node,
+            frag_parent,
             tree_root_node,
             offsets,
             targets,
@@ -655,6 +711,33 @@ mod tests {
         assert_eq!(g.neighborhood_nodes(a0), vec![a0]);
         assert!(g.same_neighborhood(docs[0], docs[2]));
         assert!(!g.same_neighborhood(docs[2], docs[3]));
+    }
+
+    #[test]
+    fn frag_parents_flatten_the_forest() {
+        let (g, users, docs, a0) = figure3();
+        let parents = g.frag_parents();
+        for &n in users.iter().chain([&docs[0], &docs[4], &a0]) {
+            assert_eq!(parents[n.index()], NO_PARENT, "{n:?} has no parent fragment");
+        }
+        assert_eq!(parents[docs[1].index()], docs[0].0); // URI0.0 under URI0
+        assert_eq!(parents[docs[2].index()], docs[1].0); // URI0.0.0 under URI0.0
+        assert_eq!(parents[docs[3].index()], docs[0].0); // URI0.1 under URI0
+        assert_eq!(g.tree_root_node(TreeId(1)), Some(docs[4]));
+    }
+
+    #[test]
+    fn frag_parents_reject_a_scattered_tree() {
+        // What a decoded snapshot could claim: a child fragment that does
+        // not directly follow its pre-order predecessor.
+        let mut forest = Forest::new();
+        let mut b = DocBuilder::new("doc");
+        b.child(b.root(), "sec");
+        forest.add_document(b);
+        let (root, child) = (NodeKind::Frag(DocNodeId(0)), NodeKind::Frag(DocNodeId(1)));
+        assert_eq!(frag_parents(&forest, &[root, child]), Some(vec![NO_PARENT, 0]));
+        assert_eq!(frag_parents(&forest, &[root, NodeKind::User(0), child]), None);
+        assert_eq!(frag_parents(&forest, &[child, root]), None);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!
 //! The accumulated proximity to a node is then
 //! `prox≤n(u, b) = Σ_{v ∈ neigh(b) ∪ {b}} acc(v)` with
-//! `acc(v) = Cγ Σ_{j≤n} x_j(v)/γ^j`, maintained incrementally (`acc_nb`).
+//! `acc(v) = Cγ Σ_{j≤n} x_j(v)/γ^j`. A step maintains `acc` at the border
+//! nodes only; the neighborhood sum is taken when [`Propagation::prox_leq`]
+//! is asked for a node (the search asks at a few dozen candidate sources
+//! per step, while a border covers every reachable tree).
 //!
 //! # Attenuation bound
 //!
@@ -40,13 +43,21 @@
 //! # Hot-path layout and reduction order
 //!
 //! The per-node fields `step_into` touches together — `x`, `x_next`,
-//! `acc`, `acc_nb` and the visited flags — live in one `NodeBuffers`
-//! struct-of-arrays block with a single shared length discipline, and the
-//! boolean flags (`visited`, per-tree journal membership) are word-packed
-//! [`crate::BitSet`]s: 64 flags per cache line word instead of one per
-//! byte. Edge emission reads the graph's CSR ranges as contiguous slices
+//! `acc`, the visited flags and the next border's membership mask — live
+//! in one `NodeBuffers` struct-of-arrays block with a single shared length
+//! discipline, and the boolean flags are word-packed [`crate::BitSet`]s:
+//! 64 flags per word instead of one per byte. Edge emission reads the
+//! graph's CSR ranges as contiguous slices
 //! ([`SocialGraph::out_edge_slices`]) so the neighbor multiply-adds run in
-//! tight bounds-check-free loops the compiler can vectorize.
+//! tight bounds-check-free loops the compiler can vectorize, and the
+//! per-tree ρ/ancestor/subtree passes read the tree's shape from one flat
+//! per-node parent array ([`SocialGraph::frag_parents`]) — a contiguous
+//! slice per tree, no walk through the forest.
+//!
+//! A step costs its emitted edges: a target enters the next border on its
+//! first positive contribution, which sets its bit in the mask, and the
+//! border is read back by scanning the mask's set bits — ascending by
+//! construction, so nothing is sorted.
 //!
 //! The floating-point **reduction order is fixed** and part of the API
 //! contract (engine parity asserts byte-identical results):
@@ -83,11 +94,10 @@
 //! Two lifecycle refinements keep the per-query fixed cost proportional to
 //! the search extent rather than the graph:
 //!
-//! * **Sparse reset** — every write to the `x`/`acc`/`acc_nb`/`visited`
-//!   buffers is journaled (visited nodes in first-visit order, plus the
-//!   trees whose `acc_nb` ranges were refreshed), so [`Propagation::reset`]
-//!   clears only the entries a search actually touched: O(touched), not
-//!   O(|graph|).
+//! * **Sparse reset** — every write to the `x`/`acc`/`visited` buffers is
+//!   journaled (visited nodes in first-visit order; `x_next` and the mask
+//!   are empty between steps), so [`Propagation::reset`] clears only the
+//!   entries a search actually touched: O(touched), not O(|graph|).
 //! * **Resume** — the propagation depends only on (graph, γ, seeker), never
 //!   on the query, and `prox≤n` is monotone in `n`. A propagation left at
 //!   step `n` can therefore serve a later query from the same seeker by
@@ -102,7 +112,7 @@
 use std::sync::Mutex;
 
 use crate::bitset::BitSet;
-use crate::graph::SocialGraph;
+use crate::graph::{SocialGraph, NO_PARENT};
 use crate::node::{NodeId, NodeKind};
 use crate::pool::EmitPool;
 use s3_doc::TreeId;
@@ -118,7 +128,7 @@ pub struct Propagation<'g> {
 
 /// The per-node hot fields of a propagation, kept as one struct-of-arrays
 /// block with a single shared length (`x.len() == x_next.len() ==
-/// acc.len() == acc_nb.len() == visited.len()`, the graph's node count).
+/// acc.len() == visited.len() == next.len()`, the graph's node count).
 /// `step_into` streams these together, so co-sizing them keeps the resize
 /// discipline in one place and the working set contiguous per field.
 #[derive(Debug, Default)]
@@ -129,11 +139,11 @@ struct NodeBuffers {
     x_next: Vec<f64>,
     /// `Cγ Σ_{j≤n} x_j(v)/γ^j` per node.
     acc: Vec<f64>,
-    /// `Σ_{v' ∈ neigh(v)} acc(v')` per node: the bounded proximity
-    /// `prox≤n(seeker, v)`.
-    acc_nb: Vec<f64>,
     /// Has the node ever carried border mass? Word-packed.
     visited: BitSet,
+    /// Scratch: the nodes with `x_next > 0`, i.e. the border being
+    /// assembled for the next step. Empty between steps.
+    next: BitSet,
 }
 
 impl NodeBuffers {
@@ -145,21 +155,24 @@ impl NodeBuffers {
     /// Size every buffer for `n` nodes and clear all content (the cold
     /// attach path; reuses capacity).
     fn reset_for(&mut self, n: usize) {
-        for buf in [&mut self.x, &mut self.x_next, &mut self.acc, &mut self.acc_nb] {
+        for buf in [&mut self.x, &mut self.x_next, &mut self.acc] {
             buf.clear();
             buf.resize(n, 0.0);
         }
-        self.visited.clear_all();
-        self.visited.resize(n);
+        for flags in [&mut self.visited, &mut self.next] {
+            flags.clear_all();
+            flags.resize(n);
+        }
     }
 
     /// Grow every buffer to `n` nodes, zero-filling the extension and
     /// preserving existing content (the rebase path).
     fn grow_to(&mut self, n: usize) {
-        for buf in [&mut self.x, &mut self.x_next, &mut self.acc, &mut self.acc_nb] {
+        for buf in [&mut self.x, &mut self.x_next, &mut self.acc] {
             buf.resize(n, 0.0);
         }
         self.visited.resize(n);
+        self.next.resize(n);
     }
 }
 
@@ -185,9 +198,9 @@ pub struct PropagationState {
     step: u32,
     /// The node the propagation was seeded from.
     seeker: NodeId,
-    /// The per-node SoA block (`x`, `x_next`, `acc`, `acc_nb`, `visited`).
+    /// The per-node SoA block (`x`, `x_next`, `acc`, `visited`, `next`).
     nodes: NodeBuffers,
-    /// Nodes with `x > 0`.
+    /// Nodes with `x > 0`, ascending.
     frontier: Vec<u32>,
     /// `M_n`: total border mass.
     border_mass: f64,
@@ -199,19 +212,15 @@ pub struct PropagationState {
     /// or `visited` writes — what [`Propagation::reset`] must clear, and
     /// what a resumed search replays through discovery.
     touched: Vec<u32>,
-    /// Journal of trees whose `acc_nb` range was refreshed, deduplicated
-    /// via `tree_touched`.
-    touched_trees: Vec<TreeId>,
-    /// Per-tree membership flag for `touched_trees`. Word-packed.
-    tree_touched: BitSet,
-    /// Scratch: frontier being assembled for the next step.
-    frontier_next: Vec<u32>,
     /// Scratch: active trees of the current frontier, deduplicated.
     unit_trees: Vec<TreeId>,
     /// Scratch: active user/tag nodes of the current frontier.
     unit_singles: Vec<u32>,
-    /// Scratch: per-tree prefix/suffix passes.
-    tree_scratch: TreeScratch,
+    /// Scratch: per-tree ρ/ancestor/subtree passes.
+    tree_scratch: Vec<f64>,
+    /// Scratch of [`Propagation::prox_leq`]: the open `(node, partial
+    /// sum)` chain of its ancestor and subtree passes, O(tree depth).
+    chain: Vec<(u32, f64)>,
     /// Scratch: the flattened unit list a parallel step fans out over.
     par_units: Vec<Unit>,
     /// Per-worker retained emission buffers (each worker locks only its
@@ -248,7 +257,6 @@ impl PropagationState {
         self.graph_tag == graph_tag(graph)
             && self.gamma == gamma
             && self.nodes.len() == graph.num_nodes()
-            && self.tree_touched.len() == graph.forest().num_trees()
     }
 
     /// Forget what this state was warm for: the next
@@ -275,15 +283,11 @@ impl PropagationState {
     /// when the state was not warm for `(from, gamma)` or the sizes
     /// shrink; resuming it would then be unsound.
     pub fn rebase(&mut self, from: &SocialGraph, to: &SocialGraph, gamma: f64) -> bool {
-        if !self.warm_for(from, gamma)
-            || self.nodes.len() > to.num_nodes()
-            || self.tree_touched.len() > to.forest().num_trees()
-        {
+        if !self.warm_for(from, gamma) || self.nodes.len() > to.num_nodes() {
             self.invalidate();
             return false;
         }
         self.nodes.grow_to(to.num_nodes());
-        self.tree_touched.resize(to.forest().num_trees());
         self.graph_tag = graph_tag(to);
         true
     }
@@ -296,15 +300,6 @@ impl PropagationState {
 /// the search driver already applies to reused propagations.
 fn graph_tag(graph: &SocialGraph) -> usize {
     std::ptr::from_ref(graph) as usize
-}
-
-/// Reusable per-tree buffers for the ancestor/subtree aggregation passes.
-#[derive(Debug, Default)]
-struct TreeScratch {
-    rho: Vec<f64>,
-    anc: Vec<f64>,
-    sub: Vec<f64>,
-    trees: Vec<TreeId>,
 }
 
 /// One emission work item: a whole active tree, or a single user/tag node.
@@ -320,7 +315,7 @@ enum Unit {
 #[derive(Debug, Default)]
 struct EmitWorker {
     out: Vec<(u32, f64)>,
-    scratch: TreeScratch,
+    scratch: Vec<f64>,
 }
 
 /// Where a unit's `(target, Δmass)` contributions go. The two
@@ -347,35 +342,55 @@ impl EmitSink for BufSink<'_> {
     }
 }
 
-/// Sequential sink: accumulate into `x_next` at emission time and record
+/// Sequential sink: accumulate into `x_next` at emission time and mark
 /// first-mass targets. Addition order per target equals emission order,
 /// which is what keeps the sequential path bit-identical to the seed's
 /// buffer-then-merge formulation.
 struct ScatterSink<'a> {
     x_next: &'a mut [f64],
-    frontier_next: &'a mut Vec<u32>,
+    next: &'a mut BitSet,
 }
 
 impl EmitSink for ScatterSink<'_> {
     #[inline]
     fn emit(&mut self, targets: &[NodeId], weights: &[f64], scale: f64) {
         for (&t, &w) in targets.iter().zip(weights) {
-            scatter(self.x_next, self.frontier_next, t.0, scale * w);
+            scatter(self.x_next, self.next, t.0, scale * w);
         }
     }
 }
 
-/// Add one contribution to `x_next[target]`, recording the target in
-/// `frontier_next` when it goes from zero to positive mass. The single
-/// accumulation point of both the sequential scatter and the parallel
-/// merge — one definition, one rounding behavior.
+/// Add one contribution to `x_next[target]`, marking the target in `next`
+/// when it goes from zero to positive mass. The single accumulation point
+/// of both the sequential scatter and the parallel merge — one
+/// definition, one rounding behavior.
 #[inline]
-fn scatter(x_next: &mut [f64], frontier_next: &mut Vec<u32>, target: u32, dm: f64) {
+fn scatter(x_next: &mut [f64], next: &mut BitSet, target: u32, dm: f64) {
     let slot = &mut x_next[target as usize];
     if *slot == 0.0 && dm > 0.0 {
-        frontier_next.push(target);
+        next.set(target as usize);
     }
     *slot += dm;
+}
+
+/// Emission density `ρ(n) = x(n) / W(neigh(n))`; `0` at sinks and off the
+/// border, where `0/w` would be `+0.0` anyway.
+#[inline]
+fn density(x: f64, w: f64) -> f64 {
+    if x != 0.0 && w > 0.0 {
+        x / w
+    } else {
+        0.0
+    }
+}
+
+/// Emit `scale · w(e)` along every out edge of `node`, in CSR order.
+#[inline]
+fn emit_node(graph: &SocialGraph, node: usize, scale: f64, sink: &mut impl EmitSink) {
+    if scale > 0.0 {
+        let (targets, weights) = graph.out_edge_slices(NodeId(node as u32));
+        sink.emit(targets, weights, scale);
+    }
 }
 
 /// Emit one unit's contributions into `sink`: ρ-scaled CSR edge ranges for
@@ -387,70 +402,49 @@ fn emit_unit(
     graph: &SocialGraph,
     x: &[f64],
     unit: Unit,
-    scratch: &mut TreeScratch,
+    scratch: &mut Vec<f64>,
     sink: &mut impl EmitSink,
 ) {
-    match unit {
+    let weights = graph.neighborhood_weights();
+    let base = match unit {
         Unit::Single(v) => {
-            let node = NodeId(v);
-            let w = graph.neighborhood_weight(node);
-            if w <= 0.0 {
-                return;
-            }
-            let rho = x[v as usize] / w;
-            let (targets, weights) = graph.out_edge_slices(node);
-            sink.emit(targets, weights, rho);
+            let v = v as usize;
+            return emit_node(graph, v, density(x[v], weights[v]), sink);
         }
-        Unit::Tree(tree) => {
-            let range = graph.tree_node_range(tree).expect("active tree registered");
-            let forest = graph.forest();
-            let doc_range = forest.tree_range(tree);
-            let len = range.len();
-            let base = range.start;
-            let first_doc = doc_range.start;
-            // ρ per tree node.
-            let rho = &mut scratch.rho;
-            rho.clear();
-            rho.resize(len, 0.0);
-            for (i, r) in rho.iter_mut().enumerate() {
-                let node = base + i;
-                let w = graph.neighborhood_weight(NodeId(node as u32));
-                if w > 0.0 {
-                    *r = x[node] / w;
-                }
-            }
-            // emit(m) = Σ_{n : m ∈ neigh(n)} ρ(n)
-            //         = (strict-ancestor ρ sum) + (subtree ρ sum incl self).
-            let anc = &mut scratch.anc;
-            anc.clear();
-            anc.resize(len, 0.0);
-            let sub = &mut scratch.sub;
-            sub.clear();
-            sub.extend_from_slice(rho);
-            #[allow(clippy::needless_range_loop)] // i indexes three arrays
-            for i in 0..len {
-                let doc = s3_doc::DocNodeId((first_doc + i) as u32);
-                if let Some(p) = forest.parent(doc) {
-                    let pi = p.index() - first_doc;
-                    anc[i] = anc[pi] + rho[pi];
-                }
-            }
-            for i in (0..len).rev() {
-                let doc = s3_doc::DocNodeId((first_doc + i) as u32);
-                if let Some(p) = forest.parent(doc) {
-                    let pi = p.index() - first_doc;
-                    sub[pi] += sub[i];
-                }
-            }
-            for i in 0..len {
-                let emit = anc[i] + sub[i];
-                if emit <= 0.0 {
-                    continue;
-                }
-                let (targets, weights) = graph.out_edge_slices(NodeId((base + i) as u32));
-                sink.emit(targets, weights, emit);
-            }
-        }
+        Unit::Tree(tree) => graph.tree_root_node(tree).expect("active tree registered").index(),
+    };
+    // The tree is its root plus the run of parented nodes after it;
+    // `parents[i]` belongs to node `base + 1 + i`.
+    let parents = &graph.frag_parents()[base + 1..];
+    let parents = &parents[..parents.iter().take_while(|&&p| p != NO_PARENT).count()];
+    if parents.is_empty() {
+        // emit = anc + sub = 0.0 + ρ, which is ρ.
+        return emit_node(graph, base, density(x[base], weights[base]), sink);
+    }
+    let len = 1 + parents.len();
+    if scratch.len() < 3 * len {
+        scratch.resize(3 * len, 0.0);
+    }
+    let (rho, rest) = scratch.split_at_mut(len);
+    let (anc, rest) = rest.split_at_mut(len);
+    let sub = &mut rest[..len];
+    let nodes = base..base + len;
+    for ((r, &xi), &w) in rho.iter_mut().zip(&x[nodes.clone()]).zip(&weights[nodes]) {
+        *r = density(xi, w);
+    }
+    // emit(m) = Σ_{n : m ∈ neigh(n)} ρ(n)
+    //         = (strict-ancestor ρ sum) + (subtree ρ sum incl self).
+    anc[0] = 0.0;
+    for (i, &p) in parents.iter().enumerate() {
+        let pi = p as usize - base;
+        anc[i + 1] = anc[pi] + rho[pi];
+    }
+    sub.copy_from_slice(rho);
+    for (i, &p) in parents.iter().enumerate().rev() {
+        sub[p as usize - base] += sub[i + 1];
+    }
+    for i in 0..len {
+        emit_node(graph, base + i, anc[i] + sub[i], sink);
     }
 }
 
@@ -487,12 +481,8 @@ impl<'g> Propagation<'g> {
             engine.s.c_gamma = (gamma - 1.0) / gamma;
             let s = &mut engine.s;
             s.nodes.reset_for(graph.num_nodes());
-            s.tree_touched.clear_all();
-            s.tree_touched.resize(graph.forest().num_trees());
             s.frontier.clear();
-            s.frontier_next.clear();
             s.touched.clear();
-            s.touched_trees.clear();
             engine.rewind(seeker);
         }
         engine
@@ -506,29 +496,21 @@ impl<'g> Propagation<'g> {
     }
 
     /// Rewind to step 0 from a (possibly different) seeker, clearing only
-    /// the journaled entries: O(touched nodes + touched tree sizes), not
-    /// O(|graph|), and no allocation regardless of the previous search's
-    /// extent. Equivalent to `Propagation::new(graph, gamma, seeker)`.
+    /// the journaled entries: O(touched nodes), not O(|graph|), and no
+    /// allocation regardless of the previous search's extent. Equivalent
+    /// to `Propagation::new(graph, gamma, seeker)`.
     pub fn reset(&mut self, seeker: NodeId) {
-        // `x_next` is all-zero between steps (`advance` zeroes the old
-        // border before swapping), so only the journaled buffers hold
-        // residue: x/acc/visited at visited nodes, acc_nb at visited
-        // users/tags and over every refreshed tree's full node range.
+        // `x_next` and the `next` mask are empty between steps (`advance`
+        // zeroes the old border before swapping and clears the mask once
+        // read), so only x/acc/visited at visited nodes hold residue.
         let nodes = &mut self.s.nodes;
         for &v in &self.s.touched {
             let v = v as usize;
             nodes.x[v] = 0.0;
             nodes.acc[v] = 0.0;
-            nodes.acc_nb[v] = 0.0;
             nodes.visited.clear(v);
         }
         self.s.touched.clear();
-        for &tree in &self.s.touched_trees {
-            let range = self.graph.tree_node_range(tree).expect("journaled tree registered");
-            nodes.acc_nb[range].fill(0.0);
-            self.s.tree_touched.clear(tree.index());
-        }
-        self.s.touched_trees.clear();
         self.s.frontier.clear();
         self.rewind(seeker);
     }
@@ -552,9 +534,6 @@ impl<'g> Propagation<'g> {
         self.s.nodes.acc[seeker.index()] = self.s.c_gamma;
         self.s.frontier.push(seeker.0);
         self.s.touched.push(seeker.0);
-        let frontier = std::mem::take(&mut self.s.frontier);
-        self.refresh_acc_nb(&frontier);
-        self.s.frontier = frontier;
     }
 
     /// The damping factor γ.
@@ -609,9 +588,56 @@ impl<'g> Propagation<'g> {
         self.s.frontier_closed
     }
 
-    /// `prox≤n(seeker, node)`: proximity over the paths explored so far.
-    pub fn prox_leq(&self, node: NodeId) -> f64 {
-        self.s.nodes.acc_nb[node.index()]
+    /// `prox≤n(seeker, node)`: proximity over the paths explored so far,
+    /// `Σ acc` over the node's vertical neighborhood — the root-to-parent
+    /// chain plus the node's own subtree — summed on demand, in time
+    /// linear in that neighborhood and without allocating once the scratch
+    /// has reached the tree's depth (hence `&mut self`).
+    ///
+    /// The additions and their order are those of one pass over the whole
+    /// tree: ancestors fold from the root down (`anc(v) = anc(p) +
+    /// acc(p)`), and in the subtree every node hands its finished sum to
+    /// its parent, highest id first (`sub(p) += sub(v)`).
+    pub fn prox_leq(&mut self, node: NodeId) -> f64 {
+        let (acc, parents) = (&self.s.nodes.acc, self.graph.frag_parents());
+        let chain = &mut self.s.chain;
+        let v = node.index();
+        // Pre-order: the subtree is `v` plus the run of nodes after it
+        // whose parent is `v` or later.
+        let below = parents[v + 1..].iter().take_while(|&&p| p != NO_PARENT && p as usize >= v);
+        let end = v + 1 + below.count();
+        if parents[v] == NO_PARENT && end == v + 1 {
+            return acc[v]; // user, tag or one-node tree: 0.0 + acc(v)
+        }
+
+        chain.clear();
+        let mut up = parents[v];
+        while up != NO_PARENT {
+            chain.push((up, 0.0));
+            up = parents[up as usize];
+        }
+        let anc = chain.iter().rev().fold(0.0, |sum, &(a, _)| sum + acc[a as usize]);
+
+        // `chain` now holds, innermost last, the nodes from `v` down to
+        // the scan position that already received a child's sum; a node
+        // the scan reaches is on top, or is a leaf.
+        chain.clear();
+        let finished = |chain: &mut Vec<(u32, f64)>, k: usize| match chain.last() {
+            Some(&(open, partial)) if open as usize == k => {
+                chain.pop();
+                partial
+            }
+            _ => acc[k],
+        };
+        for k in (v + 1..end).rev() {
+            let sub = finished(chain, k);
+            let p = parents[k];
+            match chain.last_mut() {
+                Some((open, partial)) if *open == p => *partial += sub,
+                _ => chain.push((p, acc[p as usize] + sub)),
+            }
+        }
+        anc + finished(chain, v)
     }
 
     /// `B>n`: a bound on `prox − prox≤n` valid for **every** node
@@ -623,7 +649,7 @@ impl<'g> Propagation<'g> {
     }
 
     /// An upper bound on the full proximity to `node`.
-    pub fn prox_upper(&self, node: NodeId) -> f64 {
+    pub fn prox_upper(&mut self, node: NodeId) -> f64 {
         (self.prox_leq(node) + self.bound_beyond()).min(1.0)
     }
 
@@ -666,9 +692,10 @@ impl<'g> Propagation<'g> {
     }
 
     /// Allocation-free step: `newly` is cleared, then filled with the nodes
-    /// that received border mass for the first time (in ascending id
-    /// order). `threads = 1` is fully sequential; `force_parallel` skips
-    /// the [`Self::PARALLEL_CUTOFF`] heuristic.
+    /// that received border mass for the first time, in ascending id
+    /// order (the order the next border's mask is scanned in).
+    /// `threads = 1` is fully sequential; `force_parallel` skips the
+    /// [`Self::PARALLEL_CUTOFF`] heuristic.
     pub fn step_into(&mut self, threads: usize, force_parallel: bool, newly: &mut Vec<NodeId>) {
         newly.clear();
         self.collect_units();
@@ -679,10 +706,10 @@ impl<'g> Propagation<'g> {
             self.emit_parallel(threads);
         } else {
             // Split-borrow the state: emission reads `x` and the unit
-            // lists while the sink scatters into `x_next`/`frontier_next`.
+            // lists while the sink scatters into `x_next`/`next`.
             let s = &mut self.s;
-            let NodeBuffers { x, x_next, .. } = &mut s.nodes;
-            let mut sink = ScatterSink { x_next, frontier_next: &mut s.frontier_next };
+            let NodeBuffers { x, x_next, next, .. } = &mut s.nodes;
+            let mut sink = ScatterSink { x_next, next };
             for &tree in &s.unit_trees {
                 emit_unit(self.graph, x, Unit::Tree(tree), &mut s.tree_scratch, &mut sink);
             }
@@ -790,38 +817,34 @@ impl<'g> Propagation<'g> {
         });
 
         // Merge in worker-index (= chunk) order.
-        let NodeBuffers { x_next, .. } = &mut s.nodes;
+        let NodeBuffers { x_next, next, .. } = &mut s.nodes;
         for cell in &s.workers {
             let worker = cell.lock().expect("worker buffer poisoned");
             for &(t, dm) in &worker.out {
-                scatter(x_next, &mut s.frontier_next, t, dm);
+                scatter(x_next, next, t, dm);
             }
         }
     }
 
     /// Swap in the merged border, advance the iteration counter, update
-    /// `acc`, `acc_nb` and the visited set; push first-time nodes to
-    /// `newly`.
+    /// `acc` and the visited set; push first-time nodes to `newly`.
     fn advance(&mut self, newly: &mut Vec<NodeId>) {
         let s = &mut self.s;
-        s.frontier_next.sort_unstable();
-        s.frontier_next.dedup();
-
         // Swap in the new border; clear the old one.
         for &v in &s.frontier {
             s.nodes.x[v as usize] = 0.0;
         }
         std::mem::swap(&mut s.nodes.x, &mut s.nodes.x_next);
-        std::mem::swap(&mut s.frontier, &mut s.frontier_next);
-        s.frontier_next.clear();
+        s.frontier.clear();
+        s.frontier.extend(s.nodes.next.ones().map(|v| v as u32));
+        s.nodes.next.clear_all();
         s.step += 1;
         s.gamma_pow *= s.gamma;
 
-        // Accumulate Cγ·x_n(v)/γ^n and refresh neighborhood sums.
+        // Accumulate Cγ·x_n(v)/γ^n.
         let factor = s.c_gamma / s.gamma_pow;
         s.border_mass = 0.0;
-        let frontier = std::mem::take(&mut s.frontier);
-        for &v in &frontier {
+        for &v in &s.frontier {
             let m = s.nodes.x[v as usize];
             s.border_mass += m;
             s.nodes.acc[v as usize] += m * factor;
@@ -831,62 +854,6 @@ impl<'g> Propagation<'g> {
             }
         }
         s.frontier_closed |= newly.is_empty();
-        self.refresh_acc_nb(&frontier);
-        self.s.frontier = frontier;
-    }
-
-    /// Recompute `acc_nb` for every node whose neighborhood contains a node
-    /// of `touched`: users/tags affect only themselves, fragments affect
-    /// their whole tree.
-    fn refresh_acc_nb(&mut self, touched: &[u32]) {
-        let mut scratch = std::mem::take(&mut self.s.tree_scratch);
-        let trees = &mut scratch.trees;
-        trees.clear();
-        let nodes = &mut self.s.nodes;
-        for &v in touched {
-            match self.graph.kind(NodeId(v)) {
-                NodeKind::User(_) | NodeKind::Tag(_) => {
-                    nodes.acc_nb[v as usize] = nodes.acc[v as usize];
-                }
-                NodeKind::Frag(f) => trees.push(self.graph.forest().tree_of(f)),
-            }
-        }
-        trees.sort_unstable();
-        trees.dedup();
-        for &tree in trees.iter() {
-            if self.s.tree_touched.insert(tree.index()) {
-                self.s.touched_trees.push(tree);
-            }
-            let range = self.graph.tree_node_range(tree).expect("registered");
-            let forest = self.graph.forest();
-            let first_doc = forest.tree_range(tree).start;
-            let base = range.start;
-            let len = range.len();
-            let anc = &mut scratch.anc;
-            anc.clear();
-            anc.resize(len, 0.0);
-            let sub = &mut scratch.sub;
-            sub.clear();
-            sub.extend((0..len).map(|i| nodes.acc[base + i]));
-            for i in 0..len {
-                let doc = s3_doc::DocNodeId((first_doc + i) as u32);
-                if let Some(p) = forest.parent(doc) {
-                    let pi = p.index() - first_doc;
-                    anc[i] = anc[pi] + nodes.acc[base + pi];
-                }
-            }
-            for i in (0..len).rev() {
-                let doc = s3_doc::DocNodeId((first_doc + i) as u32);
-                if let Some(p) = forest.parent(doc) {
-                    let pi = p.index() - first_doc;
-                    sub[pi] += sub[i];
-                }
-            }
-            for i in 0..len {
-                nodes.acc_nb[base + i] = anc[i] + sub[i];
-            }
-        }
-        self.s.tree_scratch = scratch;
     }
 }
 
@@ -895,7 +862,309 @@ mod tests {
     use super::*;
     use crate::edge::EdgeKind;
     use crate::graph::GraphBuilder;
-    use s3_doc::{DocBuilder, Forest};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use s3_doc::{DocBuilder, DocNodeId, Forest};
+
+    /// The step as it was before it was made to cost its edges, kept as
+    /// the oracle of `every_step_equals_the_eager_oracle`: the next border
+    /// is a pushed list, sorted; the tree passes walk `forest.parent()`;
+    /// and `acc_nb` — `prox≤n` of every node — is recomputed over every
+    /// touched tree on every step.
+    struct Eager<'g> {
+        graph: &'g SocialGraph,
+        gamma: f64,
+        c_gamma: f64,
+        gamma_pow: f64,
+        x: Vec<f64>,
+        x_next: Vec<f64>,
+        acc: Vec<f64>,
+        acc_nb: Vec<f64>,
+        visited: Vec<bool>,
+        frontier: Vec<u32>,
+        frontier_next: Vec<u32>,
+        border_mass: f64,
+    }
+
+    impl<'g> Eager<'g> {
+        fn new(graph: &'g SocialGraph, gamma: f64, seeker: NodeId) -> Self {
+            let n = graph.num_nodes();
+            let mut e = Eager {
+                graph,
+                gamma,
+                c_gamma: (gamma - 1.0) / gamma,
+                gamma_pow: 1.0,
+                x: vec![0.0; n],
+                x_next: vec![0.0; n],
+                acc: vec![0.0; n],
+                acc_nb: vec![0.0; n],
+                visited: vec![false; n],
+                frontier: vec![seeker.0],
+                frontier_next: Vec::new(),
+                border_mass: 1.0,
+            };
+            e.x[seeker.index()] = 1.0;
+            e.visited[seeker.index()] = true;
+            e.acc[seeker.index()] = e.c_gamma;
+            e.refresh_acc_nb();
+            e
+        }
+
+        /// The frontier's fragment trees, ascending, and its users/tags.
+        fn units(&self) -> (Vec<TreeId>, Vec<u32>) {
+            let (mut trees, mut singles) = (Vec::new(), Vec::new());
+            for &v in &self.frontier {
+                match self.graph.kind(NodeId(v)) {
+                    NodeKind::User(_) | NodeKind::Tag(_) => singles.push(v),
+                    NodeKind::Frag(f) => trees.push(self.graph.forest().tree_of(f)),
+                }
+            }
+            trees.sort_unstable();
+            trees.dedup();
+            (trees, singles)
+        }
+
+        /// `anc[i] + sub[i]` of `value` over one tree, by walking the
+        /// forest: ancestors ascending, subtrees descending.
+        fn neighborhood_sums(&self, tree: TreeId, value: &[f64]) -> Vec<f64> {
+            let forest = self.graph.forest();
+            let first_doc = forest.tree_range(tree).start;
+            let len = value.len();
+            let parent = |i: usize| {
+                forest.parent(DocNodeId((first_doc + i) as u32)).map(|p| p.index() - first_doc)
+            };
+            let mut anc = vec![0.0; len];
+            let mut sub = value.to_vec();
+            for i in 0..len {
+                if let Some(pi) = parent(i) {
+                    anc[i] = anc[pi] + value[pi];
+                }
+            }
+            for i in (0..len).rev() {
+                if let Some(pi) = parent(i) {
+                    sub[pi] += sub[i];
+                }
+            }
+            (0..len).map(|i| anc[i] + sub[i]).collect()
+        }
+
+        fn emit(&mut self, node: usize, scale: f64) {
+            for (target, _, w) in self.graph.out_edges(NodeId(node as u32)) {
+                let slot = &mut self.x_next[target.index()];
+                if *slot == 0.0 && scale * w > 0.0 {
+                    self.frontier_next.push(target.0);
+                }
+                *slot += scale * w;
+            }
+        }
+
+        fn step(&mut self) -> Vec<NodeId> {
+            let graph = self.graph;
+            let (trees, singles) = self.units();
+            for tree in trees {
+                let range = graph.tree_node_range(tree).expect("registered");
+                let rho: Vec<f64> = range
+                    .clone()
+                    .map(|node| {
+                        let w = graph.neighborhood_weight(NodeId(node as u32));
+                        if w > 0.0 {
+                            self.x[node] / w
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                for (node, emit) in range.zip(self.neighborhood_sums(tree, &rho)) {
+                    if emit > 0.0 {
+                        self.emit(node, emit);
+                    }
+                }
+            }
+            for v in singles {
+                let w = graph.neighborhood_weight(NodeId(v));
+                if w > 0.0 {
+                    self.emit(v as usize, self.x[v as usize] / w);
+                }
+            }
+
+            self.frontier_next.sort_unstable();
+            self.frontier_next.dedup();
+            for &v in &self.frontier {
+                self.x[v as usize] = 0.0;
+            }
+            std::mem::swap(&mut self.x, &mut self.x_next);
+            self.frontier = std::mem::take(&mut self.frontier_next);
+            self.gamma_pow *= self.gamma;
+            let factor = self.c_gamma / self.gamma_pow;
+            self.border_mass = 0.0;
+            let mut newly = Vec::new();
+            for &v in &self.frontier {
+                let m = self.x[v as usize];
+                self.border_mass += m;
+                self.acc[v as usize] += m * factor;
+                if !std::mem::replace(&mut self.visited[v as usize], true) {
+                    newly.push(NodeId(v));
+                }
+            }
+            self.refresh_acc_nb();
+            newly
+        }
+
+        /// Recompute `acc_nb` wherever the frontier can have changed it.
+        fn refresh_acc_nb(&mut self) {
+            let (trees, singles) = self.units();
+            for v in singles {
+                self.acc_nb[v as usize] = self.acc[v as usize];
+            }
+            for tree in trees {
+                let range = self.graph.tree_node_range(tree).expect("registered");
+                let sums = self.neighborhood_sums(tree, &self.acc[range.clone()]);
+                self.acc_nb[range].copy_from_slice(&sums);
+            }
+        }
+    }
+
+    /// A forest of `trees` random documents (depth ≤ 4, fan-out ≤ 4, one
+    /// in four a single node) among users and tags — more than 128 nodes
+    /// in all — registered in a shuffled order so node order and tree
+    /// order disagree. Edges leave
+    /// and reach inner fragments as well as roots; users nobody follows
+    /// back, unposted documents and fragments without edges are sinks.
+    fn random_forest_graph(seed: u64, trees: usize) -> (SocialGraph, Vec<NodeId>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut forest = Forest::new();
+        let mut docs = Vec::new();
+        for d in 0..trees {
+            let mut b = DocBuilder::new(format!("doc{d}"));
+            let extra = if rng.gen_bool(0.25) { 0 } else { rng.gen_range(1..12usize) };
+            // Nodes that may still take a child: (node, depth, children).
+            let mut open = vec![(b.root(), 0usize, 0usize)];
+            for _ in 0..extra {
+                if open.is_empty() {
+                    break;
+                }
+                let slot = rng.gen_range(0..open.len());
+                let (parent, depth, _) = open[slot];
+                let child = b.child(parent, "sec");
+                open[slot].2 += 1;
+                if open[slot].2 == 4 {
+                    open.swap_remove(slot);
+                }
+                if depth + 1 < 4 {
+                    open.push((child, depth + 1, 0));
+                }
+            }
+            docs.push(forest.add_document(b));
+        }
+        for i in (1..docs.len()).rev() {
+            docs.swap(i, rng.gen_range(0..=i));
+        }
+
+        let mut g = GraphBuilder::new(forest);
+        let (mut users, mut tags, mut frags, mut roots) = (vec![], vec![], vec![], vec![]);
+        for &t in &docs {
+            for _ in 0..rng.gen_range(0..3usize) {
+                users.push(g.add_user());
+            }
+            if rng.gen_bool(0.4) {
+                tags.push(g.add_tag());
+            }
+            let root = g.register_tree(t);
+            roots.push(root);
+            frags.extend((0..g.forest().tree_len(t)).map(|i| NodeId(root.0 + i as u32)));
+        }
+        // At least one user, and enough nodes for a three-word mask.
+        while users.is_empty() || g.num_nodes() <= 128 {
+            users.push(g.add_user());
+        }
+        let pick = |rng: &mut StdRng, from: &[NodeId]| from[rng.gen_range(0..from.len())];
+        for _ in 0..2 * users.len() {
+            let (a, b) = (pick(&mut rng, &users), pick(&mut rng, &users));
+            if a != b {
+                g.add_edge(a, b, EdgeKind::Social, rng.gen_range(0.1..=1.0));
+            }
+        }
+        for &root in &roots {
+            if rng.gen_bool(0.8) {
+                g.add_edge(root, pick(&mut rng, &users), EdgeKind::PostedBy, 1.0);
+            }
+        }
+        for _ in 0..trees {
+            let (a, b) = (pick(&mut rng, &frags), pick(&mut rng, &frags));
+            if a != b {
+                g.add_edge(a, b, EdgeKind::CommentsOn, rng.gen_range(0.1..=1.0));
+            }
+        }
+        for &tag in &tags {
+            g.add_edge(tag, pick(&mut rng, &frags), EdgeKind::HasSubject, 1.0);
+            g.add_edge(tag, pick(&mut rng, &users), EdgeKind::HasAuthor, 1.0);
+        }
+        (g.build(), users)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// After every step the propagation equals the eager oracle **bit
+        /// for bit**: border, border mass, `newly`, and on-demand
+        /// `prox_leq` at every node against the oracle's `acc_nb` — on
+        /// the sequential and the forced-parallel path. The border and
+        /// `newly` ascend strictly, across the mask's word boundaries.
+        #[test]
+        fn every_step_equals_the_eager_oracle(seed in 0u64..100_000) {
+            let (graph, users) = random_forest_graph(seed, 24 + (seed % 8) as usize);
+            prop_assert!(graph.num_nodes() > 128);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x0DD5);
+            let gamma = [1.2, 1.5, 2.0][rng.gen_range(0..3usize)];
+            let seeker = users[rng.gen_range(0..users.len())];
+
+            let mut oracle = Eager::new(&graph, gamma, seeker);
+            let mut seq = Propagation::new(&graph, gamma, seeker);
+            let mut par = Propagation::new(&graph, gamma, seeker);
+            for step in 0..=14 {
+                if step > 0 {
+                    let expected = oracle.step();
+                    prop_assert_eq!(seq.step(), &expected[..]);
+                    prop_assert_eq!(par.step_parallel_forced(2), &expected[..]);
+                    prop_assert!(expected.windows(2).all(|w| w[0] < w[1]));
+                }
+                for p in [&mut seq, &mut par] {
+                    prop_assert_eq!(&p.s.frontier, &oracle.frontier);
+                    prop_assert!(p.s.frontier.windows(2).all(|w| w[0] < w[1]));
+                    prop_assert_eq!(p.border_mass().to_bits(), oracle.border_mass.to_bits());
+                    for node in graph.nodes() {
+                        let i = node.index();
+                        prop_assert_eq!(p.s.nodes.x[i].to_bits(), oracle.x[i].to_bits());
+                        prop_assert_eq!(
+                            p.prox_leq(node).to_bits(),
+                            oracle.acc_nb[i].to_bits(),
+                            "step {}: prox≤n({:?}) = {} vs eager {}",
+                            step, node, p.prox_leq(node), oracle.acc_nb[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A border on both sides of the mask's first word boundaries comes
+    /// back in id order: the seeker follows users 62..=66 and 127..=129.
+    #[test]
+    fn border_ascends_across_word_boundaries() {
+        let mut g = GraphBuilder::new(Forest::new());
+        let users: Vec<NodeId> = (0..130).map(|_| g.add_user()).collect();
+        let followed = [128u32, 64, 62, 129, 63, 127, 66, 65];
+        for &u in &followed {
+            g.add_edge(users[0], users[u as usize], EdgeKind::Social, 0.5);
+        }
+        let graph = g.build();
+        let mut p = Propagation::new(&graph, 1.5, users[0]);
+        let mut sorted = followed.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(p.step(), sorted.iter().map(|&u| NodeId(u)).collect::<Vec<_>>());
+        assert_eq!(p.s.frontier, sorted);
+    }
 
     /// Two users and a single-node document: u0 —posted— d, u0 —social→ u1.
     fn small() -> (SocialGraph, NodeId, NodeId, NodeId) {
@@ -926,7 +1195,7 @@ mod tests {
     #[test]
     fn empty_path_gives_self_proximity() {
         let (g, u0, u1, _) = small();
-        let p = Propagation::new(&g, 2.0, u0);
+        let mut p = Propagation::new(&g, 2.0, u0);
         assert!((p.prox_leq(u0) - 0.5).abs() < 1e-12); // Cγ = 1/2
         assert_eq!(p.prox_leq(u1), 0.0);
     }
@@ -1117,16 +1386,16 @@ mod tests {
             p.step();
         }
         // Same γ, different seeker: sparse reset inside attach.
-        let p = Propagation::attach(&g, 1.5, u1, p.detach());
-        let fresh = Propagation::new(&g, 1.5, u1);
+        let mut p = Propagation::attach(&g, 1.5, u1, p.detach());
+        let mut fresh = Propagation::new(&g, 1.5, u1);
         assert_eq!(p.iteration(), 0);
         for node in [u0, u1, d] {
             assert_eq!(p.prox_leq(node), fresh.prox_leq(node));
             assert_eq!(p.visited(node), fresh.visited(node));
         }
         // Different γ: buffers recycled, reseeded.
-        let p = Propagation::attach(&g, 2.0, u0, p.detach());
-        let fresh = Propagation::new(&g, 2.0, u0);
+        let mut p = Propagation::attach(&g, 2.0, u0, p.detach());
+        let mut fresh = Propagation::new(&g, 2.0, u0);
         assert_eq!(p.iteration(), 0);
         assert_eq!(p.bound_beyond(), fresh.bound_beyond());
         for node in [u0, u1, d] {

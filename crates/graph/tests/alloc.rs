@@ -4,8 +4,9 @@
 //! warm-up pass has grown every buffer to its high-water mark (including
 //! the parallel path's parked worker pool), replaying the same step
 //! sequence — sequential and forced-parallel — must perform **zero** heap
-//! allocations, `reset` included. This is the contract the serving layer's
-//! warm propagation pool depends on.
+//! allocations, `reset` and the on-demand `prox_leq` of every node (users,
+//! tags, roots and inner fragments of multi-node trees) included. This is
+//! the contract the serving layer's warm propagation pool depends on.
 //!
 //! Single `#[test]` on purpose: the counter is process-global, so
 //! concurrently-running tests would bleed into each other's windows.
@@ -87,21 +88,25 @@ fn build_graph() -> SocialGraph {
 const STEPS: usize = 8;
 const THREADS: usize = 2;
 
-/// Run the fixed step sequence and return the allocation events counted
-/// over it (reset first so every pass replays the same trajectory).
+/// Run the fixed step sequence — every step followed by `prox_leq` of
+/// every node — and return the allocation events counted over it (reset
+/// included, so every pass replays the same trajectory).
 fn run_pass(
     p: &mut Propagation<'_>,
     seeker: NodeId,
     newly: &mut Vec<NodeId>,
     parallel: bool,
 ) -> usize {
-    p.reset(seeker);
     let before = ALLOC_EVENTS.load(Ordering::SeqCst);
+    p.reset(seeker);
     for _ in 0..STEPS {
         if parallel {
             p.step_into(THREADS, true, newly);
         } else {
             p.step_into(1, false, newly);
+        }
+        for node in p.graph().nodes() {
+            std::hint::black_box(p.prox_leq(node));
         }
     }
     ALLOC_EVENTS.load(Ordering::SeqCst) - before
@@ -110,6 +115,8 @@ fn run_pass(
 #[test]
 fn steady_state_step_into_allocates_nothing() {
     let graph = build_graph();
+    let forest = graph.forest();
+    assert!(forest.trees().any(|t| forest.tree_len(t) > 2), "multi-node trees exercised");
     let seeker = NodeId(0);
     let mut p = Propagation::new(&graph, 1.5, seeker);
     let mut newly = Vec::new();

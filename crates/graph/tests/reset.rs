@@ -57,8 +57,8 @@ fn random_graph(seed: u64) -> SocialGraph {
 /// reset would show up precisely in the untouched remainder).
 fn assert_equivalent(
     graph: &SocialGraph,
-    a: &Propagation<'_>,
-    b: &Propagation<'_>,
+    a: &mut Propagation<'_>,
+    b: &mut Propagation<'_>,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.iteration(), b.iteration());
     prop_assert_eq!(a.seeker(), b.seeker());
@@ -67,13 +67,8 @@ fn assert_equivalent(
     prop_assert_eq!(a.frontier_closed(), b.frontier_closed());
     prop_assert_eq!(a.touched_count(), b.touched_count());
     for node in graph.nodes() {
-        prop_assert!(
-            a.prox_leq(node) == b.prox_leq(node),
-            "prox mismatch at {:?}: {} vs {}",
-            node,
-            a.prox_leq(node),
-            b.prox_leq(node)
-        );
+        let (pa, pb) = (a.prox_leq(node), b.prox_leq(node));
+        prop_assert!(pa == pb, "prox mismatch at {:?}: {} vs {}", node, pa, pb);
         prop_assert_eq!(a.visited(node), b.visited(node));
     }
     prop_assert_eq!(
@@ -110,12 +105,12 @@ proptest! {
         }
         reused.reset(second);
         let mut fresh = Propagation::new(&graph, gamma, second);
-        assert_equivalent(&graph, &reused, &fresh)?;
+        assert_equivalent(&graph, &mut reused, &mut fresh)?;
         for _ in 0..8 {
             let a = reused.step();
             let b = fresh.step();
             prop_assert_eq!(a, b);
-            assert_equivalent(&graph, &reused, &fresh)?;
+            assert_equivalent(&graph, &mut reused, &mut fresh)?;
         }
     }
 
@@ -139,14 +134,14 @@ proptest! {
             shadow.step();
         }
         // Same seeker: nothing may change.
-        let warm2 = Propagation::attach(&graph, 1.5, seeker, warm.detach());
-        assert_equivalent(&graph, &warm2, &shadow)?;
+        let mut warm2 = Propagation::attach(&graph, 1.5, seeker, warm.detach());
+        assert_equivalent(&graph, &mut warm2, &mut shadow)?;
         // Other seeker: equals a fresh propagation.
-        let reattached = Propagation::attach(&graph, 1.5, other, warm2.detach());
-        let fresh = Propagation::new(&graph, 1.5, other);
-        assert_equivalent(&graph, &reattached, &fresh)?;
+        let mut reattached = Propagation::attach(&graph, 1.5, other, warm2.detach());
+        let mut fresh = Propagation::new(&graph, 1.5, other);
+        assert_equivalent(&graph, &mut reattached, &mut fresh)?;
         // A default (never-attached) state also starts cold.
-        let blank = Propagation::attach(&graph, 1.5, other, PropagationState::new());
-        assert_equivalent(&graph, &blank, &fresh)?;
+        let mut blank = Propagation::attach(&graph, 1.5, other, PropagationState::new());
+        assert_equivalent(&graph, &mut blank, &mut fresh)?;
     }
 }
