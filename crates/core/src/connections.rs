@@ -601,94 +601,6 @@ impl ConnectionIndex {
         }
         out
     }
-
-    /// Serialize for the durable snapshot format: per document node, its
-    /// keyword entries in ascending keyword order and each entry's
-    /// connection list verbatim — the stored `(frag, src, type)` sort
-    /// order is part of the query contract, so a loaded index is
-    /// bit-identical to the saved one. The block structure never reaches
-    /// the encoding.
-    pub fn snap_write(&self, out: &mut Vec<u8>) {
-        s3_snap::put_usize(out, self.tree_of.len());
-        for idx in 0..self.tree_of.len() {
-            let d = DocNodeId(idx as u32);
-            let block = self.block_of(d);
-            let entries = block.entries_of(d);
-            s3_snap::put_usize(out, entries.len());
-            for entry in entries {
-                s3_snap::put_u32v(out, block.dir[entry].kw.0);
-                let conns = block.span(entry);
-                s3_snap::put_usize(out, conns.len());
-                for c in conns {
-                    out.push(match c.ctype {
-                        ConnType::Contains => 0,
-                        ConnType::RelatedTo => 1,
-                        ConnType::CommentsOn => 2,
-                    });
-                    s3_snap::put_u32v(out, c.frag.0);
-                    out.push(c.depth);
-                    s3_snap::put_u32v(out, c.src.0);
-                }
-            }
-        }
-    }
-
-    /// Decode an index written by [`Self::snap_write`] for `forest`.
-    /// Fragment ids are validated against the forest and each node's
-    /// keywords must ascend; never panics on malformed input.
-    pub fn snap_read(
-        r: &mut s3_snap::SnapReader<'_>,
-        forest: &Forest,
-    ) -> Result<Self, s3_snap::SnapError> {
-        let num_doc_nodes = forest.num_nodes();
-        if r.seq(1)? != num_doc_nodes {
-            return Err(s3_snap::SnapError::Value("connection index length mismatch"));
-        }
-        let empty = Arc::new(TreeBlock::default());
-        let mut trees: Vec<Arc<TreeBlock>> = Vec::with_capacity(forest.num_trees());
-        let mut total = 0usize;
-        for tree in forest.trees() {
-            let mut block = TreeBlock::default();
-            for d in forest.tree_range(tree).map(|i| DocNodeId(i as u32)) {
-                let mut last_kw = None;
-                for _ in 0..r.seq(2)? {
-                    let kw = KeywordId(r.u32v()?);
-                    if last_kw.is_some_and(|last| last >= kw) {
-                        return Err(s3_snap::SnapError::Value("connection keywords out of order"));
-                    }
-                    last_kw = Some(kw);
-                    for _ in 0..r.seq(4)? {
-                        let ctype = match r.u8()? {
-                            0 => ConnType::Contains,
-                            1 => ConnType::RelatedTo,
-                            2 => ConnType::CommentsOn,
-                            _ => {
-                                return Err(s3_snap::SnapError::Value(
-                                    "connection-type discriminant",
-                                ))
-                            }
-                        };
-                        let frag = r.u32v()?;
-                        if frag as usize >= num_doc_nodes {
-                            return Err(s3_snap::SnapError::Value(
-                                "connection fragment out of range",
-                            ));
-                        }
-                        let depth = r.u8()?;
-                        let src = NodeId(r.u32v()?);
-                        block.conns.push(Connection { ctype, frag: DocNodeId(frag), depth, src });
-                    }
-                    block
-                        .close_entry(d, kw)
-                        .ok_or(s3_snap::SnapError::Value("too many connections in one tree"))?;
-                }
-            }
-            total += block.conns.len();
-            trees.push(if block.dir.is_empty() { Arc::clone(&empty) } else { block.freeze() });
-        }
-        let tree_of = (0..num_doc_nodes).map(|i| forest.tree_of(DocNodeId(i as u32))).collect();
-        Ok(ConnectionIndex { tree_of, trees, total })
-    }
 }
 
 #[cfg(test)]
@@ -1171,33 +1083,6 @@ mod tests {
         Reference { per_doc, total, distinct }
     }
 
-    fn reference_snap(reference: &Reference) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        let out = &mut bytes;
-        s3_snap::put_usize(out, reference.per_doc.len());
-        for map in &reference.per_doc {
-            let mut kws: Vec<KeywordId> = map.keys().copied().collect();
-            kws.sort_unstable();
-            s3_snap::put_usize(out, kws.len());
-            for kw in kws {
-                s3_snap::put_u32v(out, kw.0);
-                let conns = &map[&kw];
-                s3_snap::put_usize(out, conns.len());
-                for c in conns {
-                    out.push(match c.ctype {
-                        ConnType::Contains => 0,
-                        ConnType::RelatedTo => 1,
-                        ConnType::CommentsOn => 2,
-                    });
-                    s3_snap::put_u32v(out, c.frag.0);
-                    out.push(c.depth);
-                    s3_snap::put_u32v(out, c.src.0);
-                }
-            }
-        }
-        bytes
-    }
-
     // ---- Random corpora for the differential properties. ----
 
     const AUTHORS: u32 = 4;
@@ -1312,13 +1197,8 @@ mod tests {
         )
     }
 
-    /// Per-document entries, `len()` and the encoding (with its decode
-    /// round trip) agree with the oracle.
-    fn check_same(
-        index: &ConnectionIndex,
-        reference: &Reference,
-        forest: &Forest,
-    ) -> TestCaseResult {
+    /// Per-document entries, keywords and `len()` agree with the oracle.
+    fn check_same(index: &ConnectionIndex, reference: &Reference) -> TestCaseResult {
         prop_assert_eq!(index.len(), reference.total);
         prop_assert_eq!(index.is_empty(), reference.total == 0);
         for (idx, map) in reference.per_doc.iter().enumerate() {
@@ -1331,16 +1211,6 @@ mod tests {
             }
             prop_assert!(index.connections(d, KeywordId(KEYWORDS)).is_empty());
         }
-        let mut bytes = Vec::new();
-        index.snap_write(&mut bytes);
-        prop_assert!(bytes == reference_snap(reference), "encodings differ");
-        let mut reader = s3_snap::SnapReader::new(&bytes);
-        let loaded = ConnectionIndex::snap_read(&mut reader, forest).expect("own encoding loads");
-        prop_assert_eq!(reader.remaining(), 0);
-        prop_assert_eq!(loaded.len(), index.len());
-        let mut again = Vec::new();
-        loaded.snap_write(&mut again);
-        prop_assert!(again == bytes, "the decode round trip changed the encoding");
         Ok(())
     }
 
@@ -1359,12 +1229,12 @@ mod tests {
             let scope = Scope::all(&c.forest, c.tags.len(), &dead);
             let (index, counters) =
                 ConnectionIndex::build_scoped(&c.forest, &c.tags, &comments, src_of, &scope);
-            check_same(&index, &reference, &c.forest)?;
+            check_same(&index, &reference)?;
             prop_assert_eq!(counters.tuples as usize, reference.distinct);
             prop_assert!(counters.rule_firings >= counters.tuples);
             if dead.trees.is_empty() && dead.tags.is_empty() {
                 let public = ConnectionIndex::build(&c.forest, &c.tags, &comments, src_of);
-                check_same(&public, &reference, &c.forest)?;
+                check_same(&public, &reference)?;
             }
         }
 
@@ -1432,7 +1302,7 @@ mod tests {
             let (index, _) =
                 ConnectionIndex::build_scoped(&c.forest, &c.tags, &comments1, src_of, &scope);
 
-            check_same(&index, &reference_cold(&c.forest, &c.tags, &comments1, &dead1), &c.forest)?;
+            check_same(&index, &reference_cold(&c.forest, &c.tags, &comments1, &dead1))?;
             let scoped_reference = reference_build(
                 &c.forest,
                 &c.tags,
@@ -1444,7 +1314,7 @@ mod tests {
                 |t| dead1.tag_alive(t),
                 Some(&prev_reference),
             );
-            check_same(&index, &scoped_reference, &c.forest)?;
+            check_same(&index, &scoped_reference)?;
             for t in (0..base_trees).filter(|&t| scope.docs.binary_search(&TreeId(t as u32)).is_err()) {
                 prop_assert!(Arc::ptr_eq(&index.trees[t], &prev.trees[t]), "tree {} was copied", t);
             }
@@ -1487,7 +1357,7 @@ mod tests {
             assert_eq!(index.connections(d, KeywordId(0)).len(), 1 + endorsers as usize);
             let reference = reference_cold(&forest, &tags, &[], &dead);
             assert_eq!(counters.tuples as usize, reference.distinct);
-            check_same(&index, &reference, &forest).expect("the cascade equals the oracle");
+            check_same(&index, &reference).expect("the cascade equals the oracle");
         }
     }
 }

@@ -1,13 +1,12 @@
-//! Durable, versioned snapshots of an [`InstanceBuilder`] + [`S3Instance`]
-//! pair — the warm-restart format behind the live engines.
+//! Durable, versioned snapshots of an [`InstanceBuilder`] — the
+//! warm-restart format behind the live engines.
 //!
 //! # File layout
 //!
 //! ```text
 //! ┌──────────┬─────────┬───────┬──────────────────────────────────────┐
-//! │ magic 8B │ ver u16 │ crc32 │ payload (length-prefixed sections)   │
+//! │ magic 8B │ ver u16 │ crc32 │ payload = block(builder state)       │
 //! └──────────┴─────────┴───────┴──────────────────────────────────────┘
-//! payload = block(builder source state) ++ block(frozen derived state)
 //! ```
 //!
 //! The **builder block** persists the replayable source of truth: the
@@ -18,52 +17,42 @@
 //! [`crate::IngestBatch`]es exactly as the saved one would — the
 //! load-snapshot-then-replay-WAL-tail recovery path.
 //!
-//! The **derived block** persists the expensive frozen structures
-//! verbatim — the saturated RDF store, the social graph (CSR, weight
-//! tables and components; the forest is written once, in the builder
-//! block) and the `con(d,k)` index — so a load is a *warm* restart: no
-//! saturation, no `con` fixpoint, and bit-identical floats. The cheap
-//! side tables (user/tag node maps, poster map, comment pairs, component
-//! keyword sets, keyword↔URI bridges) are rebuilt by linear scans.
+//! Nothing derived is stored: the saturated RDF store, the social graph
+//! and the `con(d,k)` index are pure functions of the builder, so a load
+//! is decode + [`InstanceBuilder::snapshot`] (a cold build). The file is
+//! therefore a function of the builder alone — the same event log writes
+//! the same bytes whatever ingest history produced the live instance.
 //!
 //! Loading is panic-free: wrong magic, wrong version, any flipped or
 //! missing byte, or any structurally inconsistent value yields a
 //! [`SnapError`], never a panic and never a silently wrong instance (the
 //! payload is covered by a CRC-32, and every decoded index is validated
-//! before use).
+//! before the cold build sees it).
 
-use crate::connections::ConnectionIndex;
 use crate::ids::{TagId, TagSubject, UserId};
-use crate::instance::{
-    keyword_bridges, tag_records, BuildEvent, InstanceBuilder, PendingTag, S3Instance, Tombstones,
-};
+use crate::instance::{BuildEvent, InstanceBuilder, PendingTag, S3Instance, Tombstones};
 use s3_doc::{DocNodeId, Forest, TreeId};
-use s3_graph::{NodeKind, SocialGraph};
 use s3_rdf::{TripleStore, UriId};
 use s3_snap::{put_block, put_bool, put_f64, put_u32v, put_usize, SnapError, SnapReader};
 use s3_text::{Analyzer, KeywordId, Language, Vocabulary};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"S3KSNAP\0";
 
-/// Version of the snapshot format this build writes. Any change to the
-/// payload encoding must bump it. Version 2 added tombstone events
-/// (`Dead*` discriminants in the event log); version-1 files predate
-/// deletions, decode under the same rules (their logs simply carry no
-/// tombstones) and remain loadable. Anything else is a hard load error.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// Version of the snapshot format this build writes and reads. Any change
+/// to the payload encoding must bump it; any other version is a hard
+/// load error ([`SnapError::Version`]). Version 3 dropped the derived
+/// block versions 1–2 carried after the builder block.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
-/// Oldest snapshot version this build still reads.
-pub const SNAPSHOT_MIN_VERSION: u16 = 1;
-
-/// Serialize a `(builder, instance)` pair into the snapshot format.
+/// Serialize a builder into the snapshot format.
 ///
 /// `instance` must be the builder's latest frozen snapshot (the pair the
-/// live engines maintain); the entity counts are asserted to agree.
+/// live engines maintain); the entity counts are asserted to agree. Only
+/// the builder is written — the instance is rebuilt from it on load.
 pub fn write_snapshot(builder: &InstanceBuilder, instance: &S3Instance) -> Vec<u8> {
     assert_eq!(
         builder.forest.num_nodes(),
@@ -75,11 +64,6 @@ pub fn write_snapshot(builder: &InstanceBuilder, instance: &S3Instance) -> Vec<u
 
     let mut payload = Vec::new();
     put_block(&mut payload, |out| write_builder_block(builder, out));
-    put_block(&mut payload, |out| {
-        instance.rdf.snap_write(out);
-        instance.graph.snap_write(out);
-        instance.conn_index.snap_write(out);
-    });
 
     let mut bytes = Vec::with_capacity(payload.len() + 14);
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -89,8 +73,9 @@ pub fn write_snapshot(builder: &InstanceBuilder, instance: &S3Instance) -> Vec<u
     bytes
 }
 
-/// Decode a snapshot produced by [`write_snapshot`]. Never panics on
-/// malformed input; every rejection is a descriptive [`SnapError`].
+/// Decode a snapshot produced by [`write_snapshot`] and cold-build its
+/// instance. Never panics on malformed input; every rejection is a
+/// descriptive [`SnapError`].
 pub fn read_snapshot(bytes: &[u8]) -> Result<(InstanceBuilder, S3Instance), SnapError> {
     if bytes.len() < 14 {
         return Err(SnapError::Truncated);
@@ -99,7 +84,7 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<(InstanceBuilder, S3Instance), Snap
         return Err(SnapError::BadMagic);
     }
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapError::Version(version));
     }
     let crc = u32::from_le_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]);
@@ -112,15 +97,9 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<(InstanceBuilder, S3Instance), Snap
     let mut builder_block = r.block()?;
     let builder = read_builder_block(&mut builder_block)?;
     builder_block.finish()?;
-
-    let mut derived = r.block()?;
-    let rdf_sat = TripleStore::snap_read(&mut derived)?;
-    let graph = SocialGraph::snap_read(builder.forest.clone(), &mut derived)?;
-    let conn_index = ConnectionIndex::snap_read(&mut derived, &builder.forest)?;
-    derived.finish()?;
     r.finish()?;
 
-    let instance = assemble_instance(&builder, rdf_sat, graph, conn_index)?;
+    let instance = builder.snapshot();
     Ok((builder, instance))
 }
 
@@ -324,8 +303,8 @@ fn read_builder_block(r: &mut SnapReader<'_>) -> Result<InstanceBuilder, SnapErr
     }
 
     // Event log: creation events must replay to the entity counts, and
-    // tombstone events (version 2) must kill only already-created, not
-    // yet dead entities — replaying the log reconstructs the dead sets.
+    // tombstone events must kill only already-created, not yet dead
+    // entities — replaying the log reconstructs the dead sets.
     let n = r.seq(1)?;
     let mut events = Vec::with_capacity(n);
     let mut dead = Tombstones::default();
@@ -414,81 +393,6 @@ fn read_builder_block(r: &mut SnapReader<'_>) -> Result<InstanceBuilder, SnapErr
     })
 }
 
-/// Rebuild the cheap side tables and assemble the frozen instance from
-/// the loaded source + derived state. Mirrors the tail of
-/// `crate::instance::freeze`, minus everything expensive.
-fn assemble_instance(
-    builder: &InstanceBuilder,
-    rdf_sat: TripleStore,
-    graph: SocialGraph,
-    conn_index: ConnectionIndex,
-) -> Result<S3Instance, SnapError> {
-    if !rdf_sat.is_saturated() {
-        return Err(SnapError::Value("derived RDF store is not saturated"));
-    }
-    if graph.num_users() != builder.num_users as usize
-        || graph.num_tags() != builder.tags.len()
-        || graph.forest().num_trees() != builder.forest.num_trees()
-    {
-        return Err(SnapError::Value("graph entity counts disagree with the builder"));
-    }
-
-    // Node tables: users and tags appear in payload order (validated by
-    // the graph decoder), so one ascending scan recovers both maps.
-    let mut user_nodes = Vec::with_capacity(graph.num_users());
-    let mut tag_nodes = Vec::with_capacity(graph.num_tags());
-    for node in graph.nodes() {
-        match graph.kind(node) {
-            NodeKind::User(_) => user_nodes.push(node),
-            NodeKind::Tag(_) => tag_nodes.push(node),
-            NodeKind::Frag(_) => {}
-        }
-    }
-
-    let poster_of: HashMap<TreeId, UserId> = builder.posters.iter().copied().collect();
-    let comment_pairs: Vec<(DocNodeId, DocNodeId)> = builder
-        .comments
-        .iter()
-        .map(|&(tree, target)| (builder.forest.root(tree), target))
-        .collect();
-
-    // Component → keyword sets (§5.2 pruning), rebuilt from the loaded
-    // connection index.
-    let mut comp_keywords: Vec<HashSet<KeywordId>> = vec![HashSet::new(); graph.components().len()];
-    for idx in 0..graph.forest().num_nodes() {
-        let d = DocNodeId(idx as u32);
-        let Some(node) = graph.node_of_frag(d) else {
-            return Err(SnapError::Value("forest node missing from the graph"));
-        };
-        let comp = graph.components().component_of(node);
-        comp_keywords[comp.index()].extend(conn_index.keywords_of(d));
-    }
-
-    let mut kw_to_uri: HashMap<KeywordId, UriId> = HashMap::new();
-    let mut uri_to_kw: HashMap<UriId, KeywordId> = HashMap::new();
-    keyword_bridges(builder.analyzer.vocabulary(), &rdf_sat, 0, &mut kw_to_uri, &mut uri_to_kw);
-
-    let dead_nodes = builder.dead.mark_nodes(&graph, &user_nodes, &tag_nodes);
-
-    Ok(S3Instance {
-        language: builder.analyzer.language(),
-        vocabulary: builder.analyzer.vocabulary().clone(),
-        rdf: Arc::new(rdf_sat),
-        graph,
-        user_nodes,
-        tag_records: tag_records(&builder.tags, &tag_nodes),
-        poster_of,
-        comment_pairs,
-        conn_index,
-        comp_keywords,
-        kw_to_uri,
-        uri_to_kw,
-        dead_nodes,
-        ext_cache: Mutex::new(HashMap::new()),
-        smax_cache: Mutex::new(HashMap::new()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,20 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn version1_snapshots_still_load() {
-        // A tombstone-free event log is byte-identical between versions 1
-        // and 2 (version 2 only *added* the `Dead*` discriminants), so a
-        // faithful v1 file is today's bytes with the header version
-        // patched — the CRC covers the payload only.
+    fn version2_snapshots_are_rejected() {
+        // Version 2 carried a derived block after the builder block; a
+        // faithful-looking v2 header in front of today's payload is still a
+        // clean typed error, never a fallback decode. The CRC covers the
+        // payload only, so only the version check can reject it.
         let b = sample();
-        let inst = b.snapshot();
-        let mut bytes = write_snapshot(&b, &inst);
+        let mut bytes = write_snapshot(&b, &b.snapshot());
         assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), SNAPSHOT_VERSION);
-        bytes[8..10].copy_from_slice(&SNAPSHOT_MIN_VERSION.to_le_bytes());
-        let (b2, inst2) = read_snapshot(&bytes).expect("v1 snapshots must keep loading");
-        assert_eq!(inst2.num_users(), inst.num_users());
-        assert_eq!(inst2.num_documents(), inst.num_documents());
-        assert_eq!(b2.dead_counts(), (0, 0, 0));
+        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+        assert!(matches!(read_snapshot(&bytes), Err(SnapError::Version(2))));
     }
 
     #[test]

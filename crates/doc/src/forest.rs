@@ -429,13 +429,64 @@ impl Forest {
         if expect_first as usize != f.tree_of.len() {
             return Err(SnapError::Value("tree directory does not cover every node"));
         }
-        for (i, &size) in f.subtree_size.iter().enumerate() {
-            let end = (i as u64) + size as u64;
-            if size == 0 || end > f.tree_of.len() as u64 {
-                return Err(SnapError::Value("subtree size out of range"));
-            }
+        for tree in f.trees() {
+            f.check_tree(tree)?;
         }
         Ok(f)
+    }
+
+    /// Validate one decoded tree against what [`Self::add_document`]
+    /// would have stored: its nodes carry its id, the parent links form a
+    /// pre-order tree rooted at its first node, and the derived depth,
+    /// child-rank and subtree-size columns agree with those links. The
+    /// cold build downstream relies on every one of these.
+    fn check_tree(&self, tree: TreeId) -> Result<(), SnapError> {
+        let range = self.tree_range(tree);
+        let first = range.start;
+        let mut seen = vec![false; range.len()];
+        for &n in &self.trees[tree.index()].local_map {
+            if std::mem::replace(&mut seen[n.index() - first], true) {
+                return Err(SnapError::Value("local map is not a permutation of its tree"));
+            }
+        }
+        if self.trees[tree.index()].local_map.first() != Some(&DocNodeId(first as u32)) {
+            return Err(SnapError::Value("local root is not the tree's first node"));
+        }
+        // `chain` is the ancestor-or-self chain of the previous node; in
+        // pre-order a node's parent lies on it.
+        let mut chain: Vec<usize> = Vec::new();
+        let mut ranks = vec![0u16; range.len()];
+        for i in range.clone() {
+            let (depth, rank) = match self.parent[i] {
+                None if i == first => (0, 0),
+                Some(p) if i != first => {
+                    let p = p.index();
+                    while chain.last().is_some_and(|&top| top != p) {
+                        chain.pop();
+                    }
+                    if chain.is_empty() {
+                        return Err(SnapError::Value("node parent breaks the pre-order"));
+                    }
+                    ranks[p - first] = ranks[p - first].wrapping_add(1);
+                    (self.depth[p] + 1, ranks[p - first])
+                }
+                _ => return Err(SnapError::Value("tree root and parent links disagree")),
+            };
+            if self.tree_of[i] != tree || self.depth[i] != depth || self.child_rank[i] != rank {
+                return Err(SnapError::Value("node columns disagree with the parent links"));
+            }
+            chain.push(i);
+        }
+        let mut sizes = vec![1u32; range.len()];
+        for i in range.clone().rev() {
+            if let Some(p) = self.parent[i] {
+                sizes[p.index() - first] += sizes[i - first];
+            }
+        }
+        if sizes[..] != self.subtree_size[range] {
+            return Err(SnapError::Value("subtree sizes disagree with the parent links"));
+        }
+        Ok(())
     }
 }
 
@@ -587,6 +638,32 @@ mod tests {
             );
         }
         let _ = filler;
+    }
+
+    #[test]
+    fn decode_rejects_columns_that_disagree_with_the_parent_links() {
+        let (f, ..) = sample();
+        let mut f2 = f.clone();
+        f2.add_document(DocBuilder::new("other"));
+        let decode = |f: &Forest| {
+            let mut bytes = Vec::new();
+            f.snap_write(&mut bytes);
+            Forest::snap_read(&mut SnapReader::new(&bytes))
+        };
+        assert!(decode(&f2).is_ok());
+        let tampered: [fn(&mut Forest); 6] = [
+            |f| f.parent[5] = Some(DocNodeId(0)), // a root gains a parent
+            |f| f.parent[4] = Some(DocNodeId(2)), // child of a closed subtree
+            |f| f.depth[2] += 1,
+            |f| f.child_rank[3] = 1,
+            |f| f.subtree_size[1] = 1,
+            |f| f.trees[0].local_map.swap(0, 1),
+        ];
+        for (i, tamper) in tampered.iter().enumerate() {
+            let mut bad = f2.clone();
+            tamper(&mut bad);
+            assert!(decode(&bad).is_err(), "tampering {i} must be rejected");
+        }
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl ShardServer {
 
     /// Build shard `shard` from an already-materialised replica instance
     /// (a decoded [`s3_core::read_snapshot`] pair — the snapshot bootstrap
-    /// path, which must not re-run the builder).
+    /// path, whose instance the decode already cold-built).
     pub fn from_parts(
         builder: InstanceBuilder,
         instance: Arc<S3Instance>,
@@ -149,7 +149,8 @@ impl ShardServer {
 
     /// Build shard `shard` of a `num_shards` fleet from serialized
     /// snapshot bytes (the fleet bootstrap path: no shared builder, the
-    /// replica is exactly the shipped bytes). Errors — never panics — on
+    /// replica is the cold build of the shipped builder block — a pure
+    /// function of the bytes). Errors — never panics — on
     /// corrupt or version-mismatched snapshots.
     pub fn from_snapshot(
         snapshot: &[u8],

@@ -15,8 +15,10 @@
 //! replayed after a crash.
 //!
 //! **Recovery** is load-snapshot-then-replay-tail: `open` loads the
-//! snapshot (or seeds a fresh builder when none exists) and replays the
-//! WAL's intact records through [`s3_core::InstanceBuilder::apply`].
+//! snapshot — decodes its builder and cold-builds the instance — (or
+//! seeds a fresh builder when no snapshot file exists; an unreadable one
+//! is an error) and replays the WAL's intact records through
+//! [`s3_core::InstanceBuilder::apply`].
 //! Because the builder's event log is replay-stable, the recovered
 //! engine answers queries byte-identically to the one that crashed.
 //!
@@ -29,6 +31,7 @@ use s3_core::{CompactionReport, IngestBatch, WriteAheadLog};
 use s3_snap::SnapError;
 use s3_wire::{WireError, WireIngest};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -170,20 +173,10 @@ pub trait Checkpoint: Send + Sync {
     fn checkpoint(&self) -> Result<CheckpointReport, PersistError>;
 }
 
-struct CheckpointerShared {
-    stop: Mutex<bool>,
-    wake: Condvar,
-    taken: Mutex<u64>,
-    last_error: Mutex<Option<PersistError>>,
-}
-
 /// A background checkpointing thread: every `interval`, if the WAL has
 /// at least `min_records` records, take a checkpoint. Stop (and surface
 /// any error) with [`Self::stop`].
-pub struct Checkpointer {
-    shared: Arc<CheckpointerShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
+pub struct Checkpointer(Periodic);
 
 impl Checkpointer {
     /// Spawn the thread over any [`Checkpoint`]-able engine.
@@ -192,68 +185,21 @@ impl Checkpointer {
         interval: Duration,
         min_records: u64,
     ) -> Self {
-        let shared = Arc::new(CheckpointerShared {
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-            taken: Mutex::new(0),
-            last_error: Mutex::new(None),
-        });
-        let worker = Arc::clone(&shared);
-        let thread = std::thread::spawn(move || loop {
-            {
-                let stop = worker.stop.lock().expect("checkpointer flag poisoned");
-                let (stop, _) = worker
-                    .wake
-                    .wait_timeout_while(stop, interval, |stopped| !*stopped)
-                    .expect("checkpointer flag poisoned");
-                if *stop {
-                    return;
-                }
-            }
-            if engine.wal_records().is_some_and(|n| n >= min_records.max(1)) {
-                match engine.checkpoint() {
-                    Ok(_) => {
-                        *worker.taken.lock().expect("checkpoint counter poisoned") += 1;
-                    }
-                    Err(e) => {
-                        *worker.last_error.lock().expect("checkpoint error slot poisoned") =
-                            Some(e);
-                    }
-                }
-            }
-        });
-        Checkpointer { shared, thread: Some(thread) }
+        Checkpointer(Periodic::spawn(interval, move || match engine.wal_records() {
+            Some(n) if n >= min_records.max(1) => engine.checkpoint().map(|_| true),
+            _ => Ok(false),
+        }))
     }
 
     /// Checkpoints taken so far.
     pub fn taken(&self) -> u64 {
-        *self.shared.taken.lock().expect("checkpoint counter poisoned")
+        self.0.taken()
     }
 
     /// Signal the thread, join it, and return the number of checkpoints
     /// taken — or the last checkpoint error, if any occurred.
-    pub fn stop(mut self) -> Result<u64, PersistError> {
-        *self.shared.stop.lock().expect("checkpointer flag poisoned") = true;
-        self.shared.wake.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-        if let Some(e) =
-            self.shared.last_error.lock().expect("checkpoint error slot poisoned").take()
-        {
-            return Err(e);
-        }
-        Ok(self.taken())
-    }
-}
-
-impl Drop for Checkpointer {
-    fn drop(&mut self) {
-        *self.shared.stop.lock().expect("checkpointer flag poisoned") = true;
-        self.shared.wake.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+    pub fn stop(self) -> Result<u64, PersistError> {
+        self.0.stop()
     }
 }
 
@@ -324,74 +270,108 @@ impl Default for CompactionPolicy {
     }
 }
 
-struct CompactorShared {
-    stop: Mutex<bool>,
-    wake: Condvar,
-    taken: Mutex<u64>,
-    last_error: Mutex<Option<PersistError>>,
-}
-
 /// A background compaction thread: every [`CompactionPolicy::interval`],
 /// if the engine's dead-node fraction has reached
 /// [`CompactionPolicy::min_dead_fraction`], run one compaction epoch.
 /// Stop (and surface any error) with [`Self::stop`].
-pub struct Compactor {
-    shared: Arc<CompactorShared>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
+pub struct Compactor(Periodic);
 
 impl Compactor {
     /// Spawn the thread over any [`Compact`]-able engine.
     pub fn spawn<C: Compact + 'static>(engine: Arc<C>, policy: CompactionPolicy) -> Self {
-        let shared = Arc::new(CompactorShared {
+        Compactor(Periodic::spawn(policy.interval, move || {
+            let dead = engine.dead_fraction();
+            if dead > 0.0 && dead >= policy.min_dead_fraction {
+                engine.compact().map(|_| true)
+            } else {
+                Ok(false)
+            }
+        }))
+    }
+
+    /// Compaction epochs completed so far.
+    pub fn taken(&self) -> u64 {
+        self.0.taken()
+    }
+
+    /// Signal the thread, join it, and return the number of compactions
+    /// taken — or the last compaction error, if any occurred.
+    pub fn stop(self) -> Result<u64, PersistError> {
+        self.0.stop()
+    }
+}
+
+struct PeriodicShared {
+    stop: Mutex<bool>,
+    wake: Condvar,
+    /// Bumped with `Release` after each action, read with `Acquire`: a
+    /// caller that sees the count also sees the action's effects.
+    taken: AtomicU64,
+    last_error: Mutex<Option<PersistError>>,
+}
+
+/// The one background loop behind [`Checkpointer`] and [`Compactor`]:
+/// every `interval` (or until stopped) run `tick`, which tests its trigger
+/// and acts — `Ok(true)` when it acted, `Ok(false)` when the trigger did
+/// not fire. Actions are counted; the last error is kept for [`Self::stop`].
+struct Periodic {
+    shared: Arc<PeriodicShared>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Periodic {
+    fn spawn(
+        interval: Duration,
+        mut tick: impl FnMut() -> Result<bool, PersistError> + Send + 'static,
+    ) -> Self {
+        let shared = Arc::new(PeriodicShared {
             stop: Mutex::new(false),
             wake: Condvar::new(),
-            taken: Mutex::new(0),
+            taken: AtomicU64::new(0),
             last_error: Mutex::new(None),
         });
         let worker = Arc::clone(&shared);
         let thread = std::thread::spawn(move || loop {
             {
-                let stop = worker.stop.lock().expect("compactor flag poisoned");
+                let stop = worker.stop.lock().expect("background loop flag poisoned");
                 let (stop, _) = worker
                     .wake
-                    .wait_timeout_while(stop, policy.interval, |stopped| !*stopped)
-                    .expect("compactor flag poisoned");
+                    .wait_timeout_while(stop, interval, |stopped| !*stopped)
+                    .expect("background loop flag poisoned");
                 if *stop {
                     return;
                 }
             }
-            let dead = engine.dead_fraction();
-            if dead > 0.0 && dead >= policy.min_dead_fraction {
-                match engine.compact() {
-                    Ok(_) => {
-                        *worker.taken.lock().expect("compaction counter poisoned") += 1;
-                    }
-                    Err(e) => {
-                        *worker.last_error.lock().expect("compaction error slot poisoned") =
-                            Some(e);
-                    }
+            match tick() {
+                Ok(true) => {
+                    worker.taken.fetch_add(1, Ordering::Release);
+                }
+                Ok(false) => {}
+                Err(e) => {
+                    *worker.last_error.lock().expect("background error slot poisoned") = Some(e);
                 }
             }
         });
-        Compactor { shared, thread: Some(thread) }
+        Periodic { shared, thread: Some(thread) }
     }
 
-    /// Compaction epochs completed so far.
-    pub fn taken(&self) -> u64 {
-        *self.shared.taken.lock().expect("compaction counter poisoned")
+    fn taken(&self) -> u64 {
+        self.shared.taken.load(Ordering::Acquire)
     }
 
-    /// Signal the thread, join it, and return the number of compactions
-    /// taken — or the last compaction error, if any occurred.
-    pub fn stop(mut self) -> Result<u64, PersistError> {
-        *self.shared.stop.lock().expect("compactor flag poisoned") = true;
+    /// Signal the thread and join it.
+    fn join(&mut self) {
+        *self.shared.stop.lock().expect("background loop flag poisoned") = true;
         self.shared.wake.notify_all();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
+    }
+
+    fn stop(mut self) -> Result<u64, PersistError> {
+        self.join();
         if let Some(e) =
-            self.shared.last_error.lock().expect("compaction error slot poisoned").take()
+            self.shared.last_error.lock().expect("background error slot poisoned").take()
         {
             return Err(e);
         }
@@ -399,12 +379,8 @@ impl Compactor {
     }
 }
 
-impl Drop for Compactor {
+impl Drop for Periodic {
     fn drop(&mut self) {
-        *self.shared.stop.lock().expect("compactor flag poisoned") = true;
-        self.shared.wake.notify_all();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.join();
     }
 }

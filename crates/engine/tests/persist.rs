@@ -3,7 +3,11 @@
 //! * **Corruption robustness**: truncating a snapshot or WAL file at any
 //!   point, or flipping any byte, yields a clean error (or, for the WAL,
 //!   a recovered prefix of the committed records) — never a panic, never
-//!   silently wrong data.
+//!   silently wrong data. A flipped snapshot resealed under a fresh CRC
+//!   reaches the decoder and the cold build, and still never panics; an
+//!   old-version file is a typed error, never a fresh seed.
+//! * **Purity**: a snapshot is a function of its builder alone, not of
+//!   the ingest history that produced the live instance.
 //! * **Restart byte-identity**: a durable live engine reopened from its
 //!   snapshot plus WAL tail answers byte-identically to a cold rebuild
 //!   of the same grown data — unsharded and sharded `{1, 2, 4}`, driven
@@ -22,9 +26,10 @@ use rand::{Rng, SeedableRng};
 use s3_core::{read_snapshot, write_snapshot, Query, SearchConfig, WriteAheadLog};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{
-    EngineConfig, FleetEngine, Ingest, LiveEngine, LiveShardedEngine, LocalShard, RecoverySource,
-    ShardServer, ShardedEngine,
+    EngineConfig, FleetEngine, Ingest, LiveEngine, LiveShardedEngine, LocalShard, PersistError,
+    RecoverySource, ShardServer, ShardedEngine,
 };
+use s3_snap::SnapError;
 use s3_wire::ShardTransport;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,6 +88,24 @@ fn test_config() -> EngineConfig {
     EngineConfig::builder().threads(1).cache_capacity(0).warm_seekers(0).build()
 }
 
+/// A file whose header says version 2 — the format that still carried a
+/// derived block — is a typed error, and a durable engine opened over it
+/// fails instead of quietly starting from the seed.
+#[test]
+fn old_version_snapshots_fail_open_instead_of_reseeding() {
+    let (builder, _) = random_builder(7);
+    let mut bytes = write_snapshot(&builder, &builder.snapshot());
+    bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+    let dir = tmpdir("old-version");
+    std::fs::write(s3_engine::persist::snapshot_path(&dir), &bytes).expect("write v2 snapshot");
+    match LiveEngine::open(&dir, random_builder(7).0, test_config()) {
+        Err(PersistError::Snapshot(SnapError::Version(2))) => {}
+        Err(e) => panic!("expected a version error, got {e}"),
+        Ok((_, report)) => panic!("a v2 snapshot must not open: {report}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -105,6 +128,20 @@ proptest! {
         let mut extended = bytes.clone();
         extended.push(mask);
         prop_assert!(read_snapshot(&extended).is_err(), "trailing garbage");
+
+        // Resealed: flip payload bytes and recompute the header CRC, so
+        // the decoder and the cold build behind the checksum see the
+        // damage. Any outcome but a panic is fine — `Ok` is a different
+        // valid builder, `Err` a typed rejection.
+        let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(mask) << 32));
+        for _ in 0..32 {
+            let mut resealed = bytes.clone();
+            let pos = rng.gen_range(14..resealed.len());
+            resealed[pos] ^= rng.gen_range(1..=255u8);
+            let crc = s3_snap::crc32(&resealed[14..]);
+            resealed[10..14].copy_from_slice(&crc.to_le_bytes());
+            let _ = read_snapshot(&resealed);
+        }
     }
 
     /// Any truncation or byte flip of the WAL file: reopening either
@@ -205,6 +242,56 @@ proptest! {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// A snapshot is a pure function of its builder: after appends,
+    /// deletes, updates and component merges, the live instance's
+    /// snapshot is byte-identical to a cold build's, the durable engine's
+    /// checkpoint writes exactly those bytes, and the engine reopened from
+    /// them answers byte-identically to the one that wrote them.
+    #[test]
+    fn a_snapshot_is_a_pure_function_of_its_builder(seed in 0u64..500) {
+        let (mut builder, pool) = random_builder(seed);
+        let mut live = builder.snapshot();
+        let steps = live_workload(&live, &LiveWorkloadConfig {
+            batches: 4,
+            users_per_batch: 2,
+            docs_per_batch: 3,
+            tags_per_batch: 3,
+            comments_per_batch: 2,
+            deletes_per_batch: 1,
+            updates_per_batch: 1,
+            queries_per_batch: 0,
+            attach_probability: 0.75,
+            seed: seed ^ 0x5EED,
+            ..LiveWorkloadConfig::default()
+        });
+        let dir = tmpdir("pure");
+        let (engine, _) =
+            LiveEngine::open(&dir, random_builder(seed).0, test_config()).expect("open live");
+        for step in &steps {
+            let (next, _) = builder.apply(&live, &step.batch);
+            live = next;
+            engine.try_ingest(&step.batch).expect("ingest");
+        }
+        let bytes = write_snapshot(&builder, &live);
+        prop_assert!(bytes == write_snapshot(&builder, &builder.snapshot()), "live ≠ cold");
+        engine.checkpoint().expect("checkpoint");
+        let on_disk = std::fs::read(s3_engine::persist::snapshot_path(&dir)).expect("read");
+        prop_assert!(on_disk == bytes, "the checkpoint wrote different bytes");
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
+        let queries = random_queries(&mut rng, live.num_users(), &pool, 8);
+        let before: Vec<_> = queries.iter().map(|q| engine.query(q)).collect();
+        drop(engine);
+        let (reopened, report) =
+            LiveEngine::open(&dir, random_builder(seed).0, test_config()).expect("reopen");
+        prop_assert_eq!(report.source, RecoverySource::Snapshot);
+        prop_assert_eq!(report.replayed, 0);
+        for (q, want) in queries.iter().zip(&before) {
+            assert_identical(&reopened.query(q), want)?;
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Fleet shard servers bootstrapped from a wire-shipped snapshot

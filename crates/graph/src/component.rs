@@ -155,46 +155,6 @@ impl Components {
     pub fn iter(&self) -> impl Iterator<Item = CompId> {
         (0..self.members.len() as u32).map(CompId)
     }
-
-    /// Serialize for the durable snapshot format: the component count and
-    /// the per-node component ids. Member lists are rebuilt on read (they
-    /// are exactly the nodes of each id, in ascending node order), but the
-    /// count is stored explicitly because merged-away components keep an
-    /// allocated, empty id (see [`Self::build_extending`]).
-    pub fn snap_write(&self, out: &mut Vec<u8>) {
-        s3_snap::put_usize(out, self.members.len());
-        s3_snap::put_usize(out, self.comp_of.len());
-        for &c in &self.comp_of {
-            s3_snap::put_u32v(out, c.0);
-        }
-    }
-
-    /// Decode a partition written by [`Self::snap_write`] over a graph of
-    /// `num_nodes` nodes. Never panics on malformed input.
-    pub fn snap_read(
-        r: &mut s3_snap::SnapReader<'_>,
-        num_nodes: usize,
-    ) -> Result<Self, s3_snap::SnapError> {
-        let num_comps = r.usize_v()?;
-        let n = r.seq(1)?;
-        if n != num_nodes {
-            return Err(s3_snap::SnapError::Value("component table length mismatch"));
-        }
-        if num_comps > n {
-            return Err(s3_snap::SnapError::Value("more components than nodes"));
-        }
-        let mut comp_of = Vec::with_capacity(n);
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_comps];
-        for i in 0..n {
-            let c = r.u32v()?;
-            if c as usize >= num_comps {
-                return Err(s3_snap::SnapError::Value("component id out of range"));
-            }
-            comp_of.push(CompId(c));
-            members[c as usize].push(NodeId(i as u32));
-        }
-        Ok(Components { comp_of, members })
-    }
 }
 
 /// Path-halving union-find.

@@ -61,39 +61,6 @@ impl EdgeKind {
         true
     }
 
-    /// Serialize for the durable snapshot format: one discriminant byte.
-    pub fn snap_write(self, out: &mut Vec<u8>) {
-        use EdgeKind::*;
-        out.push(match self {
-            Social => 0,
-            PostedBy => 1,
-            PostedByInv => 2,
-            CommentsOn => 3,
-            CommentsOnInv => 4,
-            HasSubject => 5,
-            HasSubjectInv => 6,
-            HasAuthor => 7,
-            HasAuthorInv => 8,
-        });
-    }
-
-    /// Decode an edge kind written by [`Self::snap_write`].
-    pub fn snap_read(r: &mut s3_snap::SnapReader<'_>) -> Result<Self, s3_snap::SnapError> {
-        use EdgeKind::*;
-        Ok(match r.u8()? {
-            0 => Social,
-            1 => PostedBy,
-            2 => PostedByInv,
-            3 => CommentsOn,
-            4 => CommentsOnInv,
-            5 => HasSubject,
-            6 => HasSubjectInv,
-            7 => HasAuthor,
-            8 => HasAuthorInv,
-            _ => return Err(s3_snap::SnapError::Value("edge-kind discriminant")),
-        })
-    }
-
     /// Short display name.
     pub fn name(self) -> &'static str {
         use EdgeKind::*;

@@ -18,24 +18,18 @@ pub const NO_PARENT: u32 = u32::MAX;
 
 /// The flat tree topology: for every fragment node the graph node of its
 /// parent fragment, [`NO_PARENT`] elsewhere. Derived from the forest and
-/// the node kinds (never serialized). `None` when the fragments of a tree
-/// do not sit on consecutive node ids in pre-order — the layout
-/// [`GraphBuilder::register_tree`] produces and every range-based pass
-/// over a tree relies on.
-fn frag_parents(forest: &Forest, kinds: &[NodeKind]) -> Option<Vec<u32>> {
+/// the node kinds. Relies on [`GraphBuilder::register_tree`]'s layout:
+/// the fragments of a tree sit on consecutive node ids in pre-order, so a
+/// fragment's parent lies `f - p` ids before it.
+fn frag_parents(forest: &Forest, kinds: &[NodeKind]) -> Vec<u32> {
     let mut parents = vec![NO_PARENT; kinds.len()];
     for (v, &kind) in kinds.iter().enumerate() {
         let NodeKind::Frag(f) = kind else { continue };
-        let Some(p) = forest.parent(f) else { continue };
-        // A non-root fragment follows its pre-order predecessor, so the
-        // run after a root is its tree and the parent lies inside it.
-        let prev = NodeKind::Frag(DocNodeId(f.0 - 1));
-        if v == 0 || kinds[v - 1] != prev {
-            return None;
+        if let Some(p) = forest.parent(f) {
+            parents[v] = (v - (f.index() - p.index())) as u32;
         }
-        parents[v] = (v - (f.index() - p.index())) as u32;
     }
-    Some(parents)
+    parents
 }
 
 /// Mutable graph under construction. Nodes of a registered document tree
@@ -223,8 +217,7 @@ impl GraphBuilder {
             None => Components::build(n, &self.kinds, tree_ranges, content_edges),
         };
 
-        let frag_parent =
-            frag_parents(&self.forest, &self.kinds).expect("trees register contiguously");
+        let frag_parent = frag_parents(&self.forest, &self.kinds);
         SocialGraph {
             forest: self.forest,
             kinds: self.kinds,
@@ -445,170 +438,6 @@ impl SocialGraph {
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.kinds.len() as u32).map(NodeId)
     }
-
-    /// Serialize for the durable snapshot format — everything **except**
-    /// the forest, which the enclosing snapshot writes once and passes
-    /// back into [`Self::snap_read`]. The CSR and the derived weight
-    /// tables are stored verbatim (not recomputed) so a loaded graph is
-    /// bit-identical to the one that was saved.
-    pub fn snap_write(&self, out: &mut Vec<u8>) {
-        use s3_snap::{put_f64, put_u32v, put_usize};
-        put_u32v(out, self.num_users);
-        put_u32v(out, self.num_tags);
-        put_usize(out, self.kinds.len());
-        for &k in &self.kinds {
-            k.snap_write(out);
-        }
-        put_usize(out, self.frag_node.len());
-        for &f in &self.frag_node {
-            put_u32v(out, f);
-        }
-        put_usize(out, self.tree_root_node.len());
-        for &t in &self.tree_root_node {
-            put_u32v(out, t);
-        }
-        for &o in &self.offsets {
-            put_u32v(out, o);
-        }
-        put_usize(out, self.targets.len());
-        for i in 0..self.targets.len() {
-            put_u32v(out, self.targets[i].0);
-            put_f64(out, self.weights[i]);
-            self.ekinds[i].snap_write(out);
-        }
-        for i in 0..self.kinds.len() {
-            put_f64(out, self.out_weight[i]);
-            put_f64(out, self.nb_weight[i]);
-        }
-        self.components.snap_write(out);
-    }
-
-    /// Decode a graph written by [`Self::snap_write`], re-attaching the
-    /// separately-persisted `forest`. All cross-references (fragment ↔
-    /// node tables, CSR offsets, edge targets, component ids) are
-    /// validated; never panics on malformed input.
-    pub fn snap_read(
-        forest: Forest,
-        r: &mut s3_snap::SnapReader<'_>,
-    ) -> Result<Self, s3_snap::SnapError> {
-        use s3_snap::SnapError;
-        let num_users = r.u32v()?;
-        let num_tags = r.u32v()?;
-        let n = r.seq(1)?;
-        let mut kinds = Vec::with_capacity(n);
-        let (mut seen_users, mut seen_tags) = (0u32, 0u32);
-        for _ in 0..n {
-            let k = NodeKind::snap_read(r)?;
-            match k {
-                NodeKind::User(u) => {
-                    if u != seen_users {
-                        return Err(SnapError::Value("user payload out of order"));
-                    }
-                    seen_users += 1;
-                }
-                NodeKind::Tag(t) => {
-                    if t != seen_tags {
-                        return Err(SnapError::Value("tag payload out of order"));
-                    }
-                    seen_tags += 1;
-                }
-                NodeKind::Frag(f) => {
-                    if f.index() >= forest.num_nodes() {
-                        return Err(SnapError::Value("fragment id outside the forest"));
-                    }
-                }
-            }
-            kinds.push(k);
-        }
-        if seen_users != num_users || seen_tags != num_tags {
-            return Err(SnapError::Value("user/tag counts disagree with node kinds"));
-        }
-        let nf = r.seq(1)?;
-        if nf != forest.num_nodes() {
-            return Err(SnapError::Value("frag-node table length mismatch"));
-        }
-        let mut frag_node = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let v = r.u32v()?;
-            if v != UNREGISTERED {
-                let ok =
-                    (v as usize) < n && kinds[v as usize] == NodeKind::Frag(DocNodeId(i as u32));
-                if !ok {
-                    return Err(SnapError::Value("frag-node entry disagrees with node kinds"));
-                }
-            }
-            frag_node.push(v);
-        }
-        let nt = r.seq(1)?;
-        if nt != forest.num_trees() {
-            return Err(SnapError::Value("tree-root table length mismatch"));
-        }
-        let mut tree_root_node = Vec::with_capacity(nt);
-        for _ in 0..nt {
-            let v = r.u32v()?;
-            if v != UNREGISTERED && v as usize >= n {
-                return Err(SnapError::Value("tree root node out of range"));
-            }
-            tree_root_node.push(v);
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            offsets.push(r.u32v()?);
-        }
-        if offsets.first() != Some(&0) || offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SnapError::Value("CSR offsets are not monotone from zero"));
-        }
-        let m = r.seq(10)?;
-        if m != offsets[n] as usize {
-            return Err(SnapError::Value("edge count disagrees with CSR offsets"));
-        }
-        let mut targets = Vec::with_capacity(m);
-        let mut weights = Vec::with_capacity(m);
-        let mut ekinds = Vec::with_capacity(m);
-        for _ in 0..m {
-            let t = r.u32v()?;
-            if t as usize >= n {
-                return Err(SnapError::Value("edge target out of range"));
-            }
-            targets.push(NodeId(t));
-            let w = r.f64()?;
-            if !(w > 0.0 && w <= 1.0) {
-                return Err(SnapError::Value("edge weight outside (0,1]"));
-            }
-            weights.push(w);
-            ekinds.push(EdgeKind::snap_read(r)?);
-        }
-        let mut out_weight = Vec::with_capacity(n);
-        let mut nb_weight = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ow = r.f64()?;
-            let nw = r.f64()?;
-            if !(ow.is_finite() && nw.is_finite()) {
-                return Err(SnapError::Value("non-finite node weight"));
-            }
-            out_weight.push(ow);
-            nb_weight.push(nw);
-        }
-        let components = Components::snap_read(r, n)?;
-        let frag_parent = frag_parents(&forest, &kinds)
-            .ok_or(SnapError::Value("a tree's fragment nodes are not consecutive"))?;
-        Ok(SocialGraph {
-            forest,
-            kinds,
-            frag_node,
-            frag_parent,
-            tree_root_node,
-            offsets,
-            targets,
-            weights,
-            ekinds,
-            out_weight,
-            nb_weight,
-            components,
-            num_users,
-            num_tags,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -724,20 +553,6 @@ mod tests {
         assert_eq!(parents[docs[2].index()], docs[1].0); // URI0.0.0 under URI0.0
         assert_eq!(parents[docs[3].index()], docs[0].0); // URI0.1 under URI0
         assert_eq!(g.tree_root_node(TreeId(1)), Some(docs[4]));
-    }
-
-    #[test]
-    fn frag_parents_reject_a_scattered_tree() {
-        // What a decoded snapshot could claim: a child fragment that does
-        // not directly follow its pre-order predecessor.
-        let mut forest = Forest::new();
-        let mut b = DocBuilder::new("doc");
-        b.child(b.root(), "sec");
-        forest.add_document(b);
-        let (root, child) = (NodeKind::Frag(DocNodeId(0)), NodeKind::Frag(DocNodeId(1)));
-        assert_eq!(frag_parents(&forest, &[root, child]), Some(vec![NO_PARENT, 0]));
-        assert_eq!(frag_parents(&forest, &[root, NodeKind::User(0), child]), None);
-        assert_eq!(frag_parents(&forest, &[child, root]), None);
     }
 
     #[test]

@@ -64,35 +64,6 @@ impl NodeKind {
             _ => None,
         }
     }
-
-    /// Serialize for the durable snapshot format: discriminant byte plus
-    /// the dense payload index.
-    pub fn snap_write(self, out: &mut Vec<u8>) {
-        match self {
-            NodeKind::User(u) => {
-                out.push(0);
-                s3_snap::put_u32v(out, u);
-            }
-            NodeKind::Frag(d) => {
-                out.push(1);
-                s3_snap::put_u32v(out, d.0);
-            }
-            NodeKind::Tag(t) => {
-                out.push(2);
-                s3_snap::put_u32v(out, t);
-            }
-        }
-    }
-
-    /// Decode a node kind written by [`Self::snap_write`].
-    pub fn snap_read(r: &mut s3_snap::SnapReader<'_>) -> Result<Self, s3_snap::SnapError> {
-        Ok(match r.u8()? {
-            0 => NodeKind::User(r.u32v()?),
-            1 => NodeKind::Frag(DocNodeId(r.u32v()?)),
-            2 => NodeKind::Tag(r.u32v()?),
-            _ => return Err(s3_snap::SnapError::Value("node-kind discriminant")),
-        })
-    }
 }
 
 #[cfg(test)]
