@@ -1,7 +1,6 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
-//! component pruning, parallel explore step, semantic expansion and the
-//! tree-aggregated neighborhood emission (vs the naive quadratic expansion,
-//! measured through the `naive` oracle's per-neighbor loop on one step).
+//! component pruning, the damping factor γ, and the cost of building the
+//! eager connection index.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use s3_core::{S3kEngine, S3kScore, SearchConfig};
@@ -50,25 +49,6 @@ fn bench_component_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_explore(c: &mut Criterion) {
-    let ds = small_instance();
-    let inst = &ds.instance;
-    let qs = queries(inst);
-    let mut group = c.benchmark_group("explore_threads");
-    for threads in [1usize, 2, 4, 8] {
-        let engine = S3kEngine::new(inst, SearchConfig { threads, ..SearchConfig::default() });
-        let mut i = 0usize;
-        group.bench_function(format!("{threads}"), |b| {
-            b.iter(|| {
-                let q = &qs[i % qs.len()];
-                i += 1;
-                engine.run(q).stats.iterations
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_gamma(c: &mut Criterion) {
     let ds = small_instance();
     let inst = &ds.instance;
@@ -108,7 +88,6 @@ fn bench_connection_index_build(c: &mut Criterion) {
 criterion_group!(
     name = ablation;
     config = Criterion::default().sample_size(10);
-    targets = bench_component_pruning, bench_parallel_explore, bench_gamma,
-        bench_connection_index_build
+    targets = bench_component_pruning, bench_gamma, bench_connection_index_build
 );
 criterion_main!(ablation);

@@ -16,7 +16,6 @@
 //!             γ∈{1.5,4} (paper Figure 7)
 //!   fig8      qualitative S3k-vs-TopkS measures on I1/I2/I3
 //!             (paper Figure 8)
-//!   parallel  explore-step thread sweep (§5.2 reports ~2× at 8 threads)
 //!   anytime   answer quality vs iteration cap (§4.1 any-time termination)
 //!   ablation  component-pruning on/off and eager-vs-no semantic expansion
 //!   all       everything above
@@ -74,7 +73,6 @@ fn main() {
         "fig_i2" => fig_i2(opt),
         "fig7" => fig7(opt),
         "fig8" => fig8(opt),
-        "parallel" => parallel(opt),
         "anytime" => anytime(opt),
         "ablation" => ablation(opt),
         "all" => {
@@ -84,7 +82,6 @@ fn main() {
             fig_i2(opt);
             fig7(opt);
             fig8(opt);
-            parallel(opt);
             anytime(opt);
             ablation(opt);
         }
@@ -295,68 +292,6 @@ fn fig8(opt: Options) {
     }
     println!("{}", t.render());
     println!("(paper: graph reach. 12/23/41%, semantic reach. 83/100/78%, L1 8/10/4%, intersection 13.7/18.4/5.6%)\n");
-}
-
-// ------------------------------------------------------------- parallel --
-
-fn parallel(opt: Options) {
-    println!("-- §5.2 parallel explore step: thread sweep --\n");
-    let ds = build_i1(opt);
-    let instance = &ds.instance;
-    let w = workload::generate(
-        instance,
-        workload::WorkloadConfig {
-            frequency: s3_text::FrequencyClass::Common,
-            keywords_per_query: 1,
-            k: 10,
-            queries: opt.queries,
-            seed: 77,
-        },
-    );
-    // Query-level timing with the engine's auto fallback.
-    let mut t = Table::new(&["threads", "query median (ms)", "speedup"]);
-    let mut base = None;
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = SearchConfig { threads, ..s3_bench::runner::s3k_config(1.5) };
-        let engine = S3kEngine::new(instance, cfg);
-        let (times, _) = run_s3k_workload(&engine, &w);
-        let median = times.summary().median;
-        let speedup = match base {
-            None => {
-                base = Some(median);
-                1.0
-            }
-            Some(b) => b.as_secs_f64() / median.as_secs_f64().max(1e-12),
-        };
-        t.row(vec![threads.to_string(), ms(median), format!("{speedup:.2}x")]);
-    }
-    println!("{}", t.render());
-
-    // Raw explore-step timing with the fan-out FORCED, to expose the
-    // buffer-and-merge overhead the cutoff protects against at this scale
-    // (dispatch to the parked pool itself is only microseconds).
-    let seeker = instance.user_node(s3_core::UserId(0));
-    let mut t2 = Table::new(&["threads (forced fan-out)", "30 steps (ms)"]);
-    for threads in [1usize, 2, 4, 8] {
-        let t0 = std::time::Instant::now();
-        let mut p = s3_graph::Propagation::new(instance.graph(), 1.5, seeker);
-        for _ in 0..30 {
-            if threads == 1 {
-                p.step();
-            } else {
-                p.step_parallel_forced(threads);
-            }
-        }
-        t2.row(vec![threads.to_string(), ms(t0.elapsed())]);
-    }
-    println!("{}", t2.render());
-    println!(
-        "(paper: ~2x with 8 threads on their 4-core, million-node instances. A step
- at this scale carries ~6k emission units of ~100ns each, so forced fan-out
- pays more in per-worker buffering and the sequential merge than it saves;
- the engine auto-falls back below Propagation::PARALLEL_CUTOFF units — see
- the cutoff sweep in crates/graph/benches/propagation.rs)\n"
-    );
 }
 
 // -------------------------------------------------------------- anytime --

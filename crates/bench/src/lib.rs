@@ -5,6 +5,7 @@
 //! every figure and table of the paper's evaluation section; the Criterion
 //! benches under `benches/` use the same pieces for micro-measurements.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod metrics;
 pub mod report;

@@ -419,9 +419,13 @@ impl InstanceBuilder {
     /// data; only component *ids* may differ (merged-away ids stay
     /// allocated and empty), which no query-visible output depends on.
     ///
-    /// Panics on invalid references or weights, before mutating anything.
+    /// Panics on invalid references or weights, before mutating anything
+    /// (with the message of the [`IngestError`] that [`Self::check`]
+    /// returns for the same batch).
     pub fn apply(&mut self, prev: &S3Instance, batch: &IngestBatch) -> (S3Instance, IngestSummary) {
-        self.validate(prev, batch);
+        if let Err(e) = self.check(prev, batch) {
+            panic!("{e}");
+        }
         let users0 = self.num_users as usize;
         let vocab0 = self.analyzer.vocabulary().len();
         let nodes0 = prev.graph.num_nodes();
@@ -665,89 +669,121 @@ impl InstanceBuilder {
     }
 
     /// Check every reference and weight of `batch` against the current
-    /// builder state, before anything is mutated. `Existing` references
+    /// builder state, without mutating anything: the checks
+    /// [`Self::apply`] runs first, as a typed error. `Existing` references
     /// must be alive: already-tombstoned entities and entities the same
     /// batch *directly* deletes are rejected here (retractions apply
     /// before additions). References to entities that die only through a
     /// cascade (e.g. a tag on a document the batch deletes) are caught by
     /// the builder's liveness assertions during the apply itself.
-    fn validate(&self, prev: &S3Instance, batch: &IngestBatch) {
-        assert_eq!(
-            prev.graph.num_nodes(),
-            self.num_users as usize + self.forest.num_nodes() + self.tags.len(),
-            "`prev` must be the instance last built from this builder"
-        );
-        assert!(
-            !self.rdf_dirty.get(),
+    pub fn check(&self, prev: &S3Instance, batch: &IngestBatch) -> Result<(), IngestError> {
+        ensure(
+            prev.graph.num_nodes()
+                == self.num_users as usize + self.forest.num_nodes() + self.tags.len(),
+            || "`prev` must be the instance last built from this builder".into(),
+        )?;
+        ensure(!self.rdf_dirty.get(), || {
             "the RDF layer changed since the last snapshot; apply() shares the previous \
              snapshot's saturated store and would drop those changes — take a fresh \
              snapshot() (full rebuild) first"
-        );
+                .into()
+        })?;
         let del_users: HashSet<UserId> = batch.delete_users.iter().copied().collect();
         let del_trees: HashSet<TreeId> = batch.delete_documents.iter().copied().collect();
         let del_tags: HashSet<TagId> = batch.delete_tags.iter().copied().collect();
         let users = self.num_users as usize;
         let check_user = |r: UserRef| match r {
             UserRef::Existing(u) => {
-                assert!(u.index() < users, "unknown user {u}");
-                assert!(self.dead.user_alive(u) && !del_users.contains(&u), "user {u} is deleted");
+                ensure(u.index() < users, || format!("unknown user {u}"))?;
+                ensure(self.dead.user_alive(u) && !del_users.contains(&u), || {
+                    format!("user {u} is deleted")
+                })
             }
-            UserRef::New(i) => assert!(i < batch.new_users, "batch user {i} out of range"),
+            UserRef::New(i) => {
+                ensure(i < batch.new_users, || format!("batch user {i} out of range"))
+            }
         };
         let check_doc = |r: DocRef| match r {
             DocRef::Existing(t) => {
-                assert!(t.index() < self.forest.num_trees(), "unknown tree {t:?}");
-                assert!(
-                    self.dead.tree_alive(t) && !del_trees.contains(&t),
-                    "document {t:?} is deleted"
-                );
+                ensure(t.index() < self.forest.num_trees(), || format!("unknown tree {t:?}"))?;
+                ensure(self.dead.tree_alive(t) && !del_trees.contains(&t), || {
+                    format!("document {t:?} is deleted")
+                })
             }
-            DocRef::New(i) => assert!(i < batch.documents.len(), "batch doc {i} out of range"),
+            DocRef::New(i) => {
+                ensure(i < batch.documents.len(), || format!("batch doc {i} out of range"))
+            }
         };
         let check_frag = |r: FragRef| match r {
             FragRef::Existing(f) => {
-                assert!(f.index() < self.forest.num_nodes(), "unknown fragment {f}");
+                ensure(f.index() < self.forest.num_nodes(), || format!("unknown fragment {f}"))?;
                 let t = self.forest.tree_of(f);
-                assert!(
-                    self.dead.tree_alive(t) && !del_trees.contains(&t),
-                    "fragment {f} belongs to a deleted document"
-                );
+                ensure(self.dead.tree_alive(t) && !del_trees.contains(&t), || {
+                    format!("fragment {f} belongs to a deleted document")
+                })
             }
             FragRef::New { doc, node } => {
-                assert!(doc < batch.documents.len(), "batch doc {doc} out of range");
-                assert!(
-                    (node.0 as usize) < batch.documents[doc].0.len(),
-                    "node {node:?} outside batch doc {doc}"
-                );
+                ensure(doc < batch.documents.len(), || format!("batch doc {doc} out of range"))?;
+                ensure((node.0 as usize) < batch.documents[doc].0.len(), || {
+                    format!("node {node:?} outside batch doc {doc}")
+                })
             }
         };
         for &(from, to, w) in &batch.social_edges {
-            assert!(w > 0.0 && w <= 1.0, "social weight must be in (0,1]");
-            check_user(from);
-            check_user(to);
+            ensure(w > 0.0 && w <= 1.0, || "social weight must be in (0,1]".into())?;
+            check_user(from)?;
+            check_user(to)?;
         }
         for (_, poster) in &batch.documents {
             if let Some(p) = poster {
-                check_user(*p);
+                check_user(*p)?;
             }
         }
         for &(comment, target) in &batch.comments {
-            check_doc(comment);
-            check_frag(target);
+            check_doc(comment)?;
+            check_frag(target)?;
         }
         for (i, (subject, author, _)) in batch.tags.iter().enumerate() {
-            check_user(*author);
+            check_user(*author)?;
             match *subject {
-                TagSubjectRef::Frag(f) => check_frag(f),
+                TagSubjectRef::Frag(f) => check_frag(f)?,
                 TagSubjectRef::Tag(TagRef::Existing(t)) => {
-                    assert!(t.index() < self.tags.len(), "unknown tag {t}");
-                    assert!(self.dead.tag_alive(t) && !del_tags.contains(&t), "tag {t} is deleted");
+                    ensure(t.index() < self.tags.len(), || format!("unknown tag {t}"))?;
+                    ensure(self.dead.tag_alive(t) && !del_tags.contains(&t), || {
+                        format!("tag {t} is deleted")
+                    })?;
                 }
-                TagSubjectRef::Tag(TagRef::New(j)) => {
-                    assert!(j < i, "tag subjects must already exist (batch tag {j} after {i})")
-                }
+                TagSubjectRef::Tag(TagRef::New(j)) => ensure(j < i, || {
+                    format!("tag subjects must already exist (batch tag {j} after {i})")
+                })?,
             }
         }
+        Ok(())
+    }
+}
+
+/// Why [`InstanceBuilder::check`] refused a batch: a reference to an
+/// entity the builder lacks or has deleted, an out-of-range batch-local
+/// index, a weight outside `(0, 1]`, or a `prev` instance that is not the
+/// builder's latest. Nothing was mutated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IngestError(String);
+
+impl std::fmt::Display for IngestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for IngestError {}
+
+/// `Ok` when `ok` holds, else the error `message` describes (built only
+/// on failure).
+fn ensure(ok: bool, message: impl FnOnce() -> String) -> Result<(), IngestError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(IngestError(message()))
     }
 }
 

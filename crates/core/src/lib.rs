@@ -43,6 +43,7 @@
 //! assert_eq!(results.hits.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod clock;
 pub mod connections;
@@ -65,7 +66,8 @@ pub use connections::{ConnType, Connection, ConnectionIndex};
 // above `core` need not reach into `s3-graph`.
 pub use ids::{TagId, TagSubject, UserId};
 pub use ingest::{
-    DocRef, FragRef, IngestBatch, IngestDoc, IngestSummary, TagRef, TagSubjectRef, UserRef,
+    DocRef, FragRef, IngestBatch, IngestDoc, IngestError, IngestSummary, TagRef, TagSubjectRef,
+    UserRef,
 };
 pub use instance::{CompactionReport, InstanceBuilder, InstanceStats, S3Instance};
 pub use partition::{ComponentFilter, ComponentPartition};

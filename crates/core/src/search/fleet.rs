@@ -137,7 +137,7 @@ impl FleetShard {
         let graph = engine.instance.graph();
         let state = self.state.take().expect("active query keeps propagation state");
         let mut prop = Propagation::attach(graph, engine.model.gamma(), self.seeker, state);
-        prop.step_into(engine.config.threads, false, &mut self.scratch.newly);
+        prop.step_into(1, false, &mut self.scratch.newly);
         self.round(engine, partition, shard, &mut prop);
         self.state = Some(prop.detach());
     }

@@ -120,8 +120,6 @@ pub struct SearchConfig {
     pub max_iterations: u32,
     /// Optional wall-clock budget (any-time termination, §4.1).
     pub time_budget: Option<Duration>,
-    /// Worker threads for the explore step (1 = sequential).
-    pub threads: usize,
     /// Enable the §5.2 component-keyword pruning.
     pub component_pruning: bool,
     /// Expand query keywords through `Ext` (Definition 2.1). Disabling
@@ -157,7 +155,6 @@ impl Default for SearchConfig {
             score: S3kScore::default(),
             max_iterations: 256,
             time_budget: None,
-            threads: 1,
             component_pruning: true,
             semantic_expansion: true,
             epsilon: 1e-9,
@@ -540,7 +537,7 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             first = false;
 
             // ---- Explore one more hop (Algorithm ExploreStep). ----
-            prop.step_into(self.config.threads, false, &mut scratch.newly);
+            prop.step_into(1, false, &mut scratch.newly);
         }
     }
 }

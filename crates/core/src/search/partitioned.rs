@@ -278,7 +278,7 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             first = false;
 
             // ---- Explore one more hop (shared across shards). ----
-            prop.step_into(self.config.threads, false, &mut carrier.newly);
+            prop.step_into(1, false, &mut carrier.newly);
         }
     }
 }

@@ -27,6 +27,7 @@
 //!
 //! Everything is deterministic given a seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod ontology;
 pub mod text;

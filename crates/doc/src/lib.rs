@@ -43,6 +43,7 @@
 //! assert!(!forest.is_vertical_neighbor(para, other));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod builder;
 pub mod dewey;

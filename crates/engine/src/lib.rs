@@ -37,6 +37,7 @@
 //! scatter-gathers each query, byte-identically to a single engine
 //! (property-tested in `tests/sharding.rs`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // The public `EngineConfig` fields are deprecated in favour of
 // `EngineConfig::builder()` and will be privatized in the next release;

@@ -75,7 +75,8 @@ impl Writer {
 
 /// Recover `(builder, instance, report)` from a persistence directory:
 /// load the snapshot (or fall back to the seed), then replay the WAL's
-/// intact records. Shared by both live engines' `open`.
+/// intact records, each checked before it is applied. Shared by both live
+/// engines' `open`.
 fn recover(
     dir: &Path,
     seed: InstanceBuilder,
@@ -92,6 +93,7 @@ fn recover(
     let (wal, recovery) = WriteAheadLog::open(&persist::wal_path(dir))?;
     for record in &recovery.records {
         let batch = persist::record_to_batch(record)?;
+        builder.check(&instance, &batch)?;
         let (next, _) = builder.apply(&instance, &batch);
         instance = next;
     }

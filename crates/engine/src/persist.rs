@@ -27,7 +27,7 @@
 //! then — truncates the WAL, upholding the invariant that
 //! `snapshot + WAL tail ≡ current state` at every instant.
 
-use s3_core::{CompactionReport, IngestBatch, WriteAheadLog};
+use s3_core::{CompactionReport, IngestBatch, IngestError, WriteAheadLog};
 use s3_snap::SnapError;
 use s3_wire::{WireError, WireIngest};
 use std::path::{Path, PathBuf};
@@ -49,6 +49,10 @@ pub enum PersistError {
     /// A WAL record's bytes did not decode as an ingest frame. The CRC
     /// matched, so this is version skew or a writer bug — never applied.
     Record(WireError),
+    /// A WAL record decoded but names an entity the recovering builder
+    /// lacks: the log does not belong to this snapshot or seed. Nothing
+    /// of the record was applied.
+    Replay(IngestError),
 }
 
 impl std::fmt::Display for PersistError {
@@ -56,6 +60,7 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Snapshot(e) => write!(f, "snapshot/WAL: {e}"),
             PersistError::Record(e) => write!(f, "WAL record decode: {e}"),
+            PersistError::Replay(e) => write!(f, "WAL record replay: {e}"),
         }
     }
 }
@@ -65,6 +70,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Snapshot(e) => Some(e),
             PersistError::Record(e) => Some(e),
+            PersistError::Replay(e) => Some(e),
         }
     }
 }
@@ -78,6 +84,12 @@ impl From<SnapError> for PersistError {
 impl From<WireError> for PersistError {
     fn from(e: WireError) -> Self {
         PersistError::Record(e)
+    }
+}
+
+impl From<IngestError> for PersistError {
+    fn from(e: IngestError) -> Self {
+        PersistError::Replay(e)
     }
 }
 

@@ -23,13 +23,17 @@ use common::{assert_identical, random_builder, random_queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use s3_core::{read_snapshot, write_snapshot, Query, SearchConfig, WriteAheadLog};
+use s3_core::{
+    read_snapshot, write_snapshot, IngestBatch, InstanceBuilder, Query, SearchConfig, UserId,
+    UserRef, WriteAheadLog,
+};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{
     EngineConfig, FleetEngine, Ingest, LiveEngine, LiveShardedEngine, LocalShard, PersistError,
     RecoverySource, ShardServer, ShardedEngine,
 };
 use s3_snap::SnapError;
+use s3_text::Language;
 use s3_wire::ShardTransport;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -102,6 +106,35 @@ fn old_version_snapshots_fail_open_instead_of_reseeding() {
         Err(PersistError::Snapshot(SnapError::Version(2))) => {}
         Err(e) => panic!("expected a version error, got {e}"),
         Ok((_, report)) => panic!("a v2 snapshot must not open: {report}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A WAL record that names an entity the recovering builder lacks — the
+/// log was written over a bigger seed — fails `open` with a typed error
+/// instead of panicking inside the replay.
+#[test]
+fn replaying_a_record_for_an_unknown_user_fails_open() {
+    let seed_with = |users: usize| {
+        let mut b = InstanceBuilder::new(Language::English);
+        for _ in 0..users {
+            b.add_user();
+        }
+        b
+    };
+    let dir = tmpdir("unknown-user");
+    {
+        let (live, _) = LiveEngine::open(&dir, seed_with(4), test_config()).expect("open");
+        let mut batch = IngestBatch::new();
+        batch.add_social_edge(UserRef::Existing(UserId(3)), UserRef::Existing(UserId(0)), 0.5);
+        live.try_ingest(&batch).expect("journal and apply");
+    }
+    match LiveEngine::open(&dir, seed_with(1), test_config()) {
+        Err(PersistError::Replay(e)) => {
+            assert!(e.to_string().contains("unknown user u3"), "unexpected message: {e}")
+        }
+        Err(e) => panic!("expected a replay error, got {e}"),
+        Ok((_, report)) => panic!("a WAL naming u3 must not replay over one user: {report}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

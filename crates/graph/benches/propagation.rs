@@ -1,6 +1,6 @@
 //! `step_into` microbench: the cache-conscious SoA/bitset hot path vs a
-//! faithful emulation of the seed implementation, sequential and
-//! forced-parallel, small and large frontiers, plus a *saturated* arm —
+//! faithful emulation of the seed implementation, small and large
+//! frontiers, plus a *saturated* arm —
 //! steps taken after the frontier closed, when the border is every
 //! reachable node and a step re-emits the whole component (where a cold
 //! query spends most of its steps).
@@ -16,9 +16,8 @@
 //! gate does not compare against stored numbers. Instead [`Legacy`]
 //! re-implements the seed's hot path against the public graph API —
 //! `Vec<bool>` visited flags, per-edge `out_edges` iterator calls, a
-//! `(target, Δmass)` tuple buffer merged after emission, per-step scoped
-//! worker threads on the parallel path — and both engines run in the same
-//! process on the same corpus. The gate asserts the new path is not
+//! `(target, Δmass)` tuple buffer merged after emission — and both engines
+//! run in the same process on the same corpus. The gate asserts the new path is not
 //! slower than the legacy path it replaced (with a small noise margin),
 //! and the recorded speedups are before/after numbers by construction.
 //! A bitwise cross-check of every node's proximity guards the emulation's
@@ -28,22 +27,6 @@
 //! walking the forest per tree, the emulation — which still does all
 //! three — is also the independent witness that the engine's floats are
 //! the seed's.
-//!
-//! # `PARALLEL_CUTOFF` methodology
-//!
-//! The per-step sweep prints, for every step of the trajectory, the
-//! number of emission units and the sequential vs forced-parallel(2)
-//! step time of the new engine. The crossover — the smallest unit count
-//! where the parallel step wins — is recorded in the JSON report;
-//! `Propagation::PARALLEL_CUTOFF` is set above the measured crossover so
-//! borderline steps stay sequential (dispatch to the parked pool costs
-//! microseconds; see `crates/graph/src/pool.rs`).
-//!
-//! To try a candidate cutoff on a wider machine without a rebuild, set
-//! `S3_PARALLEL_CUTOFF=<units>` (read once at startup; see
-//! `Propagation::parallel_cutoff`) and re-run any engine-level bench —
-//! this sweep itself measures both paths unconditionally, so the knob
-//! does not change its numbers, only downstream consumers.
 
 use s3_bench::{JsonReport, Table};
 use s3_core::UserId;
@@ -59,10 +42,10 @@ fn smoke_mode() -> bool {
 }
 
 /// Faithful re-implementation of the seed propagation hot path (the
-/// pre-SoA layout), kept only as the bench baseline. Sequential emission
-/// buffers `(target, Δmass)` tuples and merges them afterwards; parallel
-/// emission spawns scoped threads per step. Operation order matches the
-/// seed exactly, which the bitwise cross-check in `main` verifies.
+/// pre-SoA layout), kept only as the bench baseline. Emission buffers
+/// `(target, Δmass)` tuples and merges them afterwards. Operation order
+/// matches the seed exactly, which the bitwise cross-check in `main`
+/// verifies.
 struct Legacy<'g> {
     graph: &'g SocialGraph,
     gamma: f64,
@@ -253,53 +236,20 @@ impl<'g> Legacy<'g> {
         }
     }
 
-    fn step(&mut self, threads: usize) -> Vec<NodeId> {
-        let units = self.collect_units();
-        if threads > 1 && units >= 2 {
-            let units: Vec<LegacyUnit> = self
-                .unit_trees
-                .iter()
-                .copied()
-                .map(LegacyUnit::Tree)
-                .chain(self.unit_singles.iter().copied().map(LegacyUnit::Single))
-                .collect();
-            let chunk = units.len().div_ceil(threads).max(1);
-            let mut results: Vec<Vec<(u32, f64)>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for part in units.chunks(chunk) {
-                    let this = &*self;
-                    handles.push(scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut scratch = LegacyScratch::default();
-                        for &u in part {
-                            this.emit_unit(u, &mut scratch, &mut out);
-                        }
-                        out
-                    }));
-                }
-                for h in handles {
-                    results.push(h.join().expect("legacy worker panicked"));
-                }
-            });
-            for batch in &results {
-                self.merge(batch);
-            }
-        } else {
-            let mut buf = std::mem::take(&mut self.emit_buf);
-            let mut scratch = std::mem::take(&mut self.scratch);
-            buf.clear();
-            for &tree in &self.unit_trees {
-                self.emit_unit(LegacyUnit::Tree(tree), &mut scratch, &mut buf);
-            }
-            for &v in &self.unit_singles {
-                self.emit_unit(LegacyUnit::Single(v), &mut scratch, &mut buf);
-            }
-            let buf2 = std::mem::take(&mut buf);
-            self.merge(&buf2);
-            self.emit_buf = buf2;
-            self.scratch = scratch;
+    fn step(&mut self) -> Vec<NodeId> {
+        self.collect_units();
+        let mut buf = std::mem::take(&mut self.emit_buf);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        buf.clear();
+        for &tree in &self.unit_trees {
+            self.emit_unit(LegacyUnit::Tree(tree), &mut scratch, &mut buf);
         }
+        for &v in &self.unit_singles {
+            self.emit_unit(LegacyUnit::Single(v), &mut scratch, &mut buf);
+        }
+        self.merge(&buf);
+        self.emit_buf = buf;
+        self.scratch = scratch;
         // The seed's `step()` wrapper allocated the newly-visited list
         // afresh every call; that per-step allocation is part of the
         // baseline cost, so the emulation reproduces it.
@@ -396,29 +346,21 @@ fn run_new(
     seeker: NodeId,
     newly: &mut Vec<NodeId>,
     steps: usize,
-    threads: usize,
-    force: bool,
     per_step: &mut [Duration],
 ) {
     p.reset(seeker);
     for slot in per_step.iter_mut().take(steps) {
         let t = Instant::now();
-        p.step_into(threads, force, newly);
+        p.step_into(1, false, newly);
         *slot += t.elapsed();
     }
 }
 
-fn run_legacy(
-    p: &mut Legacy<'_>,
-    seeker: NodeId,
-    steps: usize,
-    threads: usize,
-    per_step: &mut [Duration],
-) {
+fn run_legacy(p: &mut Legacy<'_>, seeker: NodeId, steps: usize, per_step: &mut [Duration]) {
     p.reset(seeker);
     for slot in per_step.iter_mut().take(steps) {
         let t = Instant::now();
-        p.step(threads);
+        p.step();
         *slot += t.elapsed();
     }
 }
@@ -460,86 +402,52 @@ fn main() {
     let mut newly = Vec::new();
     for s in 0..steps {
         p.step_into(1, false, &mut newly);
-        legacy.step(1);
+        legacy.step();
         for i in 0..graph.num_nodes() {
             let node = NodeId(i as u32);
             assert_eq!(
                 p.prox_leq(node).to_bits(),
                 legacy.prox_leq(node).to_bits(),
-                "sequential step {s}: node {i} diverged — the legacy emulation \
+                "step {s}: node {i} diverged — the legacy emulation \
                  (or the new layout) is not faithful to the seed semantics"
             );
         }
     }
-    let mut p2 = Propagation::new(graph, GAMMA, seeker);
-    let mut legacy2 = Legacy::new(graph, GAMMA, seeker);
-    for _ in 0..steps {
-        p2.step_into(2, true, &mut newly);
-        legacy2.step(2);
-    }
-    for i in 0..graph.num_nodes() {
-        let node = NodeId(i as u32);
-        assert_eq!(
-            p2.prox_leq(node).to_bits(),
-            legacy2.prox_leq(node).to_bits(),
-            "parallel trajectories diverged at node {i}"
-        );
-    }
-    println!(
-        "cross-check: new and legacy engines bitwise identical over {steps} steps (seq + par2)\n"
-    );
+    println!("cross-check: new and legacy engines bitwise identical over {steps} steps\n");
 
     // ---- Unit counts per step (from the legacy engine's frontier). -----
     let mut units_per_step = vec![0usize; steps];
     legacy.reset(seeker);
     for u in units_per_step.iter_mut() {
         *u = legacy.collect_units();
-        legacy.step(1);
+        legacy.step();
     }
 
     // ---- Timed sweeps. -------------------------------------------------
     // `reps` passes per round, best (minimum) per-step time across rounds:
     // the minimum is robust against scheduler noise on shared CI hosts,
-    // and the four configurations are interleaved within each round so a
-    // noisy stretch degrades all of them equally.
+    // and the two engines are interleaved within each round so a noisy
+    // stretch degrades both equally.
     let rounds = if smoke { 4 } else { 8 };
     let mut seq_new = vec![Duration::MAX; steps];
     let mut seq_old = vec![Duration::MAX; steps];
-    let mut par_new = vec![Duration::MAX; steps];
-    let mut par_old = vec![Duration::MAX; steps];
-    // Warm-up passes (page in buffers, spawn the pool) before timing.
-    run_new(&mut p, seeker, &mut newly, steps, 1, false, &mut vec![Duration::ZERO; steps]);
-    run_new(&mut p, seeker, &mut newly, steps, 2, true, &mut vec![Duration::ZERO; steps]);
-    run_legacy(&mut legacy, seeker, steps, 1, &mut vec![Duration::ZERO; steps]);
+    // Warm-up passes (page in buffers) before timing.
+    run_new(&mut p, seeker, &mut newly, steps, &mut vec![Duration::ZERO; steps]);
+    run_legacy(&mut legacy, seeker, steps, &mut vec![Duration::ZERO; steps]);
     for _ in 0..rounds {
         let mut r_seq_new = vec![Duration::ZERO; steps];
         let mut r_seq_old = vec![Duration::ZERO; steps];
-        let mut r_par_new = vec![Duration::ZERO; steps];
-        let mut r_par_old = vec![Duration::ZERO; steps];
         for _ in 0..reps {
-            run_new(&mut p, seeker, &mut newly, steps, 1, false, &mut r_seq_new);
-            run_legacy(&mut legacy, seeker, steps, 1, &mut r_seq_old);
-            run_new(&mut p, seeker, &mut newly, steps, 2, true, &mut r_par_new);
-            run_legacy(&mut legacy, seeker, steps, 2, &mut r_par_old);
+            run_new(&mut p, seeker, &mut newly, steps, &mut r_seq_new);
+            run_legacy(&mut legacy, seeker, steps, &mut r_seq_old);
         }
         for s in 0..steps {
             seq_new[s] = seq_new[s].min(r_seq_new[s]);
             seq_old[s] = seq_old[s].min(r_seq_old[s]);
-            par_new[s] = par_new[s].min(r_par_new[s]);
-            par_old[s] = par_old[s].min(r_par_old[s]);
         }
     }
 
-    let mut table = Table::new(&[
-        "step",
-        "units",
-        "seq new",
-        "seq legacy",
-        "speedup",
-        "par2 new",
-        "par2 legacy",
-        "par2 speedup",
-    ]);
+    let mut table = Table::new(&["step", "units", "seq new", "seq legacy", "speedup"]);
     for s in 0..steps {
         table.row(vec![
             s.to_string(),
@@ -547,9 +455,6 @@ fn main() {
             format!("{:.2}µs", micros(seq_new[s], reps)),
             format!("{:.2}µs", micros(seq_old[s], reps)),
             format!("{:.2}x", seq_old[s].as_secs_f64() / seq_new[s].as_secs_f64().max(1e-12)),
-            format!("{:.2}µs", micros(par_new[s], reps)),
-            format!("{:.2}µs", micros(par_old[s], reps)),
-            format!("{:.2}x", par_old[s].as_secs_f64() / par_new[s].as_secs_f64().max(1e-12)),
         ]);
     }
     print!("{}", table.render());
@@ -564,7 +469,7 @@ fn main() {
     let mut lead_steps = 0usize;
     while !p.frontier_closed() && lead_steps < 64 {
         p.step_into(1, false, &mut newly);
-        legacy.step(1);
+        legacy.step();
         lead_steps += 1;
     }
     assert!(p.frontier_closed(), "frontier still open after {lead_steps} steps");
@@ -578,7 +483,7 @@ fn main() {
         sat_new = sat_new.min(t.elapsed());
         let t = Instant::now();
         for _ in 0..sat_steps {
-            legacy.step(1);
+            legacy.step();
         }
         sat_old = sat_old.min(t.elapsed());
     }
@@ -601,53 +506,20 @@ fn main() {
     let total = |v: &[Duration]| v.iter().sum::<Duration>();
     let seq_new_t = total(&seq_new);
     let seq_old_t = total(&seq_old);
-    let par_new_t = total(&par_new);
-    let par_old_t = total(&par_old);
     let seq_speedup = seq_old_t.as_secs_f64() / seq_new_t.as_secs_f64().max(1e-12);
-    let par_speedup = par_old_t.as_secs_f64() / par_new_t.as_secs_f64().max(1e-12);
 
     // Small vs large frontier split: the first two steps vs the rest.
     let small = 2.min(steps);
     let sum_range = |v: &[Duration], r: std::ops::Range<usize>| -> Duration { v[r].iter().sum() };
     let seq_new_small = sum_range(&seq_new, 0..small);
     let seq_new_large = sum_range(&seq_new, small..steps);
-    let par_new_small = sum_range(&par_new, 0..small);
-    let par_new_large = sum_range(&par_new, small..steps);
-
-    // Cutoff methodology: smallest unit count at which a step that
-    // *actually fanned out* (≥2 units — below that `step_into` runs
-    // sequentially even when forced) beat the sequential step
-    // (0 = parallel never won in the measured range).
-    let crossover = (0..steps)
-        .filter(|&s| units_per_step[s] >= 2 && par_new[s] < seq_new[s])
-        .map(|s| units_per_step[s])
-        .min()
-        .unwrap_or(0);
 
     println!(
-        "\ntotals: seq {:.1}µs (legacy {:.1}µs, {:.2}x) | par2 {:.1}µs (legacy {:.1}µs, {:.2}x)",
+        "\ntotals: seq {:.1}µs (legacy {:.1}µs, {:.2}x)",
         micros(seq_new_t, reps),
         micros(seq_old_t, reps),
         seq_speedup,
-        micros(par_new_t, reps),
-        micros(par_old_t, reps),
-        par_speedup,
     );
-    let max_units = *units_per_step.iter().max().unwrap_or(&0);
-    if crossover == 0 {
-        println!(
-            "parallel-beats-sequential crossover: none observed up to {} units \
-             (PARALLEL_CUTOFF = {})",
-            max_units,
-            Propagation::PARALLEL_CUTOFF
-        );
-    } else {
-        println!(
-            "parallel-beats-sequential crossover: {} units (PARALLEL_CUTOFF = {})",
-            crossover,
-            Propagation::PARALLEL_CUTOFF
-        );
-    }
 
     let mut report = JsonReport::new("propagation");
     report
@@ -661,17 +533,8 @@ fn main() {
         .num("seq.new_us", micros(seq_new_t, reps))
         .num("seq.legacy_us", micros(seq_old_t, reps))
         .num("seq.speedup", seq_speedup)
-        .num("par2.new_us", micros(par_new_t, reps))
-        .num("par2.legacy_us", micros(par_old_t, reps))
-        .num("par2.speedup", par_speedup)
         .num("small_frontier.seq_new_us", micros(seq_new_small, reps))
-        .num("small_frontier.par2_new_us", micros(par_new_small, reps))
         .num("large_frontier.seq_new_us", micros(seq_new_large, reps))
-        .num("large_frontier.par2_new_us", micros(par_new_large, reps))
-        .int("cutoff.crossover_units", crossover as u64)
-        .int("cutoff.constant", Propagation::PARALLEL_CUTOFF as u64)
-        .int("cutoff.effective", Propagation::parallel_cutoff() as u64)
-        .int("cutoff.max_units_measured", max_units as u64)
         .int("saturated.lead_steps", lead_steps as u64)
         .int("saturated.units", sat_units as u64)
         .num("saturated.us_per_step", micros(sat_new, sat_steps))

@@ -21,10 +21,12 @@
 //!   and tags under `partOf` / `commentsOn±` / `hasSubject±` reachability,
 //!   the pruning structure of §5.2;
 //! * a **naive path-enumeration oracle** ([`naive`]) used by the test suite
-//!   to certify the propagation engine against Definition 3.3 semantics;
-//! * an optional **parallel explore step** (§5.2 reports ~2× with 8
-//!   threads).
+//!   to certify the propagation engine against Definition 3.3 semantics.
+//!
+//! An explore step runs on the caller's thread; queries are parallel one
+//! level up, across the serving layer's batch workers and shards.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod bitset;
 pub mod component;
@@ -32,7 +34,6 @@ pub mod edge;
 pub mod graph;
 pub mod naive;
 pub mod node;
-mod pool;
 pub mod propagation;
 
 pub use bitset::BitSet;

@@ -1,12 +1,11 @@
 //! Steady-state allocation audit of the propagation hot path.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up pass has grown every buffer to its high-water mark (including
-//! the parallel path's parked worker pool), replaying the same step
-//! sequence — sequential and forced-parallel — must perform **zero** heap
-//! allocations, `reset` and the on-demand `prox_leq` of every node (users,
-//! tags, roots and inner fragments of multi-node trees) included. This is
-//! the contract the serving layer's warm propagation pool depends on.
+//! warm-up pass has grown every buffer to its high-water mark, replaying
+//! the same step sequence must perform **zero** heap allocations, `reset`
+//! and the on-demand `prox_leq` of every node (users, tags, roots and
+//! inner fragments of multi-node trees) included. This is the contract the
+//! serving layer's warm propagation pool depends on.
 //!
 //! Single `#[test]` on purpose: the counter is process-global, so
 //! concurrently-running tests would bleed into each other's windows.
@@ -86,25 +85,15 @@ fn build_graph() -> SocialGraph {
 }
 
 const STEPS: usize = 8;
-const THREADS: usize = 2;
 
 /// Run the fixed step sequence — every step followed by `prox_leq` of
 /// every node — and return the allocation events counted over it (reset
 /// included, so every pass replays the same trajectory).
-fn run_pass(
-    p: &mut Propagation<'_>,
-    seeker: NodeId,
-    newly: &mut Vec<NodeId>,
-    parallel: bool,
-) -> usize {
+fn run_pass(p: &mut Propagation<'_>, seeker: NodeId, newly: &mut Vec<NodeId>) -> usize {
     let before = ALLOC_EVENTS.load(Ordering::SeqCst);
     p.reset(seeker);
     for _ in 0..STEPS {
-        if parallel {
-            p.step_into(THREADS, true, newly);
-        } else {
-            p.step_into(1, false, newly);
-        }
+        p.step_into(1, false, newly);
         for node in p.graph().nodes() {
             std::hint::black_box(p.prox_leq(node));
         }
@@ -121,20 +110,12 @@ fn steady_state_step_into_allocates_nothing() {
     let mut p = Propagation::new(&graph, 1.5, seeker);
     let mut newly = Vec::new();
 
-    // Warm-up: one full sequential pass grows every scratch buffer to its
-    // high-water mark; one forced-parallel pass additionally spawns the
-    // parked worker pool and grows the per-worker buffers.
-    run_pass(&mut p, seeker, &mut newly, false);
-    run_pass(&mut p, seeker, &mut newly, true);
+    // Warm-up: one full pass grows every scratch buffer to its
+    // high-water mark.
+    run_pass(&mut p, seeker, &mut newly);
 
     // Steady state: replaying the same trajectory must not touch the
-    // allocator — on either path, reset included.
-    let seq = run_pass(&mut p, seeker, &mut newly, false);
+    // allocator, reset included.
+    let seq = run_pass(&mut p, seeker, &mut newly);
     assert_eq!(seq, 0, "sequential step_into allocated {seq} times after warm-up");
-    let par = run_pass(&mut p, seeker, &mut newly, true);
-    assert_eq!(par, 0, "forced-parallel step_into allocated {par} times after warm-up");
-    // And again sequentially, to prove the parallel pass left no residue
-    // that re-allocates on the next sequential query.
-    let seq2 = run_pass(&mut p, seeker, &mut newly, false);
-    assert_eq!(seq2, 0, "sequential replay after a parallel pass allocated {seq2} times");
 }

@@ -1,11 +1,11 @@
 //! Sparse-reset and resume-state equivalence for [`Propagation`].
 //!
 //! `Propagation::reset` clears only the journaled (touched) entries; these
-//! properties certify that after *any* number of steps — sequential or
-//! forced-parallel — a reset propagation is indistinguishable from a
-//! freshly constructed one on every observable: per-node proximities and
-//! visited flags over the whole graph, border mass, attenuation bound,
-//! step counter, frontier-closure flag, and every subsequent step.
+//! properties certify that after *any* number of steps a reset propagation
+//! is indistinguishable from a freshly constructed one on every
+//! observable: per-node proximities and visited flags over the whole
+//! graph, border mass, attenuation bound, step counter, frontier-closure
+//! flag, and every subsequent step.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -81,9 +81,8 @@ fn assert_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 60, ..ProptestConfig::default() })]
 
-    /// reset() after an arbitrary number of sequential or forced-parallel
-    /// steps equals a fresh `Propagation::new`, now and on every later
-    /// step.
+    /// reset() after an arbitrary number of steps equals a fresh
+    /// `Propagation::new`, now and on every later step.
     #[test]
     fn sparse_reset_equals_fresh_propagation(seed in 0u64..4000) {
         let graph = random_graph(seed);
@@ -93,15 +92,10 @@ proptest! {
             graph.nodes().filter(|&n| graph.frag_of_node(n).is_none()).collect();
         let first = users[rng.gen_range(0..users.len())];
         let second = users[rng.gen_range(0..users.len())];
-        let parallel = rng.gen_bool(0.5);
 
         let mut reused = Propagation::new(&graph, gamma, first);
         for _ in 0..rng.gen_range(0..12usize) {
-            if parallel {
-                reused.step_parallel_forced(3);
-            } else {
-                reused.step();
-            }
+            reused.step();
         }
         reused.reset(second);
         let mut fresh = Propagation::new(&graph, gamma, second);

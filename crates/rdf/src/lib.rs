@@ -39,6 +39,7 @@
 //! assert!(store.extension(degree).contains(&ms));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod dict;
 pub mod extension;

@@ -17,6 +17,7 @@
 //! robustness proptests (truncate/flip any byte ⇒ clean error) lean on
 //! exactly these guarantees.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Errors produced while decoding snapshot or WAL bytes.

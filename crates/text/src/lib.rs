@@ -31,6 +31,7 @@
 //! assert!(!words.contains(&"when"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod stem;
 pub mod stopwords;

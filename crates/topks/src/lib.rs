@@ -21,6 +21,7 @@
 //! (tweets merged with their retweets/replies into one item, etc.), so the
 //! benchmark harness can run both systems on the same data.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod convert;
 pub mod model;

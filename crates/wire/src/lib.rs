@@ -42,6 +42,7 @@
 //! [`s3_core::IngestBatch`] builder API. The proptest suite feeds the
 //! decoder arbitrary byte strings to keep it that way.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;

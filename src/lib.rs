@@ -30,6 +30,7 @@
 //! `examples/shard_fleet.rs` for the cross-process fleet and
 //! `examples/warm_restart.rs` for durable restarts.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub use s3_core as core;
 pub use s3_datasets as datasets;

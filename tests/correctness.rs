@@ -144,20 +144,6 @@ proptest! {
         prop_assert_eq!(docs(&on), docs(&off));
     }
 
-    /// The parallel explore step computes the same answers.
-    #[test]
-    fn parallel_explore_matches_sequential(seed in 0u64..800) {
-        let (inst, pool) = random_instance(seed, RandomSize::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let seeker = UserId(rng.gen_range(0..inst.num_users()) as u32);
-        let kw = pool[rng.gen_range(0..pool.len())];
-        let q = Query::new(seeker, vec![kw], 3);
-        let seq = inst.search(&q, &SearchConfig::default());
-        let par = inst.search(&q, &SearchConfig { threads: 4, ..SearchConfig::default() });
-        let docs = |r: &s3::core::TopKResult| r.hits.iter().map(|h| h.doc).collect::<Vec<_>>();
-        prop_assert_eq!(docs(&seq), docs(&par));
-    }
-
     /// Theorem 4.3: any-time termination always returns a well-formed
     /// (possibly sub-optimal) answer.
     #[test]
