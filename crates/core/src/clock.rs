@@ -5,8 +5,7 @@
 //! which made every deadline test a race against the scheduler (the old
 //! `anytime_time_budget_returns_best_effort` accepted *either* stop
 //! reason). Threading a [`SearchClock`] through the budget checks makes
-//! deadline behaviour a pure function of the ticks a test feeds it — the
-//! same pattern the result cache uses for TTL expiry.
+//! deadline behaviour a pure function of the ticks a test feeds it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -8,14 +8,13 @@
 //! shared front so the sharded engine's cache sits before the scatter: a
 //! hit costs one lookup regardless of shard count.
 
-use crate::cache::{CacheClock, CachePolicy, PolicyCache};
+use crate::cache::Lru;
 use crate::CacheStats;
 use s3_core::{Query, SearchConfig, TopKResult, UserId};
 use s3_text::KeywordId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 /// Epoch-stamped search configuration, shared by both engines: every
 /// replacement bumps the epoch, and the epoch is part of the cache key,
@@ -111,25 +110,20 @@ impl CacheKey {
     }
 }
 
-/// The epoch-keyed, policy-driven result cache plus its effectiveness
-/// counters. Capacity 0 disables caching (every lookup is a counted
-/// miss). The policy ([`CachePolicy`]) and optional TTL only decide
-/// *whether* a lookup hits, never *what* is returned — see
-/// [`crate::cache`].
+/// The epoch-keyed LRU result cache plus its effectiveness counters.
+/// Capacity 0 disables caching (every lookup is a counted miss).
 #[derive(Debug)]
 pub(crate) struct ResultCache {
-    cache: Option<Mutex<PolicyCache<CacheKey, Arc<TopKResult>>>>,
+    cache: Option<Mutex<Lru<CacheKey, Arc<TopKResult>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
 }
 
 impl ResultCache {
-    pub(crate) fn new(capacity: usize, policy: CachePolicy, ttl: Option<Duration>) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ResultCache {
-            cache: (capacity > 0).then(|| {
-                Mutex::new(PolicyCache::new(capacity, policy, ttl, CacheClock::monotonic()))
-            }),
+            cache: (capacity > 0).then(|| Mutex::new(Lru::new(capacity))),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
@@ -137,19 +131,17 @@ impl ResultCache {
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
-        let (entries, store) = self.cache.as_ref().map_or_else(Default::default, |c| {
+        let (entries, evictions) = self.cache.as_ref().map_or((0, 0), |c| {
             let cache = c.lock().expect("cache poisoned");
-            (cache.len(), cache.counters())
+            (cache.len(), cache.evictions())
         });
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: store.evictions,
-            admitted: store.admitted,
-            rejected: store.rejected,
-            expired: store.expired,
+            evictions,
             invalidated: self.invalidated.load(Ordering::Relaxed),
             entries,
+            ..CacheStats::default()
         }
     }
 
@@ -182,8 +174,8 @@ impl ResultCache {
         None
     }
 
-    /// Insert a computed result; the policy decides admission/eviction
-    /// and counts drops by cause.
+    /// Insert a computed result, evicting the least recently used entry
+    /// when the store is full.
     pub(crate) fn insert(&self, key: CacheKey, result: Arc<TopKResult>) {
         if let Some(cache) = &self.cache {
             cache.lock().expect("cache poisoned").insert(key, result);

@@ -49,7 +49,7 @@ pub enum OverloadPolicy {
     },
 }
 
-/// Admission-gate configuration ([`crate::EngineConfig::overload`]).
+/// Admission-gate configuration ([`crate::EngineConfigBuilder::overload`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadConfig {
     /// Queries allowed in flight (past the cache) before the policy

@@ -1,6 +1,5 @@
 //! The S3 serving layer: concurrent batched query execution over a shared
-//! instance, with per-worker scratch reuse and a policy-driven result
-//! cache (LRU or W-TinyLFU admission, optional TTL).
+//! instance, with per-worker scratch reuse and an LRU result cache.
 //!
 //! The core crate answers one query at a time against a borrowed
 //! [`S3Instance`]. This crate turns that algorithm into a substrate a
@@ -13,15 +12,12 @@
 //!   [`SearchScratch`] checked out of the engine's pool — warm workers
 //!   answer queries without steady-state allocation (the scratch pool
 //!   persists across batches);
-//! * results are cached in a [`cache::PolicyCache`] keyed by
+//! * results are cached in an LRU keyed by
 //!   `(seeker, normalized keywords, k, config epoch)` with hit/miss/
-//!   eviction counters. The eviction/admission policy is pluggable
-//!   ([`CachePolicy`]: plain LRU, or W-TinyLFU frequency-filtered
-//!   admission), entries can carry an expire-after-write TTL
-//!   ([`EngineConfig::cache_ttl`]), and changing the search configuration
-//!   bumps the epoch, so entries computed under a stale configuration can
-//!   never be served — even when an in-flight batch inserts them after
-//!   the change;
+//!   eviction counters ([`CacheStats`]). Changing the search
+//!   configuration bumps the epoch, so entries computed under a stale
+//!   configuration can never be served — even when an in-flight batch
+//!   inserts them after the change — and every cached answer is exact;
 //! * a seeker-keyed warm propagation pool ([`ResumeStats`], epoch-stamped
 //!   like the cache) routes each query to a propagation already advanced
 //!   for its seeker, which the search *resumes* instead of resetting —
@@ -39,14 +35,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The public `EngineConfig` fields are deprecated in favour of
-// `EngineConfig::builder()` and will be privatized in the next release;
-// until then the crate itself still reads and fills them directly.
-#![allow(deprecated)]
 
 pub mod api;
 mod batch;
-pub mod cache;
+mod cache;
 pub mod fleet;
 pub mod gate;
 pub mod live;
@@ -55,7 +47,6 @@ pub mod shard;
 mod warm;
 
 pub use api::{Engine, EngineError, EngineStats, Ingest};
-pub use cache::CachePolicy;
 pub use fleet::{FleetEngine, LocalShard, ShardHost, ShardServer};
 pub use gate::{LoadStats, OverloadConfig, OverloadPolicy, ServeOutcome};
 pub use live::{IngestReport, InvalidationScope, LiveEngine, LiveShardedEngine};
@@ -77,7 +68,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use warm::PropPool;
 
-/// Hard ceiling on batch worker threads: absurd `EngineConfig::threads`
+/// Hard ceiling on batch worker threads: absurd `EngineConfigBuilder::threads`
 /// requests clamp here (see [`EngineConfig::validated`]).
 pub const MAX_BATCH_THREADS: usize = 128;
 
@@ -88,63 +79,37 @@ pub const MAX_BATCH_THREADS: usize = 128;
 /// ```
 /// use s3_engine::EngineConfig;
 /// let config = EngineConfig::builder().threads(2).cache_capacity(256).build();
-/// assert_eq!(config.threads, 2);
 /// ```
 ///
-/// The public fields are deprecated (they will be privatized in the
-/// next release): the builder validates once at [`EngineConfigBuilder::build`],
-/// so hand-assembled out-of-range configurations can no longer reach an
-/// engine unclamped.
+/// The fields are private: the builder validates once at
+/// [`EngineConfigBuilder::build`], so an out-of-range configuration
+/// cannot reach an engine unclamped.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The search configuration every query runs under.
-    #[deprecated(note = "use EngineConfig::builder().search(..)")]
-    #[doc(hidden)]
-    pub search: SearchConfig,
+    pub(crate) search: SearchConfig,
     /// Worker threads for batched execution (1 = run the batch inline).
     /// Out-of-range values are clamped at engine construction: 0 becomes
     /// 1, anything above [`MAX_BATCH_THREADS`] becomes that ceiling.
-    #[deprecated(note = "use EngineConfig::builder().threads(..)")]
-    #[doc(hidden)]
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Result-cache capacity in entries; 0 disables caching cleanly
-    /// (every query computes, counters still track the misses).
-    #[deprecated(note = "use EngineConfig::builder().cache_capacity(..)")]
-    #[doc(hidden)]
-    pub cache_capacity: usize,
-    /// Result-cache eviction/admission policy. `Lru` (the default) is
-    /// recency-only; [`CachePolicy::tiny_lfu`] adds W-TinyLFU
-    /// frequency-filtered admission, which holds hit rates under
-    /// one-hit-wonder traffic. The policy only changes *whether* a
-    /// lookup hits, never *what* is returned.
-    #[deprecated(note = "use EngineConfig::builder().cache_policy(..)")]
-    #[doc(hidden)]
-    pub cache_policy: CachePolicy,
-    /// Optional expire-after-write TTL for cached results: entries older
-    /// than this are never served (checked lazily on lookup, swept on
-    /// insert) — the age-out knob for serving stacks that want bounded
-    /// staleness windows without an epoch bump. `None` (the default)
-    /// keeps entries until displaced or invalidated.
-    #[deprecated(note = "use EngineConfig::builder().cache_ttl(..)")]
-    #[doc(hidden)]
-    pub cache_ttl: Option<Duration>,
+    /// (every query computes, counters still track the misses). The
+    /// store grows with its entries, so a huge capacity costs nothing
+    /// up front.
+    pub(crate) cache_capacity: usize,
     /// Capacity of the seeker-keyed warm propagation map: how many
     /// seekers' propagations stay parked between queries for same-seeker
     /// resume ([`ResumeStats`]). Each warm entry holds O(|graph|) buffers,
     /// so this stays deliberately small; 0 disables seeker affinity
     /// (workers still resume across *consecutive* same-seeker queries
     /// they claim, unless `search.resume` is off).
-    #[deprecated(note = "use EngineConfig::builder().warm_seekers(..)")]
-    #[doc(hidden)]
-    pub warm_seekers: usize,
+    pub(crate) warm_seekers: usize,
     /// Overload control for the `serve` entry points: an in-flight cap
     /// plus the policy applied past it ([`OverloadPolicy`]). `None` (the
     /// default) admits everything — `serve` then behaves exactly like
     /// `query` plus deadline accounting, and the query paths are
     /// untouched either way.
-    #[deprecated(note = "use EngineConfig::builder().overload(..)")]
-    #[doc(hidden)]
-    pub overload: Option<OverloadConfig>,
+    pub(crate) overload: Option<OverloadConfig>,
 }
 
 impl Default for EngineConfig {
@@ -153,8 +118,6 @@ impl Default for EngineConfig {
             search: SearchConfig::default(),
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache_capacity: 4096,
-            cache_policy: CachePolicy::default(),
-            cache_ttl: None,
             warm_seekers: 16,
             overload: None,
         }
@@ -163,12 +126,11 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Clamp out-of-range values to their documented fallbacks: `threads`
-    /// to `1..=MAX_BATCH_THREADS`, the cache policy's fractions into
-    /// `[0, 1]` ([`CachePolicy::validated`]). Called by [`S3Engine::new`]
-    /// and [`ShardedEngine::new`]; idempotent.
+    /// to `1..=MAX_BATCH_THREADS`, the overload policy per
+    /// [`OverloadConfig::validated`]. Called by [`S3Engine::new`] and
+    /// [`ShardedEngine::new`]; idempotent.
     pub fn validated(mut self) -> Self {
         self.threads = self.threads.clamp(1, MAX_BATCH_THREADS);
-        self.cache_policy = self.cache_policy.validated();
         self.overload = self.overload.map(OverloadConfig::validated);
         self
     }
@@ -209,19 +171,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Result-cache eviction/admission policy.
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.config.cache_policy = policy;
-        self
-    }
-
-    /// Expire-after-write TTL for cached results. Accepts a bare
-    /// [`Duration`] or an `Option` (to thread a maybe-TTL through).
-    pub fn cache_ttl(mut self, ttl: impl Into<Option<Duration>>) -> Self {
-        self.config.cache_ttl = ttl.into();
-        self
-    }
-
     /// Capacity of the seeker-keyed warm propagation map.
     pub fn warm_seekers(mut self, seekers: usize) -> Self {
         self.config.warm_seekers = seekers;
@@ -252,19 +201,16 @@ pub struct CacheStats {
     /// uncached query each count as a miss even though only the first
     /// occurrence runs a search.
     pub misses: u64,
-    /// Entries displaced by capacity pressure (main-region victims that
-    /// lost an admission contest, and plain LRU tail drops). Rejected
-    /// admission candidates are counted in `rejected`, not here.
+    /// Entries displaced by capacity pressure (LRU tail drops).
     pub evictions: u64,
-    /// Admission-window candidates accepted into the main cache region
-    /// (always 0 under [`CachePolicy::Lru`]).
+    /// Always 0: the LRU admits every entry. Kept while `s3bench` still
+    /// reads the field.
     pub admitted: u64,
-    /// Admission-window candidates denied by the TinyLFU frequency
-    /// filter and dropped (always 0 under [`CachePolicy::Lru`]).
+    /// Always 0: the LRU rejects no entry. Kept while `s3bench` still
+    /// reads the field.
     pub rejected: u64,
-    /// Entries dropped because their [`EngineConfig::cache_ttl`] ran out
-    /// — a *staleness* age-out, counted separately from the correctness
-    /// drops in `invalidated`.
+    /// Always 0: cached entries never expire (the epoch in the key keeps
+    /// them exact). Kept while `s3bench` still reads the field.
     pub expired: u64,
     /// Entries dropped by an explicit epoch-bump invalidation (a search
     /// configuration change, or a live-ingestion snapshot swap whose
@@ -287,18 +233,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Fraction of admission contests the candidate won (0.0 before any
-    /// candidate reached the filter; 1.0 under plain LRU would mean
-    /// nothing, so it also reports 0.0 when no contest happened).
-    pub fn admission_rate(&self) -> f64 {
-        let total = self.admitted + self.rejected;
-        if total == 0 {
-            0.0
-        } else {
-            self.admitted as f64 / total as f64
-        }
-    }
 }
 
 impl std::fmt::Display for CacheStats {
@@ -307,16 +241,12 @@ impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} hits / {} misses (hit rate {:.2}) — {} entries, {} evicted, \
-             {} admitted, {} rejected, {} expired, {} invalidated",
+            "{} hits / {} misses (hit rate {:.2}) — {} entries, {} evicted, {} invalidated",
             self.hits,
             self.misses,
             self.hit_rate(),
             self.entries,
             self.evictions,
-            self.admitted,
-            self.rejected,
-            self.expired,
             self.invalidated,
         )
     }
@@ -367,20 +297,13 @@ impl S3Engine {
     /// Build a serving engine over a shared instance. The configuration
     /// is [`EngineConfig::validated`] first.
     pub fn new(instance: Arc<S3Instance>, config: EngineConfig) -> Self {
-        let EngineConfig {
-            search,
-            threads,
-            cache_capacity,
-            cache_policy,
-            cache_ttl,
-            warm_seekers,
-            overload,
-        } = config.validated();
+        let EngineConfig { search, threads, cache_capacity, warm_seekers, overload } =
+            config.validated();
         S3Engine {
             instance,
             config: Arc::new(EpochConfig::new(search)),
             threads,
-            cache: Arc::new(ResultCache::new(cache_capacity, cache_policy, cache_ttl)),
+            cache: Arc::new(ResultCache::new(cache_capacity)),
             scratch_pool: Arc::new(Mutex::new(Vec::new())),
             props: Arc::new(PropPool::new(warm_seekers)),
             gate: Arc::new(AdmissionGate::new(overload)),
@@ -485,7 +408,7 @@ impl S3Engine {
     /// uncongested repeat could compute — the warm propagation pool keeps
     /// its state, so that repeat resumes instead of starting over.
     ///
-    /// Without an [`EngineConfig::overload`] policy and without a
+    /// Without an [`EngineConfigBuilder::overload`] policy and without a
     /// deadline, `serve` is [`Self::query`] with load accounting.
     pub fn serve(&self, query: &Query, deadline: Option<Duration>) -> ServeOutcome {
         let (search_config, epoch) = self.config.snapshot();
@@ -605,7 +528,7 @@ mod tests {
     use s3_doc::DocBuilder;
     use s3_text::{KeywordId, Language};
 
-    fn tiny_engine_with(config: EngineConfig) -> (S3Engine, UserId, Vec<KeywordId>) {
+    fn tiny_engine(cache_capacity: usize) -> (S3Engine, UserId, Vec<KeywordId>) {
         let mut b = InstanceBuilder::new(Language::English);
         let u0 = b.add_user();
         let u1 = b.add_user();
@@ -616,12 +539,8 @@ mod tests {
         b.add_document(doc, Some(u0));
         let inst = Arc::new(b.build());
         let keywords = inst.query_keywords("degree");
-        let engine = S3Engine::new(inst, config);
-        (engine, u1, keywords)
-    }
-
-    fn tiny_engine(cache_capacity: usize) -> (S3Engine, UserId, Vec<KeywordId>) {
-        tiny_engine_with(EngineConfig::builder().cache_capacity(cache_capacity).threads(2).build())
+        let config = EngineConfig::builder().cache_capacity(cache_capacity).threads(2).build();
+        (S3Engine::new(inst, config), u1, keywords)
     }
 
     #[test]
@@ -662,6 +581,7 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.hits, 0, "post-change lookup must miss");
         assert_eq!(stats.misses, 2);
+        assert_eq!(stats.invalidated, 1, "the bump dropped the one resident entry");
     }
 
     #[test]
@@ -728,131 +648,14 @@ mod tests {
     }
 
     #[test]
-    fn tinylfu_repeat_query_hits_like_lru() {
-        let (engine, seeker, kws) = tiny_engine_with(
-            EngineConfig::builder()
-                .cache_capacity(16)
-                .cache_policy(CachePolicy::tiny_lfu())
-                .threads(2)
-                .build(),
-        );
+    fn huge_cache_capacity_allocates_on_demand() {
+        let (engine, seeker, kws) = tiny_engine(usize::MAX);
         let q = Query::new(seeker, kws, 3);
         let first = engine.query(&q);
         let second = engine.query(&q);
         assert!(Arc::ptr_eq(&first, &second), "second answer must be the cached Arc");
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn tinylfu_capacity_pressure_counts_admissions() {
-        let (engine, seeker, _) = tiny_engine_with(
-            EngineConfig::builder()
-                .cache_capacity(3)
-                .cache_policy(CachePolicy::TinyLfu { window_frac: 0.34, protected_frac: 0.5 })
-                .threads(1)
-                .build(),
-        );
-        // Distinct queries (by k) overflow the 1-entry window into main.
-        for k in 1..=8 {
-            let kws = engine.instance().query_keywords("degree");
-            engine.query(&Query::new(seeker, kws, k));
-        }
-        let stats = engine.cache_stats();
-        assert!(stats.entries <= 3);
-        assert!(stats.admitted >= 2, "main has room for two admissions ({stats})");
-        assert!(
-            stats.admitted + stats.rejected + stats.evictions >= 5,
-            "every window overflow must be accounted for ({stats})"
-        );
-        assert!(stats.admission_rate() > 0.0 && stats.admission_rate() <= 1.0);
-    }
-
-    #[test]
-    fn tinylfu_zero_capacity_still_answers() {
-        let (engine, seeker, kws) = tiny_engine_with(
-            EngineConfig::builder()
-                .cache_capacity(0)
-                .cache_policy(CachePolicy::tiny_lfu())
-                .threads(1)
-                .build(),
-        );
-        let q = Query::new(seeker, kws, 3);
-        let a = engine.query(&q);
-        let b = engine.query(&q);
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(engine.cache_stats(), CacheStats { misses: 2, ..CacheStats::default() });
-    }
-
-    #[test]
-    fn ttl_zero_expires_immediately_with_identical_answers() {
-        let (engine, seeker, kws) = tiny_engine_with(
-            EngineConfig::builder()
-                .cache_capacity(16)
-                .cache_ttl(Some(Duration::ZERO))
-                .threads(1)
-                .build(),
-        );
-        let q = Query::new(seeker, kws, 3);
-        let a = engine.query(&q);
-        let b = engine.query(&q);
-        assert_eq!(a.hits, b.hits, "expiry may change whether we hit, never what we return");
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 0, "a TTL-0 entry is never served");
-        assert_eq!(stats.misses, 2);
-        assert!(stats.expired >= 1, "the stale entry must be counted expired ({stats})");
-        assert_eq!(stats.invalidated, 0, "no epoch bump happened");
-    }
-
-    #[test]
-    fn ttl_expiry_and_epoch_invalidation_count_separately() {
-        // TTL arm: drops surface as `expired`, not `invalidated`.
-        let (engine, seeker, kws) = tiny_engine_with(
-            EngineConfig::builder()
-                .cache_capacity(16)
-                .cache_ttl(Some(Duration::ZERO))
-                .threads(1)
-                .build(),
-        );
-        let q = Query::new(seeker, kws.clone(), 3);
-        engine.query(&q);
-        engine.query(&q);
-        let ttl_stats = engine.cache_stats();
-        assert!(ttl_stats.expired >= 1 && ttl_stats.invalidated == 0, "{ttl_stats}");
-
-        // Epoch arm: drops surface as `invalidated`, not `expired`.
-        let (engine, seeker, kws) = tiny_engine_with(
-            EngineConfig::builder()
-                .cache_capacity(16)
-                .cache_ttl(Some(Duration::from_secs(3600)))
-                .threads(1)
-                .build(),
-        );
-        engine.query(&Query::new(seeker, kws, 3));
-        engine.set_search_config(SearchConfig {
-            score: s3_core::S3kScore::new(2.0, 0.5),
-            ..SearchConfig::default()
-        });
-        let epoch_stats = engine.cache_stats();
-        assert_eq!(epoch_stats.invalidated, 1, "{epoch_stats}");
-        assert_eq!(epoch_stats.expired, 0, "{epoch_stats}");
-    }
-
-    #[test]
-    fn engine_config_validates_policy_fractions() {
-        let wild = EngineConfig::builder()
-            .cache_policy(CachePolicy::TinyLfu { window_frac: 7.0, protected_frac: -3.0 })
-            .build()
-            .validated();
-        assert_eq!(
-            wild.cache_policy,
-            CachePolicy::TinyLfu { window_frac: 1.0, protected_frac: 0.0 }
-        );
-        let nan = EngineConfig::builder()
-            .cache_policy(CachePolicy::TinyLfu { window_frac: f64::NAN, protected_frac: f64::NAN })
-            .build()
-            .validated();
-        assert_eq!(nan.cache_policy, CachePolicy::tiny_lfu());
     }
 
     #[test]

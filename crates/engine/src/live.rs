@@ -779,38 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_and_ingest_invalidation_count_separately() {
-        use crate::CachePolicy;
-        let (b, author, seeker) = seed_builder();
-        let live = LiveEngine::new(
-            b,
-            EngineConfig::builder()
-                .threads(1)
-                .cache_policy(CachePolicy::tiny_lfu())
-                .cache_ttl(Some(std::time::Duration::ZERO))
-                .build(),
-        );
-        let kws = live.instance().query_keywords("degrees");
-        let q = Query::new(seeker, kws, 2);
-        live.query(&q);
-        live.query(&q); // observes the TTL-0 entry expired, reinserts
-        let before = live.cache_stats();
-        assert!(before.expired >= 1 && before.invalidated == 0, "{before}");
-
-        // An attached ingest bumps globally: the resident (expired but
-        // unobserved) entry drops as *invalidated*, not expired.
-        let mut batch = IngestBatch::new();
-        let u = batch.add_user();
-        batch.add_social_edge(UserRef::Existing(author), u, 0.5);
-        let report = live.ingest(&batch);
-        assert_eq!(report.scope, InvalidationScope::Global);
-        let after = live.cache_stats();
-        assert_eq!(after.expired, before.expired, "the bump is not a TTL event");
-        assert_eq!(after.invalidated, before.invalidated + report.results_invalidated);
-        assert!(report.results_invalidated >= 1);
-    }
-
-    #[test]
     fn attached_ingest_goes_global() {
         let (b, author, seeker) = seed_builder();
         let live = LiveEngine::new(b, EngineConfig::builder().threads(1).build());

@@ -196,15 +196,8 @@ impl ShardedEngine {
         partition: Arc<ComponentPartition>,
         shard_serving: bool,
     ) -> Self {
-        let EngineConfig {
-            mut search,
-            threads,
-            cache_capacity,
-            cache_policy,
-            cache_ttl,
-            warm_seekers,
-            overload,
-        } = config.validated();
+        let EngineConfig { mut search, threads, cache_capacity, warm_seekers, overload } =
+            config.validated();
         search.component_filter = None;
         let router = ShardRouter::new(&instance, Arc::clone(&partition));
         let shards = (0..partition.num_shards())
@@ -218,13 +211,9 @@ impl ShardedEngine {
                         // workers; shard-local batching stays off either
                         // way, and without `shard_serving` so do caching
                         // and seeker affinity (the front engine already
-                        // covers all three). Policy and TTL are inherited
-                        // so a serving shard ages and admits exactly like
-                        // the front.
+                        // covers all three).
                         threads: 1,
                         cache_capacity: if shard_serving { cache_capacity } else { 0 },
-                        cache_policy,
-                        cache_ttl,
                         warm_seekers: if shard_serving { warm_seekers } else { 0 },
                         // Overload control lives at the front: per-shard
                         // gates would double-count one scatter's load.
@@ -239,7 +228,7 @@ impl ShardedEngine {
             shards,
             config: Arc::new(EpochConfig::new(search)),
             threads,
-            cache: Arc::new(ResultCache::new(cache_capacity, cache_policy, cache_ttl)),
+            cache: Arc::new(ResultCache::new(cache_capacity)),
             carriers: Arc::new(Mutex::new(Vec::new())),
             props: Arc::new(PropPool::new(warm_seekers)),
             gate: Arc::new(AdmissionGate::new(overload)),

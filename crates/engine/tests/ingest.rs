@@ -16,9 +16,8 @@ mod common;
 use proptest::prelude::*;
 use s3_core::{InstanceBuilder, Query, SearchConfig};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
-use s3_engine::{CachePolicy, EngineConfig, LiveEngine, LiveShardedEngine};
+use s3_engine::{EngineConfig, LiveEngine, LiveShardedEngine};
 use s3_text::Language;
-use std::time::Duration;
 
 /// A small deterministic base corpus: a handful of users, documents and
 /// tags over the same stem-stable word pool the generator uses.
@@ -59,25 +58,11 @@ fn engine_config() -> EngineConfig {
     engine_builder().build()
 }
 
-/// Per-fleet cache configurations: the live paths must stay
-/// byte-identical to a cold rebuild under every admission policy and TTL
-/// — TinyLFU with a churn-forcing capacity, a TTL that never serves, and
-/// one that never expires.
-fn policy_config(arm: usize) -> EngineConfig {
-    let (cache_policy, cache_ttl, cache_capacity) = match arm {
-        0 => (CachePolicy::Lru, Some(Duration::ZERO), 128),
-        1 => (CachePolicy::tiny_lfu(), None, 8),
-        _ => (
-            CachePolicy::TinyLfu { window_frac: 0.5, protected_frac: 0.5 },
-            Some(Duration::from_secs(3600)),
-            128,
-        ),
-    };
-    engine_builder()
-        .cache_policy(cache_policy)
-        .cache_ttl(cache_ttl)
-        .cache_capacity(cache_capacity)
-        .build()
+/// Per-fleet cache capacities: the live paths must stay byte-identical
+/// to a cold rebuild whether the cache churns on every insert, churns
+/// often, or holds everything.
+fn capacity_config(arm: usize) -> EngineConfig {
+    engine_builder().cache_capacity([1, 8, 128][arm]).build()
 }
 
 proptest! {
@@ -89,14 +74,11 @@ proptest! {
     fn live_engines_match_cold_rebuild(seed in 0u64..1000) {
         // One builder replica per engine (each live engine retains and
         // grows its own), plus one for the cold reference.
-        let flat = LiveEngine::new(
-            base_builder(seed),
-            engine_builder().cache_policy(CachePolicy::tiny_lfu()).build(),
-        );
+        let flat = LiveEngine::new(base_builder(seed), engine_config());
         let sharded: Vec<LiveShardedEngine> = [1usize, 2, 4]
             .into_iter()
             .enumerate()
-            .map(|(arm, n)| LiveShardedEngine::new(base_builder(seed), policy_config(arm), n))
+            .map(|(arm, n)| LiveShardedEngine::new(base_builder(seed), capacity_config(arm), n))
             .collect();
         let mut reference = base_builder(seed);
         let mut reference_prev = reference.snapshot();

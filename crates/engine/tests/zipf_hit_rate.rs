@@ -8,9 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s3_core::{IngestBatch, IngestDoc, Query};
 use s3_datasets::{twitter, workload, zipf::Zipf, Scale};
-use s3_engine::{
-    CachePolicy, EngineConfig, InvalidationScope, LiveShardedEngine, S3Engine, ShardedEngine,
-};
+use s3_engine::{EngineConfig, InvalidationScope, LiveShardedEngine, S3Engine, ShardedEngine};
 use s3_text::FrequencyClass;
 use std::sync::Arc;
 
@@ -78,86 +76,6 @@ fn zipf_workload_hit_rate() {
     }
     let srate = sharded.cache_stats().hit_rate();
     assert!(srate > 0.6, "front cache must absorb the Zipf head (rate {srate:.3})");
-}
-
-/// The admission-policy claim, kept as a regression bar (and enforced in
-/// CI by `benches/cache.rs`): on the seeded Zipf workload with the cache
-/// at half the distinct-query population, W-TinyLFU's hit rate is at
-/// least the LRU baseline's — and when one-hit-wonder queries are mixed
-/// into the stream (the traffic shape that flushes an LRU), TinyLFU's
-/// frequency filter keeps the hot head resident and wins outright.
-#[test]
-fn tinylfu_admission_beats_lru_under_skew() {
-    let dataset = twitter::generate(&twitter::TwitterConfig::scaled(Scale::Tiny));
-    let instance = Arc::new(dataset.instance);
-    let (pool, stream) = zipf_stream(&instance, 600);
-
-    let engine_with = |policy: CachePolicy| {
-        S3Engine::new(
-            Arc::clone(&instance),
-            EngineConfig::builder().threads(1).cache_capacity(60).cache_policy(policy).build(),
-        )
-    };
-    let replay = |engine: &S3Engine| {
-        for &i in &stream {
-            engine.query(&pool[i]);
-        }
-        engine.cache_stats()
-    };
-    let lru = replay(&engine_with(CachePolicy::Lru));
-    let tlfu = replay(&engine_with(CachePolicy::tiny_lfu()));
-    assert!(
-        tlfu.hit_rate() >= lru.hit_rate(),
-        "admission must not lose to recency-only eviction under skew \
-         (TinyLFU {:.3} vs LRU {:.3})",
-        tlfu.hit_rate(),
-        lru.hit_rate()
-    );
-    assert!(tlfu.hit_rate() > 0.55, "absolute floor (got {:.3})", tlfu.hit_rate());
-    assert!(tlfu.admitted > 0, "candidates must flow into the main region ({tlfu})");
-    assert!(tlfu.rejected > 0, "the filter must deny cold candidates ({tlfu})");
-
-    // One-hit-wonder mixture: every other access is a fresh query seen
-    // exactly once (a scan). The wonders evict the LRU's hot head;
-    // TinyLFU rejects them at admission.
-    let wonders = workload::generate(
-        &instance,
-        workload::WorkloadConfig {
-            frequency: FrequencyClass::Rare,
-            keywords_per_query: 2,
-            k: 7,
-            queries: 300,
-            seed: 23,
-        },
-    );
-    let wonder_pool: Vec<Query> = wonders.queries.into_iter().map(|q| q.query).collect();
-    let lru_scan = engine_with(CachePolicy::Lru);
-    let tlfu_scan = engine_with(CachePolicy::tiny_lfu());
-    for engine in [&lru_scan, &tlfu_scan] {
-        for (j, &i) in stream.iter().enumerate() {
-            engine.query(&pool[i]);
-            if j % 2 == 0 {
-                engine.query(&wonder_pool[(j / 2) % wonder_pool.len()]);
-            }
-        }
-    }
-    let (l, t) = (lru_scan.cache_stats(), tlfu_scan.cache_stats());
-    assert!(
-        t.hit_rate() > l.hit_rate(),
-        "under a one-hit-wonder scan the filter must win outright \
-         (TinyLFU {:.3} vs LRU {:.3})",
-        t.hit_rate(),
-        l.hit_rate()
-    );
-
-    // The policy changed whether we hit, never what we return.
-    let uncached = S3Engine::new(
-        Arc::clone(&instance),
-        EngineConfig::builder().threads(1).cache_capacity(0).build(),
-    );
-    for &i in &stream[..40] {
-        assert_eq!(uncached.query(&pool[i]).hits, tlfu_scan.query(&pool[i]).hits);
-    }
 }
 
 /// Interleaved ingestion: replay a Zipf stream against the per-shard

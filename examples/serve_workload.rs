@@ -11,9 +11,7 @@
 
 use s3::core::{Query, SearchConfig};
 use s3::datasets::{twitter, workload, Scale};
-use s3::engine::{
-    CachePolicy, EngineConfig, OverloadConfig, OverloadPolicy, S3Engine, ServeOutcome,
-};
+use s3::engine::{EngineConfig, OverloadConfig, OverloadPolicy, S3Engine, ServeOutcome};
 use s3::text::FrequencyClass;
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,13 +28,7 @@ fn main() {
 
     let engine = S3Engine::new(
         Arc::clone(&instance),
-        EngineConfig::builder()
-            .threads(4)
-            .cache_capacity(1024)
-            // W-TinyLFU admission: one-hit-wonder queries churn the small
-            // window instead of evicting the hot entries.
-            .cache_policy(CachePolicy::tiny_lfu())
-            .build(),
+        EngineConfig::builder().threads(4).cache_capacity(1024).build(),
     );
 
     // A server sees overlapping traffic: generate a workload and replay it
@@ -161,8 +153,8 @@ fn main() {
     });
     println!("6 oversubscribed clients, Reject:         {}", rejecting.load_stats());
 
-    // The final serving report, counters included (admission/expiry
-    // counters surface here once the policy or a TTL is on).
+    // The final serving report: hits, evictions and the entries the
+    // config change invalidated.
     println!("\nfinal cache stats:  {}", shared.cache_stats());
     println!("final resume stats: {}", shared.resume_stats());
 }
