@@ -75,9 +75,8 @@ pub use s3_graph::CompId;
 pub use s3_graph::{Propagation, PropagationState};
 pub use score::{AnyKeywordScore, S3kScore, ScoreModel, TypeWeightedScore};
 pub use search::{
-    merge_hits, selection_rank, FleetShard, Hit, QualityBound, Query, ResumeOutcome, S3kEngine,
-    S3kSession, SearchConfig, SearchScratch, SearchStats, SelectedCandidate, StopReason,
-    TopKResult,
+    selection_rank, FleetShard, Hit, QualityBound, Query, ResumeOutcome, S3kEngine, S3kSession,
+    SearchConfig, SearchScratch, SearchStats, SelectedCandidate, StopReason, StopState, TopKResult,
 };
 pub use snapshot::{
     load_snapshot, read_snapshot, save_snapshot, write_snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -7,27 +7,26 @@
 //! score of every undiscovered document; it collapses to 0 once the
 //! frontier stops growing (see the module docs of [`super`]).
 //!
-//! The two halves are separate functions because the sharded scatter
-//! refreshes candidate intervals once per shard but the undiscovered
-//! threshold — a function of the query and the shared propagation only —
-//! exactly once per iteration.
+//! The two halves are separate functions because a round refreshes
+//! candidate intervals once per pool but the undiscovered threshold — a
+//! function of the query and the shared propagation only — once.
 
-use super::scratch::SearchScratch;
+use super::scratch::{Pool, QueryScratch};
 use super::S3kEngine;
 use crate::score::ScoreModel;
 use s3_graph::Propagation;
 
-/// Refresh every candidate's `[lower, upper]` interval from the current
-/// propagation state.
+/// Refresh every candidate's `[lower, upper]` interval in `pool` from the
+/// current propagation state.
 pub(crate) fn update_candidate_bounds<S: ScoreModel>(
     engine: &S3kEngine<'_, S>,
-    scratch: &mut SearchScratch,
+    pool: &mut Pool,
     prop: &mut Propagation<'_>,
 ) {
     let bound = prop.bound_beyond();
-    let lo_parts = &mut scratch.lo_parts;
-    let hi_parts = &mut scratch.hi_parts;
-    for c in scratch.candidates.as_mut_slice() {
+    let lo_parts = &mut pool.lo_parts;
+    let hi_parts = &mut pool.hi_parts;
+    for c in pool.candidates.as_mut_slice() {
         lo_parts.clear();
         hi_parts.clear();
         for srcs in &c.kw_sources {
@@ -48,19 +47,17 @@ pub(crate) fn update_candidate_bounds<S: ScoreModel>(
 
 /// Upper bound on the score of every undiscovered document:
 /// `⊕gen(SmaxExt(k) · B>n)` while the frontier is still growing, 0 once it
-/// closed. `parts` is a reusable buffer.
+/// closed.
 pub(crate) fn undiscovered_threshold<S: ScoreModel>(
     model: &S,
-    smax_ext: &[f64],
-    parts: &mut Vec<f64>,
+    q: &mut QueryScratch,
     prop: &Propagation<'_>,
-    frontier_closed: bool,
 ) -> f64 {
-    if frontier_closed {
+    if prop.frontier_closed() {
         return 0.0;
     }
     let bound = prop.bound_beyond();
-    parts.clear();
-    parts.extend(smax_ext.iter().map(|&s| s * bound.min(1.0)));
-    model.combine_keywords(parts)
+    q.threshold_parts.clear();
+    q.threshold_parts.extend(q.smax_ext.iter().map(|&s| s * bound.min(1.0)));
+    model.combine_keywords(&q.threshold_parts)
 }

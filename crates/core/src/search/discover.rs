@@ -7,17 +7,19 @@
 //! processed at most once per query — keyword pruning (§5.2) first, then
 //! the per-document `con(d, k)` check admits candidates into the pool.
 
-use super::scratch::SearchScratch;
+use super::scratch::Pool;
 use super::{S3kEngine, SearchStats};
 use crate::score::ScoreModel;
+use s3_doc::DocNodeId;
 use s3_graph::{CompId, EdgeKind, NodeId, NodeKind, SocialGraph};
+use s3_text::KeywordId;
+use std::sync::Arc;
 
 /// Invoke `sink` for every content component a freshly-reached node
 /// opens: its own component for fragments and tags; for users, the
 /// components of the tags they authored (which may source connections in
 /// otherwise-unreached components). The one copy of the discovery-trigger
-/// rules, shared by the sequential pass below and the partitioned
-/// scatter's dispatch-to-owner pass.
+/// rules; the round dispatches each trigger to the pool that owns it.
 pub(crate) fn triggered_components(graph: &SocialGraph, v: NodeId, sink: &mut impl FnMut(CompId)) {
     match graph.kind(v) {
         NodeKind::Frag(_) | NodeKind::Tag(_) => sink(graph.components().component_of(v)),
@@ -31,39 +33,23 @@ pub(crate) fn triggered_components(graph: &SocialGraph, v: NodeId, sink: &mut im
     }
 }
 
-/// Process `scratch.newly` (the seed node at step 0, the freshly-reached
-/// nodes afterwards), discovering components and admitting candidates.
-pub(crate) fn discover_newly<S: ScoreModel>(
-    engine: &S3kEngine<'_, S>,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) {
-    let graph = engine.instance.graph();
-    // `newly` is only refilled by the explore stage, after discovery is
-    // done with it; taking it out lets the component pass borrow `scratch`
-    // mutably.
-    let newly = std::mem::take(&mut scratch.newly);
-    for &v in &newly {
-        triggered_components(graph, v, &mut |comp| {
-            discover_component(engine, comp, scratch, stats);
-        });
-    }
-    scratch.newly = newly;
-}
-
-/// Process one content component: component-filter check (sharding),
-/// keyword pruning (§5.2), then the per-document `con` check. Also the
-/// dispatch target of the partitioned scatter driver.
+/// Process one content component into `pool`: component-filter check
+/// (sharding), keyword pruning (§5.2), then the per-document `con` check
+/// against the query's keyword extensions `exts`. Each admitted document
+/// is logged in `admitted` with `seq`, the trigger that opened `comp`.
 pub(crate) fn discover_component<S: ScoreModel>(
     engine: &S3kEngine<'_, S>,
+    exts: &[Arc<Vec<KeywordId>>],
     comp: CompId,
-    scratch: &mut SearchScratch,
+    pool: &mut Pool,
     stats: &mut SearchStats,
+    seq: u32,
+    admitted: &mut Vec<(u32, DocNodeId)>,
 ) {
-    if !scratch.processed.insert(comp.index()) {
+    if !pool.processed.insert(comp.index()) {
         return;
     }
-    scratch.touched.push(comp.index());
+    pool.touched.push(comp.index());
     if let Some(filter) = &engine.config.component_filter {
         if !filter.allows(comp) {
             // Outside this shard's universe: skipped before any
@@ -76,11 +62,11 @@ pub(crate) fn discover_component<S: ScoreModel>(
     let inst = engine.instance;
     if engine.config.component_pruning {
         let comp_kws = inst.component_keywords(comp);
-        let hit = |ext: &[s3_text::KeywordId]| ext.iter().any(|k| comp_kws.contains(k));
+        let hit = |ext: &[KeywordId]| ext.iter().any(|k| comp_kws.contains(k));
         let matches = if engine.model.requires_all_keywords() {
-            scratch.exts.iter().all(|e| hit(e))
+            exts.iter().all(|e| hit(e))
         } else {
-            scratch.exts.iter().any(|e| hit(e))
+            exts.iter().any(|e| hit(e))
         };
         if !matches {
             stats.pruned_components += 1;
@@ -91,29 +77,29 @@ pub(crate) fn discover_component<S: ScoreModel>(
     let graph = inst.graph();
     let index = inst.connections();
     let conjunctive = engine.model.requires_all_keywords();
-    let n_keywords = scratch.exts.len();
+    let n_keywords = exts.len();
     for &node in graph.components().members(comp) {
         let Some(d) = graph.frag_of_node(node) else { continue };
-        if scratch.candidate_of.contains_key(&d) {
+        if pool.candidate_of.contains_key(&d) {
             continue;
         }
         // con(d, k) = ∪_{k' ∈ Ext(k)} conDirect(d, k'), deduplicated on
         // (type, fragment, source) — con is a set.
-        let slot = scratch.candidates.stage(n_keywords);
+        let slot = pool.candidates.stage(n_keywords);
         let mut matched = 0usize;
         let mut missing = false;
-        for (ki, ext) in scratch.exts.iter().enumerate() {
-            scratch.seen.clear();
-            scratch.agg.clear();
+        for (ki, ext) in exts.iter().enumerate() {
+            pool.seen.clear();
+            pool.agg.clear();
             for &k in ext.iter() {
                 for c in index.connections(d, k) {
-                    if scratch.seen.insert((c.ctype, c.frag, c.src)) {
-                        *scratch.agg.entry(c.src).or_insert(0.0) +=
+                    if pool.seen.insert((c.ctype, c.frag, c.src)) {
+                        *pool.agg.entry(c.src).or_insert(0.0) +=
                             engine.model.structural_weight(c.ctype, c.depth);
                     }
                 }
             }
-            if scratch.agg.is_empty() {
+            if pool.agg.is_empty() {
                 missing = true;
                 if conjunctive {
                     break;
@@ -122,7 +108,7 @@ pub(crate) fn discover_component<S: ScoreModel>(
                 matched += 1;
             }
             let list = &mut slot.kw_sources[ki];
-            list.extend(scratch.agg.drain());
+            list.extend(pool.agg.drain());
             list.sort_unstable_by_key(|(n, _)| *n);
         }
         let qualifies = if conjunctive { !missing } else { matched > 0 };
@@ -131,8 +117,9 @@ pub(crate) fn discover_component<S: ScoreModel>(
             continue;
         }
         slot.doc = d;
-        let idx = scratch.candidates.commit();
-        scratch.candidate_of.insert(d, idx);
+        let idx = pool.candidates.commit();
+        pool.candidate_of.insert(d, idx);
+        admitted.push((seq, d));
         stats.candidates += 1;
     }
 }

@@ -6,25 +6,25 @@
 //! single keyword whose whole extension is absent from the corpus makes
 //! every score 0 (the empty answer is exact).
 
-use super::scratch::SearchScratch;
+use super::scratch::QueryScratch;
 use super::{Query, S3kEngine};
 use crate::score::ScoreModel;
 use std::sync::Arc;
 
-/// Fill `scratch.{keywords, exts, smax_ext}` for `query`. Returns `false`
+/// Fill `q.{keywords, exts, smax_ext}` for `query`. Returns `false`
 /// when the query is provably unanswerable (empty or some/every keyword
 /// extension missing, per the model's conjunctive/disjunctive semantics).
 pub(crate) fn expand_query<S: ScoreModel>(
     engine: &S3kEngine<'_, S>,
     query: &Query,
-    scratch: &mut SearchScratch,
+    q: &mut QueryScratch,
 ) -> bool {
     // Deduplicate φ without cloning the caller's keyword list.
-    scratch.keywords.extend_from_slice(&query.keywords);
-    scratch.keywords.sort_unstable();
-    scratch.keywords.dedup();
+    q.keywords.extend_from_slice(&query.keywords);
+    q.keywords.sort_unstable();
+    q.keywords.dedup();
 
-    for &k in &scratch.keywords {
+    for &k in &q.keywords {
         let ext = if engine.config.semantic_expansion {
             engine.instance.expand_keyword(k)
         } else {
@@ -32,14 +32,14 @@ pub(crate) fn expand_query<S: ScoreModel>(
         };
         // SmaxExt(k) = Σ_{k' ∈ Ext(k)} Smax(k').
         let smax_ext: f64 = ext.iter().map(|k| engine.smax.get(k).copied().unwrap_or(0.0)).sum();
-        scratch.exts.push(ext);
-        scratch.smax_ext.push(smax_ext);
+        q.exts.push(ext);
+        q.smax_ext.push(smax_ext);
     }
 
     let unanswerable = if engine.model.requires_all_keywords() {
-        scratch.smax_ext.iter().any(|&s| s <= 0.0)
+        q.smax_ext.iter().any(|&s| s <= 0.0)
     } else {
-        scratch.smax_ext.iter().all(|&s| s <= 0.0)
+        q.smax_ext.iter().all(|&s| s <= 0.0)
     };
-    !(scratch.keywords.is_empty() || unanswerable)
+    !(q.keywords.is_empty() || unanswerable)
 }

@@ -1,35 +1,34 @@
 //! Per-shard round executor for the cross-process fleet.
 //!
-//! [`super::partitioned`] runs the iteration-synchronous scatter-gather
-//! in one process: one `Propagation`, per-shard `SearchScratch`es, a
-//! shared admission-order log, a merged selection, one global stop test.
-//! [`FleetShard`] is the same algorithm cut along the process boundary:
-//! it owns *one shard's* half of the round loop so a remote shard server
-//! can play its part with only small per-round messages:
+//! The in-process driver (see [`super`]) runs one search loop over one
+//! `Propagation` and N candidate pools. [`FleetShard`] is the same loop
+//! cut along the process boundary: it owns *one shard's* pool and runs
+//! the driver's own per-pool round for it, so a remote shard server can
+//! play its part with only small per-round messages:
 //!
 //! * every shard replays the **identical propagation** over the full
 //!   graph (proximity is a pure function of graph × γ × seeker × step,
 //!   so replicas stay bit-identical without exchanging a single float);
-//! * discovery walks the same `newly` list as the in-process scatter and
-//!   counts **every** trigger — owned or foreign — into a global trigger
-//!   sequence number; only owned components are discovered, and each
-//!   admitted document is tagged with the sequence that admitted it. The
-//!   client k-way merges the per-shard admitted lists by sequence, which
-//!   reconstructs the single-process admission-order log exactly (one
-//!   component belongs to one shard, so sequences never tie across
-//!   shards);
+//! * the round counts **every** component trigger — owned or foreign —
+//!   into a global trigger sequence number; only owned components are
+//!   discovered, and each admitted document is tagged with the sequence
+//!   that admitted it. The client k-way merges the per-shard admitted
+//!   lists by sequence, which reconstructs the single-process admission
+//!   log exactly (one component belongs to one shard, so sequences never
+//!   tie across shards);
 //! * bounds, the undiscovered-document threshold and the greedy
-//!   selection run shard-locally, exactly as the in-process shards do;
-//! * the stop test's per-shard candidate sweep ([`FleetShard::rival_upper`])
-//!   runs against the *merged* selection the client sends back —
-//!   mirroring `partition_stop` term for term.
+//!   selection run shard-locally, in the same round function;
+//! * the client merges the replies' selections and applies the shared
+//!   stop rule ([`super::StopState::decide`]); its rival is the max of
+//!   the shards' [`FleetShard::rival_upper`], each the driver's own pool
+//!   sweep against the shard's share of the *merged* selection.
 //!
 //! Fleet queries always run cold (the client owns the resume policy and
 //! does not use one yet); since same-seeker resume is exact, results
 //! still match a possibly-resumed in-process engine byte for byte.
 
 use super::scratch::SearchScratch;
-use super::{bounds, discover, expand, merge, stop};
+use super::{expand, merge, stop};
 use super::{Query, S3kEngine, SearchStats, StopReason};
 use crate::partition::ComponentPartition;
 use crate::score::ScoreModel;
@@ -55,7 +54,7 @@ pub struct SelectedCandidate {
 /// The ranking every selection merge uses: upper bound descending, then
 /// document id ascending — the private `merge` module's order, re-exported
 /// so the fleet client (a different crate) merges per-shard selections
-/// exactly like the in-process gather.
+/// exactly like the in-process driver.
 pub fn selection_rank(a_upper: f64, a_doc: DocNodeId, b_upper: f64, b_doc: DocNodeId) -> Ordering {
     merge::rank(a_upper, a_doc, b_upper, b_doc)
 }
@@ -68,16 +67,11 @@ pub struct FleetShard {
     scratch: SearchScratch,
     state: Option<PropagationState>,
     stats: SearchStats,
-    /// Global trigger sequence: counts every component trigger this
-    /// query dispatched, owned or foreign.
-    seq: u32,
     k: usize,
     seeker: NodeId,
     active: bool,
-    admitted: Vec<(u32, DocNodeId)>,
     threshold: f64,
     frontier_closed: bool,
-    iteration: u32,
 }
 
 impl FleetShard {
@@ -100,29 +94,18 @@ impl FleetShard {
         shard: usize,
         query: &Query,
     ) -> bool {
-        let graph = engine.instance.graph();
         self.stats = SearchStats::default();
-        self.seq = 0;
         self.k = query.k;
-        self.scratch.begin(graph.components().len());
-        if !expand::expand_query(engine, query, &mut self.scratch) {
+        let SearchScratch { query: q, pool } = &mut self.scratch;
+        q.begin();
+        pool.begin(engine.instance.graph().components().len());
+        self.active = expand::expand_query(engine, query, q);
+        if !self.active {
             self.stats.stop = StopReason::NoMatch;
-            self.active = false;
             return false;
         }
-        self.active = true;
         self.seeker = engine.instance.user_node(query.seeker);
-        let state = self.state.take().unwrap_or_default();
-        let mut prop = Propagation::attach(graph, engine.model.gamma(), self.seeker, state);
-        if prop.iteration() > 0 {
-            // Fleet rounds always start cold; a warm same-seeker state
-            // would otherwise resume where the last query left off.
-            prop.reset(self.seeker);
-        }
-        self.scratch.newly.clear();
-        self.scratch.newly.push(self.seeker);
-        self.round(engine, partition, shard, &mut prop);
-        self.state = Some(prop.detach());
+        self.round(engine, partition, shard, true);
         true
     }
 
@@ -134,93 +117,57 @@ impl FleetShard {
         shard: usize,
     ) {
         assert!(self.active, "advance without an active query");
-        let graph = engine.instance.graph();
-        let state = self.state.take().expect("active query keeps propagation state");
-        let mut prop = Propagation::attach(graph, engine.model.gamma(), self.seeker, state);
-        prop.step_into(1, false, &mut self.scratch.newly);
-        self.round(engine, partition, shard, &mut prop);
-        self.state = Some(prop.detach());
+        self.round(engine, partition, shard, false);
     }
 
-    /// One round over the freshly-visited nodes: discovery of owned
-    /// components (with global trigger sequencing), bounds, threshold and
-    /// greedy selection — stages 2–4 of the staged search, shard-local.
+    /// One round: the driver's per-pool round with this shard's pool
+    /// owning the shard's components, over the seeker (`first`) or the
+    /// nodes one more explore step reaches.
     fn round<S: ScoreModel>(
         &mut self,
         engine: &S3kEngine<'_, S>,
         partition: &ComponentPartition,
         shard: usize,
-        prop: &mut Propagation<'_>,
+        first: bool,
     ) {
         let graph = engine.instance.graph();
-        self.admitted.clear();
-        let newly = std::mem::take(&mut self.scratch.newly);
-        for &v in &newly {
-            discover::triggered_components(graph, v, &mut |comp| {
-                // Count the trigger *before* the ownership filter: the
-                // sequence must advance identically on every shard for
-                // the merged admission order to be the in-process one.
-                let seq = self.seq;
-                self.seq += 1;
-                if partition.shard_of(comp) != shard {
-                    return;
-                }
-                let before = self.scratch.candidates.as_slice().len();
-                discover::discover_component(engine, comp, &mut self.scratch, &mut self.stats);
-                self.admitted.extend(
-                    self.scratch.candidates.as_slice()[before..].iter().map(|c| (seq, c.doc)),
-                );
-            });
+        let state = self.state.take().unwrap_or_default();
+        let mut prop = Propagation::attach(graph, engine.model.gamma(), self.seeker, state);
+        let SearchScratch { query: q, pool } = &mut self.scratch;
+        if first {
+            // Fleet rounds always start cold; a warm same-seeker state
+            // would otherwise resume where the last query left off.
+            if prop.iteration() > 0 {
+                prop.reset(self.seeker);
+            }
+            q.newly.push(self.seeker);
+        } else {
+            prop.step_into(1, false, &mut q.newly);
         }
-        self.scratch.newly = newly;
-
-        bounds::update_candidate_bounds(engine, &mut self.scratch, prop);
-        self.threshold = {
-            let SearchScratch { smax_ext, threshold_parts, .. } = &mut self.scratch;
-            bounds::undiscovered_threshold(
-                &engine.model,
-                smax_ext,
-                threshold_parts,
-                prop,
-                prop.frontier_closed(),
-            )
-        };
-        stop::select(engine, &mut self.scratch, self.k);
+        q.admitted.clear();
+        let owner = |comp| (partition.shard_of(comp) == shard).then_some(0);
+        self.threshold = engine.round(q, &mut [pool], &owner, &mut prop, self.k, &mut self.stats);
         self.frontier_closed = prop.frontier_closed();
-        self.iteration = prop.iteration();
         self.stats.iterations = prop.iteration();
+        self.state = Some(prop.detach());
     }
 
-    /// This shard's half of the global stop test (`partition_stop`'s
-    /// per-shard candidate sweep), reported as a *certified rival bound*
-    /// rather than a bare vote: the largest upper bound among this
-    /// shard's unselected, positive candidates not provably dominated by
-    /// a selected vertical neighbor (0 when none). `selected` holds the
-    /// candidate-pool indices of this shard's entries in the merged
-    /// selection.
-    ///
-    /// The client reconstructs the old boolean vote exactly —
-    /// `rival ≤ min_lower + ε` when the merged selection is full,
-    /// `rival ≤ 0` otherwise — and additionally gets the quantity an
-    /// anytime answer's [`super::QualityBound`] needs, in one reply.
-    pub fn rival_upper<S: ScoreModel>(&self, engine: &S3kEngine<'_, S>, selected: &[u32]) -> f64 {
-        let eps = engine.config.epsilon;
-        let forest = engine.instance.forest();
-        let candidates = self.scratch.candidates.as_slice();
-        let mut rival = 0.0f64;
-        for (i, c) in candidates.iter().enumerate() {
-            if c.upper <= 0.0 || selected.contains(&(i as u32)) {
-                continue;
-            }
-            let dominated = selected.iter().any(|&si| {
-                let sel = &candidates[si as usize];
-                forest.is_vertical_neighbor(sel.doc, c.doc) && sel.lower + eps >= c.upper
-            });
-            if !dominated {
-                rival = rival.max(c.upper);
-            }
-        }
-        rival
+    /// This shard's input to the shared stop rule: the driver's pool
+    /// sweep against the shard's share of the merged selection
+    /// (`selected`, candidate-pool indices) — the largest upper bound
+    /// among this shard's unselected, positive candidates not provably
+    /// dominated by a selected vertical neighbor (0 when none). The
+    /// client takes the max over shards, exactly as the in-process
+    /// driver does over its pools.
+    pub fn rival_upper<S: ScoreModel>(
+        &mut self,
+        engine: &S3kEngine<'_, S>,
+        selected: &[u32],
+    ) -> f64 {
+        let pool = &mut self.scratch.pool;
+        pool.selection.clear();
+        pool.selection.extend(selected.iter().map(|&i| i as usize));
+        stop::pool_rival_upper(engine, pool)
     }
 
     /// The client decided the query is over. The propagation state stays
@@ -243,7 +190,7 @@ impl FleetShard {
 
     /// Propagation iteration of the last round.
     pub fn iteration(&self) -> u32 {
-        self.iteration
+        self.stats.iterations
     }
 
     /// Undiscovered-document threshold of the last round (identical on
@@ -265,13 +212,13 @@ impl FleetShard {
     /// Documents admitted by the last round, tagged with their global
     /// trigger sequence.
     pub fn admitted(&self) -> &[(u32, DocNodeId)] {
-        &self.admitted
+        &self.scratch.query.admitted
     }
 
     /// The shard's current greedy selection, in selection order.
     pub fn selection(&self) -> impl Iterator<Item = SelectedCandidate> + '_ {
-        let candidates = self.scratch.candidates.as_slice();
-        self.scratch.selection.iter().map(move |&i| {
+        let candidates = self.scratch.pool.candidates.as_slice();
+        self.scratch.pool.selection.iter().map(move |&i| {
             let c = &candidates[i];
             SelectedCandidate { index: i as u32, doc: c.doc, lower: c.lower, upper: c.upper }
         })

@@ -1,13 +1,13 @@
-//! Top-k gather: deterministic merging of per-shard result lists.
+//! The one ranking of candidates by `(upper bound, document)`.
 //!
-//! One comparator — upper bound descending, document id ascending —
-//! drives both the greedy selection ([`super::stop`]) and every merge, so
-//! a scatter-gather over partitioned candidate pools reproduces the
-//! single-engine selection order bit for bit. Cross-shard ties cannot
-//! arise on documents (a document lives in exactly one component, hence
-//! one shard), making the merged order total and deterministic.
+//! The same comparator drives each pool's greedy selection
+//! ([`super::stop`]), the merge of the pools' selections and the fleet
+//! client's merge of the shards' replies, so a search over partitioned
+//! candidate pools reproduces the single-pool selection order bit for bit.
+//! Cross-pool ties cannot arise on documents (a document lives in exactly
+//! one component, hence one pool), making the merged order total and
+//! deterministic.
 
-use super::{Hit, QualityBound, SearchStats, StopReason, TopKResult};
 use s3_doc::DocNodeId;
 use std::cmp::Ordering;
 
@@ -20,175 +20,20 @@ pub(crate) fn rank(a_upper: f64, a_doc: DocNodeId, b_upper: f64, b_doc: DocNodeI
     b_upper.partial_cmp(&a_upper).unwrap_or(Ordering::Equal).then(a_doc.cmp(&b_doc))
 }
 
-/// Merge per-shard hit lists (each already in selection order) into the
-/// global top-`k`, ranked by upper bound with document-id tie-breaking.
-pub fn merge_hits<'a, I>(lists: I, k: usize) -> Vec<Hit>
-where
-    I: IntoIterator<Item = &'a [Hit]>,
-{
-    let mut all: Vec<Hit> = lists.into_iter().flat_map(|l| l.iter().copied()).collect();
-    all.sort_unstable_by(|a, b| rank(a.upper, a.doc, b.upper, b.doc));
-    all.truncate(k);
-    all
-}
-
-impl TopKResult {
-    /// Gather per-shard results into one: hits merged by
-    /// [`merge_hits`]'s deterministic order, candidate documents unioned
-    /// (sorted, deduplicated) and diagnostics summed.
-    ///
-    /// Exactness caveat: score intervals tighten as a search iterates, so
-    /// merging results whose searches stopped at *different* iterations
-    /// ranks by incomparable upper bounds — a best-effort gather. The
-    /// serving layer's sharded scatter instead keeps every shard on the
-    /// same propagation and stops them together (`run_partitioned_with`),
-    /// where this merge is exact.
-    pub fn merge(parts: &[TopKResult], k: usize) -> TopKResult {
-        let hits = merge_hits(parts.iter().map(|p| p.hits.as_slice()), k);
-        let mut candidate_docs: Vec<DocNodeId> =
-            parts.iter().flat_map(|p| p.candidate_docs.iter().copied()).collect();
-        candidate_docs.sort_unstable();
-        candidate_docs.dedup();
-        let mut stats = SearchStats { stop: StopReason::NoMatch, ..SearchStats::default() };
-        let mut all_exact = true;
-        // The merged answer's rival pool: every part's own rival, plus
-        // every part hit the k-cut truncated away (locally selected, so
-        // excluded from its part's rival, but a displacer globally).
-        let mut rival = 0.0f64;
-        for p in parts {
-            stats.iterations = stats.iterations.max(p.stats.iterations);
-            stats.candidates += p.stats.candidates;
-            stats.rejected += p.stats.rejected;
-            stats.components += p.stats.components;
-            stats.pruned_components += p.stats.pruned_components;
-            all_exact &= p.stats.quality.exact;
-            rival = rival.max(p.stats.quality.rival);
-            // The gather is certified only if every part is: any-time
-            // terminations and genuine matches take precedence over
-            // NoMatch, best-effort reasons over Converged.
-            stats.stop = match (stats.stop, p.stats.stop) {
-                (StopReason::NoMatch, s) | (s, StopReason::NoMatch) => s,
-                (StopReason::TimeBudget, _) | (_, StopReason::TimeBudget) => StopReason::TimeBudget,
-                (StopReason::MaxIterations, _) | (_, StopReason::MaxIterations) => {
-                    StopReason::MaxIterations
-                }
-                (StopReason::Converged, StopReason::Converged) => StopReason::Converged,
-            };
-            for h in &p.hits {
-                if !hits.iter().any(|m| m.doc == h.doc) {
-                    rival = rival.max(h.upper);
-                }
-            }
-        }
-        let floor = hits.iter().map(|h| h.lower).fold(f64::INFINITY, f64::min);
-        let floor = if floor.is_finite() { floor } else { 0.0 };
-        let bar = if hits.len() == k { floor } else { 0.0 };
-        stats.quality = if all_exact && rival <= bar {
-            // Every part converged and nothing truncated away can beat
-            // the merged answer's weakest hit: the gather stayed exact.
-            QualityBound::exact(floor)
-        } else {
-            QualityBound::anytime(floor, rival, hits.len() == k)
-        };
-        TopKResult { hits, candidate_docs, stats }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn hit(doc: u32, upper: f64, lower: f64) -> Hit {
-        Hit { doc: DocNodeId(doc), lower, upper }
-    }
-
     #[test]
     fn merge_ranks_by_upper_then_doc() {
-        let a = vec![hit(3, 0.9, 0.8), hit(1, 0.5, 0.4)];
-        let b = vec![hit(0, 0.9, 0.7), hit(2, 0.7, 0.6)];
-        let merged = merge_hits([a.as_slice(), b.as_slice()], 3);
-        let docs: Vec<u32> = merged.iter().map(|h| h.doc.0).collect();
-        assert_eq!(docs, vec![0, 3, 2], "0.9 tie broken by doc id, then 0.7");
-    }
-
-    #[test]
-    fn merge_truncates_to_k() {
-        let a = vec![hit(0, 1.0, 1.0), hit(1, 0.9, 0.9)];
-        let b = vec![hit(2, 0.8, 0.8)];
-        assert_eq!(merge_hits([a.as_slice(), b.as_slice()], 2).len(), 2);
-        assert!(merge_hits(std::iter::empty::<&[Hit]>(), 5).is_empty());
-    }
-
-    #[test]
-    fn result_merge_unions_candidates_and_combines_stop() {
-        let part = |docs: Vec<u32>, stop| TopKResult {
-            hits: Vec::new(),
-            candidate_docs: docs.into_iter().map(DocNodeId).collect(),
-            stats: SearchStats { stop, ..SearchStats::default() },
-        };
-        let merged = TopKResult::merge(
-            &[part(vec![4, 1], StopReason::Converged), part(vec![1, 2], StopReason::NoMatch)],
-            5,
+        let mut hits = [(3u32, 0.9), (1, 0.5), (0, 0.9), (2, 0.7)];
+        hits.sort_unstable_by(|a, b| rank(a.1, DocNodeId(a.0), b.1, DocNodeId(b.0)));
+        let docs: Vec<u32> = hits.iter().map(|h| h.0).collect();
+        assert_eq!(docs, vec![0, 3, 2, 1], "0.9 tie broken by doc id, then 0.7, then 0.5");
+        assert_eq!(
+            rank(f64::NAN, DocNodeId(1), 0.5, DocNodeId(2)),
+            Ordering::Less,
+            "a NaN bound compares equal and falls through to the id"
         );
-        assert_eq!(merged.candidate_docs, vec![DocNodeId(1), DocNodeId(2), DocNodeId(4)]);
-        assert_eq!(merged.stats.stop, StopReason::Converged);
-        let capped = TopKResult::merge(
-            &[part(vec![], StopReason::MaxIterations), part(vec![], StopReason::Converged)],
-            5,
-        );
-        assert_eq!(capped.stats.stop, StopReason::MaxIterations);
-    }
-
-    #[test]
-    fn merged_quality_counts_truncated_hits_and_part_rivals() {
-        let part = |hits: Vec<Hit>, stop, quality| TopKResult {
-            hits,
-            candidate_docs: Vec::new(),
-            stats: SearchStats { stop, quality, ..SearchStats::default() },
-        };
-        // Two anytime parts, k=2: part B's second hit (upper 0.6) is
-        // truncated away by the merge and must join the rival pool, as
-        // must part A's own reported rival (0.75).
-        let a = part(
-            vec![hit(0, 0.9, 0.8)],
-            StopReason::TimeBudget,
-            QualityBound::anytime(0.8, 0.75, false),
-        );
-        let b = part(
-            vec![hit(1, 0.7, 0.65), hit(2, 0.6, 0.5)],
-            StopReason::TimeBudget,
-            QualityBound::anytime(0.5, 0.3, true),
-        );
-        let merged = TopKResult::merge(&[a, b], 2);
-        let docs: Vec<u32> = merged.hits.iter().map(|h| h.doc.0).collect();
-        assert_eq!(docs, vec![0, 1]);
-        let q = merged.stats.quality;
-        assert!(!q.exact);
-        assert_eq!(q.floor, 0.65, "weakest merged hit");
-        assert_eq!(q.rival, 0.75, "part A's rival beats the truncated 0.6");
-        assert_eq!(q.regret, 0.75 - 0.65);
-    }
-
-    #[test]
-    fn merged_quality_stays_exact_when_nothing_truncated_can_displace() {
-        let part = |hits: Vec<Hit>, quality| TopKResult {
-            hits,
-            candidate_docs: Vec::new(),
-            stats: SearchStats { stop: StopReason::Converged, quality, ..SearchStats::default() },
-        };
-        let a = part(vec![hit(0, 0.9, 0.9)], QualityBound::exact(0.9));
-        let b = part(vec![hit(1, 0.8, 0.8)], QualityBound::exact(0.8));
-        let merged = TopKResult::merge(&[a, b], 2);
-        assert!(merged.stats.quality.exact);
-        assert_eq!(merged.stats.quality.floor, 0.8);
-        assert_eq!(merged.stats.quality.regret, 0.0);
-
-        // ...but an exact part's truncated hit that could beat the merged
-        // floor demotes the gather to best-effort.
-        let c = part(vec![hit(2, 0.95, 0.6)], QualityBound::exact(0.6));
-        let d = part(vec![hit(3, 0.9, 0.85)], QualityBound::exact(0.85));
-        let merged = TopKResult::merge(&[c, d], 1);
-        assert!(!merged.stats.quality.exact, "doc 3's upper 0.9 rivals the 0.6 floor");
-        assert_eq!(merged.stats.quality.rival, 0.9);
     }
 }

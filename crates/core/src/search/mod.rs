@@ -27,16 +27,19 @@
 //! (time budget / iteration cap) returns the current best-effort selection,
 //! as in §4.1 "Any-time termination".
 //!
-//! # Stages
+//! # One driver, four stages
 //!
-//! One query is a loop over four stages, each in its own module and each
-//! operating on a caller-provided [`SearchScratch`]:
-//!
-//! 1. `expand` — keyword dedup + `Ext` expansion + answerability
-//!    (runs once, before the loop);
-//! 2. `discover` — component discovery and candidate maintenance;
-//! 3. `bounds` — score-interval refresh and the undiscovered threshold;
-//! 4. `stop` — greedy selection and the certified stop test.
+//! One query is one loop, over one [`s3_graph::Propagation`] and any
+//! number of candidate pools, of four stages in their own modules:
+//! `expand` (keyword dedup, `Ext` expansion, answerability — once, before
+//! the loop), `discover` (each triggered component goes to the pool that
+//! owns it), `bounds` (score intervals and the undiscovered threshold) and
+//! `stop` (per-pool greedy selection, the merge, and the one stop rule,
+//! [`StopState::decide`]). The unsharded run ([`S3kEngine::run_with`]) is
+//! one pool that owns every component, the partitioned run
+//! ([`S3kEngine::run_partitioned_with`]) one pool per active shard; a
+//! [`FleetShard`] runs the same round for its own pool, and the fleet
+//! client applies the same stop rule to the merged replies.
 //!
 //! The scratch (and the [`s3_graph::Propagation`], via
 //! [`s3_graph::Propagation::reset`]) is reused across queries: repeat
@@ -57,41 +60,21 @@ mod scratch;
 mod stop;
 
 pub use fleet::{selection_rank, FleetShard, SelectedCandidate};
-pub use merge::merge_hits;
 pub use scratch::SearchScratch;
+pub use stop::StopState;
 
 use crate::clock::SearchClock;
 use crate::ids::UserId;
 use crate::instance::S3Instance;
 use crate::score::{S3kScore, ScoreModel};
 use s3_doc::DocNodeId;
-use s3_graph::{NodeId, Propagation};
+use s3_graph::{CompId, Propagation};
 use s3_text::KeywordId;
+use scratch::{Pool, QueryScratch};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Query-local state a search driver exposes to the shared propagation
-/// lifecycle ([`S3kEngine::drive_lifecycle`]): where discovery seeds go,
-/// and how to rewind for the cold fallback replay. Implemented by the
-/// unsharded [`SearchScratch`] and the partitioned scatter's context.
-pub(crate) trait LifecycleScratch {
-    /// The discovery seed list the next drive will consume.
-    fn newly_mut(&mut self) -> &mut Vec<NodeId>;
-    /// Rewind every search-loop buffer (candidates, discovery,
-    /// selection) while keeping the query expansion.
-    fn rewind(&mut self);
-}
-
-impl LifecycleScratch for SearchScratch {
-    fn newly_mut(&mut self) -> &mut Vec<NodeId> {
-        &mut self.newly
-    }
-
-    fn rewind(&mut self) {
-        self.rewind_search();
-    }
-}
 
 /// A keyword query `(u, φ)` with a result size `k` (Definition 3.1).
 #[derive(Debug, Clone)]
@@ -389,13 +372,40 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
         scratch: &mut SearchScratch,
         prop: &mut Option<Propagation<'i>>,
     ) -> TopKResult {
+        let SearchScratch { query: q, pool } = scratch;
+        self.search(query, q, &mut [pool], |_| Some(0), prop)
+    }
+
+    /// The one search driver over `pools`: pool `i` owns the components
+    /// `owner` maps to `Some(i)` (`None`: not searched); `q` holds the
+    /// query-global state. It also runs the propagation lifecycle
+    /// (ARCHITECTURE.md "Propagation lifecycle"): a warm same-seeker
+    /// propagation is *resumed* — discovery replays the visited journal,
+    /// the exact node sequence a cold run would have fed it, and the loop
+    /// continues from the current step — and the resumed run's **first**
+    /// stop evaluation is a probe. If it would return, a cold run might
+    /// have stopped at an earlier step with different certified bounds,
+    /// so the driver rewinds (keeping the expansion), resets the
+    /// propagation and replays cold. Once it fails, every later round is
+    /// byte-identical to the cold run's: the propagation is a pure
+    /// function of (seeker, γ, step) and the stop test only tightens.
+    pub(crate) fn search(
+        &self,
+        query: &Query,
+        q: &mut QueryScratch,
+        pools: &mut [&mut Pool],
+        owner: impl Fn(CompId) -> Option<usize>,
+        prop: &mut Option<Propagation<'i>>,
+    ) -> TopKResult {
         let started = self.config.clock.now();
-        let inst = self.instance;
-        let graph = inst.graph();
-        scratch.begin(graph.components().len());
+        let graph = self.instance.graph();
+        q.begin();
+        for pool in pools.iter_mut() {
+            pool.begin(graph.components().len());
+        }
 
         // ---- Stage 1: keyword expansion (Definition 2.1). ----
-        if !expand::expand_query(self, query, scratch) {
+        if !expand::expand_query(self, query, q) {
             // Some keyword (or its whole extension) never occurs: the score
             // of every document is 0 and the (positive-score) answer is
             // empty — exact.
@@ -403,7 +413,7 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             return TopKResult { hits: Vec::new(), candidate_docs: Vec::new(), stats };
         }
 
-        let seeker = inst.user_node(query.seeker);
+        let seeker = self.instance.user_node(query.seeker);
         let gamma = self.model.gamma();
         // Reuse only a propagation built over *this* graph with this γ; a
         // caller juggling several engines could otherwise hand us buffers
@@ -412,133 +422,121 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             Some(p) if p.gamma() == gamma && std::ptr::eq(p.graph(), graph) => p,
             slot => slot.insert(Propagation::new(graph, gamma, seeker)),
         };
-
-        self.drive_lifecycle(seeker, prop, scratch, |scratch, prop, outcome| {
-            self.drive(query, scratch, prop, started, outcome)
-        })
-    }
-
-    /// The one copy of the resume protocol (ARCHITECTURE.md "Propagation
-    /// lifecycle"), shared by the unsharded and partitioned drivers:
-    ///
-    /// * a warm same-seeker propagation is *resumed* — discovery replays
-    ///   the visited journal (the exact node sequence a cold run would
-    ///   have fed it step by step, so candidate pools and admission order
-    ///   match) and the loop continues from the current step;
-    /// * `drive` must treat `ResumeOutcome::Resumed` as a probe and
-    ///   return `None` if its **first** stop evaluation would return —
-    ///   that is the one point where a cold run might already have
-    ///   stopped at an earlier step with different certified bounds. The
-    ///   protocol then rewinds (keeping the query expansion), resets the
-    ///   propagation and replays cold for byte-identity;
-    /// * anything else starts cold from the seeker seed.
-    fn drive_lifecycle<C: LifecycleScratch>(
-        &self,
-        seeker: NodeId,
-        prop: &mut Propagation<'i>,
-        ctx: &mut C,
-        mut drive: impl FnMut(&mut C, &mut Propagation<'i>, ResumeOutcome) -> Option<TopKResult>,
-    ) -> TopKResult {
-        let outcome = if self.config.resume && prop.seeker() == seeker && prop.iteration() > 0 {
-            ctx.newly_mut().extend(prop.visited_journal());
-            if let Some(result) = drive(ctx, prop, ResumeOutcome::Resumed) {
-                return result;
-            }
-            ctx.rewind();
-            prop.reset(seeker);
-            ResumeOutcome::Fallback
+        let mut outcome = if self.config.resume && prop.seeker() == seeker && prop.iteration() > 0 {
+            q.newly.extend(prop.visited_journal());
+            ResumeOutcome::Resumed
         } else {
             if prop.seeker() != seeker || prop.iteration() > 0 {
                 prop.reset(seeker);
             }
+            // Discovery from the seed (the seeker may source tags/documents).
+            q.newly.push(seeker);
             ResumeOutcome::Cold
         };
-        // Discovery from the seed (the seeker may source tags/documents).
-        ctx.newly_mut().push(seeker);
-        drive(ctx, prop, outcome).expect("a cold drive always returns")
-    }
 
-    /// The staged search loop over a prepared scratch and propagation
-    /// (`scratch.newly` holds the discovery seeds).
-    ///
-    /// `ResumeOutcome::Resumed` makes the first stop evaluation a probe:
-    /// if the loop would return at it — converged, iteration cap or time
-    /// budget — `None` is returned and the caller must replay the query
-    /// cold. Once the first evaluation fails, every later iteration is
-    /// byte-identical to the cold run that would have reached it: the
-    /// propagation state is a pure function of (seeker, γ, step), and the
-    /// stop test tightens monotonically, so a cold run could not have
-    /// stopped before the step the resume started from.
-    fn drive(
-        &self,
-        query: &Query,
-        scratch: &mut SearchScratch,
-        prop: &mut Propagation<'i>,
-        started: Duration,
-        outcome: ResumeOutcome,
-    ) -> Option<TopKResult> {
-        let probe = outcome == ResumeOutcome::Resumed;
         let mut stats = SearchStats { resume: outcome, ..SearchStats::default() };
         let mut first = true;
         loop {
-            // ---- Stage 2: discovery (Algorithm GetDocuments). ----
-            discover::discover_newly(self, scratch, &mut stats);
+            let threshold = self.round(q, pools, &owner, prop, query.k, &mut stats);
 
-            // ---- Stage 3: bounds (Algorithm ComputeCandidatesBounds). ----
-            bounds::update_candidate_bounds(self, scratch, prop);
-            let threshold = {
-                let SearchScratch { smax_ext, threshold_parts, .. } = &mut *scratch;
-                bounds::undiscovered_threshold(
-                    &self.model,
-                    smax_ext,
-                    threshold_parts,
-                    prop,
-                    prop.frontier_closed(),
-                )
-            };
-
-            // ---- Stage 4: selection + stop test (Algorithm StopCondition). ----
-            stop::select(self, scratch, query.k);
-            let reason = if stop::stop_condition(
-                self,
-                scratch,
-                query.k,
+            // ---- Stage 4: merge + the stop rule (Algorithm StopCondition). ----
+            let min_lower = stop::merge_selections(&mut q.merged, pools, query.k);
+            let state = StopState {
+                k: query.k,
+                selected: q.merged.len(),
+                min_lower,
                 threshold,
-                prop.frontier_closed(),
-            ) {
-                Some(StopReason::Converged)
-            } else if prop.iteration() >= self.config.max_iterations {
-                Some(StopReason::MaxIterations)
-            } else if self
-                .config
-                .time_budget
-                .is_some_and(|budget| self.config.clock.now().saturating_sub(started) >= budget)
-            {
-                Some(StopReason::TimeBudget)
-            } else {
-                None
+                frontier_closed: prop.frontier_closed(),
+                iteration: prop.iteration(),
+                started,
             };
-            if let Some(reason) = reason {
-                // A resumed run rewinds and replays cold when its first
-                // stop evaluation would return — except on a blown time
-                // budget, where a cold replay could only burn more of a
-                // budget that is already gone: the resumed best-effort
-                // answer is returned (with its certified quality) and the
-                // propagation stays warm, so a repeat query can upgrade
-                // the degraded answer instead of restarting.
-                if probe && first && reason != StopReason::TimeBudget {
-                    return None;
+            let Ok(decision) = state.decide(&self.config, || {
+                Ok::<_, Infallible>(
+                    pools.iter().map(|pool| stop::pool_rival_upper(self, pool)).fold(0.0, f64::max),
+                )
+            });
+            #[cfg(test)]
+            stop::tests::assert_matches_oracle(self, pools, &q.merged, &state, decision);
+            if let Some((reason, quality)) = decision {
+                // A resumed run replays cold when its first stop evaluation
+                // would return — except on a blown time budget, where a
+                // cold replay could only burn more of a budget that is
+                // already gone: the resumed best-effort answer is returned
+                // (with its certified quality) and the propagation stays
+                // warm, so a repeat query can upgrade the degraded answer.
+                if outcome == ResumeOutcome::Resumed && first && reason != StopReason::TimeBudget {
+                    q.rewind();
+                    for pool in pools.iter_mut() {
+                        pool.rewind();
+                    }
+                    prop.reset(seeker);
+                    q.newly.push(seeker);
+                    outcome = ResumeOutcome::Fallback;
+                    stats = SearchStats { resume: outcome, ..SearchStats::default() };
+                    continue;
                 }
                 stats.stop = reason;
                 stats.iterations = prop.iteration();
-                stats.quality = stop::certify(self, scratch, threshold, query.k, reason);
-                return Some(stop::finish(scratch, stats));
+                stats.quality = quality;
+                let hits = q
+                    .merged
+                    .iter()
+                    .map(|&(p, i)| {
+                        let c = &pools[p].candidates.as_slice()[i];
+                        Hit { doc: c.doc, lower: c.lower, upper: c.upper }
+                    })
+                    .collect();
+                let candidate_docs = q.admitted.iter().map(|&(_, doc)| doc).collect();
+                return TopKResult { hits, candidate_docs, stats };
             }
             first = false;
 
             // ---- Explore one more hop (Algorithm ExploreStep). ----
-            prop.step_into(1, false, &mut scratch.newly);
+            prop.step_into(1, false, &mut q.newly);
         }
+    }
+
+    /// Stages 2–4 of one round over the nodes in `q.newly`, per pool:
+    /// dispatch every component they trigger to its owning pool and admit
+    /// its candidates (logging each admitted document in `q.admitted`
+    /// with the global trigger sequence number — counted over *every*
+    /// trigger, owned or not — of the component that admitted it),
+    /// refresh every pool's bounds and select in every pool. Returns the
+    /// undiscovered threshold. The one per-pool half of the loop, shared
+    /// with [`FleetShard`].
+    pub(crate) fn round(
+        &self,
+        q: &mut QueryScratch,
+        pools: &mut [&mut Pool],
+        owner: &impl Fn(CompId) -> Option<usize>,
+        prop: &mut Propagation<'_>,
+        k: usize,
+        stats: &mut SearchStats,
+    ) -> f64 {
+        // ---- Stage 2: discovery (Algorithm GetDocuments). ----
+        let graph = self.instance.graph();
+        let QueryScratch { exts, newly, admitted, triggers, .. } = &mut *q;
+        for &v in newly.iter() {
+            discover::triggered_components(graph, v, &mut |comp| {
+                let seq = *triggers;
+                *triggers += 1;
+                if let Some(p) = owner(comp) {
+                    discover::discover_component(self, exts, comp, pools[p], stats, seq, admitted);
+                }
+            });
+        }
+
+        // ---- Stage 3: bounds (Algorithm ComputeCandidatesBounds). ----
+        for pool in pools.iter_mut() {
+            bounds::update_candidate_bounds(self, pool, prop);
+        }
+        let threshold = bounds::undiscovered_threshold(&self.model, q, prop);
+
+        // ---- Stage 4: greedy selection per pool. ----
+        for pool in pools.iter_mut() {
+            stop::select(self, pool, k);
+        }
+        threshold
     }
 }
 

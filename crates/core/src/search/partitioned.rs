@@ -1,4 +1,4 @@
-//! Exact scatter-gather search over a component partition.
+//! Exact search over a component partition.
 //!
 //! The sharded serving layer partitions content components across shards
 //! (see [`crate::partition`]). A naive scatter — run every shard's
@@ -8,64 +8,25 @@
 //! at its own (earlier) iteration with looser bounds. Exactness needs the
 //! shards to stop together.
 //!
-//! [`S3kEngine::run_partitioned_with`] therefore keeps the scatter
-//! *iteration-synchronous*:
-//!
-//! * one [`Propagation`] per query — proximity is a function of the full
-//!   graph and the seeker, identical in every shard, so sharing it both
-//!   removes redundant work and pins every shard to the same bounds;
-//! * discovery dispatches each content component to its owning shard's
-//!   [`SearchScratch`]: per-shard candidate pools partition the global
-//!   candidate set (admission order is logged so the merged result lists
-//!   candidates exactly like the unsharded run);
-//! * each shard runs stage 3 (bounds) and stage 4's greedy selection over
-//!   its own pool; the gather merges the per-shard selections with
-//!   [`super::merge`]'s ranking. Definition 3.2's vertical-neighbor
-//!   constraint only relates fragments of one tree — one component, one
-//!   shard — so the merged prefix *is* the global greedy selection;
-//! * the stop test runs against the merged selection (global `min lower`,
-//!   global result count, shared threshold), making the stop iteration —
-//!   and with it every returned bound — identical to the unsharded run.
-//!
-//! The result: for any shard count and any subset of shards covering the
-//! query's matching components, the merged [`TopKResult`] is
-//! byte-identical to [`S3kEngine::run`] on hits (documents, order,
-//! certified bounds), candidate list and stop reason. Property-tested
-//! here and end-to-end in `crates/engine/tests/sharding.rs`.
+//! [`S3kEngine::run_partitioned_with`] therefore runs the one search
+//! driver (see [`super`]) with one candidate pool per active shard: one
+//! [`Propagation`] per query (proximity is a function of the full graph
+//! and the seeker, so sharing it pins every shard to the same bounds),
+//! discovery dispatching each component to its owning shard's pool, and
+//! the stop rule judging the merged selection — which *is* the global
+//! greedy selection, since Definition 3.2's vertical-neighbor constraint
+//! only relates fragments of one tree, hence of one shard. For any shard
+//! count and any subset of shards covering the query's matching
+//! components, the [`TopKResult`] is byte-identical to [`S3kEngine::run`]
+//! on hits (documents, order, certified bounds), candidate list, stop
+//! reason and quality. Property-tested here and end-to-end in
+//! `crates/engine/tests/sharding.rs`.
 
-use super::scratch::SearchScratch;
-use super::{bounds, discover, expand, merge, stop};
-use super::{
-    Hit, LifecycleScratch, Query, ResumeOutcome, S3kEngine, SearchStats, StopReason, TopKResult,
-};
+use super::scratch::{Pool, SearchScratch};
+use super::{Query, S3kEngine, TopKResult};
 use crate::partition::ComponentPartition;
 use crate::score::ScoreModel;
-use s3_doc::DocNodeId;
-use s3_graph::{NodeId, Propagation};
-use std::time::Duration;
-
-/// The partitioned scatter's query-local state, seen through the shared
-/// propagation lifecycle: seeds go to the carrier's frontier list, and a
-/// fallback rewind must clear the carrier *and* every active shard's
-/// scratch (their cloned expansions survive).
-struct ScatterCtx<'a> {
-    carrier: &'a mut SearchScratch,
-    scratches: &'a mut [Option<SearchScratch>],
-    active: &'a [usize],
-}
-
-impl LifecycleScratch for ScatterCtx<'_> {
-    fn newly_mut(&mut self) -> &mut Vec<NodeId> {
-        &mut self.carrier.newly
-    }
-
-    fn rewind(&mut self) {
-        self.carrier.rewind_search();
-        for &s in self.active {
-            self.scratches[s].as_mut().expect("active shard scratch").rewind_search();
-        }
-    }
-}
+use s3_graph::Propagation;
 
 impl<'i, S: ScoreModel> S3kEngine<'i, S> {
     /// One-shot [`Self::run_partitioned_with`] over every shard, with
@@ -86,20 +47,21 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
         )
     }
 
-    /// Answer one query by iteration-synchronous scatter-gather over the
-    /// partition's shards (see the module docs).
+    /// Answer one query over the partition's shards, one candidate pool
+    /// per active shard (see the module docs).
     ///
-    /// `carrier` holds the query-global state (expansion, frontier,
-    /// threshold and gather buffers); `scratches` has one slot per shard,
-    /// and only the `active` shards' slots must be checked out (`Some`) —
-    /// the serving layer borrows them lazily from the pools of the shards
-    /// a query actually routes to, so warm memory scales with scatter
-    /// width rather than workers × shards. `active` must be sorted and
-    /// deduplicated; dropping a shard is exact as long as none of its
-    /// components can match the query (the router's contract). A warm
-    /// same-seeker propagation is resumed exactly like the unsharded
-    /// path. Results are byte-identical to [`S3kEngine::run`] on hits,
-    /// candidate list and stop reason; the per-component work counters
+    /// `carrier` lends its query-global half (expansion, frontier,
+    /// threshold, merged selection, admission log); `scratches` has one
+    /// slot per shard, and only the `active` shards' slots must be checked
+    /// out (`Some`) — each lends its candidate pool. The serving layer
+    /// borrows them lazily from the pools of the shards a query actually
+    /// routes to, so warm memory scales with scatter width rather than
+    /// workers × shards. `active` must be sorted and deduplicated;
+    /// dropping a shard is exact as long as none of its components can
+    /// match the query (the router's contract). A warm same-seeker
+    /// propagation is resumed exactly like the unsharded path. Results
+    /// are byte-identical to [`S3kEngine::run`] on hits, candidate list,
+    /// stop reason and quality; the per-component work counters
     /// (`SearchStats::components`, `pruned_components`, `rejected`) only
     /// reflect components of active shards, so they fall short of the
     /// unsharded run's whenever shards are dropped.
@@ -112,12 +74,9 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
         scratches: &mut [Option<SearchScratch>],
         prop: &mut Option<Propagation<'i>>,
     ) -> TopKResult {
-        let inst = self.instance;
-        let graph = inst.graph();
-        let num_components = graph.components().len();
         assert_eq!(
             partition.num_components(),
-            num_components,
+            self.instance.graph().components().len(),
             "partition built for a different instance"
         );
         assert_eq!(scratches.len(), partition.num_shards(), "one slot per shard");
@@ -125,265 +84,15 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             active.windows(2).all(|w| w[0] < w[1]) && active.iter().all(|&s| s < scratches.len()),
             "active shard list must be sorted, deduplicated and in range"
         );
-        let started = self.config.clock.now();
-
-        // ---- Stage 1 once: expansion is instance-global, identical in
-        // every shard. The carrier holds it; active shards get a copy.
-        carrier.begin(num_components);
-        if !expand::expand_query(self, query, carrier) {
-            let stats = SearchStats { stop: StopReason::NoMatch, ..SearchStats::default() };
-            return TopKResult { hits: Vec::new(), candidate_docs: Vec::new(), stats };
-        }
-        for &s in active {
-            let sc = scratches[s].as_mut().expect("active shard scratch checked out");
-            sc.begin(num_components);
-            sc.keywords.clone_from(&carrier.keywords);
-            sc.exts.clone_from(&carrier.exts);
-            sc.smax_ext.clone_from(&carrier.smax_ext);
-        }
-
-        let seeker = inst.user_node(query.seeker);
-        let gamma = self.model.gamma();
-        let prop = match prop {
-            Some(p) if p.gamma() == gamma && std::ptr::eq(p.graph(), graph) => p,
-            slot => slot.insert(Propagation::new(graph, gamma, seeker)),
-        };
-
-        let mut ctx = ScatterCtx { carrier, scratches, active };
-        self.drive_lifecycle(seeker, prop, &mut ctx, |ctx, prop, outcome| {
-            self.scatter_drive(
-                query,
-                partition,
-                ctx.active,
-                ctx.carrier,
-                ctx.scratches,
-                prop,
-                started,
-                outcome,
-            )
-        })
+        let mut pools: Vec<&mut Pool> = scratches
+            .iter_mut()
+            .enumerate()
+            .filter(|(s, _)| active.binary_search(s).is_ok())
+            .map(|(_, slot)| &mut slot.as_mut().expect("active shard scratch checked out").pool)
+            .collect();
+        let owner = |comp| active.binary_search(&partition.shard_of(comp)).ok();
+        self.search(query, &mut carrier.query, &mut pools, owner, prop)
     }
-
-    /// The iteration-synchronous scatter loop over prepared scratches
-    /// (`carrier.newly` holds the discovery seeds). Probe semantics match
-    /// [`S3kEngine::drive`]: with `ResumeOutcome::Resumed`, a first stop
-    /// evaluation that would return yields `None` and the caller replays
-    /// the query cold. The admission-order log is the one fresh
-    /// allocation: it becomes the result's candidate list.
-    #[allow(clippy::too_many_arguments)] // internal: mirrors the public driver's parameter set
-    fn scatter_drive(
-        &self,
-        query: &Query,
-        partition: &ComponentPartition,
-        active: &[usize],
-        carrier: &mut SearchScratch,
-        scratches: &mut [Option<SearchScratch>],
-        prop: &mut Propagation<'i>,
-        started: Duration,
-        outcome: ResumeOutcome,
-    ) -> Option<TopKResult> {
-        let probe = outcome == ResumeOutcome::Resumed;
-        let graph = self.instance.graph();
-        let mut stats = SearchStats { resume: outcome, ..SearchStats::default() };
-        let mut order_log: Vec<DocNodeId> = Vec::new();
-        let mut first = true;
-        loop {
-            // ---- Stage 2: discovery, dispatched to the owning shard. ----
-            for &v in &carrier.newly {
-                discover::triggered_components(graph, v, &mut |comp| {
-                    let shard = partition.shard_of(comp);
-                    if !active.contains(&shard) {
-                        return;
-                    }
-                    let sc = scratches[shard].as_mut().expect("active shard scratch");
-                    let before = sc.candidates.as_slice().len();
-                    discover::discover_component(self, comp, sc, &mut stats);
-                    order_log.extend(sc.candidates.as_slice()[before..].iter().map(|c| c.doc));
-                });
-            }
-
-            // ---- Stage 3: bounds per shard, threshold once. ----
-            for &s in active {
-                bounds::update_candidate_bounds(self, scratches[s].as_mut().expect("active"), prop);
-            }
-            let threshold = {
-                let SearchScratch { smax_ext, threshold_parts, .. } = &mut *carrier;
-                bounds::undiscovered_threshold(
-                    &self.model,
-                    smax_ext,
-                    threshold_parts,
-                    prop,
-                    prop.frontier_closed(),
-                )
-            };
-
-            // ---- Stage 4: per-shard selection, global gather + stop. ----
-            for &s in active {
-                stop::select(self, scratches[s].as_mut().expect("active"), query.k);
-            }
-            carrier.gather.clear();
-            for &s in active {
-                let sel = &scratches[s].as_ref().expect("active").selection;
-                carrier.gather.extend(sel.iter().map(|&i| (s, i)));
-            }
-            carrier.gather.sort_unstable_by(|&(sa, ia), &(sb, ib)| {
-                let a = &scratches[sa].as_ref().expect("active").candidates.as_slice()[ia];
-                let b = &scratches[sb].as_ref().expect("active").candidates.as_slice()[ib];
-                merge::rank(a.upper, a.doc, b.upper, b.doc)
-            });
-            carrier.gather.truncate(query.k);
-
-            let stop_reason = if partition_stop(
-                self,
-                scratches,
-                active,
-                &carrier.gather,
-                query.k,
-                threshold,
-                prop.frontier_closed(),
-            ) {
-                Some(StopReason::Converged)
-            } else if prop.iteration() >= self.config.max_iterations {
-                Some(StopReason::MaxIterations)
-            } else if self
-                .config
-                .time_budget
-                .is_some_and(|budget| self.config.clock.now().saturating_sub(started) >= budget)
-            {
-                Some(StopReason::TimeBudget)
-            } else {
-                None
-            };
-            if let Some(stop) = stop_reason {
-                // Same probe semantics as the unsharded drive: divert to
-                // a cold replay except on a blown time budget, where the
-                // resumed best-effort answer (and the warm propagation)
-                // is worth more than a colder, equally-truncated rerun.
-                if probe && first && stop != StopReason::TimeBudget {
-                    return None;
-                }
-                stats.stop = stop;
-                stats.iterations = prop.iteration();
-                stats.quality = partition_certify(
-                    self,
-                    scratches,
-                    active,
-                    &carrier.gather,
-                    query.k,
-                    threshold,
-                    stop,
-                );
-                return Some(gather(scratches, &carrier.gather, order_log, stats));
-            }
-            first = false;
-
-            // ---- Explore one more hop (shared across shards). ----
-            prop.step_into(1, false, &mut carrier.newly);
-        }
-    }
-}
-
-/// The global stop test of Algorithm `StopCondition`, evaluated over
-/// partitioned candidate pools: `merged` is the global greedy selection,
-/// and every unselected candidate of every active shard must be provably
-/// excluded. Semantically identical to `stop::stop_condition` over the
-/// union of the pools (vertical-neighbor domination cannot cross shards).
-fn partition_stop<S: ScoreModel>(
-    engine: &S3kEngine<'_, S>,
-    scratches: &[Option<SearchScratch>],
-    active: &[usize],
-    merged: &[(usize, usize)],
-    k: usize,
-    threshold: f64,
-    frontier_closed: bool,
-) -> bool {
-    let eps = engine.config.epsilon;
-    let forest = engine.instance.forest();
-    let min_lower = merged
-        .iter()
-        .map(|&(s, i)| scratches[s].as_ref().expect("active").candidates.as_slice()[i].lower)
-        .fold(f64::INFINITY, f64::min);
-
-    if merged.len() == k {
-        if threshold > min_lower + eps {
-            return false;
-        }
-    } else if !frontier_closed {
-        return false;
-    }
-    for &s in active {
-        let candidates = scratches[s].as_ref().expect("active").candidates.as_slice();
-        for (i, c) in candidates.iter().enumerate() {
-            if c.upper <= 0.0 || merged.contains(&(s, i)) {
-                continue;
-            }
-            if merged.len() == k && c.upper <= min_lower + eps {
-                continue;
-            }
-            let dominated = merged.iter().any(|&(ss, si)| {
-                ss == s && {
-                    let sel = &candidates[si];
-                    forest.is_vertical_neighbor(sel.doc, c.doc) && sel.lower + eps >= c.upper
-                }
-            });
-            if !dominated {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// [`stop::certify`] over partitioned candidate pools: the floor comes
-/// from the merged selection, the rival is the max of the undiscovered
-/// threshold and each active shard's pool rival measured against its own
-/// entries of the merged selection (vertical-neighbor domination cannot
-/// cross shards, so per-shard sweeps compose exactly).
-fn partition_certify<S: ScoreModel>(
-    engine: &S3kEngine<'_, S>,
-    scratches: &[Option<SearchScratch>],
-    active: &[usize],
-    merged: &[(usize, usize)],
-    k: usize,
-    threshold: f64,
-    reason: StopReason,
-) -> super::QualityBound {
-    let floor = merged
-        .iter()
-        .map(|&(s, i)| scratches[s].as_ref().expect("active").candidates.as_slice()[i].lower)
-        .fold(f64::INFINITY, f64::min);
-    let floor = if floor.is_finite() { floor } else { 0.0 };
-    match reason {
-        StopReason::Converged | StopReason::NoMatch => super::QualityBound::exact(floor),
-        StopReason::MaxIterations | StopReason::TimeBudget => {
-            let mut rival = threshold;
-            for &s in active {
-                let candidates = scratches[s].as_ref().expect("active").candidates.as_slice();
-                let selected: Vec<usize> =
-                    merged.iter().filter(|&&(ss, _)| ss == s).map(|&(_, i)| i).collect();
-                rival = rival.max(stop::pool_rival_upper(engine, candidates, &selected));
-            }
-            super::QualityBound::anytime(floor, rival, merged.len() == k)
-        }
-    }
-}
-
-/// Materialize the merged result from the global selection and the
-/// admission-order log.
-fn gather(
-    scratches: &[Option<SearchScratch>],
-    merged: &[(usize, usize)],
-    order_log: Vec<DocNodeId>,
-    stats: SearchStats,
-) -> TopKResult {
-    let hits = merged
-        .iter()
-        .map(|&(s, i)| {
-            let c = &scratches[s].as_ref().expect("active").candidates.as_slice()[i];
-            Hit { doc: c.doc, lower: c.lower, upper: c.upper }
-        })
-        .collect();
-    TopKResult { hits, candidate_docs: order_log, stats }
 }
 
 #[cfg(test)]
@@ -392,7 +101,8 @@ mod tests {
     use crate::ids::{TagSubject, UserId};
     use crate::instance::{InstanceBuilder, S3Instance};
     use crate::partition::ComponentFilter;
-    use crate::search::SearchConfig;
+    use crate::search::{SearchConfig, StopReason};
+    use s3_doc::DocNodeId;
     use s3_text::{KeywordId, Language};
     use std::sync::Arc;
 

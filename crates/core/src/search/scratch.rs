@@ -7,6 +7,13 @@
 //! and later queries perform no steady-state allocation in the search
 //! driver itself (candidate source lists, aggregation maps, selection
 //! buffers are all reused at their high-water capacity).
+//!
+//! It has two halves. [`QueryScratch`] is the query-global state — the
+//! expansion, the frontier, the threshold buffer, the merged selection and
+//! the admission log. [`Pool`] is one candidate pool: the candidates of
+//! the components it owns plus the per-pool stage buffers. An unsharded
+//! search runs one pool; a partitioned one borrows the pool of every
+//! active shard's scratch and the query half of a carrier scratch.
 
 use crate::connections::ConnType;
 use s3_doc::DocNodeId;
@@ -18,6 +25,7 @@ use std::sync::Arc;
 /// A candidate document's per-keyword deduplicated `(source, structural
 /// coefficient)` pairs plus its certified score interval.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct Candidate {
     pub doc: DocNodeId,
     /// Per query keyword: deduplicated `(source, structural coefficient)`
@@ -27,15 +35,15 @@ pub(crate) struct Candidate {
     pub upper: f64,
 }
 
-/// A pool of [`Candidate`] slots reused across queries: `clear` rewinds the
-/// logical length but keeps every slot's inner buffers at capacity.
+/// [`Candidate`] slots reused across queries: `clear` rewinds the logical
+/// length but keeps every slot's inner buffers at capacity.
 #[derive(Debug, Default)]
-pub(crate) struct CandidatePool {
+pub(crate) struct CandidateSlots {
     slots: Vec<Candidate>,
     len: usize,
 }
 
-impl CandidatePool {
+impl CandidateSlots {
     /// Forget all candidates, keeping slot capacity.
     pub fn clear(&mut self) {
         self.len = 0;
@@ -53,8 +61,8 @@ impl CandidatePool {
 
     /// Borrow the next free slot with `kw_sources` reset to `n_keywords`
     /// empty lists (inner capacity preserved). The slot only becomes a
-    /// candidate once [`CandidatePool::commit`] is called; staging the same
-    /// slot again discards the previous staging.
+    /// candidate once [`CandidateSlots::commit`] is called; staging the
+    /// same slot again discards the previous staging.
     pub fn stage(&mut self, n_keywords: usize) -> &mut Candidate {
         if self.len == self.slots.len() {
             self.slots.push(Candidate {
@@ -86,48 +94,109 @@ impl CandidatePool {
     }
 }
 
-/// Every query-local buffer of the staged S3k search, reusable across
-/// queries. Obtain one through `S3kEngine::session` (or construct directly
-/// for a custom driver) and pass it to `S3kEngine::run_with`.
+/// The query-global half of the search state.
 #[derive(Debug, Default)]
-pub struct SearchScratch {
+pub(crate) struct QueryScratch {
     /// Deduplicated query keywords.
-    pub(crate) keywords: Vec<KeywordId>,
+    pub keywords: Vec<KeywordId>,
     /// `Ext(k)` per deduplicated keyword.
-    pub(crate) exts: Vec<Arc<Vec<KeywordId>>>,
+    pub exts: Vec<Arc<Vec<KeywordId>>>,
     /// `SmaxExt(k)` per deduplicated keyword.
-    pub(crate) smax_ext: Vec<f64>,
-    /// Candidate documents.
-    pub(crate) candidates: CandidatePool,
-    /// Candidate index by document.
-    pub(crate) candidate_of: HashMap<DocNodeId, usize>,
-    /// Per-component processed flag, word-packed (cleared through
-    /// `touched`).
-    pub(crate) processed: s3_graph::BitSet,
-    /// Components whose `processed` flag was set this query.
-    pub(crate) touched: Vec<usize>,
+    pub smax_ext: Vec<f64>,
     /// Nodes newly reached by the last explore step (also the discovery
     /// seed list at step 0).
-    pub(crate) newly: Vec<NodeId>,
-    /// Per-keyword lower score parts (bounds stage).
-    pub(crate) lo_parts: Vec<f64>,
-    /// Per-keyword upper score parts (bounds stage).
-    pub(crate) hi_parts: Vec<f64>,
+    pub newly: Vec<NodeId>,
     /// Per-keyword threshold parts (bounds stage).
-    pub(crate) threshold_parts: Vec<f64>,
+    pub threshold_parts: Vec<f64>,
+    /// The merged selection as `(pool, candidate)` pairs, best first.
+    pub merged: Vec<(usize, usize)>,
+    /// Admitted documents in admission order, each tagged with the global
+    /// trigger sequence number of the component that admitted it.
+    pub admitted: Vec<(u32, DocNodeId)>,
+    /// Component triggers dispatched so far — owned by a pool or not.
+    pub triggers: u32,
+}
+
+impl QueryScratch {
+    /// Rewind everything for a new query. Keeps capacity.
+    pub fn begin(&mut self) {
+        self.keywords.clear();
+        self.exts.clear();
+        self.smax_ext.clear();
+        self.rewind();
+    }
+
+    /// Rewind the search-loop state while keeping the query expansion
+    /// (`keywords`/`exts`/`smax_ext`): what a resume fallback needs before
+    /// replaying the same query cold.
+    pub fn rewind(&mut self) {
+        self.newly.clear();
+        self.merged.clear();
+        self.admitted.clear();
+        self.triggers = 0;
+    }
+}
+
+/// One candidate pool and its stage buffers.
+#[derive(Debug, Default)]
+pub(crate) struct Pool {
+    /// Candidate documents.
+    pub candidates: CandidateSlots,
+    /// Candidate index by document.
+    pub candidate_of: HashMap<DocNodeId, usize>,
+    /// Per-component processed flag, word-packed (cleared through
+    /// `touched`).
+    pub processed: s3_graph::BitSet,
+    /// Components whose `processed` flag was set this query.
+    pub touched: Vec<usize>,
+    /// Per-keyword lower score parts (bounds stage).
+    pub lo_parts: Vec<f64>,
+    /// Per-keyword upper score parts (bounds stage).
+    pub hi_parts: Vec<f64>,
     /// Connection dedup set (discovery stage).
-    pub(crate) seen: HashSet<(ConnType, DocNodeId, NodeId)>,
+    pub seen: HashSet<(ConnType, DocNodeId, NodeId)>,
     /// Per-source coefficient aggregation (discovery stage).
-    pub(crate) agg: HashMap<NodeId, f64>,
+    pub agg: HashMap<NodeId, f64>,
     /// Candidate indices ordered by upper bound (selection stage).
-    pub(crate) order: Vec<usize>,
-    /// Merged global selection as `(shard, candidate)` pairs — used only
-    /// by the partitioned scatter driver (carried by its shard-0 scratch).
-    pub(crate) gather: Vec<(usize, usize)>,
-    /// The current greedy selection (selection stage).
-    pub(crate) selection: Vec<usize>,
-    /// Selection membership (stop stage).
-    pub(crate) in_selection: HashSet<usize>,
+    pub order: Vec<usize>,
+    /// The pool's greedy selection; after the merge, its share of the
+    /// merged selection (a prefix, in rank order).
+    pub selection: Vec<usize>,
+}
+
+impl Pool {
+    /// Rewind everything for a new query against an instance with
+    /// `num_components` content components. Keeps capacity; the only
+    /// possible allocation is growing `processed` the first time a larger
+    /// instance is seen.
+    pub fn begin(&mut self, num_components: usize) {
+        if self.processed.len() < num_components {
+            self.processed.resize(num_components);
+        }
+        self.rewind();
+    }
+
+    /// Forget every candidate and flag of the current query (the stage
+    /// buffers are cleared where they are used).
+    pub fn rewind(&mut self) {
+        self.candidates.clear();
+        self.candidate_of.clear();
+        for &comp in &self.touched {
+            self.processed.clear(comp);
+        }
+        self.touched.clear();
+        self.selection.clear();
+    }
+}
+
+/// Every query-local buffer of the staged S3k search, reusable across
+/// queries: one query half and one candidate pool. Obtain one through
+/// `S3kEngine::session` (or construct directly for a custom driver) and
+/// pass it to `S3kEngine::run_with`.
+#[derive(Debug, Default)]
+pub struct SearchScratch {
+    pub(crate) query: QueryScratch,
+    pub(crate) pool: Pool,
 }
 
 impl SearchScratch {
@@ -135,41 +204,5 @@ impl SearchScratch {
     /// first use and are retained afterwards.
     pub fn new() -> Self {
         SearchScratch::default()
-    }
-
-    /// Rewind everything for a new query against an instance with
-    /// `num_components` content components. Keeps capacity; the only
-    /// possible allocation is growing `processed` the first time a larger
-    /// instance is seen.
-    pub(crate) fn begin(&mut self, num_components: usize) {
-        self.keywords.clear();
-        self.exts.clear();
-        self.smax_ext.clear();
-        if self.processed.len() < num_components {
-            self.processed.resize(num_components);
-        }
-        self.rewind_search();
-    }
-
-    /// Rewind the search-loop state (candidates, discovery, selection)
-    /// while keeping the query expansion (`keywords`/`exts`/`smax_ext`):
-    /// what a resume fallback needs before replaying the same query cold.
-    pub(crate) fn rewind_search(&mut self) {
-        self.candidates.clear();
-        self.candidate_of.clear();
-        for &comp in &self.touched {
-            self.processed.clear(comp);
-        }
-        self.touched.clear();
-        self.newly.clear();
-        self.lo_parts.clear();
-        self.hi_parts.clear();
-        self.threshold_parts.clear();
-        self.seen.clear();
-        self.agg.clear();
-        self.order.clear();
-        self.gather.clear();
-        self.selection.clear();
-        self.in_selection.clear();
     }
 }

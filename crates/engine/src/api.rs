@@ -27,20 +27,24 @@ use crate::persist::PersistError;
 use crate::{
     CacheStats, FleetEngine, LiveEngine, LiveShardedEngine, ResumeStats, S3Engine, ShardedEngine,
 };
-use s3_core::{IngestBatch, IngestSummary, Query, TopKResult};
+use s3_core::{IngestBatch, IngestError, IngestSummary, Query, TopKResult};
 use s3_wire::WireError;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Errors a serving call can surface. In-process engines never fail;
-/// the fleet client surfaces transport errors, and durable live engines
-/// surface journal errors on ingest.
+/// Errors a serving call can surface. In-process queries never fail;
+/// the fleet client surfaces transport errors, durable live engines
+/// surface journal errors on ingest, and every ingesting engine refuses
+/// a batch that names an entity it lacks.
 #[derive(Debug)]
 pub enum EngineError {
     /// A fleet transport failed (I/O, protocol, replica divergence).
     Wire(WireError),
     /// The durability layer failed (WAL append, snapshot write).
     Persist(PersistError),
+    /// An ingest batch was refused before anything was journaled,
+    /// shipped or applied.
+    Rejected(IngestError),
 }
 
 impl std::fmt::Display for EngineError {
@@ -48,6 +52,7 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::Wire(e) => write!(f, "fleet transport: {e}"),
             EngineError::Persist(e) => write!(f, "durability: {e}"),
+            EngineError::Rejected(e) => write!(f, "ingest batch rejected: {e}"),
         }
     }
 }
@@ -57,6 +62,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Wire(e) => Some(e),
             EngineError::Persist(e) => Some(e),
+            EngineError::Rejected(e) => Some(e),
         }
     }
 }
@@ -69,7 +75,10 @@ impl From<WireError> for EngineError {
 
 impl From<PersistError> for EngineError {
     fn from(e: PersistError) -> Self {
-        EngineError::Persist(e)
+        match e {
+            PersistError::Rejected(e) => EngineError::Rejected(e),
+            e => EngineError::Persist(e),
+        }
     }
 }
 
@@ -240,6 +249,6 @@ impl Engine for FleetEngine {
 
 impl Ingest for FleetEngine {
     fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, EngineError> {
-        Ok(FleetEngine::ingest(self, batch)?)
+        FleetEngine::ingest(self, batch)
     }
 }

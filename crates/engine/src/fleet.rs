@@ -12,9 +12,10 @@
 //! * [`FleetEngine`] is the client: it routes each query through the
 //!   regular [`ShardRouter`], drives the fan-out over N
 //!   [`ShardTransport`]s, merges per-shard admissions (by global trigger
-//!   sequence) and selections ([`s3_core::selection_rank`]), and runs the
-//!   merged global stop test — returning results byte-identical to
-//!   [`crate::ShardedEngine`];
+//!   sequence) and selections ([`s3_core::selection_rank`]), and applies
+//!   the core's one stop rule ([`s3_core::StopState::decide`]) with a
+//!   `StopCheck` fan-out as its rival — returning results byte-identical
+//!   to [`crate::ShardedEngine`];
 //! * [`LocalShard`] is the zero-cost in-process transport: replies move
 //!   as typed values through option slots, no bytes on the query hot
 //!   path (ingest still exercises the codec — it is rare and the round
@@ -34,11 +35,11 @@
 //! cross-checks that invariant on every ingest.
 
 use crate::gate::{self, Admission, AdmissionGate, LoadStats, ServeOutcome};
-use crate::{EngineConfig, S3Engine, ShardRouter};
+use crate::{EngineConfig, EngineError, S3Engine, ShardRouter};
 use s3_core::{
     read_snapshot, CompactionReport, ComponentFilter, ComponentPartition, FleetShard, Hit,
-    IngestBatch, IngestSummary, InstanceBuilder, QualityBound, Query, ResumeOutcome, S3Instance,
-    S3kEngine, SearchConfig, SearchStats, StopReason, TopKResult, UserId,
+    IngestBatch, IngestSummary, InstanceBuilder, Query, ResumeOutcome, S3Instance, S3kEngine,
+    SearchConfig, SearchStats, StopReason, StopState, TopKResult, UserId,
 };
 use s3_doc::DocNodeId;
 use s3_text::KeywordId;
@@ -836,32 +837,6 @@ impl FleetEngine {
         }
     }
 
-    /// Fan the merged selection out to every active shard and gather the
-    /// largest certified rival upper bound (the stop test's per-shard
-    /// candidate sweep; [`FleetShard::rival_upper`]).
-    fn rival_fanout(&mut self, min_lower: f64, k: usize) -> Result<f64, WireError> {
-        for &s in &self.active {
-            self.stop_msg.clear();
-            self.stop_msg.merged_full = self.merged.len() == k;
-            self.stop_msg.min_lower = min_lower;
-            self.stop_msg.selected.extend(
-                self.merged
-                    .iter()
-                    .filter(|&&(ms, _)| ms == s)
-                    .map(|&(ms, j)| self.replies[ms].selection[j as usize].index),
-            );
-            self.shards[s].send_stop_check(&self.stop_msg)?;
-        }
-        for &s in &self.active {
-            self.shards[s].flush()?;
-        }
-        let mut rival = 0.0f64;
-        for &s in &self.active {
-            rival = rival.max(self.shards[s].recv_vote()?);
-        }
-        Ok(rival)
-    }
-
     /// Answer one query over the fleet.
     pub fn query(&mut self, query: &Query) -> Result<TopKResult, WireError> {
         let started = self.search.clock.now();
@@ -894,16 +869,15 @@ impl FleetEngine {
             return Ok(TopKResult { hits: Vec::new(), candidate_docs: Vec::new(), stats });
         }
 
-        let eps = self.search.epsilon;
         let k = query.k;
         let mut order_log: Vec<DocNodeId> = Vec::new();
         loop {
             self.rounds += 1;
             self.merge_admissions(&mut order_log);
 
-            // Gather: merge the per-shard greedy selections exactly like
-            // the in-process driver (rank by upper desc, doc asc; the
-            // merged prefix is the global greedy selection).
+            // Merge the per-shard greedy selections exactly like the
+            // in-process driver (rank by upper desc, doc asc; the merged
+            // prefix is the global greedy selection).
             self.merged.clear();
             for &s in &self.active {
                 for j in 0..self.replies[s].selection.len() {
@@ -923,56 +897,31 @@ impl FleetEngine {
                 .map(|&(s, j)| self.replies[s].selection[j as usize].lower)
                 .fold(f64::INFINITY, f64::min);
             let head = &self.replies[self.active[0]];
-            let (threshold, frontier_closed, iteration) =
-                (head.threshold, head.frontier_closed, head.iteration);
+            let state = StopState {
+                k,
+                selected: self.merged.len(),
+                min_lower,
+                threshold: head.threshold,
+                frontier_closed: head.frontier_closed,
+                iteration: head.iteration,
+                started,
+            };
 
-            // The global stop test, phase one (`partition_stop`'s
-            // prefix): only when the merged selection passes the global
-            // precondition is the per-shard candidate sweep worth a
-            // round trip.
-            let precondition =
-                if self.merged.len() == k { threshold <= min_lower + eps } else { frontier_closed };
-            let mut stop = None;
-            let mut pool_rival = None;
-            if precondition {
-                let rival = self.rival_fanout(min_lower, k)?;
-                pool_rival = Some(rival);
-                // The per-shard sweeps' unanimous vote, reconstructed
-                // from the rival bound: nothing unselected can displace
-                // the merged answer (within ε when it is full).
-                let converged =
-                    if self.merged.len() == k { rival <= min_lower + eps } else { rival <= 0.0 };
-                if converged {
-                    stop = Some(StopReason::Converged);
-                }
-            }
-            if stop.is_none() && iteration >= self.search.max_iterations {
-                stop = Some(StopReason::MaxIterations);
-            }
-            if stop.is_none()
-                && self
-                    .search
-                    .time_budget
-                    .is_some_and(|budget| self.search.clock.now().saturating_sub(started) >= budget)
-            {
-                stop = Some(StopReason::TimeBudget);
-            }
-
-            if let Some(reason) = stop {
-                let floor = if min_lower.is_finite() { min_lower } else { 0.0 };
-                let quality = match reason {
-                    StopReason::MaxIterations | StopReason::TimeBudget => {
-                        let rival = match pool_rival {
-                            Some(r) => r,
-                            // Anytime stop on a round whose precondition
-                            // failed: run one fan-out so the degraded
-                            // answer still ships a certified bound.
-                            None => self.rival_fanout(min_lower, k)?,
-                        };
-                        QualityBound::anytime(floor, threshold.max(rival), self.merged.len() == k)
-                    }
-                    _ => QualityBound::exact(floor),
-                };
+            // The shared stop rule; its rival is one `StopCheck` fan-out,
+            // sent only when the rule needs it.
+            let FleetEngine { search, shards, stop_msg, replies, active, merged, .. } = self;
+            let decision = state.decide(search, || {
+                rival_fanout(
+                    shards,
+                    stop_msg,
+                    replies,
+                    active,
+                    merged,
+                    min_lower,
+                    merged.len() == k,
+                )
+            })?;
+            if let Some((reason, quality)) = decision {
                 for &s in &self.active {
                     self.shards[s].send_end_query()?;
                     self.shards[s].flush()?;
@@ -986,7 +935,7 @@ impl FleetEngine {
                     })
                     .collect();
                 let mut stats = SearchStats {
-                    iterations: iteration,
+                    iterations: state.iteration,
                     stop: reason,
                     resume: ResumeOutcome::Cold,
                     quality,
@@ -1061,7 +1010,10 @@ impl FleetEngine {
     /// Ship a batch to every shard (pipelined), apply it locally, and
     /// cross-check the acks: every replica must land on the same node
     /// count, delta class and epoch, or the fleet is declared diverged.
-    pub fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, WireError> {
+    /// A batch that names an entity the fleet lacks is refused first
+    /// ([`EngineError::Rejected`]): nothing is sent or applied.
+    pub fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, EngineError> {
+        self.builder.check(&self.instance, batch).map_err(EngineError::Rejected)?;
         let wire = WireIngest::from_batch(batch);
         for t in &mut self.shards {
             t.send_ingest(&wire)?;
@@ -1084,7 +1036,7 @@ impl FleetEngine {
                 touched: summary.touched_components.len() as u64,
             };
             if ack != expected {
-                return Err(WireError::Protocol("shard replica diverged after ingest"));
+                return Err(WireError::Protocol("shard replica diverged after ingest").into());
             }
         }
         Ok(summary)
@@ -1139,4 +1091,38 @@ impl FleetEngine {
         }
         Ok(stats)
     }
+}
+
+/// Fan the merged selection out to every active shard and gather the
+/// largest certified rival upper bound — the stop rule's rival
+/// ([`FleetShard::rival_upper`] per shard, max over shards).
+fn rival_fanout(
+    shards: &mut [Box<dyn ShardTransport>],
+    stop_msg: &mut StopCheck,
+    replies: &[RoundReply],
+    active: &[usize],
+    merged: &[(usize, u32)],
+    min_lower: f64,
+    full: bool,
+) -> Result<f64, WireError> {
+    for &s in active {
+        stop_msg.clear();
+        stop_msg.merged_full = full;
+        stop_msg.min_lower = min_lower;
+        stop_msg.selected.extend(
+            merged
+                .iter()
+                .filter(|&&(ms, _)| ms == s)
+                .map(|&(ms, j)| replies[ms].selection[j as usize].index),
+        );
+        shards[s].send_stop_check(stop_msg)?;
+    }
+    for &s in active {
+        shards[s].flush()?;
+    }
+    let mut rival = 0.0f64;
+    for &s in active {
+        rival = rival.max(shards[s].recv_vote()?);
+    }
+    Ok(rival)
 }

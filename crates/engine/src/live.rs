@@ -277,22 +277,23 @@ impl LiveEngine {
     /// rebased onto the appended graph and restamped to the new epoch, so
     /// repeat-seeker traffic keeps resuming across the ingest.
     pub fn ingest(&self, batch: &IngestBatch) -> IngestReport {
-        self.try_ingest(batch).expect("ingest journaling failed")
+        self.try_ingest(batch).expect("ingest failed")
     }
 
-    /// [`Self::ingest`], surfacing journal failures. On a durable engine
-    /// the batch is journaled and fsynced *before* it is applied (the
-    /// WAL commit rule); a journal error means the batch was **not**
-    /// applied and serving state is unchanged. On an ephemeral engine
-    /// this never errors.
+    /// [`Self::ingest`], surfacing errors. A batch that names an entity
+    /// the engine lacks (or has deleted) is refused first, with
+    /// [`PersistError::Rejected`]: nothing is journaled or applied. On a
+    /// durable engine a valid batch is journaled and fsynced *before* it
+    /// is applied (the WAL commit rule); a journal error means the batch
+    /// was **not** applied and serving state is unchanged.
     pub fn try_ingest(&self, batch: &IngestBatch) -> Result<IngestReport, PersistError> {
         let mut writer = self.writer.lock().expect("ingest writer poisoned");
+        let prev = self.engine();
+        writer.builder.check(prev.instance(), batch).map_err(PersistError::Rejected)?;
         if let Some(persist) = writer.persist.as_mut() {
             persist.journal(batch)?;
         }
-        let builder = &mut writer.builder;
-        let prev = self.engine();
-        let (instance, summary) = builder.apply(prev.instance(), batch);
+        let (instance, summary) = writer.builder.apply(prev.instance(), batch);
         let instance = Arc::new(instance);
         // The successor gets its own epoch line, one past the
         // predecessor's: a reader still pinning `prev` can only stamp the
@@ -507,23 +508,23 @@ impl LiveShardedEngine {
     /// shard even for a detached delta (the control arm for measuring
     /// what scoped invalidation buys — see `tests/zipf_hit_rate.rs`).
     pub fn ingest_with(&self, batch: &IngestBatch, force_global: bool) -> IngestReport {
-        self.try_ingest_with(batch, force_global).expect("ingest journaling failed")
+        self.try_ingest_with(batch, force_global).expect("ingest failed")
     }
 
-    /// [`Self::ingest_with`], surfacing journal failures
-    /// ([`LiveEngine::try_ingest`]'s contract).
+    /// [`Self::ingest_with`], surfacing rejected batches and journal
+    /// failures ([`LiveEngine::try_ingest`]'s contract).
     pub fn try_ingest_with(
         &self,
         batch: &IngestBatch,
         force_global: bool,
     ) -> Result<IngestReport, PersistError> {
         let mut writer = self.writer.lock().expect("ingest writer poisoned");
+        let prev = self.engine();
+        writer.builder.check(prev.instance(), batch).map_err(PersistError::Rejected)?;
         if let Some(persist) = writer.persist.as_mut() {
             persist.journal(batch)?;
         }
-        let builder = &mut writer.builder;
-        let prev = self.engine();
-        let (instance, summary) = builder.apply(prev.instance(), batch);
+        let (instance, summary) = writer.builder.apply(prev.instance(), batch);
         let instance = Arc::new(instance);
         // New components go to the least-loaded shards; nothing moves.
         let partition = Arc::new(prev.partition().extended(&instance));

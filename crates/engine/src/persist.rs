@@ -53,6 +53,9 @@ pub enum PersistError {
     /// lacks: the log does not belong to this snapshot or seed. Nothing
     /// of the record was applied.
     Replay(IngestError),
+    /// An ingest batch names an entity the engine lacks or has deleted.
+    /// It was refused before anything was journaled or applied.
+    Rejected(IngestError),
 }
 
 impl std::fmt::Display for PersistError {
@@ -61,6 +64,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Snapshot(e) => write!(f, "snapshot/WAL: {e}"),
             PersistError::Record(e) => write!(f, "WAL record decode: {e}"),
             PersistError::Replay(e) => write!(f, "WAL record replay: {e}"),
+            PersistError::Rejected(e) => write!(f, "ingest batch rejected: {e}"),
         }
     }
 }
@@ -70,7 +74,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Snapshot(e) => Some(e),
             PersistError::Record(e) => Some(e),
-            PersistError::Replay(e) => Some(e),
+            PersistError::Replay(e) | PersistError::Rejected(e) => Some(e),
         }
     }
 }

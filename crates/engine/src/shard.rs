@@ -12,10 +12,10 @@
 //!   costs one lookup regardless of shard count, and per-shard caches are
 //!   disabled (they would only duplicate entries);
 //! * a miss fans out through [`ShardRouter`] to the shards that can match
-//!   the query and runs the core's iteration-synchronous scatter-gather
-//!   (`S3kEngine::run_partitioned_with`), using one scratch checked out of
-//!   *each shard's* pool — warm workers answer without steady-state
-//!   allocation, per shard;
+//!   the query and runs the core's one search driver with one candidate
+//!   pool per routed shard (`S3kEngine::run_partitioned_with`), each pool
+//!   lent by a scratch checked out of *that shard's* scratch pool — warm
+//!   workers answer without steady-state allocation, per shard;
 //! * batches fan out over scoped workers exactly like [`S3Engine`]'s.
 //!
 //! The defining invariant: for every query and any shard count,
@@ -159,9 +159,9 @@ pub struct ShardedEngine {
     config: Arc<EpochConfig>,
     threads: usize,
     cache: Arc<ResultCache>,
-    /// Pool of carrier scratches (the scatter driver's query-global
-    /// state; per-shard scratches live in each shard's own pool and are
-    /// checked out lazily, per query, for the routed shards only).
+    /// Pool of carrier scratches, whose query half holds a scatter's
+    /// query-global state (the candidate pools come from each routed
+    /// shard's own scratch pool, checked out lazily, per query).
     carriers: Arc<Mutex<Vec<SearchScratch>>>,
     /// Seeker-keyed warm propagations — one per query, shared by every
     /// shard of its scatter, so affinity lives at the front, not per

@@ -29,8 +29,8 @@ use s3_core::{
 };
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{
-    EngineConfig, FleetEngine, Ingest, LiveEngine, LiveShardedEngine, LocalShard, PersistError,
-    RecoverySource, ShardServer, ShardedEngine,
+    EngineConfig, EngineError, FleetEngine, Ingest, LiveEngine, LiveShardedEngine, LocalShard,
+    PersistError, RecoverySource, ShardServer, ShardedEngine,
 };
 use s3_snap::SnapError;
 use s3_text::Language;
@@ -137,6 +137,81 @@ fn replaying_a_record_for_an_unknown_user_fails_open() {
         Ok((_, report)) => panic!("a WAL naming u3 must not replay over one user: {report}"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch that names an entity the engine lacks is refused before it is
+/// journaled or shipped. Durable engines (unsharded and sharded) return
+/// `Rejected`, keep serving, and reopen from a WAL holding only the good
+/// batch, answering exactly as before; a unix-socket fleet returns
+/// `Rejected` with its servers untouched and keeps answering like the
+/// in-process engine.
+#[test]
+fn a_bad_batch_is_rejected_before_it_is_journaled_or_shipped() {
+    let seed = 11;
+    let (builder, pool) = random_builder(seed);
+    let base = builder.snapshot();
+    let good = live_workload(
+        &base,
+        &LiveWorkloadConfig { batches: 1, seed: seed ^ 0xBAD, ..LiveWorkloadConfig::default() },
+    )
+    .remove(0)
+    .batch;
+    let mut bad = IngestBatch::new();
+    let ghost = UserId(base.num_users() as u32 + 7);
+    bad.add_social_edge(UserRef::Existing(ghost), UserRef::Existing(UserId(0)), 0.5);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let queries = random_queries(&mut rng, base.num_users(), &pool, 8);
+    let rejected = |r: Result<_, EngineError>| match r {
+        Err(EngineError::Rejected(e)) => assert!(e.to_string().contains("unknown user")),
+        Err(e) => panic!("expected a rejection, got {e}"),
+        Ok(_) => panic!("a batch naming {ghost} must be refused"),
+    };
+
+    for shards in [0usize, 2] {
+        let dir = tmpdir(&format!("rejected-{shards}"));
+        let before = {
+            let (mut engine, _) = open_durable(&dir, seed, shards);
+            engine.ingest(&good).expect("good batch");
+            let before: Vec<_> = queries.iter().map(|q| engine.query(q).expect("query")).collect();
+            rejected(engine.ingest(&bad));
+            for (q, want) in queries.iter().zip(&before) {
+                assert_identical(&engine.query(q).expect("query after rejection"), want)
+                    .expect("serving is unchanged");
+            }
+            before
+        };
+        let (mut engine, report) = open_durable(&dir, seed, shards);
+        assert_eq!(report.replayed, 1, "only the good batch was journaled");
+        for (q, want) in queries.iter().zip(&before) {
+            assert_identical(&engine.query(q).expect("query after reopen"), want)
+                .expect("reopened answers are unchanged");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    let shards = 2;
+    let mut hosts = Vec::new();
+    let transports: Vec<Box<dyn ShardTransport>> = (0..shards)
+        .map(|s| {
+            let server = ShardServer::new(random_builder(seed).0, test_config(), shards, s);
+            let path = std::env::temp_dir()
+                .join(format!("s3-rejected-{}-{shards}-{s}.sock", std::process::id()));
+            let (conn, host) = server.spawn_unix(&path).expect("bind unix socket");
+            hosts.push(host);
+            Box::new(conn) as Box<dyn ShardTransport>
+        })
+        .collect();
+    let mut fleet = FleetEngine::new(random_builder(seed).0, test_config(), transports);
+    let reference = ShardedEngine::new(Arc::new(base), test_config(), shards);
+    rejected(fleet.ingest(&bad));
+    for q in &queries {
+        let got = fleet.query(q).expect("fleet query after rejection");
+        assert_identical(&got, &reference.query(q)).expect("the fleet is unchanged");
+    }
+    fleet.shutdown().expect("shutdown");
+    for host in hosts {
+        host.join().expect("shard servers never saw the batch");
+    }
 }
 
 proptest! {

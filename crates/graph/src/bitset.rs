@@ -5,7 +5,7 @@
 //! cache traffic of a packed bitset — and a dense clear is a byte-wise
 //! memset. [`BitSet`] packs 64 flags per `u64` word: membership tests on
 //! the hot path touch 8× fewer cache lines, and the sparse journal-driven
-//! clears (`Propagation::reset`, `SearchScratch::rewind_search`) stay
+//! clears (`Propagation::reset`, the search's per-pool rewind) stay
 //! O(touched) bit operations.
 //!
 //! The type is deliberately minimal — fixed universe size set by
