@@ -1,31 +1,24 @@
-//! Live-ingestion bench: batch apply latency against corpus size, and what
-//! shard-scoped invalidation buys during cache recovery.
+//! Live-ingestion bench: batch apply latency against corpus size, and the
+//! cost of tombstones and compaction.
 //!
 //! Run with `cargo bench --bench ingest` (`BENCH_SMOKE=1` or `--smoke`
 //! for CI's one-iteration smoke tier).
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! * **apply latency** — time to ingest a batch into a live engine as the
 //!   corpus grows, detached batches vs attached ones (the attached path
 //!   reruns the `con` fixpoint inside the touched components; a cold
 //!   `InstanceBuilder::snapshot` of the same data is timed alongside as
 //!   the stop-the-world baseline the incremental path replaces);
-//! * **recovery hits** — per-shard cache hits while replaying a Zipf
-//!   stream after an ingest, scoped bump vs forced-global bump on
-//!   identical twin fleets;
 //! * **mutation arm** — tombstoned apply (deletes + updates riding along
 //!   with appends) vs append-only at equal batch size, plus the cost of
 //!   the off-path compaction epoch and what it reclaims.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use s3_bench::{JsonReport, Table};
-use s3_core::Query;
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
-use s3_datasets::{twitter, workload, zipf::Zipf, Scale};
-use s3_engine::{EngineConfig, LiveEngine, LiveShardedEngine};
-use s3_text::FrequencyClass;
+use s3_datasets::{twitter, Scale};
+use s3_engine::{EngineConfig, LiveEngine};
 use std::time::Instant;
 
 fn smoke_mode() -> bool {
@@ -107,82 +100,6 @@ fn main() {
     }
     print!("{}", table.render());
 
-    // ---- Scoped vs global recovery on twin fleets. ----
-    let num_shards = 4;
-    let replays = if smoke { 100 } else { 600 };
-    let make = || {
-        LiveShardedEngine::new(
-            builder(if smoke { 200 } else { 800 }),
-            EngineConfig::builder().threads(1).cache_capacity(256).build(),
-            num_shards,
-        )
-    };
-    let scoped = make();
-    let global = make();
-    let w = workload::generate(
-        &scoped.instance(),
-        workload::WorkloadConfig {
-            frequency: FrequencyClass::Common,
-            keywords_per_query: 1,
-            k: 5,
-            queries: 120,
-            seed: 7,
-        },
-    );
-    let pool: Vec<Query> = w.queries.into_iter().map(|q| q.query).collect();
-    let zipf = Zipf::new(pool.len(), 1.1);
-    let mut rng = StdRng::seed_from_u64(99);
-    let stream: Vec<usize> = (0..replays).map(|_| zipf.sample(&mut rng)).collect();
-    let shard_hits = |live: &LiveShardedEngine| -> u64 {
-        let e = live.engine();
-        (0..num_shards).map(|s| e.shard(s).cache_stats().hits).sum()
-    };
-    for live in [&scoped, &global] {
-        for (i, &q) in stream.iter().enumerate() {
-            live.engine().shard(i % num_shards).query(&pool[q]);
-        }
-    }
-    let batch = {
-        let mut steps = live_workload(
-            &scoped.instance(),
-            &LiveWorkloadConfig {
-                batches: 1,
-                attach_probability: 0.0,
-                seed: 3,
-                ..Default::default()
-            },
-        );
-        steps.remove(0).batch
-    };
-    let rs = scoped.ingest(&batch);
-    let rg = global.ingest_with(&batch, true);
-    let (before_s, before_g) = (shard_hits(&scoped), shard_hits(&global));
-    for live in [&scoped, &global] {
-        for (i, &q) in stream.iter().enumerate() {
-            live.engine().shard(i % num_shards).query(&pool[q]);
-        }
-    }
-    let mut recovery =
-        Table::new(&["bump", "entries dropped", "warm rebased", "recovery hits", "hit rate"]);
-    for (label, ingest_report, hits) in [
-        ("scoped", &rs, shard_hits(&scoped) - before_s),
-        ("global", &rg, shard_hits(&global) - before_g),
-    ] {
-        report
-            .int(&format!("recovery.{label}.dropped"), ingest_report.results_invalidated)
-            .int(&format!("recovery.{label}.hits"), hits)
-            .num(&format!("recovery.{label}.hit_rate"), hits as f64 / stream.len() as f64);
-        recovery.row(vec![
-            label.to_string(),
-            ingest_report.results_invalidated.to_string(),
-            ingest_report.warm_rebased.to_string(),
-            hits.to_string(),
-            format!("{:.2}", hits as f64 / stream.len() as f64),
-        ]);
-    }
-    println!();
-    print!("{}", recovery.render());
-
     // ---- Mutation arm: tombstoned apply vs append-only at equal batch
     // size (both arms append 4 documents per batch; the mutating arm
     // additionally tombstones 2 trees per batch), plus the off-path
@@ -245,10 +162,4 @@ fn main() {
     print!("{}", mutation.render());
 
     report.write_and_announce();
-    println!(
-        "\nscoped vs global: both fleets ingested the same detached batch; the\n\
-         scoped fleet dropped only the touched shard's cache entries (plus the\n\
-         front) and rebased untouched warm propagations, so the replayed Zipf\n\
-         stream recovers its hit rate faster."
-    );
 }

@@ -70,7 +70,7 @@ pub use ingest::{
     UserRef,
 };
 pub use instance::{CompactionReport, InstanceBuilder, InstanceStats, S3Instance};
-pub use partition::{ComponentFilter, ComponentPartition};
+pub use partition::ComponentPartition;
 pub use s3_graph::CompId;
 pub use s3_graph::{Propagation, PropagationState};
 pub use score::{AnyKeywordScore, S3kScore, ScoreModel, TypeWeightedScore};

@@ -6,9 +6,9 @@
 //! relates fragments of one tree — so a partition of the components is a
 //! partition of the documents that no scoring or selection rule ever
 //! crosses. [`ComponentPartition::balanced`] assigns components to shards
-//! with balanced document counts (longest-processing-time greedy), and
-//! [`ComponentFilter`] restricts a search to one shard's components (see
-//! `SearchConfig::component_filter`).
+//! with balanced document counts (longest-processing-time greedy); a
+//! partitioned search gives each shard one candidate pool and dispatches
+//! every discovered component to its owner's pool.
 //!
 //! Scores are *not* shard-local: proximity propagates over the full
 //! network graph, so shards share the frozen [`S3Instance`] (an `Arc`
@@ -65,8 +65,9 @@ impl ComponentPartition {
     /// [`Self::balanced`], applied only to the newcomers. Per-shard
     /// document counts are refreshed from the instance.
     ///
-    /// This is live ingestion's routing step: untouched shards keep their
-    /// exact universe, so their caches and warm state stay valid.
+    /// This is live ingestion's routing step: placement is stable across
+    /// ingests, so a component's shard never changes until compaction
+    /// re-partitions from scratch.
     pub fn extended(&self, instance: &S3Instance) -> Self {
         let graph = instance.graph();
         let components = graph.components();
@@ -132,39 +133,6 @@ impl ComponentPartition {
     }
 }
 
-/// A membership test restricting a search to one shard's components
-/// (installed through `SearchConfig::component_filter`). Discovery skips
-/// non-member components before any per-document work.
-#[derive(Debug, Clone)]
-pub struct ComponentFilter {
-    allowed: Vec<bool>,
-}
-
-impl ComponentFilter {
-    /// The filter admitting exactly `shard`'s components of `partition`.
-    pub fn for_shard(partition: &ComponentPartition, shard: usize) -> Self {
-        assert!(shard < partition.num_shards(), "shard {shard} out of range");
-        let allowed = partition.shard_of.iter().map(|&s| s as usize == shard).collect();
-        ComponentFilter { allowed }
-    }
-
-    /// Does the filter admit this component? Unknown components (a filter
-    /// built for a different instance) are rejected.
-    pub fn allows(&self, comp: CompId) -> bool {
-        self.allowed.get(comp.index()).copied().unwrap_or(false)
-    }
-
-    /// Number of admitted components.
-    pub fn len(&self) -> usize {
-        self.allowed.iter().filter(|&&a| a).count()
-    }
-
-    /// True when no component is admitted.
-    pub fn is_empty(&self) -> bool {
-        !self.allowed.iter().any(|&a| a)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,23 +192,6 @@ mod tests {
         let a = ComponentPartition::balanced(&inst, 3);
         let b = ComponentPartition::balanced(&inst, 3);
         assert_eq!(a.shard_of, b.shard_of);
-    }
-
-    #[test]
-    fn filter_matches_partition() {
-        let inst = instance();
-        let p = ComponentPartition::balanced(&inst, 3);
-        let mut admitted = 0usize;
-        for s in 0..3 {
-            let f = ComponentFilter::for_shard(&p, s);
-            assert_eq!(f.len(), p.component_count(s));
-            for c in inst.graph().components().iter() {
-                assert_eq!(f.allows(c), p.shard_of(c) == s);
-            }
-            assert!(!f.allows(CompId(u32::MAX)), "foreign components rejected");
-            admitted += f.len();
-        }
-        assert_eq!(admitted, p.num_components());
     }
 
     #[test]

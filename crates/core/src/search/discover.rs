@@ -33,8 +33,8 @@ pub(crate) fn triggered_components(graph: &SocialGraph, v: NodeId, sink: &mut im
     }
 }
 
-/// Process one content component into `pool`: component-filter check
-/// (sharding), keyword pruning (§5.2), then the per-document `con` check
+/// Process one content component into `pool`: keyword pruning (§5.2),
+/// then the per-document `con` check
 /// against the query's keyword extensions `exts`. Each admitted document
 /// is logged in `admitted` with `seq`, the trigger that opened `comp`.
 pub(crate) fn discover_component<S: ScoreModel>(
@@ -50,13 +50,6 @@ pub(crate) fn discover_component<S: ScoreModel>(
         return;
     }
     pool.touched.push(comp.index());
-    if let Some(filter) = &engine.config.component_filter {
-        if !filter.allows(comp) {
-            // Outside this shard's universe: skipped before any
-            // per-document work and not counted in the diagnostics.
-            return;
-        }
-    }
     stats.components += 1;
 
     let inst = engine.instance;

@@ -84,9 +84,8 @@ impl FleetShard {
     /// zero. Returns `false` when expansion fails (no shard can answer —
     /// the query is a `NoMatch` and no round state is kept).
     ///
-    /// `engine` must carry the scatter configuration: no component
-    /// filter (ownership is enforced by `partition`/`shard` here), same
-    /// score model and epsilon as the fleet client.
+    /// `engine` must carry the fleet client's configuration (same score
+    /// model and epsilon); ownership is `partition`/`shard`.
     pub fn begin<S: ScoreModel>(
         &mut self,
         engine: &S3kEngine<'_, S>,

@@ -120,12 +120,6 @@ pub struct SearchConfig {
     /// have stopped at an earlier step with different certified bounds.
     /// Disable only to measure the cold path.
     pub resume: bool,
-    /// Restrict candidate admission to the components this filter admits
-    /// (`None` = the whole instance). Scoring is unchanged — proximity
-    /// still propagates over the full graph — so a filtered search returns
-    /// the exact top-k among the admitted components' documents: the
-    /// per-shard view behind sharded serving.
-    pub component_filter: Option<Arc<crate::partition::ComponentFilter>>,
     /// Time source for [`SearchConfig::time_budget`] checks: the
     /// monotonic wall clock in production, a manually-advanced counter in
     /// tests (deterministic deadline behaviour — see [`SearchClock`]).
@@ -142,7 +136,6 @@ impl Default for SearchConfig {
             semantic_expansion: true,
             epsilon: 1e-9,
             resume: true,
-            component_filter: None,
             clock: SearchClock::monotonic(),
         }
     }

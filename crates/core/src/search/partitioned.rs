@@ -100,9 +100,7 @@ mod tests {
     use super::*;
     use crate::ids::{TagSubject, UserId};
     use crate::instance::{InstanceBuilder, S3Instance};
-    use crate::partition::ComponentFilter;
     use crate::search::{SearchConfig, StopReason};
-    use s3_doc::DocNodeId;
     use s3_text::{KeywordId, Language};
     use std::sync::Arc;
 
@@ -295,41 +293,6 @@ mod tests {
                 &mut prop,
             );
             assert_same(&merged, &engine.run(&q));
-        }
-    }
-
-    #[test]
-    fn filtered_standalone_runs_partition_the_candidate_set() {
-        let (inst, users, pool) = instance();
-        let partition = ComponentPartition::balanced(&inst, 3);
-        let unsharded = S3kEngine::new(&inst, SearchConfig::default());
-        for q in queries(&users, &pool) {
-            let full = unsharded.run(&q);
-            let mut union: Vec<DocNodeId> = Vec::new();
-            for s in 0..3 {
-                let filter = Arc::new(ComponentFilter::for_shard(&partition, s));
-                let engine = S3kEngine::new(
-                    &inst,
-                    SearchConfig { component_filter: Some(filter), ..SearchConfig::default() },
-                );
-                let part = engine.run(&q);
-                for &d in &part.candidate_docs {
-                    let node = inst.graph().node_of_frag(d).unwrap();
-                    let comp = inst.graph().components().component_of(node);
-                    assert_eq!(partition.shard_of(comp), s, "candidate outside its shard");
-                }
-                union.extend(part.candidate_docs.iter().copied());
-            }
-            union.sort_unstable();
-            let before = union.len();
-            union.dedup();
-            assert_eq!(union.len(), before, "shard candidate sets must be disjoint");
-            // A shard short of k local answers explores until its frontier
-            // closes, so its standalone candidate set can exceed the
-            // globally-stopped run's — the union covers the global set.
-            for d in &full.candidate_docs {
-                assert!(union.binary_search(d).is_ok(), "global candidate {d:?} missing");
-            }
         }
     }
 }

@@ -1,13 +1,12 @@
 //! The unified serving API: one [`Engine`] trait over every engine type.
 //!
-//! The crate grew five ways to serve the same search — [`S3Engine`]
-//! (frozen, unsharded), [`ShardedEngine`] (frozen scatter-gather),
-//! [`LiveEngine`] / [`LiveShardedEngine`] (ingest while serving), and
-//! [`FleetEngine`] (cross-process scatter-gather) — with slightly
-//! different surfaces: `&self` vs `&mut self`, infallible vs
-//! `Result<_, WireError>`, three separate stats accessors. [`Engine`]
-//! is the common denominator every harness, example and benchmark can
-//! be written against:
+//! The crate serves the same search two ways: in process
+//! ([`ShardedEngine`], frozen, and [`LiveShardedEngine`], ingesting while
+//! serving; [`S3Engine`] and [`LiveEngine`] are the two at one shard) and
+//! across processes ([`FleetEngine`]) — with slightly different surfaces:
+//! `&self` vs `&mut self`, infallible vs `Result<_, WireError>`, three
+//! separate stats accessors. [`Engine`] is the common denominator every
+//! harness, example and benchmark can be written against:
 //!
 //! * `query` / `serve` take `&mut self` (the fleet client drives
 //!   transports serially) and return `Result` (only transports and
@@ -17,7 +16,7 @@
 //!   `Display` — instead of three separately-fetched values;
 //! * engines that can ingest while serving also implement [`Ingest`].
 //!
-//! All five implementations answer byte-identically for the same data
+//! All five types answer byte-identically for the same data
 //! (the crate-wide property bar), so code written against `dyn Engine`
 //! is oblivious to which one it drives — `tests/api.rs` runs one shared
 //! harness over all of them.
@@ -127,103 +126,46 @@ pub trait Ingest: Engine {
     fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, EngineError>;
 }
 
-impl Engine for S3Engine {
-    fn query(&mut self, query: &Query) -> Result<Arc<TopKResult>, EngineError> {
-        Ok(S3Engine::query(self, query))
-    }
+/// The in-process engines never fail; each delegates to its own
+/// inherent methods (the one-shard newtypes name `query`/`serve`/`ingest`
+/// themselves and deref for the rest).
+macro_rules! in_process {
+    ($($engine:ty),*) => {$(
+        impl Engine for $engine {
+            fn query(&mut self, query: &Query) -> Result<Arc<TopKResult>, EngineError> {
+                Ok(<$engine>::query(self, query))
+            }
 
-    fn serve(
-        &mut self,
-        query: &Query,
-        deadline: Option<Duration>,
-    ) -> Result<ServeOutcome, EngineError> {
-        Ok(S3Engine::serve(self, query, deadline))
-    }
+            fn serve(
+                &mut self,
+                query: &Query,
+                deadline: Option<Duration>,
+            ) -> Result<ServeOutcome, EngineError> {
+                Ok(<$engine>::serve(self, query, deadline))
+            }
 
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            cache: self.cache_stats(),
-            resume: self.resume_stats(),
-            load: self.load_stats(),
+            fn stats(&self) -> EngineStats {
+                EngineStats {
+                    cache: self.cache_stats(),
+                    resume: self.resume_stats(),
+                    load: self.load_stats(),
+                }
+            }
         }
-    }
+    )*};
 }
 
-impl Engine for ShardedEngine {
-    fn query(&mut self, query: &Query) -> Result<Arc<TopKResult>, EngineError> {
-        Ok(ShardedEngine::query(self, query))
-    }
-
-    fn serve(
-        &mut self,
-        query: &Query,
-        deadline: Option<Duration>,
-    ) -> Result<ServeOutcome, EngineError> {
-        Ok(ShardedEngine::serve(self, query, deadline))
-    }
-
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            cache: self.cache_stats(),
-            resume: self.resume_stats(),
-            load: self.load_stats(),
-        }
-    }
-}
-
-impl Engine for LiveEngine {
-    fn query(&mut self, query: &Query) -> Result<Arc<TopKResult>, EngineError> {
-        Ok(LiveEngine::query(self, query))
-    }
-
-    fn serve(
-        &mut self,
-        query: &Query,
-        deadline: Option<Duration>,
-    ) -> Result<ServeOutcome, EngineError> {
-        Ok(LiveEngine::serve(self, query, deadline))
-    }
-
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            cache: self.cache_stats(),
-            resume: self.resume_stats(),
-            load: self.load_stats(),
-        }
-    }
-}
+in_process!(S3Engine, ShardedEngine, LiveEngine, LiveShardedEngine);
 
 impl Ingest for LiveEngine {
     fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, EngineError> {
-        Ok(LiveEngine::try_ingest(self, batch)?.summary)
-    }
-}
-
-impl Engine for LiveShardedEngine {
-    fn query(&mut self, query: &Query) -> Result<Arc<TopKResult>, EngineError> {
-        Ok(LiveShardedEngine::query(self, query))
-    }
-
-    fn serve(
-        &mut self,
-        query: &Query,
-        deadline: Option<Duration>,
-    ) -> Result<ServeOutcome, EngineError> {
-        Ok(LiveShardedEngine::serve(self, query, deadline))
-    }
-
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            cache: self.cache_stats(),
-            resume: self.resume_stats(),
-            load: self.load_stats(),
-        }
+        Ok(self.try_ingest(batch)?.summary)
     }
 }
 
 impl Ingest for LiveShardedEngine {
     fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, EngineError> {
-        Ok(LiveShardedEngine::try_ingest_with(self, batch, false)?.summary)
+        Ok(self.try_ingest(batch)?.summary)
     }
 }
 

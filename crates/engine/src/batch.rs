@@ -1,26 +1,26 @@
-//! Cache-fronted batch execution, shared by [`crate::S3Engine`] and
-//! [`crate::ShardedEngine`].
+//! The front of [`crate::ShardedEngine`]: the epoch-stamped configuration,
+//! the result cache and the batch fan-out.
 //!
-//! Both engines answer batches the same way — serve cache hits, dedupe
+//! [`ResultCache::run_cached`] answers a batch — serve cache hits, dedupe
 //! in-batch repeats, compute the distinct misses, insert, resolve
-//! duplicates — and differ only in *how* a miss is computed (direct
-//! search vs sharded scatter-gather). [`ResultCache::run_cached`] owns the
-//! shared front so the sharded engine's cache sits before the scatter: a
-//! hit costs one lookup regardless of shard count.
+//! duplicates — and sits before the scatter, so a hit costs one lookup
+//! regardless of shard count. [`ResultCache::insert`] is the one insert
+//! rule: only exact answers are cached, whichever entry point computed
+//! them.
 
 use crate::cache::Lru;
 use crate::CacheStats;
-use s3_core::{Query, SearchConfig, TopKResult, UserId};
+use s3_core::{Query, SearchConfig, StopReason, TopKResult, UserId};
 use s3_text::KeywordId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Epoch-stamped search configuration, shared by both engines: every
-/// replacement bumps the epoch, and the epoch is part of the cache key,
-/// so results computed under a stale configuration can never be served —
-/// even when an in-flight batch inserts them after the change (their keys
-/// never match a post-change lookup, and LRU pressure retires them).
+/// Epoch-stamped search configuration: every replacement bumps the epoch,
+/// and the epoch is part of the cache key, so results computed under a
+/// stale configuration can never be served — even when an in-flight batch
+/// inserts them after the change (their keys never match a post-change
+/// lookup, and LRU pressure retires them).
 #[derive(Debug)]
 pub(crate) struct EpochConfig {
     inner: RwLock<(SearchConfig, u64)>,
@@ -57,18 +57,9 @@ impl EpochConfig {
 
     /// Replace the configuration, bumping the epoch.
     pub(crate) fn replace(&self, search: SearchConfig) {
-        self.replace_with(search, || {});
-    }
-
-    /// Replace the configuration and run `reconfigure` while still
-    /// holding the write lock, so dependent state (e.g. per-shard
-    /// configs) updates atomically with respect to concurrent replacers
-    /// and snapshots.
-    pub(crate) fn replace_with(&self, search: SearchConfig, reconfigure: impl FnOnce()) {
         let mut guard = self.inner.write().expect("config poisoned");
         guard.0 = search;
         guard.1 += 1;
-        reconfigure();
     }
 }
 
@@ -76,8 +67,7 @@ impl EpochConfig {
 /// Each invocation of `worker` is one thread's whole run: it claims
 /// queries from a caller-owned cursor, owns its warm state (scratches,
 /// propagation) and returns its `(batch index, result)` pairs, which are
-/// concatenated. Shared by both engines so the spawn/join scaffolding
-/// cannot drift between them.
+/// concatenated.
 pub(crate) fn fan_out<F>(workers: usize, worker: F) -> Vec<(usize, TopKResult)>
 where
     F: Fn() -> Vec<(usize, TopKResult)> + Sync,
@@ -174,11 +164,15 @@ impl ResultCache {
         None
     }
 
-    /// Insert a computed result, evicting the least recently used entry
-    /// when the store is full.
-    pub(crate) fn insert(&self, key: CacheKey, result: Arc<TopKResult>) {
-        if let Some(cache) = &self.cache {
-            cache.lock().expect("cache poisoned").insert(key, result);
+    /// Insert a computed result if it is exact (`Converged` or `NoMatch`),
+    /// evicting the least recently used entry when the store is full. A
+    /// best-effort answer (an iteration cap, a time budget, a degraded
+    /// admission) is never cached: a repeat must get the chance to
+    /// compute the exact one.
+    pub(crate) fn insert(&self, key: CacheKey, result: &Arc<TopKResult>) {
+        let exact = matches!(result.stats.stop, StopReason::Converged | StopReason::NoMatch);
+        if let (Some(cache), true) = (&self.cache, exact) {
+            cache.lock().expect("cache poisoned").insert(key, Arc::clone(result));
         }
     }
 
@@ -214,7 +208,7 @@ impl ResultCache {
         if !misses.is_empty() {
             for (i, result) in exec(&misses) {
                 let result = Arc::new(result);
-                self.insert(CacheKey::new(&queries[i], epoch), Arc::clone(&result));
+                self.insert(CacheKey::new(&queries[i], epoch), &result);
                 results[i] = Some(result);
             }
         }

@@ -4,9 +4,9 @@
 //! inside one process. This module runs the *same algorithm* across
 //! process boundaries:
 //!
-//! * [`ShardServer`] owns one shard — an [`S3Engine`] restricted to its
-//!   components, the deterministically re-derived instance + partition,
-//!   and an [`s3_core::FleetShard`] round executor — and answers the wire
+//! * [`ShardServer`] owns one shard — the deterministically re-derived
+//!   instance + partition and an [`s3_core::FleetShard`] round executor
+//!   over the shard's candidate pool — and answers the wire
 //!   protocol's round requests ([`ShardServer::serve`] loops over any
 //!   `Read + Write` stream: a unix socket, an in-memory loopback, ...);
 //! * [`FleetEngine`] is the client: it routes each query through the
@@ -35,11 +35,11 @@
 //! cross-checks that invariant on every ingest.
 
 use crate::gate::{self, Admission, AdmissionGate, LoadStats, ServeOutcome};
-use crate::{EngineConfig, EngineError, S3Engine, ShardRouter};
+use crate::{EngineConfig, EngineError, ShardRouter};
 use s3_core::{
-    read_snapshot, CompactionReport, ComponentFilter, ComponentPartition, FleetShard, Hit,
-    IngestBatch, IngestSummary, InstanceBuilder, Query, ResumeOutcome, S3Instance, S3kEngine,
-    SearchConfig, SearchStats, StopReason, StopState, TopKResult, UserId,
+    read_snapshot, CompactionReport, ComponentPartition, FleetShard, Hit, IngestBatch,
+    IngestSummary, InstanceBuilder, Query, ResumeOutcome, S3Instance, S3kEngine, SearchConfig,
+    SearchStats, StopReason, StopState, TopKResult, UserId,
 };
 use s3_doc::DocNodeId;
 use s3_text::KeywordId;
@@ -55,21 +55,17 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One shard's server: the replica instance, the shard's serving engine,
-/// and the per-round executor. Drive it through the typed handlers (the
-/// [`LocalShard`] transport does) or hand a connected stream to
-/// [`Self::serve`].
+/// One shard's server: the replica instance and the per-round executor.
+/// Drive it through the typed handlers (the [`LocalShard`] transport
+/// does) or hand a connected stream to [`Self::serve`].
 pub struct ShardServer {
     builder: InstanceBuilder,
     instance: Arc<S3Instance>,
     partition: Arc<ComponentPartition>,
     shard: usize,
-    /// The scatter search configuration (no component filter — ownership
-    /// is enforced by partition + shard id in the round executor).
+    /// The search configuration (ownership is partition + shard id in
+    /// the round executor).
     search: SearchConfig,
-    /// Engine template for rebuilding the serving engine after ingests.
-    config: EngineConfig,
-    engine: S3Engine,
     session: FleetShard,
     epoch: u64,
 }
@@ -84,23 +80,6 @@ fn snapshot_fingerprint(instance: &S3Instance) -> SnapshotAck {
         docs: instance.num_documents() as u64,
         connections: instance.connections().len() as u64,
     }
-}
-
-fn shard_engine(
-    instance: &Arc<S3Instance>,
-    partition: &ComponentPartition,
-    shard: usize,
-    config: &EngineConfig,
-) -> S3Engine {
-    let filter = Arc::new(ComponentFilter::for_shard(partition, shard));
-    S3Engine::new(
-        Arc::clone(instance),
-        EngineConfig {
-            search: SearchConfig { component_filter: Some(filter), ..config.search.clone() },
-            threads: 1,
-            ..config.clone()
-        },
-    )
 }
 
 impl ShardServer {
@@ -129,20 +108,14 @@ impl ShardServer {
         num_shards: usize,
         shard: usize,
     ) -> Self {
-        let config = config.validated();
         let partition = Arc::new(ComponentPartition::balanced(&instance, num_shards));
         assert!(shard < partition.num_shards(), "shard index out of range");
-        let mut search = config.search.clone();
-        search.component_filter = None;
-        let engine = shard_engine(&instance, &partition, shard, &config);
         ShardServer {
             builder,
             instance,
             partition,
             shard,
-            search,
-            config,
-            engine,
+            search: config.search,
             session: FleetShard::new(),
             epoch: 0,
         }
@@ -225,12 +198,6 @@ impl ShardServer {
         self.shard
     }
 
-    /// The shard's serving engine (directly queryable over its own
-    /// components, like [`crate::ShardedEngine::shard`]).
-    pub fn engine(&self) -> &S3Engine {
-        &self.engine
-    }
-
     /// The replica instance.
     pub fn instance(&self) -> &Arc<S3Instance> {
         &self.instance
@@ -298,14 +265,13 @@ impl ShardServer {
     }
 
     /// Handle a shipped ingest: rebuild the batch, apply it to the
-    /// replica, extend the partition, swap the serving engine, bump the
-    /// epoch and fill the consistency ack.
+    /// replica, extend the partition, bump the epoch and fill the
+    /// consistency ack.
     pub fn ingest(&mut self, msg: &WireIngest, out: &mut IngestAck) {
         let batch = msg.to_batch();
         let (instance, summary) = self.builder.apply(&self.instance, &batch);
         self.instance = Arc::new(instance);
         self.partition = Arc::new(self.partition.extended(&self.instance));
-        self.engine = shard_engine(&self.instance, &self.partition, self.shard, &self.config);
         self.session.invalidate();
         self.epoch += 1;
         *out = IngestAck {
@@ -318,16 +284,15 @@ impl ShardServer {
 
     /// Handle a compaction request: rebuild the replica without
     /// tombstoned state ([`InstanceBuilder::compact`]), re-partition the
-    /// clean instance, swap the serving engine, bump the epoch and fill
-    /// the consistency ack. Entity ids are densely renumbered, so any
-    /// in-flight session is invalidated.
+    /// clean instance, bump the epoch and fill the consistency ack.
+    /// Entity ids are densely renumbered, so any in-flight session is
+    /// invalidated.
     pub fn compact(&mut self, out: &mut CompactAck) -> CompactionReport {
         let (builder, report) = self.builder.compact();
         self.builder = builder;
         self.instance = Arc::new(self.builder.snapshot());
         self.partition =
             Arc::new(ComponentPartition::balanced(&self.instance, self.partition.num_shards()));
-        self.engine = shard_engine(&self.instance, &self.partition, self.shard, &self.config);
         self.session.invalidate();
         self.epoch += 1;
         let fp = snapshot_fingerprint(&self.instance);
@@ -754,8 +719,7 @@ impl FleetEngine {
         assert!(!shards.is_empty(), "a fleet needs at least one shard");
         let config = config.validated();
         let gate = Arc::new(AdmissionGate::new(config.overload));
-        let mut search = config.search;
-        search.component_filter = None;
+        let search = config.search;
         let partition = Arc::new(ComponentPartition::balanced(&instance, shards.len()));
         let router = ShardRouter::new(&instance, Arc::clone(&partition));
         let replies = shards.iter().map(|_| RoundReply::default()).collect();
@@ -970,7 +934,7 @@ impl FleetEngine {
     }
 
     /// Answer one query through the admission gate with an optional
-    /// per-query deadline ([`S3Engine::serve`]'s contract, minus the
+    /// per-query deadline ([`crate::ShardedEngine::serve`]'s contract, minus the
     /// result cache — the fleet client does not keep one). A fleet
     /// client drives queries one at a time (`&mut self`), so the gate
     /// matters mostly for deadline and load accounting; degraded and

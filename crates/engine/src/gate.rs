@@ -1,7 +1,7 @@
 //! Engine overload control: the admission gate behind every engine's
 //! `serve` entry point.
 //!
-//! [`crate::S3Engine::query`] and friends always compute — under
+//! [`crate::ShardedEngine::query`] and friends always compute — under
 //! saturation they just get slower, without bound. `serve` routes each
 //! query through an admission gate instead: a cache hit is returned
 //! immediately (overload never degrades traffic the cache can already

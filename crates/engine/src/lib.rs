@@ -1,17 +1,17 @@
 //! The S3 serving layer: concurrent batched query execution over a shared
-//! instance, with per-worker scratch reuse and an LRU result cache.
+//! instance, with scratch reuse, a warm propagation pool and an LRU result
+//! cache.
 //!
 //! The core crate answers one query at a time against a borrowed
 //! [`S3Instance`]. This crate turns that algorithm into a substrate a
-//! server can drive:
+//! server can drive. There is one in-process engine, [`ShardedEngine`];
+//! a shard is a candidate pool inside it, not an engine of its own:
 //!
-//! * [`S3Engine`] owns an `Arc<S3Instance>` and is `Send + Sync`: any
-//!   number of threads may call [`S3Engine::query`] /
-//!   [`S3Engine::run_batch`] concurrently;
-//! * batches fan out over a pool of scoped workers, each holding one
-//!   [`SearchScratch`] checked out of the engine's pool — warm workers
-//!   answer queries without steady-state allocation (the scratch pool
-//!   persists across batches);
+//! * it owns an `Arc<S3Instance>` and is `Send + Sync`: any number of
+//!   threads may call `query` / `run_batch` concurrently;
+//! * batches fan out over scoped workers, each checking scratches out of
+//!   the engine's one scratch pool — warm workers answer queries without
+//!   steady-state allocation (the pool persists across batches);
 //! * results are cached in an LRU keyed by
 //!   `(seeker, normalized keywords, k, config epoch)` with hit/miss/
 //!   eviction counters ([`CacheStats`]). Changing the search
@@ -25,13 +25,11 @@
 //!   byte-identical results;
 //! * answers are returned as `Arc<TopKResult>`: cache hits are zero-copy.
 //!
-//! Batched, cached and warm-scratch execution is result-identical to a
-//! cold `S3kEngine::run` — property-tested in `tests/parity.rs`.
-//!
-//! For scale-out beyond one instance, [`shard::ShardedEngine`] partitions
-//! the content components across a fleet of `S3Engine` shards and
-//! scatter-gathers each query, byte-identically to a single engine
-//! (property-tested in `tests/sharding.rs`).
+//! [`S3Engine`] is that engine at one shard, and [`LiveEngine`] is the
+//! live engine ([`LiveShardedEngine`]) at one shard. Batched, cached and
+//! warm-scratch execution is result-identical to a cold `S3kEngine::run`
+//! at every shard count — property-tested in `tests/parity.rs` and
+//! `tests/sharding.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,16 +55,10 @@ pub use persist::{
 pub use shard::{ShardRouter, ShardedEngine};
 pub use warm::ResumeStats;
 
-use batch::{CacheKey, EpochConfig, ResultCache};
-use gate::{Admission, AdmissionGate};
-use s3_core::{
-    Propagation, Query, S3Instance, S3kEngine, ScoreModel, SearchConfig, SearchScratch, StopReason,
-    TopKResult, UserId,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use s3_core::{Query, S3Instance, SearchConfig, TopKResult};
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::Duration;
-use warm::PropPool;
 
 /// Hard ceiling on batch worker threads: absurd `EngineConfigBuilder::threads`
 /// requests clamp here (see [`EngineConfig::validated`]).
@@ -127,8 +119,8 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Clamp out-of-range values to their documented fallbacks: `threads`
     /// to `1..=MAX_BATCH_THREADS`, the overload policy per
-    /// [`OverloadConfig::validated`]. Called by [`S3Engine::new`] and
-    /// [`ShardedEngine::new`]; idempotent.
+    /// [`OverloadConfig::validated`]. Called by [`ShardedEngine::new`]
+    /// (hence [`S3Engine::new`]); idempotent.
     pub fn validated(mut self) -> Self {
         self.threads = self.threads.clamp(1, MAX_BATCH_THREADS);
         self.overload = self.overload.map(OverloadConfig::validated);
@@ -212,11 +204,9 @@ pub struct CacheStats {
     /// Always 0: cached entries never expire (the epoch in the key keeps
     /// them exact). Kept while `s3bench` still reads the field.
     pub expired: u64,
-    /// Entries dropped by an explicit epoch-bump invalidation (a search
-    /// configuration change, or a live-ingestion snapshot swap whose
-    /// delta reached this cache's scope). Scoped ingestion leaves
-    /// untouched shards' caches out of this count — the observable behind
-    /// the shard-local invalidation claim.
+    /// Entries dropped by an explicit epoch-bump invalidation: a search
+    /// configuration change, or a live-ingestion snapshot swap (every
+    /// ingest and every compaction purges the cache).
     pub invalidated: u64,
     /// Current number of cached results.
     pub entries: usize,
@@ -252,7 +242,8 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// The serving engine: a shared, thread-safe façade over one instance.
+/// The unsharded serving engine: [`ShardedEngine`] at one shard. It
+/// derefs to that engine for everything but construction.
 ///
 /// ```
 /// use s3_core::{InstanceBuilder, Query};
@@ -277,247 +268,33 @@ impl std::fmt::Display for CacheStats {
 /// assert_eq!(engine.cache_stats().hits, 8, "the warm batch is served from cache");
 /// assert_eq!(again[0].hits, results[0].hits);
 /// ```
-pub struct S3Engine {
-    instance: Arc<S3Instance>,
-    /// Search config + epoch, snapshotted per batch. `Arc`-shared with a
-    /// live engine's successors so the one epoch line survives snapshot
-    /// swaps.
-    config: Arc<EpochConfig>,
-    threads: usize,
-    cache: Arc<ResultCache>,
-    scratch_pool: Arc<Mutex<Vec<SearchScratch>>>,
-    /// Seeker-keyed warm propagations for same-seeker resume.
-    props: Arc<PropPool>,
-    /// Admission gate for the `serve` entry point (shared with live
-    /// successors so load counters and in-flight depth survive swaps).
-    gate: Arc<AdmissionGate>,
-}
+pub struct S3Engine(ShardedEngine);
 
 impl S3Engine {
-    /// Build a serving engine over a shared instance. The configuration
-    /// is [`EngineConfig::validated`] first.
+    /// Build a one-shard serving engine over a shared instance. The
+    /// configuration is [`EngineConfig::validated`] first.
     pub fn new(instance: Arc<S3Instance>, config: EngineConfig) -> Self {
-        let EngineConfig { search, threads, cache_capacity, warm_seekers, overload } =
-            config.validated();
-        S3Engine {
-            instance,
-            config: Arc::new(EpochConfig::new(search)),
-            threads,
-            cache: Arc::new(ResultCache::new(cache_capacity)),
-            scratch_pool: Arc::new(Mutex::new(Vec::new())),
-            props: Arc::new(PropPool::new(warm_seekers)),
-            gate: Arc::new(AdmissionGate::new(overload)),
-        }
+        S3Engine(ShardedEngine::new(instance, config, 1))
     }
 
-    /// An engine over `instance` that *shares* this engine's cache, warm
-    /// pools and scratch pool — the live-ingestion successor: in-flight
-    /// queries keep the old engine (and its snapshot) alive, new queries
-    /// see the new one, and the warm state carries across because it is
-    /// the same state. The configuration/epoch line is **carried
-    /// forward, not shared**: the successor gets its own `EpochConfig`
-    /// at the predecessor's current value (`+1` when `bump`), so a
-    /// reader still pinning the old engine can only ever stamp cache
-    /// insertions with the *old* epoch — it can never poison a key the
-    /// new engine would serve. The caller is responsible for cache
-    /// purges / warm-pool migration matching the bump it requested.
-    pub(crate) fn succeed(&self, instance: Arc<S3Instance>, bump: bool) -> S3Engine {
-        let (search, epoch) = self.config.snapshot();
-        S3Engine {
-            instance,
-            config: Arc::new(EpochConfig::new_at(search, epoch + u64::from(bump))),
-            threads: self.threads,
-            cache: Arc::clone(&self.cache),
-            scratch_pool: Arc::clone(&self.scratch_pool),
-            props: Arc::clone(&self.props),
-            gate: Arc::clone(&self.gate),
-        }
-    }
-
-    /// The shared warm pool (live-ingestion migration hook).
-    pub(crate) fn prop_pool(&self) -> &Arc<PropPool> {
-        &self.props
-    }
-
-    /// The shared result cache (live-ingestion invalidation hook).
-    pub(crate) fn result_cache(&self) -> &Arc<ResultCache> {
-        &self.cache
-    }
-
-    /// The shared instance.
-    pub fn instance(&self) -> &Arc<S3Instance> {
-        &self.instance
-    }
-
-    /// The current search configuration.
-    pub fn search_config(&self) -> SearchConfig {
-        self.config.search()
-    }
-
-    /// The current configuration epoch.
-    pub fn config_epoch(&self) -> u64 {
-        self.config.epoch()
-    }
-
-    /// Replace the search configuration, bumping the epoch: results cached
-    /// under the previous configuration can no longer be served (in-flight
-    /// batches may still insert stale-epoch entries; their keys never match
-    /// a post-change lookup, and LRU pressure retires them). The now
-    /// unservable cache entries and warm propagations are dropped and
-    /// counted ([`CacheStats::invalidated`], [`ResumeStats::invalidated`]).
-    pub fn set_search_config(&self, search: SearchConfig) {
-        self.config.replace(search);
-        self.cache.invalidate();
-        self.props.invalidate_all();
-    }
-
-    /// Cache effectiveness counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Propagation-reuse counters (seeker-affinity hits, resumed and
-    /// fallback searches).
-    pub fn resume_stats(&self) -> ResumeStats {
-        self.props.stats()
-    }
-
-    /// Answer one query (through the cache).
+    /// [`ShardedEngine::query`] (named here so it wins over
+    /// [`Engine::query`] in method calls).
     pub fn query(&self, query: &Query) -> Arc<TopKResult> {
-        self.run_batch_on(std::slice::from_ref(query), 1).pop().expect("one result")
+        self.0.query(query)
     }
 
-    /// Load and shedding counters for the [`Self::serve`] entry point.
-    pub fn load_stats(&self) -> LoadStats {
-        self.gate.stats()
-    }
-
-    /// Answer one query through the admission gate, with an optional
-    /// per-query deadline measured from this call by the search clock
-    /// (time spent queued for a slot counts against it).
-    ///
-    /// A cache hit is returned without claiming a slot. On a miss the
-    /// gate decides: shed ([`ServeOutcome::Shed`]), admit at full budget,
-    /// or admit degraded — the query's time budget capped at the
-    /// [`OverloadPolicy::DegradeAnytime`] floor and the remaining
-    /// deadline, so it returns a certified best-effort answer
-    /// (`stats.quality`) instead of queueing unboundedly. A query whose
-    /// deadline lapses before it runs is dropped
-    /// ([`ServeOutcome::Expired`]). Only exact answers enter the result
-    /// cache: a degraded answer must never mask the full answer an
-    /// uncongested repeat could compute — the warm propagation pool keeps
-    /// its state, so that repeat resumes instead of starting over.
-    ///
-    /// Without an [`EngineConfigBuilder::overload`] policy and without a
-    /// deadline, `serve` is [`Self::query`] with load accounting.
+    /// [`ShardedEngine::serve`] (named here so it wins over
+    /// [`Engine::serve`] in method calls).
     pub fn serve(&self, query: &Query, deadline: Option<Duration>) -> ServeOutcome {
-        let (search_config, epoch) = self.config.snapshot();
-        let arrival = search_config.clock.now();
-        if let Some(hit) = self.cache.lookup(&CacheKey::new(query, epoch)) {
-            return ServeOutcome::Answered(hit);
-        }
-        let (ticket, floor) = match self.gate.admit() {
-            Admission::Shed => return ServeOutcome::Shed,
-            Admission::Full(t) => (t, None),
-            Admission::Degraded(t, floor) => (t, Some(floor)),
-        };
-        let remaining = match deadline {
-            Some(deadline) => {
-                let waited = search_config.clock.now().saturating_sub(arrival);
-                if waited >= deadline {
-                    self.gate.note_expired();
-                    return ServeOutcome::Expired;
-                }
-                Some(deadline - waited)
-            }
-            None => None,
-        };
-        let mut config = search_config;
-        config.time_budget = gate::effective_budget(config.time_budget, remaining, floor);
-        let mut out = self.execute(std::slice::from_ref(query), &[0], &config, epoch, 1);
-        drop(ticket);
-        let (_, result) = out.pop().expect("one result");
-        let result = Arc::new(result);
-        if matches!(result.stats.stop, StopReason::Converged | StopReason::NoMatch) {
-            self.cache.insert(CacheKey::new(query, epoch), Arc::clone(&result));
-        }
-        ServeOutcome::Answered(result)
+        self.0.serve(query, deadline)
     }
+}
 
-    /// Answer a batch concurrently on the configured worker count.
-    /// Results are positionally aligned with `queries` and identical to
-    /// running each query alone.
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<Arc<TopKResult>> {
-        self.run_batch_on(queries, self.threads)
-    }
+impl Deref for S3Engine {
+    type Target = ShardedEngine;
 
-    /// Answer a batch on an explicit worker count (1 = inline). Worker
-    /// scratches come from the engine's pool and return to it afterwards,
-    /// so steady-state batches do not re-grow search buffers.
-    pub fn run_batch_on(&self, queries: &[Query], threads: usize) -> Vec<Arc<TopKResult>> {
-        let (search_config, epoch) = self.config.snapshot();
-        self.cache.run_cached(queries, epoch, |misses| {
-            self.execute(queries, misses, &search_config, epoch, threads)
-        })
-    }
-
-    /// Run the missed queries, fanning out over scoped workers. Returns
-    /// `(batch index, result)` pairs.
-    fn execute(
-        &self,
-        queries: &[Query],
-        misses: &[usize],
-        search_config: &SearchConfig,
-        epoch: u64,
-        threads: usize,
-    ) -> Vec<(usize, TopKResult)> {
-        let workers = threads.max(1).min(misses.len());
-        let cursor = AtomicUsize::new(0);
-        let gamma = search_config.score.gamma();
-        batch::fan_out(workers, || {
-            // One S3k engine per worker: the Smax table is shared through
-            // the instance cache. The scratch comes from the engine's pool
-            // and returns to it afterwards. The propagation is routed by
-            // seeker: each query binds the warm state parked for its
-            // seeker (resumed by the search when possible), and the
-            // previous seeker's state is parked back.
-            let engine = S3kEngine::new(&self.instance, search_config.clone());
-            let graph = self.instance.graph();
-            let mut scratch = self.check_out_scratch();
-            let mut prop: Option<Propagation<'_>> = None;
-            let mut prop_key = UserId(0);
-            let mut out = Vec::new();
-            loop {
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = misses.get(slot) else { break };
-                let query = &queries[i];
-                if prop.is_none() || prop_key != query.seeker {
-                    if let Some(p) = prop.take() {
-                        self.props.check_in(prop_key, epoch, p.detach());
-                    }
-                    let state = self.props.check_out(query.seeker, epoch);
-                    let seeker = self.instance.user_node(query.seeker);
-                    prop = Some(Propagation::attach(graph, gamma, seeker, state));
-                    prop_key = query.seeker;
-                }
-                let result = engine.run_with(query, &mut scratch, &mut prop);
-                self.props.note(result.stats.resume);
-                out.push((i, result));
-            }
-            if let Some(p) = prop.take() {
-                self.props.check_in(prop_key, epoch, p.detach());
-            }
-            self.check_in_scratch(scratch);
-            out
-        })
-    }
-
-    pub(crate) fn check_out_scratch(&self) -> SearchScratch {
-        self.scratch_pool.lock().expect("scratch pool poisoned").pop().unwrap_or_default()
-    }
-
-    pub(crate) fn check_in_scratch(&self, scratch: SearchScratch) {
-        self.scratch_pool.lock().expect("scratch pool poisoned").push(scratch);
+    fn deref(&self) -> &ShardedEngine {
+        &self.0
     }
 }
 

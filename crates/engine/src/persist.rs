@@ -226,9 +226,9 @@ impl Checkpointer {
 pub struct CompactReport {
     /// The clean rebuild's drop counts ([`s3_core::InstanceBuilder::compact`]).
     pub compaction: CompactionReport,
-    /// Cached results dropped across the front and every shard.
+    /// Cached results dropped.
     pub results_invalidated: u64,
-    /// Warm propagation states dropped across the front and every shard.
+    /// Warm propagation states dropped.
     pub warm_invalidated: u64,
     /// WAL records absorbed by the checkpoint the compaction forced
     /// (`None` on an engine without durability). A durable compaction

@@ -42,10 +42,10 @@ pub struct ResumeStats {
     /// Resume attempts replayed cold for byte-identity (the probe's first
     /// stop evaluation would have returned; see `s3_core::ResumeOutcome`).
     pub fallbacks: u64,
-    /// Warm states dropped by an explicit invalidation (a live-ingestion
-    /// epoch bump whose delta made resuming them unsound). States
-    /// *rebased* onto the new graph after a detached delta are not
-    /// counted — they stay live.
+    /// Warm states dropped by an explicit invalidation: a search
+    /// configuration change, an attached ingest or a compaction (or a
+    /// state that refused its rebase). States *rebased* onto the new
+    /// graph after a detached delta are not counted — they stay live.
     pub invalidated: u64,
 }
 
@@ -148,8 +148,9 @@ impl PropPool {
     }
 
     /// Drop every warm entry's warmth (allocations are spared for reuse)
-    /// and count them as invalidated. Live ingestion calls this on pools
-    /// whose epoch it bumps — the entries could never resume again.
+    /// and count them as invalidated: after a configuration change, an
+    /// attached ingest or a compaction, the entries could never resume
+    /// again.
     pub(crate) fn invalidate_all(&self) -> u64 {
         let mut inner = self.inner.lock().expect("warm pool poisoned");
         let dropped = inner.by_seeker.len() as u64;

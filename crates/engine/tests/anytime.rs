@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s3_core::{SearchConfig, StopReason};
 use s3_engine::{
-    EngineConfig, FleetEngine, LocalShard, OverloadConfig, OverloadPolicy, S3Engine, ServeOutcome,
-    ShardHost, ShardServer, ShardedEngine,
+    Engine, EngineConfig, FleetEngine, LocalShard, OverloadConfig, OverloadPolicy, S3Engine,
+    ServeOutcome, ShardHost, ShardServer, ShardedEngine,
 };
 use s3_wire::ShardTransport;
 use std::sync::{Arc, Barrier};
@@ -303,6 +303,37 @@ fn only_exact_answers_enter_the_result_cache() {
     // The exact answer was cached after the first miss: later repeats
     // never reached the gate.
     assert_eq!(unbudgeted.load_stats().admitted, 1);
+
+    // `query` obeys the same rule as `serve`: a capped answer it computes
+    // first is not parked for a later `serve` to replay past the gate.
+    let capped = || {
+        EngineConfig::builder()
+            .search(SearchConfig { max_iterations: 1, ..SearchConfig::default() })
+            .threads(1)
+            .cache_capacity(16)
+            .build()
+    };
+    let engines: [Box<dyn Engine>; 2] = [
+        Box::new(S3Engine::new(Arc::clone(&inst), capped())),
+        Box::new(ShardedEngine::new(Arc::clone(&inst), capped(), 2)),
+    ];
+    for mut engine in engines {
+        let mut best_effort = 0;
+        for q in &queries {
+            let entries = engine.stats().cache.entries;
+            let answer = engine.query(q).expect("in-process query");
+            if answer.stats.stop != StopReason::MaxIterations {
+                continue;
+            }
+            best_effort += 1;
+            assert_eq!(engine.stats().cache.entries, entries, "query cached a capped answer");
+            let admitted = engine.stats().load.admitted;
+            let out = engine.serve(q, None).expect("in-process serve");
+            assert_eq!(out.answer().expect("capped serve answers").stats.stop, answer.stats.stop);
+            assert_eq!(engine.stats().load.admitted, admitted + 1, "serve replayed it from cache");
+        }
+        assert!(best_effort > 0, "some query needs more than one step");
+    }
 }
 
 /// Hammer a gated engine from concurrent clients and return every

@@ -10,7 +10,6 @@ use common::{assert_identical, random_instance, random_queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use s3_core::{ComponentFilter, ComponentPartition, SearchConfig};
 use s3_engine::{EngineConfig, S3Engine, ShardedEngine};
 use std::sync::Arc;
 
@@ -90,49 +89,6 @@ proptest! {
                 }
             }
             prop_assert!(engine.cache_stats().entries <= capacity);
-        }
-    }
-
-    /// Per-shard standalone engines (component-filtered `S3Engine`s) see
-    /// disjoint candidate sets that union to the unsharded one, and the
-    /// scatter path agrees with the core's all-shards-active driver.
-    #[test]
-    fn shards_partition_the_candidate_space(seed in 0u64..3000) {
-        let (inst, pool) = random_instance(seed);
-        let inst = Arc::new(inst);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7C1E);
-        let queries = random_queries(&mut rng, inst.num_users(), &pool, 6);
-        let partition = ComponentPartition::balanced(&inst, 3);
-        let baseline = S3Engine::new(Arc::clone(&inst), EngineConfig::default());
-
-        for q in &queries {
-            let full = baseline.query(q);
-            let mut union: Vec<_> = Vec::new();
-            for s in 0..3 {
-                let filter = Arc::new(ComponentFilter::for_shard(&partition, s));
-                let shard = S3Engine::new(
-                    Arc::clone(&inst),
-                    EngineConfig::builder().search(SearchConfig {
-                            component_filter: Some(filter),
-                            ..SearchConfig::default()
-                        }).cache_capacity(0).build(),
-                );
-                union.extend(shard.query(q).candidate_docs.iter().copied());
-            }
-            union.sort_unstable();
-            let before = union.len();
-            union.dedup();
-            prop_assert_eq!(union.len(), before, "shard candidate sets must be disjoint");
-            // A shard short of k local answers keeps exploring until its
-            // frontier closes, so it may discover *more* candidates than
-            // the globally-stopped unsharded run — the union covers the
-            // global candidate set but need not equal it.
-            for d in &full.candidate_docs {
-                prop_assert!(
-                    union.binary_search(d).is_ok(),
-                    "global candidate {:?} missing from every shard", d
-                );
-            }
         }
     }
 }

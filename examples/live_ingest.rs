@@ -5,9 +5,9 @@
 //! [`s3::engine::LiveShardedEngine`] (2 shards) and replays an update
 //! workload against it: each step ingests a batch (published by an atomic
 //! snapshot swap — queries never stop) and then queries the grown corpus.
-//! Detached batches (new users posting new content) invalidate only the
-//! shards that received the new components plus the front cache; batches
-//! touching existing data bump globally.
+//! Every batch purges the result cache; detached batches (new users
+//! posting new content) keep the warm propagations by rebasing them onto
+//! the grown graph, while batches touching existing data drop them.
 //!
 //! ```text
 //! cargo run --release --example live_ingest
@@ -62,7 +62,7 @@ fn main() {
 
     // ---- A hand-written detached batch: a new author's first post,
     // followed (and tagged) by a new fan. Nothing points at existing
-    // data, so only the shard receiving the new component bumps. ----
+    // data, so the warm propagations survive by rebase. ----
     let mut batch = IngestBatch::new();
     let author = batch.add_user();
     let fan = batch.add_user();
