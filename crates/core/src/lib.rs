@@ -75,8 +75,8 @@ pub use s3_graph::CompId;
 pub use s3_graph::{Propagation, PropagationState};
 pub use score::{AnyKeywordScore, S3kScore, ScoreModel, TypeWeightedScore};
 pub use search::{
-    selection_rank, FleetShard, Hit, QualityBound, Query, ResumeOutcome, S3kEngine, S3kSession,
-    SearchConfig, SearchScratch, SearchStats, SelectedCandidate, StopReason, StopState, TopKResult,
+    FleetShard, Hit, MergeScratch, QualityBound, Query, ResumeOutcome, Round, RoundExecutor,
+    S3kEngine, S3kSession, SearchConfig, SearchScratch, SearchStats, StopReason, TopKResult,
 };
 pub use snapshot::{
     load_snapshot, read_snapshot, save_snapshot, write_snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -8,9 +8,8 @@
 //! the per-document `con(d, k)` check admits candidates into the pool.
 
 use super::scratch::Pool;
-use super::{S3kEngine, SearchStats};
+use super::S3kEngine;
 use crate::score::ScoreModel;
-use s3_doc::DocNodeId;
 use s3_graph::{CompId, EdgeKind, NodeId, NodeKind, SocialGraph};
 use s3_text::KeywordId;
 use std::sync::Arc;
@@ -36,21 +35,20 @@ pub(crate) fn triggered_components(graph: &SocialGraph, v: NodeId, sink: &mut im
 /// Process one content component into `pool`: keyword pruning (§5.2),
 /// then the per-document `con` check
 /// against the query's keyword extensions `exts`. Each admitted document
-/// is logged in `admitted` with `seq`, the trigger that opened `comp`.
+/// is logged in `pool.admitted` with `seq`, the trigger that opened
+/// `comp`; the work is counted in `pool.stats`.
 pub(crate) fn discover_component<S: ScoreModel>(
     engine: &S3kEngine<'_, S>,
     exts: &[Arc<Vec<KeywordId>>],
     comp: CompId,
     pool: &mut Pool,
-    stats: &mut SearchStats,
     seq: u32,
-    admitted: &mut Vec<(u32, DocNodeId)>,
 ) {
     if !pool.processed.insert(comp.index()) {
         return;
     }
     pool.touched.push(comp.index());
-    stats.components += 1;
+    pool.stats.components += 1;
 
     let inst = engine.instance;
     if engine.config.component_pruning {
@@ -62,7 +60,7 @@ pub(crate) fn discover_component<S: ScoreModel>(
             exts.iter().any(|e| hit(e))
         };
         if !matches {
-            stats.pruned_components += 1;
+            pool.stats.pruned_components += 1;
             return;
         }
     }
@@ -106,13 +104,13 @@ pub(crate) fn discover_component<S: ScoreModel>(
         }
         let qualifies = if conjunctive { !missing } else { matched > 0 };
         if !qualifies {
-            stats.rejected += 1;
+            pool.stats.rejected += 1;
             continue;
         }
         slot.doc = d;
         let idx = pool.candidates.commit();
         pool.candidate_of.insert(d, idx);
-        admitted.push((seq, d));
-        stats.candidates += 1;
+        pool.admitted.push((seq, d));
+        pool.stats.candidates += 1;
     }
 }

@@ -27,19 +27,25 @@
 //! (time budget / iteration cap) returns the current best-effort selection,
 //! as in §4.1 "Any-time termination".
 //!
-//! # One driver, four stages
+//! # One driver, four stages, two executors
 //!
-//! One query is one loop, over one [`s3_graph::Propagation`] and any
-//! number of candidate pools, of four stages in their own modules:
-//! `expand` (keyword dedup, `Ext` expansion, answerability — once, before
-//! the loop), `discover` (each triggered component goes to the pool that
-//! owns it), `bounds` (score intervals and the undiscovered threshold) and
-//! `stop` (per-pool greedy selection, the merge, and the one stop rule,
-//! [`StopState::decide`]). The unsharded run ([`S3kEngine::run_with`]) is
-//! one pool that owns every component, the partitioned run
-//! ([`S3kEngine::run_partitioned_with`]) one pool per active shard; a
-//! [`FleetShard`] runs the same round for its own pool, and the fleet
-//! client applies the same stop rule to the merged replies.
+//! One query is one loop, [`S3kEngine::search`], over four stages in their
+//! own modules: `expand` (keyword dedup, `Ext` expansion, answerability —
+//! once, before the loop), `discover` (each triggered component goes to
+//! the pool that owns it), `bounds` (score intervals and the undiscovered
+//! threshold) and `stop` (per-pool greedy selection, the merges, and the
+//! one stop rule). The loop is generic over a [`RoundExecutor`], which
+//! runs the rounds; the driver merges the pools' selections and
+//! admissions, decides, resumes or restarts, and builds the answer.
+//!
+//! * The **local** executor steps one [`s3_graph::Propagation`] and
+//!   rounds N candidate pools in this process. The unsharded run
+//!   ([`S3kEngine::run_with`]) is one pool that owns every component, the
+//!   partitioned run ([`S3kEngine::run_partitioned_with`]) one pool per
+//!   active shard, and a [`FleetShard`] is its one-pool form, driven one
+//!   wire message at a time.
+//! * The **remote** executor (`s3-engine`'s fleet client) does frame I/O:
+//!   each operation is one message to every routed shard server.
 //!
 //! The scratch (and the [`s3_graph::Propagation`], via
 //! [`s3_graph::Propagation::reset`]) is reused across queries: repeat
@@ -52,29 +58,30 @@
 
 mod bounds;
 mod discover;
+mod exec;
 mod expand;
 mod fleet;
-mod merge;
 mod partitioned;
 mod scratch;
 mod stop;
 
-pub use fleet::{selection_rank, FleetShard, SelectedCandidate};
+pub use exec::{Round, RoundExecutor};
+pub use fleet::FleetShard;
 pub use scratch::SearchScratch;
-pub use stop::StopState;
+pub use stop::MergeScratch;
 
 use crate::clock::SearchClock;
 use crate::ids::UserId;
 use crate::instance::S3Instance;
 use crate::score::{S3kScore, ScoreModel};
+use exec::Local;
 use s3_doc::DocNodeId;
-use s3_graph::{CompId, Propagation};
+use s3_graph::Propagation;
 use s3_text::KeywordId;
-use scratch::{Pool, QueryScratch};
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
+use stop::StopState;
 
 /// A keyword query `(u, φ)` with a result size `k` (Definition 3.1).
 #[derive(Debug, Clone)]
@@ -359,6 +366,11 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
     /// query's seeker (unless [`SearchConfig::resume`] is off), and reset
     /// otherwise. This is the allocation-free steady-state path the
     /// serving layer drives; results are identical to [`S3kEngine::run`].
+    ///
+    /// # Panics
+    ///
+    /// If the query can match and its seeker is not a user of the
+    /// instance.
     pub fn run_with(
         &self,
         query: &Query,
@@ -366,90 +378,55 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
         prop: &mut Option<Propagation<'i>>,
     ) -> TopKResult {
         let SearchScratch { query: q, pool } = scratch;
-        self.search(query, q, &mut [pool], |_| Some(0), prop)
+        let (pools, resume) = (&mut [pool], self.config.resume);
+        let exec = &mut Local { engine: self, q, pools, partition: None, prop, resume };
+        self.search(query, exec).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The one search driver over `pools`: pool `i` owns the components
-    /// `owner` maps to `Some(i)` (`None`: not searched); `q` holds the
-    /// query-global state. It also runs the propagation lifecycle
-    /// (ARCHITECTURE.md "Propagation lifecycle"): a warm same-seeker
-    /// propagation is *resumed* — discovery replays the visited journal,
-    /// the exact node sequence a cold run would have fed it, and the loop
-    /// continues from the current step — and the resumed run's **first**
-    /// stop evaluation is a probe. If it would return, a cold run might
-    /// have stopped at an earlier step with different certified bounds,
-    /// so the driver rewinds (keeping the expansion), resets the
-    /// propagation and replays cold. Once it fails, every later round is
-    /// byte-identical to the cold run's: the propagation is a pure
-    /// function of (seeker, γ, step) and the stop test only tightens.
-    pub(crate) fn search(
+    /// The one search driver: `exec` runs the rounds; after each one this
+    /// loop merges the pools' selections and admissions and applies the
+    /// one stop rule (Algorithm `StopCondition`) to the merged selection.
+    ///
+    /// The **first** stop evaluation of a resumed query is a probe
+    /// (ARCHITECTURE.md "Propagation lifecycle"): if it would return, a
+    /// cold run might have stopped earlier with different certified
+    /// bounds, so the executor restarts cold and the query replays. Once
+    /// it fails, every later round equals the cold run's: the propagation
+    /// is a pure function of (seeker, γ, step) and the test only tightens.
+    pub fn search<X: RoundExecutor>(
         &self,
         query: &Query,
-        q: &mut QueryScratch,
-        pools: &mut [&mut Pool],
-        owner: impl Fn(CompId) -> Option<usize>,
-        prop: &mut Option<Propagation<'i>>,
-    ) -> TopKResult {
+        exec: &mut X,
+    ) -> Result<TopKResult, X::Error> {
         let started = self.config.clock.now();
-        let graph = self.instance.graph();
-        q.begin();
-        for pool in pools.iter_mut() {
-            pool.begin(graph.components().len());
-        }
-
-        // ---- Stage 1: keyword expansion (Definition 2.1). ----
-        if !expand::expand_query(self, query, q) {
-            // Some keyword (or its whole extension) never occurs: the score
-            // of every document is 0 and the (positive-score) answer is
-            // empty — exact.
+        let Some(mut outcome) = exec.begin(query)? else {
             let stats = SearchStats { stop: StopReason::NoMatch, ..SearchStats::default() };
-            return TopKResult { hits: Vec::new(), candidate_docs: Vec::new(), stats };
-        }
-
-        let seeker = self.instance.user_node(query.seeker);
-        let gamma = self.model.gamma();
-        // Reuse only a propagation built over *this* graph with this γ; a
-        // caller juggling several engines could otherwise hand us buffers
-        // sized for a different instance.
-        let prop = match prop {
-            Some(p) if p.gamma() == gamma && std::ptr::eq(p.graph(), graph) => p,
-            slot => slot.insert(Propagation::new(graph, gamma, seeker)),
+            return Ok(TopKResult { hits: Vec::new(), candidate_docs: Vec::new(), stats });
         };
-        let mut outcome = if self.config.resume && prop.seeker() == seeker && prop.iteration() > 0 {
-            q.newly.extend(prop.visited_journal());
-            ResumeOutcome::Resumed
-        } else {
-            if prop.seeker() != seeker || prop.iteration() > 0 {
-                prop.reset(seeker);
-            }
-            // Discovery from the seed (the seeker may source tags/documents).
-            q.newly.push(seeker);
-            ResumeOutcome::Cold
-        };
-
-        let mut stats = SearchStats { resume: outcome, ..SearchStats::default() };
-        let mut first = true;
+        let (k, mut first) = (query.k, true);
+        // Lent for the query; an error path drops it, and the next query
+        // starts from empty buffers.
+        let mut merge = std::mem::take(exec.merge_scratch());
+        merge.log.clear();
         loop {
-            let threshold = self.round(q, pools, &owner, prop, query.k, &mut stats);
-
-            // ---- Stage 4: merge + the stop rule (Algorithm StopCondition). ----
-            let min_lower = stop::merge_selections(&mut q.merged, pools, query.k);
+            // ---- Stage 4: the merges + the stop rule (Algorithm StopCondition). ----
+            merge.admissions(exec);
+            let min_lower = merge.selections(exec, k);
+            let (merged, round) = (&merge.merged, exec.round());
             let state = StopState {
-                k: query.k,
-                selected: q.merged.len(),
+                k,
+                selected: merged.len(),
                 min_lower,
-                threshold,
-                frontier_closed: prop.frontier_closed(),
-                iteration: prop.iteration(),
+                threshold: round.threshold,
+                frontier_closed: round.frontier_closed,
+                iteration: round.iteration,
                 started,
             };
-            let Ok(decision) = state.decide(&self.config, || {
-                Ok::<_, Infallible>(
-                    pools.iter().map(|pool| stop::pool_rival_upper(self, pool)).fold(0.0, f64::max),
-                )
-            });
+            let full = merged.len() == k;
+            let decision =
+                state.decide(&self.config, || exec.rival(&merge.shares, min_lower, full))?;
             #[cfg(test)]
-            stop::tests::assert_matches_oracle(self, pools, &q.merged, &state, decision);
+            exec.audit(merged, &state, decision);
             if let Some((reason, quality)) = decision {
                 // A resumed run replays cold when its first stop evaluation
                 // would return — except on a blown time budget, where a
@@ -458,78 +435,34 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
                 // (with its certified quality) and the propagation stays
                 // warm, so a repeat query can upgrade the degraded answer.
                 if outcome == ResumeOutcome::Resumed && first && reason != StopReason::TimeBudget {
-                    q.rewind();
-                    for pool in pools.iter_mut() {
-                        pool.rewind();
-                    }
-                    prop.reset(seeker);
-                    q.newly.push(seeker);
+                    exec.restart_cold()?;
                     outcome = ResumeOutcome::Fallback;
-                    stats = SearchStats { resume: outcome, ..SearchStats::default() };
+                    merge.log.clear();
                     continue;
                 }
-                stats.stop = reason;
-                stats.iterations = prop.iteration();
-                stats.quality = quality;
-                let hits = q
-                    .merged
-                    .iter()
-                    .map(|&(p, i)| {
-                        let c = &pools[p].candidates.as_slice()[i];
-                        Hit { doc: c.doc, lower: c.lower, upper: c.upper }
-                    })
-                    .collect();
-                let candidate_docs = q.admitted.iter().map(|&(_, doc)| doc).collect();
-                return TopKResult { hits, candidate_docs, stats };
+                let mut stats = SearchStats {
+                    iterations: round.iteration,
+                    stop: reason,
+                    resume: outcome,
+                    quality,
+                    ..SearchStats::default()
+                };
+                for pool in 0..exec.pools() {
+                    let work = exec.work(pool);
+                    stats.candidates += work.candidates;
+                    stats.rejected += work.rejected;
+                    stats.components += work.components;
+                    stats.pruned_components += work.pruned_components;
+                }
+                let hits = merged.iter().map(|&(_, hit)| hit).collect();
+                let candidate_docs = merge.log.clone();
+                *exec.merge_scratch() = merge;
+                exec.end()?;
+                return Ok(TopKResult { hits, candidate_docs, stats });
             }
             first = false;
-
-            // ---- Explore one more hop (Algorithm ExploreStep). ----
-            prop.step_into(1, false, &mut q.newly);
+            exec.advance()?;
         }
-    }
-
-    /// Stages 2–4 of one round over the nodes in `q.newly`, per pool:
-    /// dispatch every component they trigger to its owning pool and admit
-    /// its candidates (logging each admitted document in `q.admitted`
-    /// with the global trigger sequence number — counted over *every*
-    /// trigger, owned or not — of the component that admitted it),
-    /// refresh every pool's bounds and select in every pool. Returns the
-    /// undiscovered threshold. The one per-pool half of the loop, shared
-    /// with [`FleetShard`].
-    pub(crate) fn round(
-        &self,
-        q: &mut QueryScratch,
-        pools: &mut [&mut Pool],
-        owner: &impl Fn(CompId) -> Option<usize>,
-        prop: &mut Propagation<'_>,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> f64 {
-        // ---- Stage 2: discovery (Algorithm GetDocuments). ----
-        let graph = self.instance.graph();
-        let QueryScratch { exts, newly, admitted, triggers, .. } = &mut *q;
-        for &v in newly.iter() {
-            discover::triggered_components(graph, v, &mut |comp| {
-                let seq = *triggers;
-                *triggers += 1;
-                if let Some(p) = owner(comp) {
-                    discover::discover_component(self, exts, comp, pools[p], stats, seq, admitted);
-                }
-            });
-        }
-
-        // ---- Stage 3: bounds (Algorithm ComputeCandidatesBounds). ----
-        for pool in pools.iter_mut() {
-            bounds::update_candidate_bounds(self, pool, prop);
-        }
-        let threshold = bounds::undiscovered_threshold(&self.model, q, prop);
-
-        // ---- Stage 4: greedy selection per pool. ----
-        for pool in pools.iter_mut() {
-            stop::select(self, pool, k);
-        }
-        threshold
     }
 }
 

@@ -9,19 +9,21 @@
 //! shards to stop together.
 //!
 //! [`S3kEngine::run_partitioned_with`] therefore runs the one search
-//! driver (see [`super`]) with one candidate pool per active shard: one
-//! [`Propagation`] per query (proximity is a function of the full graph
-//! and the seeker, so sharing it pins every shard to the same bounds),
-//! discovery dispatching each component to its owning shard's pool, and
-//! the stop rule judging the merged selection — which *is* the global
-//! greedy selection, since Definition 3.2's vertical-neighbor constraint
-//! only relates fragments of one tree, hence of one shard. For any shard
+//! driver (see [`super`]) on the local executor with one candidate pool
+//! per active shard: one [`Propagation`] per query (proximity is a
+//! function of the full graph and the seeker, so sharing it pins every
+//! shard to the same bounds), discovery dispatching each component to
+//! its owning shard's pool, and the stop rule judging the merged
+//! selection — which *is* the global greedy selection, since Definition
+//! 3.2's vertical-neighbor constraint only relates fragments of one
+//! tree, hence of one shard. For any shard
 //! count and any subset of shards covering the query's matching
 //! components, the [`TopKResult`] is byte-identical to [`S3kEngine::run`]
 //! on hits (documents, order, certified bounds), candidate list, stop
 //! reason and quality. Property-tested here and end-to-end in
 //! `crates/engine/tests/sharding.rs`.
 
+use super::exec::Local;
 use super::scratch::{Pool, SearchScratch};
 use super::{Query, S3kEngine, TopKResult};
 use crate::partition::ComponentPartition;
@@ -29,29 +31,11 @@ use crate::score::ScoreModel;
 use s3_graph::Propagation;
 
 impl<'i, S: ScoreModel> S3kEngine<'i, S> {
-    /// One-shot [`Self::run_partitioned_with`] over every shard, with
-    /// throwaway buffers.
-    pub fn run_partitioned(&self, query: &Query, partition: &ComponentPartition) -> TopKResult {
-        let active: Vec<usize> = (0..partition.num_shards()).collect();
-        let mut carrier = SearchScratch::new();
-        let mut scratches: Vec<Option<SearchScratch>> =
-            (0..partition.num_shards()).map(|_| Some(SearchScratch::new())).collect();
-        let mut prop = None;
-        self.run_partitioned_with(
-            query,
-            partition,
-            &active,
-            &mut carrier,
-            &mut scratches,
-            &mut prop,
-        )
-    }
-
     /// Answer one query over the partition's shards, one candidate pool
     /// per active shard (see the module docs).
     ///
     /// `carrier` lends its query-global half (expansion, frontier,
-    /// threshold, merged selection, admission log); `scratches` has one
+    /// threshold parts, trigger count); `scratches` has one
     /// slot per shard, and only the `active` shards' slots must be checked
     /// out (`Some`) — each lends its candidate pool. The serving layer
     /// borrows them lazily from the pools of the shards a query actually
@@ -90,8 +74,10 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             .filter(|(s, _)| active.binary_search(s).is_ok())
             .map(|(_, slot)| &mut slot.as_mut().expect("active shard scratch checked out").pool)
             .collect();
-        let owner = |comp| active.binary_search(&partition.shard_of(comp)).ok();
-        self.search(query, &mut carrier.query, &mut pools, owner, prop)
+        let partition = Some((partition, active));
+        let (q, resume) = (&mut carrier.query, self.config.resume);
+        let exec = &mut Local { engine: self, q, pools: &mut pools, partition, prop, resume };
+        self.search(query, exec).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -103,6 +89,30 @@ mod tests {
     use crate::search::{SearchConfig, StopReason};
     use s3_text::{KeywordId, Language};
     use std::sync::Arc;
+
+    impl<S: ScoreModel> S3kEngine<'_, S> {
+        /// One-shot [`Self::run_partitioned_with`] over every shard, with
+        /// throwaway buffers.
+        pub(crate) fn run_partitioned(
+            &self,
+            query: &Query,
+            partition: &ComponentPartition,
+        ) -> TopKResult {
+            let active: Vec<usize> = (0..partition.num_shards()).collect();
+            let mut carrier = SearchScratch::new();
+            let mut scratches: Vec<Option<SearchScratch>> =
+                (0..partition.num_shards()).map(|_| Some(SearchScratch::new())).collect();
+            let mut prop = None;
+            self.run_partitioned_with(
+                query,
+                partition,
+                &active,
+                &mut carrier,
+                &mut scratches,
+                &mut prop,
+            )
+        }
+    }
 
     /// A multi-component instance: three document threads (a post with a
     /// comment, a tagged post, a lone post), five users, an ontology

@@ -9,12 +9,15 @@
 //! buffers are all reused at their high-water capacity).
 //!
 //! It has two halves. [`QueryScratch`] is the query-global state — the
-//! expansion, the frontier, the threshold buffer, the merged selection and
-//! the admission log. [`Pool`] is one candidate pool: the candidates of
-//! the components it owns plus the per-pool stage buffers. An unsharded
+//! expansion, the frontier, the threshold buffer, the trigger count and
+//! the last round's report. [`Pool`] is one candidate pool: the
+//! candidates of the components it owns, its round's admissions, its work
+//! counters and the per-pool stage buffers. An unsharded
 //! search runs one pool; a partitioned one borrows the pool of every
 //! active shard's scratch and the query half of a carrier scratch.
 
+use super::stop::MergeScratch;
+use super::{Round, SearchStats};
 use crate::connections::ConnType;
 use s3_doc::DocNodeId;
 use s3_graph::NodeId;
@@ -108,21 +111,24 @@ pub(crate) struct QueryScratch {
     pub newly: Vec<NodeId>,
     /// Per-keyword threshold parts (bounds stage).
     pub threshold_parts: Vec<f64>,
-    /// The merged selection as `(pool, candidate)` pairs, best first.
-    pub merged: Vec<(usize, usize)>,
-    /// Admitted documents in admission order, each tagged with the global
-    /// trigger sequence number of the component that admitted it.
-    pub admitted: Vec<(u32, DocNodeId)>,
     /// Component triggers dispatched so far — owned by a pool or not.
     pub triggers: u32,
+    /// The query's `k`.
+    pub k: usize,
+    /// What the last round reported besides the pools.
+    pub round: Round,
+    /// The driver's merge buffers.
+    pub merge: MergeScratch,
 }
 
 impl QueryScratch {
-    /// Rewind everything for a new query. Keeps capacity.
-    pub fn begin(&mut self) {
+    /// Rewind everything for a new query asking for `k` hits. Keeps
+    /// capacity.
+    pub fn begin(&mut self, k: usize) {
         self.keywords.clear();
         self.exts.clear();
         self.smax_ext.clear();
+        self.k = k;
         self.rewind();
     }
 
@@ -131,9 +137,8 @@ impl QueryScratch {
     /// replaying the same query cold.
     pub fn rewind(&mut self) {
         self.newly.clear();
-        self.merged.clear();
-        self.admitted.clear();
         self.triggers = 0;
+        self.round = Round::default();
     }
 }
 
@@ -159,9 +164,15 @@ pub(crate) struct Pool {
     pub agg: HashMap<NodeId, f64>,
     /// Candidate indices ordered by upper bound (selection stage).
     pub order: Vec<usize>,
-    /// The pool's greedy selection; after the merge, its share of the
-    /// merged selection (a prefix, in rank order).
+    /// The pool's greedy selection, in rank order; cut back to its share
+    /// of the merged selection (a prefix) when the rival is swept.
     pub selection: Vec<usize>,
+    /// Documents admitted by the last round, each tagged with the global
+    /// trigger sequence number of the component that admitted it.
+    pub admitted: Vec<(u32, DocNodeId)>,
+    /// The pool's work counters for the current query (candidates,
+    /// rejected, components, pruned components).
+    pub stats: SearchStats,
 }
 
 impl Pool {
@@ -186,6 +197,8 @@ impl Pool {
         }
         self.touched.clear();
         self.selection.clear();
+        self.admitted.clear();
+        self.stats = SearchStats::default();
     }
 }
 

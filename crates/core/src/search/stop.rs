@@ -1,21 +1,37 @@
-//! Stage 4 — selection, the merge and the stop rule (Algorithm
+//! Stage 4 — selection, the merges and the stop rule (Algorithm
 //! `StopCondition`).
 //!
 //! Each pool picks its greedy selection by upper bound while respecting
 //! Definition 3.2's vertical-neighbor constraint; the merge ranks the
 //! pools' selections into the global one (the constraint relates
 //! fragments of one tree, hence of one pool, so the merged prefix *is* the
-//! greedy selection over the union). [`StopState::decide`] is the one stop
-//! rule: it certifies that no unselected or undiscovered document can
-//! displace the merged selection (Theorem 4.1), at which point the answer
-//! is final, and it prices an any-time answer's [`QualityBound`]. The
-//! in-process driver and the fleet client both call it.
+//! greedy selection over the union), and the admission merge interleaves
+//! the pools' admission logs by trigger sequence. [`StopState::decide`] is
+//! the one stop rule: it certifies that no unselected or undiscovered
+//! document can displace the merged selection (Theorem 4.1), at which
+//! point the answer is final, and it prices an any-time answer's
+//! [`QualityBound`]. The one driver calls all three, whatever executor
+//! runs its rounds.
 
-use super::merge::rank;
+use super::exec::RoundExecutor;
 use super::scratch::Pool;
-use super::{QualityBound, S3kEngine, SearchConfig, StopReason};
+use super::{Hit, QualityBound, S3kEngine, SearchConfig, StopReason};
 use crate::score::ScoreModel;
+use s3_doc::DocNodeId;
+use std::cmp::Ordering;
 use std::time::Duration;
+
+/// The one ranking on `(upper bound, document)`, used by every pool's
+/// selection and by the merge: higher upper bound first, lower document
+/// id breaking ties (the engine's de-facto finite-precision
+/// tie-breaking; `NaN` bounds compare equal and fall through to the id).
+/// A document lives in one component, hence one pool, so the merged
+/// order is total and a partitioned search reproduces the single-pool
+/// selection order bit for bit.
+#[inline]
+fn rank(a_upper: f64, a_doc: DocNodeId, b_upper: f64, b_doc: DocNodeId) -> Ordering {
+    b_upper.partial_cmp(&a_upper).unwrap_or(Ordering::Equal).then(a_doc.cmp(&b_doc))
+}
 
 /// Greedy top-k selection by upper bound, skipping vertical neighbors of
 /// already-selected documents (Definition 3.2's constraint). Fills
@@ -45,37 +61,64 @@ pub(crate) fn select<S: ScoreModel>(engine: &S3kEngine<'_, S>, pool: &mut Pool, 
     }
 }
 
-/// Merge the pools' selections into the global one: rank every selected
-/// candidate, keep the best `k` as `(pool, candidate)` pairs in `merged`,
-/// and cut each pool's `selection` back to its share of the merged answer
-/// (a prefix, since each selection is itself in rank order). Returns the
-/// merged selection's smallest lower bound (`INFINITY` when empty).
-pub(crate) fn merge_selections(
-    merged: &mut Vec<(usize, usize)>,
-    pools: &mut [&mut Pool],
-    k: usize,
-) -> f64 {
-    merged.clear();
-    for (p, pool) in pools.iter().enumerate() {
-        merged.extend(pool.selection.iter().map(|&i| (p, i)));
-    }
-    merged.sort_unstable_by(|&(pa, ia), &(pb, ib)| {
-        let a = &pools[pa].candidates.as_slice()[ia];
-        let b = &pools[pb].candidates.as_slice()[ib];
-        rank(a.upper, a.doc, b.upper, b.doc)
-    });
-    merged.truncate(k);
-    for (p, pool) in pools.iter_mut().enumerate() {
-        pool.selection.truncate(merged.iter().filter(|&&(mp, _)| mp == p).count());
-    }
-    merged
-        .iter()
-        .map(|&(p, i)| pools[p].candidates.as_slice()[i].lower)
-        .fold(f64::INFINITY, f64::min)
+/// The driver's merge buffers, lent by the executor for each query
+/// ([`RoundExecutor::merge_scratch`]) so warm queries do not allocate them.
+#[derive(Debug, Default)]
+pub struct MergeScratch {
+    /// The merged selection, best first, each hit with its pool.
+    pub(crate) merged: Vec<(usize, Hit)>,
+    /// Each pool's share of `merged` (a prefix of the pool's selection).
+    pub(crate) shares: Vec<usize>,
+    /// Each pool's position in the admission merge.
+    cursors: Vec<usize>,
+    /// The query's admissions so far, in single-pool admission order.
+    pub(crate) log: Vec<DocNodeId>,
 }
 
-/// The strongest *candidate* rival of a pool's share of the selection
-/// (`pool.selection`): the largest upper bound among unselected, positive
+impl MergeScratch {
+    /// Merge the executor's pool selections into the global one: rank
+    /// every selected entry, keep the best `k` and count each pool's
+    /// share. Returns the merged selection's smallest lower bound
+    /// (`INFINITY` when empty).
+    pub(crate) fn selections<X: RoundExecutor>(&mut self, exec: &X, k: usize) -> f64 {
+        let MergeScratch { merged, shares, .. } = self;
+        merged.clear();
+        for pool in 0..exec.pools() {
+            merged.extend((0..).map_while(|j| exec.hit(pool, j)).map(|hit| (pool, hit)));
+        }
+        merged.sort_unstable_by(|(_, a), (_, b)| rank(a.upper, a.doc, b.upper, b.doc));
+        merged.truncate(k);
+        shares.clear();
+        shares.resize(exec.pools(), 0);
+        for &(pool, _) in merged.iter() {
+            shares[pool] += 1;
+        }
+        merged.iter().map(|(_, hit)| hit.lower).fold(f64::INFINITY, f64::min)
+    }
+
+    /// Append the last round's admissions to `log` in global
+    /// trigger-sequence order: a k-way merge of the pools' logs (each in
+    /// sequence order). One component belongs to one pool, so sequences
+    /// never tie across pools, and the merge reconstructs the admission
+    /// order of one pool owning every component exactly.
+    pub(crate) fn admissions<X: RoundExecutor>(&mut self, exec: &X) {
+        let MergeScratch { cursors, log, .. } = self;
+        cursors.clear();
+        cursors.resize(exec.pools(), 0);
+        let next = |cursors: &[usize]| {
+            let heads =
+                cursors.iter().enumerate().filter_map(|(p, &i)| Some((exec.admitted(p, i)?, p)));
+            heads.min_by_key(|&((seq, _), _)| seq)
+        };
+        while let Some(((_, doc), pool)) = next(cursors) {
+            log.push(doc);
+            cursors[pool] += 1;
+        }
+    }
+}
+
+/// The strongest *candidate* rival of a pool's share of the merged
+/// selection (`pool.selection`): the largest upper bound among unselected, positive
 /// candidates not provably dominated by a selected vertical neighbor (0
 /// when none). [`StopState::decide`] compares it with the bar the regret
 /// is measured against, so it excludes nothing for being under that bar.
@@ -129,9 +172,8 @@ impl StopState {
     ///
     /// `rival` returns the largest upper bound, over every candidate pool,
     /// of an unselected, positive candidate no selected vertical neighbor
-    /// provably dominates (0 when none; a fleet shard's
-    /// [`FleetShard::rival_upper`](super::FleetShard::rival_upper) is one
-    /// pool's sweep). It runs at most once, when needed: if the
+    /// provably dominates (0 when none; [`RoundExecutor::rival`]). It
+    /// runs at most once, when needed: if the
     /// precondition holds — full selection and `threshold ≤ min_lower + ε`,
     /// or short selection and a closed frontier — the answer converged iff
     /// the rival is at most `min_lower + ε` (full) or 0 (short); an
@@ -176,7 +218,8 @@ pub(crate) mod tests {
     use crate::ids::{TagSubject, UserId};
     use crate::instance::{InstanceBuilder, S3Instance};
     use crate::partition::ComponentPartition;
-    use crate::search::scratch::Candidate;
+    use crate::search::exec::Local;
+    use crate::search::scratch::{Candidate, QueryScratch};
     use crate::search::Query;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -184,7 +227,9 @@ pub(crate) mod tests {
     use s3_doc::{DocBuilder, DocNodeId};
     use s3_text::{KeywordId, Language};
     use std::collections::HashSet;
-    use std::convert::Infallible;
+
+    /// One stop evaluation's outcome, as [`StopState::decide`] returns it.
+    pub(crate) type Decision = Option<(StopReason, QualityBound)>;
 
     /// The stop test before the drivers merged, verbatim but for taking
     /// one flat candidate list and selection instead of a scratch: the
@@ -282,10 +327,19 @@ pub(crate) mod tests {
     pub(crate) fn assert_matches_oracle<S: ScoreModel>(
         engine: &S3kEngine<'_, S>,
         pools: &[&mut Pool],
-        merged: &[(usize, usize)],
+        merged: &[(usize, Hit)],
         state: &StopState,
-        decision: Option<(StopReason, QualityBound)>,
+        decision: Decision,
     ) {
+        // Each pool's entries are a prefix of its selection, in order.
+        let mut seen = vec![0; pools.len()];
+        let merged: Vec<(usize, usize)> = merged
+            .iter()
+            .map(|&(p, _)| {
+                seen[p] += 1;
+                (p, pools[p].selection[seen[p] - 1])
+            })
+            .collect();
         let mut union = Pool::default();
         let mut base = Vec::new();
         for pool in pools {
@@ -390,6 +444,19 @@ pub(crate) mod tests {
         (inst, users, pool)
     }
 
+    #[test]
+    fn merge_ranks_by_upper_then_doc() {
+        let mut hits = [(3u32, 0.9), (1, 0.5), (0, 0.9), (2, 0.7)];
+        hits.sort_unstable_by(|a, b| rank(a.1, DocNodeId(a.0), b.1, DocNodeId(b.0)));
+        let docs: Vec<u32> = hits.iter().map(|h| h.0).collect();
+        assert_eq!(docs, vec![0, 3, 2, 1], "0.9 tie broken by doc id, then 0.7, then 0.5");
+        assert_eq!(
+            rank(f64::NAN, DocNodeId(1), 0.5, DocNodeId(2)),
+            Ordering::Less,
+            "a NaN bound compares equal and falls through to the id"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -455,8 +522,12 @@ pub(crate) mod tests {
                 for pool in refs.iter_mut() {
                     select(&engine, pool, k);
                 }
-                let mut merged = Vec::new();
-                let min_lower = merge_selections(&mut merged, &mut refs, k);
+                let (mut q, mut prop) = (QueryScratch::default(), None);
+                let (q, pools, prop) = (&mut q, &mut refs[..], &mut prop);
+                let mut exec = Local { engine: &engine, q, pools, partition: None, prop, resume: false };
+                let mut merge = MergeScratch::default();
+                let min_lower = merge.selections(&exec, k);
+                let (merged, shares) = (&merge.merged, &merge.shares);
                 let state = StopState {
                     k,
                     selected: merged.len(),
@@ -466,12 +537,9 @@ pub(crate) mod tests {
                     iteration: rng.gen_range(0..5),
                     started: Duration::ZERO,
                 };
-                let Ok(decision) = state.decide(&engine.config, || {
-                    Ok::<_, Infallible>(
-                        refs.iter().map(|pool| pool_rival_upper(&engine, pool)).fold(0.0, f64::max),
-                    )
-                });
-                assert_matches_oracle(&engine, &refs, &merged, &state, decision);
+                let full = merged.len() == k;
+                let decision = state.decide(&engine.config, || exec.rival(shares, min_lower, full));
+                exec.audit(merged, &state, decision.unwrap());
             }
         }
     }

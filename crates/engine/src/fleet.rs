@@ -2,28 +2,23 @@
 //!
 //! [`crate::ShardedEngine`] runs the iteration-synchronous scatter-gather
 //! inside one process. This module runs the *same algorithm* across
-//! process boundaries:
+//! process boundaries — the one search driver
+//! ([`s3_core::S3kEngine::search`]) with another round executor:
 //!
 //! * [`ShardServer`] owns one shard — the deterministically re-derived
-//!   instance + partition and an [`s3_core::FleetShard`] round executor
-//!   over the shard's candidate pool — and answers the wire
-//!   protocol's round requests ([`ShardServer::serve`] loops over any
-//!   `Read + Write` stream: a unix socket, an in-memory loopback, ...);
+//!   instance + partition and an [`s3_core::FleetShard`] — and answers
+//!   the wire protocol's round requests over any `Read + Write` stream
+//!   ([`ShardServer::serve`]). A request that does not fit the shard's
+//!   state ends the session with a [`WireError::Protocol`];
 //! * [`FleetEngine`] is the client: it routes each query through the
-//!   regular [`ShardRouter`], drives the fan-out over N
-//!   [`ShardTransport`]s, merges per-shard admissions (by global trigger
-//!   sequence) and selections ([`s3_core::selection_rank`]), and applies
-//!   the core's one stop rule ([`s3_core::StopState::decide`]) with a
-//!   `StopCheck` fan-out as its rival — returning results byte-identical
-//!   to [`crate::ShardedEngine`];
+//!   regular [`ShardRouter`] and drives it on its remote executor, which
+//!   only does frame I/O — `Start`, `NextRound`, `StopCheck`, `EndQuery`
+//!   to every routed shard, pipelined so a wave costs the slowest shard,
+//!   not the sum. Results are byte-identical to [`crate::ShardedEngine`];
 //! * [`LocalShard`] is the zero-cost in-process transport: replies move
 //!   as typed values through option slots, no bytes on the query hot
 //!   path (ingest still exercises the codec — it is rare and the round
 //!   trip doubles as a serialization check).
-//!
-//! Round fan-out is **pipelined**: the client queues every shard's
-//! request, flushes them all, then reads replies — so a round costs the
-//! *slowest* shard, not the sum ([`s3_wire::ShardTransport`] docs).
 //!
 //! Replication model: every shard server holds the full instance (built
 //! from its own [`InstanceBuilder`]) because proximity propagates over
@@ -38,8 +33,8 @@ use crate::gate::{self, Admission, AdmissionGate, LoadStats, ServeOutcome};
 use crate::{EngineConfig, EngineError, ShardRouter};
 use s3_core::{
     read_snapshot, CompactionReport, ComponentPartition, FleetShard, Hit, IngestBatch,
-    IngestSummary, InstanceBuilder, Query, ResumeOutcome, S3Instance, S3kEngine, SearchConfig,
-    SearchStats, StopReason, StopState, TopKResult, UserId,
+    IngestSummary, InstanceBuilder, MergeScratch, Query, ResumeOutcome, Round, RoundExecutor,
+    S3Instance, S3kEngine, SearchConfig, SearchStats, StopReason, TopKResult, UserId,
 };
 use s3_doc::DocNodeId;
 use s3_text::KeywordId;
@@ -63,8 +58,7 @@ pub struct ShardServer {
     instance: Arc<S3Instance>,
     partition: Arc<ComponentPartition>,
     shard: usize,
-    /// The search configuration (ownership is partition + shard id in
-    /// the round executor).
+    /// The search configuration (the fleet client's).
     search: SearchConfig,
     session: FleetShard,
     epoch: u64,
@@ -80,6 +74,21 @@ fn snapshot_fingerprint(instance: &S3Instance) -> SnapshotAck {
         docs: instance.num_documents() as u64,
         connections: instance.connections().len() as u64,
     }
+}
+
+/// The ack a replica answers an applied batch with: what the client's own
+/// apply of the batch must reproduce.
+fn ingest_ack(summary: &IngestSummary, epoch: u64, instance: &S3Instance) -> IngestAck {
+    let nodes = instance.graph().num_nodes() as u64;
+    let touched = summary.touched_components.len() as u64;
+    IngestAck { detached: summary.detached, epoch, nodes, touched }
+}
+
+/// The ack a replica answers a compaction with (its fingerprint, see
+/// [`snapshot_fingerprint`]).
+fn compact_ack(epoch: u64, instance: &S3Instance) -> CompactAck {
+    let SnapshotAck { nodes, users, docs, connections } = snapshot_fingerprint(instance);
+    CompactAck { epoch, nodes, users, docs, connections }
 }
 
 impl ShardServer {
@@ -116,7 +125,7 @@ impl ShardServer {
             partition,
             shard,
             search: config.search,
-            session: FleetShard::new(),
+            session: FleetShard::default(),
             epoch: 0,
         }
     }
@@ -193,11 +202,6 @@ impl ShardServer {
         server.serve(stream)
     }
 
-    /// This shard's index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// The replica instance.
     pub fn instance(&self) -> &Arc<S3Instance> {
         &self.instance
@@ -214,49 +218,49 @@ impl ShardServer {
         if no_match {
             return;
         }
-        out.iteration = self.session.iteration();
-        out.threshold = self.session.threshold();
-        out.frontier_closed = self.session.frontier_closed();
-        let stats = self.session.stats();
+        let (round, stats, admitted) = self.session.report();
+        out.iteration = round.iteration;
+        out.threshold = round.threshold;
+        out.frontier_closed = round.frontier_closed;
         out.candidates = stats.candidates as u64;
         out.rejected = stats.rejected as u64;
         out.components = stats.components as u64;
         out.pruned = stats.pruned_components as u64;
-        out.admitted.extend(self.session.admitted().iter().map(|&(seq, doc)| (seq, doc.0)));
-        out.selection.extend(self.session.selection().map(|c| SelectionEntry {
-            index: c.index,
-            doc: c.doc.0,
-            lower: c.lower,
-            upper: c.upper,
+        out.admitted.extend(admitted.iter().map(|&(seq, doc)| (seq, doc.0)));
+        out.selection.extend(self.session.selection().map(|(index, hit)| SelectionEntry {
+            index,
+            doc: hit.doc.0,
+            lower: hit.lower,
+            upper: hit.upper,
         }));
     }
 
-    /// Handle a [`Start`]: run round zero, fill the reply.
-    pub fn start_query(&mut self, msg: &Start, out: &mut RoundReply) {
-        let query = Query::new(
-            UserId(msg.seeker),
-            msg.keywords.iter().map(|&k| KeywordId(k)).collect(),
-            msg.k as usize,
-        );
+    /// Handle a [`Start`]: run round zero, fill the reply. Refused when
+    /// the query can match and its seeker is not a user of the replica.
+    pub fn start_query(&mut self, msg: &Start, out: &mut RoundReply) -> Result<(), WireError> {
+        let keywords = msg.keywords.iter().map(|&k| KeywordId(k)).collect();
+        let query = Query::new(UserId(msg.seeker), keywords, msg.k as usize);
         let engine = S3kEngine::new(&self.instance, self.search.clone());
         let matched = self.session.begin(&engine, &self.partition, self.shard, &query);
-        self.fill_round(out, !matched);
+        self.fill_round(out, !matched.map_err(WireError::Protocol)?);
+        Ok(())
     }
 
     /// Handle a next-round request: step the propagation, run the round,
-    /// fill the reply.
-    pub fn next_round(&mut self, out: &mut RoundReply) {
+    /// fill the reply. Refused with no query begun.
+    pub fn next_round(&mut self, out: &mut RoundReply) -> Result<(), WireError> {
         let engine = S3kEngine::new(&self.instance, self.search.clone());
-        self.session.advance(&engine, &self.partition, self.shard);
+        self.session.advance(&engine, &self.partition, self.shard).map_err(WireError::Protocol)?;
         self.fill_round(out, false);
+        Ok(())
     }
 
     /// Handle a [`StopCheck`]: this shard's certified rival upper bound
-    /// against the merged selection (the client derives the stop vote
-    /// from it; see [`FleetShard::rival_upper`]).
-    pub fn stop_check(&mut self, msg: &StopCheck) -> f64 {
+    /// against the merged selection (see [`FleetShard::rival_upper`]).
+    /// Refused with no query begun or an index past the shard's pool.
+    pub fn stop_check(&mut self, msg: &StopCheck) -> Result<f64, WireError> {
         let engine = S3kEngine::new(&self.instance, self.search.clone());
-        self.session.rival_upper(&engine, &msg.selected)
+        self.session.rival_upper(&engine, &msg.selected).map_err(WireError::Protocol)
     }
 
     /// Handle an end-of-query notice.
@@ -274,12 +278,7 @@ impl ShardServer {
         self.partition = Arc::new(self.partition.extended(&self.instance));
         self.session.invalidate();
         self.epoch += 1;
-        *out = IngestAck {
-            detached: summary.detached,
-            epoch: self.epoch,
-            nodes: self.instance.graph().num_nodes() as u64,
-            touched: summary.touched_components.len() as u64,
-        };
+        *out = ingest_ack(&summary, self.epoch, &self.instance);
     }
 
     /// Handle a compaction request: rebuild the replica without
@@ -295,19 +294,13 @@ impl ShardServer {
             Arc::new(ComponentPartition::balanced(&self.instance, self.partition.num_shards()));
         self.session.invalidate();
         self.epoch += 1;
-        let fp = snapshot_fingerprint(&self.instance);
-        *out = CompactAck {
-            epoch: self.epoch,
-            nodes: fp.nodes,
-            users: fp.users,
-            docs: fp.docs,
-            connections: fp.connections,
-        };
+        *out = compact_ack(self.epoch, &self.instance);
         report
     }
 
     /// Serve the wire protocol over a connected stream until the peer
-    /// hangs up or sends `Shutdown`. Request bodies and the reply buffer
+    /// hangs up or sends `Shutdown`; a refused request ends the session
+    /// with its error. Request bodies and the reply buffer
     /// are reused across rounds — steady-state serving does not allocate
     /// for the round exchange.
     pub fn serve<S: Read + Write>(&mut self, mut stream: S) -> Result<(), WireError> {
@@ -324,15 +317,15 @@ impl ShardServer {
             payload.clear();
             match req.read(&frame)? {
                 RequestKind::Start => {
-                    self.start_query(&req.start, &mut reply);
+                    self.start_query(&req.start, &mut reply)?;
                     reply.encode(&mut payload);
                 }
                 RequestKind::NextRound => {
-                    self.next_round(&mut reply);
+                    self.next_round(&mut reply)?;
                     reply.encode(&mut payload);
                 }
                 RequestKind::StopCheck => {
-                    let rival = self.stop_check(&req.stop);
+                    let rival = self.stop_check(&req.stop)?;
                     payload.extend_from_slice(&[WIRE_VERSION, tag::VOTE]);
                     payload.extend_from_slice(&rival.to_bits().to_le_bytes());
                 }
@@ -360,9 +353,7 @@ impl ShardServer {
     /// Spawn this server on its own thread behind an in-memory loopback
     /// duplex; returns the client transport and the join handle.
     pub fn spawn_loopback(mut self) -> (FramedTransport<LoopbackConn>, ShardHost) {
-        let (client, server_end) = loopback_pair();
-        let thread = std::thread::spawn(move || self.serve(server_end));
-        (FramedTransport::new(client), ShardHost { thread })
+        spawn_loopback(move |conn| self.serve(conn))
     }
 
     /// Bind a unix-domain socket at `path`, spawn this server on its own
@@ -373,17 +364,7 @@ impl ShardServer {
         mut self,
         path: &Path,
     ) -> std::io::Result<(FramedTransport<UnixStream>, ShardHost)> {
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        let at = path.to_path_buf();
-        let thread = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().map_err(WireError::from)?;
-            drop(listener);
-            let _ = std::fs::remove_file(&at);
-            self.serve(stream)
-        });
-        let stream = UnixStream::connect(path)?;
-        Ok((FramedTransport::new(stream), ShardHost { thread }))
+        spawn_unix(path, move |stream| self.serve(stream))
     }
 
     /// Spawn a *snapshot-awaiting* server thread behind an in-memory
@@ -393,9 +374,7 @@ impl ShardServer {
     pub fn spawn_loopback_bootstrap(
         config: EngineConfig,
     ) -> (FramedTransport<LoopbackConn>, ShardHost) {
-        let (client, server_end) = loopback_pair();
-        let thread = std::thread::spawn(move || Self::serve_bootstrap(server_end, config));
-        (FramedTransport::new(client), ShardHost { thread })
+        spawn_loopback(move |conn| Self::serve_bootstrap(conn, config))
     }
 
     /// Spawn a snapshot-awaiting server thread accepting one connection
@@ -405,18 +384,36 @@ impl ShardServer {
         path: &Path,
         config: EngineConfig,
     ) -> std::io::Result<(FramedTransport<UnixStream>, ShardHost)> {
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        let at = path.to_path_buf();
-        let thread = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().map_err(WireError::from)?;
-            drop(listener);
-            let _ = std::fs::remove_file(&at);
-            Self::serve_bootstrap(stream, config)
-        });
-        let stream = UnixStream::connect(path)?;
-        Ok((FramedTransport::new(stream), ShardHost { thread }))
+        spawn_unix(path, move |stream| Self::serve_bootstrap(stream, config))
     }
+}
+
+/// Run `serve` on its own thread over one end of a loopback duplex.
+fn spawn_loopback(
+    serve: impl FnOnce(LoopbackConn) -> Result<(), WireError> + Send + 'static,
+) -> (FramedTransport<LoopbackConn>, ShardHost) {
+    let (client, server_end) = loopback_pair();
+    let thread = std::thread::spawn(move || serve(server_end));
+    (FramedTransport::new(client), ShardHost { thread })
+}
+
+/// Run `serve` on its own thread over the one connection it accepts on a
+/// unix-domain socket bound at `path` (unlinked once connected).
+fn spawn_unix(
+    path: &Path,
+    serve: impl FnOnce(UnixStream) -> Result<(), WireError> + Send + 'static,
+) -> std::io::Result<(FramedTransport<UnixStream>, ShardHost)> {
+    let _ = std::fs::remove_file(path);
+    let listener = UnixListener::bind(path)?;
+    let at = path.to_path_buf();
+    let thread = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().map_err(WireError::from)?;
+        drop(listener);
+        let _ = std::fs::remove_file(&at);
+        serve(stream)
+    });
+    let stream = UnixStream::connect(path)?;
+    Ok((FramedTransport::new(stream), ShardHost { thread }))
 }
 
 /// Join handle for a spawned [`ShardServer`] thread.
@@ -440,45 +437,28 @@ impl ShardHost {
 /// path is byte-free and copy-free; ingest goes through the wire form
 /// like every other transport (it is rare, and the round trip keeps the
 /// codec honest).
+#[derive(Default)]
 pub struct LocalShard {
     /// `None` until bootstrapped ([`Self::awaiting`] + a shipped
     /// snapshot); always `Some` when built via [`Self::new`].
     server: Option<ShardServer>,
     /// Engine template held while awaiting a snapshot.
     pending: Option<EngineConfig>,
+    /// The round reply buffer, reused across rounds; `round_ready` says
+    /// whether it holds an unread reply.
     round: RoundReply,
     round_ready: bool,
     vote: Option<f64>,
-    ack: IngestAck,
-    ack_ready: bool,
-    snap_ack: SnapshotAck,
-    snap_ack_ready: bool,
-    compact_ack: CompactAck,
-    compact_ack_ready: bool,
+    ack: Option<IngestAck>,
+    snap_ack: Option<SnapshotAck>,
+    compact_ack: Option<CompactAck>,
     stats: TransportStats,
 }
 
 impl LocalShard {
-    fn empty(server: Option<ShardServer>, pending: Option<EngineConfig>) -> Self {
-        LocalShard {
-            server,
-            pending,
-            round: RoundReply::default(),
-            round_ready: false,
-            vote: None,
-            ack: IngestAck::default(),
-            ack_ready: false,
-            snap_ack: SnapshotAck::default(),
-            snap_ack_ready: false,
-            compact_ack: CompactAck::default(),
-            compact_ack_ready: false,
-            stats: TransportStats::default(),
-        }
-    }
-
     /// Wrap a server.
     pub fn new(server: ShardServer) -> Self {
-        Self::empty(Some(server), None)
+        LocalShard { server: Some(server), ..LocalShard::default() }
     }
 
     /// A snapshot-awaiting transport: it holds only the engine template
@@ -486,41 +466,46 @@ impl LocalShard {
     /// the in-process analogue of [`ShardServer::spawn_loopback_bootstrap`].
     /// Hand it to [`FleetEngine::bootstrap`].
     pub fn awaiting(config: EngineConfig) -> Self {
-        Self::empty(None, Some(config))
-    }
-
-    /// The wrapped server, if bootstrapped.
-    pub fn server(&self) -> Option<&ShardServer> {
-        self.server.as_ref()
+        LocalShard { pending: Some(config), ..LocalShard::default() }
     }
 
     fn server_mut(&mut self) -> Result<&mut ShardServer, WireError> {
-        self.server.as_mut().ok_or(WireError::Protocol("shard not bootstrapped"))
+        self.server.as_mut().ok_or(NOT_BOOTSTRAPPED)
     }
+}
+
+/// A request reached a [`LocalShard`] still awaiting its snapshot.
+const NOT_BOOTSTRAPPED: WireError = WireError::Protocol("shard not bootstrapped");
+
+/// A pending reply taken from its slot, counted as one received frame.
+fn receive<T>(
+    stats: &mut TransportStats,
+    reply: Option<T>,
+    what: &'static str,
+) -> Result<T, WireError> {
+    let reply = reply.ok_or(WireError::Protocol(what))?;
+    stats.frames_received += 1;
+    Ok(reply)
 }
 
 impl ShardTransport for LocalShard {
     fn send_start(&mut self, msg: &Start) -> Result<(), WireError> {
         self.stats.frames_sent += 1;
-        let LocalShard { server, round, .. } = self;
-        let server = server.as_mut().ok_or(WireError::Protocol("shard not bootstrapped"))?;
-        server.start_query(msg, round);
+        self.server.as_mut().ok_or(NOT_BOOTSTRAPPED)?.start_query(msg, &mut self.round)?;
         self.round_ready = true;
         Ok(())
     }
 
     fn send_next_round(&mut self) -> Result<(), WireError> {
         self.stats.frames_sent += 1;
-        let LocalShard { server, round, .. } = self;
-        let server = server.as_mut().ok_or(WireError::Protocol("shard not bootstrapped"))?;
-        server.next_round(round);
+        self.server.as_mut().ok_or(NOT_BOOTSTRAPPED)?.next_round(&mut self.round)?;
         self.round_ready = true;
         Ok(())
     }
 
     fn send_stop_check(&mut self, msg: &StopCheck) -> Result<(), WireError> {
         self.stats.frames_sent += 1;
-        self.vote = Some(self.server_mut()?.stop_check(msg));
+        self.vote = Some(self.server_mut()?.stop_check(msg)?);
         Ok(())
     }
 
@@ -534,8 +519,7 @@ impl ShardTransport for LocalShard {
         self.stats.frames_sent += 1;
         let mut ack = IngestAck::default();
         self.server_mut()?.ingest(msg, &mut ack);
-        self.ack = ack;
-        self.ack_ready = true;
+        self.ack = Some(ack);
         Ok(())
     }
 
@@ -561,8 +545,7 @@ impl ShardTransport for LocalShard {
                 return Err(e);
             }
         };
-        self.snap_ack = snapshot_fingerprint(&server.instance);
-        self.snap_ack_ready = true;
+        self.snap_ack = Some(snapshot_fingerprint(&server.instance));
         self.server = Some(server);
         Ok(())
     }
@@ -571,8 +554,7 @@ impl ShardTransport for LocalShard {
         self.stats.frames_sent += 1;
         let mut ack = CompactAck::default();
         self.server_mut()?.compact(&mut ack);
-        self.compact_ack = ack;
-        self.compact_ack_ready = true;
+        self.compact_ack = Some(ack);
         Ok(())
     }
 
@@ -586,47 +568,28 @@ impl ShardTransport for LocalShard {
     }
 
     fn recv_round(&mut self, out: &mut RoundReply) -> Result<(), WireError> {
-        if !self.round_ready {
-            return Err(WireError::Protocol("no round reply pending"));
-        }
-        self.round_ready = false;
-        self.stats.frames_received += 1;
+        let ready = std::mem::take(&mut self.round_ready).then_some(());
+        receive(&mut self.stats, ready, "no round reply pending")?;
         std::mem::swap(out, &mut self.round);
         Ok(())
     }
 
     fn recv_vote(&mut self) -> Result<f64, WireError> {
-        self.stats.frames_received += 1;
-        self.vote.take().ok_or(WireError::Protocol("no vote pending"))
+        receive(&mut self.stats, self.vote.take(), "no vote pending")
     }
 
     fn recv_ingest_ack(&mut self, out: &mut IngestAck) -> Result<(), WireError> {
-        if !self.ack_ready {
-            return Err(WireError::Protocol("no ingest ack pending"));
-        }
-        self.ack_ready = false;
-        self.stats.frames_received += 1;
-        *out = self.ack;
+        *out = receive(&mut self.stats, self.ack.take(), "no ingest ack pending")?;
         Ok(())
     }
 
     fn recv_snapshot_ack(&mut self, out: &mut SnapshotAck) -> Result<(), WireError> {
-        if !self.snap_ack_ready {
-            return Err(WireError::Protocol("no snapshot ack pending"));
-        }
-        self.snap_ack_ready = false;
-        self.stats.frames_received += 1;
-        *out = self.snap_ack;
+        *out = receive(&mut self.stats, self.snap_ack.take(), "no snapshot ack pending")?;
         Ok(())
     }
 
     fn recv_compact_ack(&mut self, out: &mut CompactAck) -> Result<(), WireError> {
-        if !self.compact_ack_ready {
-            return Err(WireError::Protocol("no compact ack pending"));
-        }
-        self.compact_ack_ready = false;
-        self.stats.frames_received += 1;
-        *out = self.compact_ack;
+        *out = receive(&mut self.stats, self.compact_ack.take(), "no compact ack pending")?;
         Ok(())
     }
 
@@ -635,8 +598,8 @@ impl ShardTransport for LocalShard {
     }
 }
 
-/// The fleet client: the sharded scatter-gather driven over N
-/// [`ShardTransport`]s.
+/// The fleet client: the one search driver over a remote executor whose
+/// pools are N [`ShardTransport`]s.
 ///
 /// For every query and any transport mix, the returned [`TopKResult`] is
 /// byte-identical (hits, candidate order, stop reason) to
@@ -648,21 +611,136 @@ pub struct FleetEngine {
     partition: Arc<ComponentPartition>,
     router: ShardRouter,
     search: SearchConfig,
-    shards: Vec<Box<dyn ShardTransport>>,
+    remote: Remote,
     /// Admission gate for [`Self::serve`] (behind an `Arc` so the RAII
     /// slot ticket can outlive the `&mut self` the query drive needs).
     gate: Arc<AdmissionGate>,
     epoch: u64,
     rounds: u64,
-    // Reused across rounds and queries: zero steady-state allocation on
-    // the round exchange (the admission log is part of each result and
-    // is allocated per query by design).
-    start_msg: Start,
-    stop_msg: StopCheck,
-    replies: Vec<RoundReply>,
+}
+
+/// The fleet's round executor: pool `p` of the driver is shard
+/// `active[p]`; message buffers are reused across rounds and queries.
+#[derive(Default)]
+struct Remote {
+    shards: Vec<Box<dyn ShardTransport>>,
     active: Vec<usize>,
-    merged: Vec<(usize, u32)>,
-    cursors: Vec<usize>,
+    replies: Vec<RoundReply>,
+    start: Start,
+    stop: StopCheck,
+    merge: MergeScratch,
+}
+
+impl Remote {
+    /// Flush every routed shard's queued request, then read each one's
+    /// round reply.
+    fn gather(&mut self) -> Result<(), WireError> {
+        for &s in &self.active {
+            self.shards[s].flush()?;
+        }
+        for &s in &self.active {
+            self.shards[s].recv_round(&mut self.replies[s])?;
+        }
+        Ok(())
+    }
+
+    fn reply(&self, pool: usize) -> &RoundReply {
+        &self.replies[self.active[pool]]
+    }
+}
+
+impl RoundExecutor for Remote {
+    type Error = WireError;
+
+    fn begin(&mut self, query: &Query) -> Result<Option<ResumeOutcome>, WireError> {
+        if self.active.is_empty() {
+            // No shard can admit a candidate, but the driver still runs the
+            // (empty) round loop to its stop iteration; one shard
+            // reproduces that with an empty candidate pool.
+            self.active.push(0);
+        }
+        self.start.clear();
+        self.start.seeker = query.seeker.0;
+        self.start.k = query.k as u64;
+        self.start.keywords.extend(query.keywords.iter().map(|k| k.0));
+        for &s in &self.active {
+            self.shards[s].send_start(&self.start)?;
+        }
+        self.gather()?;
+        // Expansion is deterministic: every shard agrees, and no round
+        // state is kept server-side after a NoMatch.
+        Ok((!self.reply(0).no_match).then_some(ResumeOutcome::Cold))
+    }
+
+    fn advance(&mut self) -> Result<(), WireError> {
+        for &s in &self.active {
+            self.shards[s].send_next_round()?;
+        }
+        self.gather()
+    }
+
+    fn restart_cold(&mut self) -> Result<(), WireError> {
+        Err(WireError::Protocol("fleet queries always start cold"))
+    }
+
+    fn rival(&mut self, shares: &[usize], min_lower: f64, full: bool) -> Result<f64, WireError> {
+        for (&s, &share) in self.active.iter().zip(shares) {
+            self.stop.clear();
+            self.stop.merged_full = full;
+            self.stop.min_lower = min_lower;
+            self.stop.selected.extend(self.replies[s].selection[..share].iter().map(|e| e.index));
+            self.shards[s].send_stop_check(&self.stop)?;
+        }
+        for &s in &self.active {
+            self.shards[s].flush()?;
+        }
+        let mut rival = 0.0f64;
+        for &s in &self.active {
+            rival = rival.max(self.shards[s].recv_vote()?);
+        }
+        Ok(rival)
+    }
+
+    fn end(&mut self) -> Result<(), WireError> {
+        for &s in &self.active {
+            self.shards[s].send_end_query()?;
+            self.shards[s].flush()?;
+        }
+        Ok(())
+    }
+
+    fn pools(&self) -> usize {
+        self.active.len()
+    }
+
+    fn round(&self) -> Round {
+        let h = self.reply(0);
+        Round { iteration: h.iteration, threshold: h.threshold, frontier_closed: h.frontier_closed }
+    }
+
+    fn hit(&self, pool: usize, j: usize) -> Option<Hit> {
+        let e = self.reply(pool).selection.get(j)?;
+        Some(Hit { doc: DocNodeId(e.doc), lower: e.lower, upper: e.upper })
+    }
+
+    fn admitted(&self, pool: usize, i: usize) -> Option<(u32, DocNodeId)> {
+        self.reply(pool).admitted.get(i).map(|&(seq, doc)| (seq, DocNodeId(doc)))
+    }
+
+    fn work(&self, pool: usize) -> SearchStats {
+        let r = self.reply(pool);
+        SearchStats {
+            candidates: r.candidates as usize,
+            rejected: r.rejected as usize,
+            components: r.components as usize,
+            pruned_components: r.pruned as usize,
+            ..SearchStats::default()
+        }
+    }
+
+    fn merge_scratch(&mut self) -> &mut MergeScratch {
+        &mut self.merge
+    }
 }
 
 impl FleetEngine {
@@ -723,22 +801,17 @@ impl FleetEngine {
         let partition = Arc::new(ComponentPartition::balanced(&instance, shards.len()));
         let router = ShardRouter::new(&instance, Arc::clone(&partition));
         let replies = shards.iter().map(|_| RoundReply::default()).collect();
+        let remote = Remote { shards, replies, ..Remote::default() };
         FleetEngine {
             builder,
             instance,
             partition,
             router,
             search,
-            shards,
+            remote,
             gate,
             epoch: 0,
             rounds: 0,
-            start_msg: Start::default(),
-            stop_msg: StopCheck::default(),
-            replies,
-            active: Vec::new(),
-            merged: Vec::new(),
-            cursors: Vec::new(),
         }
     }
 
@@ -754,7 +827,7 @@ impl FleetEngine {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.remote.shards.len()
     }
 
     /// Ingest epoch (bumped once per shipped batch).
@@ -770,162 +843,20 @@ impl FleetEngine {
 
     /// Per-shard transport traffic counters.
     pub fn transport_stats(&self) -> Vec<TransportStats> {
-        self.shards.iter().map(|t| t.stats()).collect()
+        self.remote.shards.iter().map(|t| t.stats()).collect()
     }
 
-    /// Merge the active shards' per-round admission logs into `order_log`
-    /// by global trigger sequence. One component belongs to one shard, so
-    /// sequences never tie across shards and the merge reconstructs the
-    /// in-process admission order exactly.
-    fn merge_admissions(&mut self, order_log: &mut Vec<DocNodeId>) {
-        self.cursors.clear();
-        self.cursors.resize(self.active.len(), 0);
-        loop {
-            let mut best: Option<(u32, usize)> = None;
-            for (pos, &s) in self.active.iter().enumerate() {
-                if let Some(&(seq, _)) = self.replies[s].admitted.get(self.cursors[pos]) {
-                    if best.is_none_or(|(bseq, _)| seq < bseq) {
-                        best = Some((seq, pos));
-                    }
-                }
-            }
-            let Some((seq, pos)) = best else { break };
-            let admitted = &self.replies[self.active[pos]].admitted;
-            while let Some(&(sq, doc)) = admitted.get(self.cursors[pos]) {
-                if sq != seq {
-                    break;
-                }
-                order_log.push(DocNodeId(doc));
-                self.cursors[pos] += 1;
-            }
-        }
-    }
-
-    /// Answer one query over the fleet.
+    /// Answer one query over the fleet: route it, then run the one
+    /// driver on the remote executor.
     pub fn query(&mut self, query: &Query) -> Result<TopKResult, WireError> {
-        let started = self.search.clock.now();
-        self.router.route_into(&self.instance, query, &self.search, &mut self.active);
-        if self.active.is_empty() {
-            // No shard can admit a candidate, but the in-process driver
-            // still runs the (empty) round loop to its stop iteration;
-            // one shard reproduces that with an empty candidate pool.
-            self.active.push(0);
+        self.router.route_into(&self.instance, query, &self.search, &mut self.remote.active);
+        let engine = S3kEngine::new(&self.instance, self.search.clone());
+        let result = engine.search(query, &mut self.remote)?;
+        if result.stats.stop != StopReason::NoMatch {
+            // Fleet queries run cold: one reply wave per step, plus round 0.
+            self.rounds += u64::from(result.stats.iterations) + 1;
         }
-        self.start_msg.clear();
-        self.start_msg.seeker = query.seeker.0;
-        self.start_msg.k = query.k as u64;
-        self.start_msg.keywords.extend(query.keywords.iter().map(|k| k.0));
-        for &s in &self.active {
-            self.shards[s].send_start(&self.start_msg)?;
-        }
-        for &s in &self.active {
-            self.shards[s].flush()?;
-        }
-        for &s in &self.active {
-            let (shards, replies) = (&mut self.shards, &mut self.replies);
-            shards[s].recv_round(&mut replies[s])?;
-        }
-        if self.replies[self.active[0]].no_match {
-            // Expansion is deterministic: every shard must agree, and no
-            // round state was kept server-side (no EndQuery needed).
-            debug_assert!(self.active.iter().all(|&s| self.replies[s].no_match));
-            let stats = SearchStats { stop: StopReason::NoMatch, ..SearchStats::default() };
-            return Ok(TopKResult { hits: Vec::new(), candidate_docs: Vec::new(), stats });
-        }
-
-        let k = query.k;
-        let mut order_log: Vec<DocNodeId> = Vec::new();
-        loop {
-            self.rounds += 1;
-            self.merge_admissions(&mut order_log);
-
-            // Merge the per-shard greedy selections exactly like the
-            // in-process driver (rank by upper desc, doc asc; the merged
-            // prefix is the global greedy selection).
-            self.merged.clear();
-            for &s in &self.active {
-                for j in 0..self.replies[s].selection.len() {
-                    self.merged.push((s, j as u32));
-                }
-            }
-            let replies = &self.replies;
-            self.merged.sort_unstable_by(|&(sa, ja), &(sb, jb)| {
-                let a = replies[sa].selection[ja as usize];
-                let b = replies[sb].selection[jb as usize];
-                s3_core::selection_rank(a.upper, DocNodeId(a.doc), b.upper, DocNodeId(b.doc))
-            });
-            self.merged.truncate(k);
-            let min_lower = self
-                .merged
-                .iter()
-                .map(|&(s, j)| self.replies[s].selection[j as usize].lower)
-                .fold(f64::INFINITY, f64::min);
-            let head = &self.replies[self.active[0]];
-            let state = StopState {
-                k,
-                selected: self.merged.len(),
-                min_lower,
-                threshold: head.threshold,
-                frontier_closed: head.frontier_closed,
-                iteration: head.iteration,
-                started,
-            };
-
-            // The shared stop rule; its rival is one `StopCheck` fan-out,
-            // sent only when the rule needs it.
-            let FleetEngine { search, shards, stop_msg, replies, active, merged, .. } = self;
-            let decision = state.decide(search, || {
-                rival_fanout(
-                    shards,
-                    stop_msg,
-                    replies,
-                    active,
-                    merged,
-                    min_lower,
-                    merged.len() == k,
-                )
-            })?;
-            if let Some((reason, quality)) = decision {
-                for &s in &self.active {
-                    self.shards[s].send_end_query()?;
-                    self.shards[s].flush()?;
-                }
-                let hits: Vec<Hit> = self
-                    .merged
-                    .iter()
-                    .map(|&(s, j)| {
-                        let e = self.replies[s].selection[j as usize];
-                        Hit { doc: DocNodeId(e.doc), lower: e.lower, upper: e.upper }
-                    })
-                    .collect();
-                let mut stats = SearchStats {
-                    iterations: state.iteration,
-                    stop: reason,
-                    resume: ResumeOutcome::Cold,
-                    quality,
-                    ..SearchStats::default()
-                };
-                for &s in &self.active {
-                    let r = &self.replies[s];
-                    stats.candidates += r.candidates as usize;
-                    stats.rejected += r.rejected as usize;
-                    stats.components += r.components as usize;
-                    stats.pruned_components += r.pruned as usize;
-                }
-                return Ok(TopKResult { hits, candidate_docs: order_log, stats });
-            }
-
-            for &s in &self.active {
-                self.shards[s].send_next_round()?;
-            }
-            for &s in &self.active {
-                self.shards[s].flush()?;
-            }
-            for &s in &self.active {
-                let (shards, replies) = (&mut self.shards, &mut self.replies);
-                shards[s].recv_round(&mut replies[s])?;
-            }
-        }
+        Ok(result)
     }
 
     /// Load and shedding counters for [`Self::serve`].
@@ -979,10 +910,10 @@ impl FleetEngine {
     pub fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, EngineError> {
         self.builder.check(&self.instance, batch).map_err(EngineError::Rejected)?;
         let wire = WireIngest::from_batch(batch);
-        for t in &mut self.shards {
+        for t in &mut self.remote.shards {
             t.send_ingest(&wire)?;
         }
-        for t in &mut self.shards {
+        for t in &mut self.remote.shards {
             t.flush()?;
         }
         let (instance, summary) = self.builder.apply(&self.instance, batch);
@@ -990,15 +921,10 @@ impl FleetEngine {
         self.partition = Arc::new(self.partition.extended(&self.instance));
         self.router = ShardRouter::new(&self.instance, Arc::clone(&self.partition));
         self.epoch += 1;
-        let mut ack = IngestAck::default();
-        for t in &mut self.shards {
+        let (mut ack, expected) =
+            (IngestAck::default(), ingest_ack(&summary, self.epoch, &self.instance));
+        for t in &mut self.remote.shards {
             t.recv_ingest_ack(&mut ack)?;
-            let expected = IngestAck {
-                detached: summary.detached,
-                epoch: self.epoch,
-                nodes: self.instance.graph().num_nodes() as u64,
-                touched: summary.touched_components.len() as u64,
-            };
             if ack != expected {
                 return Err(WireError::Protocol("shard replica diverged after ingest").into());
             }
@@ -1013,28 +939,21 @@ impl FleetEngine {
     /// epoch, or the fleet is declared diverged. Compaction densely
     /// renumbers entity ids, so callers must refresh any ids they hold.
     pub fn compact(&mut self) -> Result<CompactionReport, WireError> {
-        for t in &mut self.shards {
+        for t in &mut self.remote.shards {
             t.send_compact()?;
         }
-        for t in &mut self.shards {
+        for t in &mut self.remote.shards {
             t.flush()?;
         }
         let (builder, report) = self.builder.compact();
         self.builder = builder;
         self.instance = Arc::new(self.builder.snapshot());
-        self.partition = Arc::new(ComponentPartition::balanced(&self.instance, self.shards.len()));
+        self.partition =
+            Arc::new(ComponentPartition::balanced(&self.instance, self.remote.shards.len()));
         self.router = ShardRouter::new(&self.instance, Arc::clone(&self.partition));
         self.epoch += 1;
-        let fp = snapshot_fingerprint(&self.instance);
-        let expected = CompactAck {
-            epoch: self.epoch,
-            nodes: fp.nodes,
-            users: fp.users,
-            docs: fp.docs,
-            connections: fp.connections,
-        };
-        let mut ack = CompactAck::default();
-        for t in &mut self.shards {
+        let (mut ack, expected) = (CompactAck::default(), compact_ack(self.epoch, &self.instance));
+        for t in &mut self.remote.shards {
             t.recv_compact_ack(&mut ack)?;
             if ack != expected {
                 return Err(WireError::Protocol("shard replica diverged after compaction"));
@@ -1047,46 +966,12 @@ impl FleetEngine {
     /// traffic counters. Remote servers exit their serve loop; join their
     /// [`ShardHost`]s afterwards.
     pub fn shutdown(mut self) -> Result<Vec<TransportStats>, WireError> {
-        let mut stats = Vec::with_capacity(self.shards.len());
-        for t in &mut self.shards {
+        let mut stats = Vec::with_capacity(self.remote.shards.len());
+        for t in &mut self.remote.shards {
             t.send_shutdown()?;
             t.flush()?;
             stats.push(t.stats());
         }
         Ok(stats)
     }
-}
-
-/// Fan the merged selection out to every active shard and gather the
-/// largest certified rival upper bound — the stop rule's rival
-/// ([`FleetShard::rival_upper`] per shard, max over shards).
-fn rival_fanout(
-    shards: &mut [Box<dyn ShardTransport>],
-    stop_msg: &mut StopCheck,
-    replies: &[RoundReply],
-    active: &[usize],
-    merged: &[(usize, u32)],
-    min_lower: f64,
-    full: bool,
-) -> Result<f64, WireError> {
-    for &s in active {
-        stop_msg.clear();
-        stop_msg.merged_full = full;
-        stop_msg.min_lower = min_lower;
-        stop_msg.selected.extend(
-            merged
-                .iter()
-                .filter(|&&(ms, _)| ms == s)
-                .map(|&(ms, j)| replies[ms].selection[j as usize].index),
-        );
-        shards[s].send_stop_check(stop_msg)?;
-    }
-    for &s in active {
-        shards[s].flush()?;
-    }
-    let mut rival = 0.0f64;
-    for &s in active {
-        rival = rival.max(shards[s].recv_vote()?);
-    }
-    Ok(rival)
 }

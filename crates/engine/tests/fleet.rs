@@ -12,10 +12,11 @@ use common::{assert_identical, random_builder, random_queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use s3_core::Query;
+use s3_core::{Query, StopReason, UserId};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{EngineConfig, FleetEngine, LocalShard, ShardHost, ShardServer, ShardedEngine};
-use s3_wire::ShardTransport;
+use s3_text::KeywordId;
+use s3_wire::{RoundReply, ShardTransport, Start, StopCheck, TransportStats, WireError};
 use std::sync::Arc;
 
 #[derive(Clone, Copy, Debug)]
@@ -138,4 +139,101 @@ proptest! {
             shutdown(fleet, hosts);
         }
     }
+}
+
+/// The fleet's wire traffic, pinned: 2 shards over loopback, a fixed
+/// seed and query list (one of them unanswerable), no deadline. Each
+/// query adds `iterations + 1` reply waves to `rounds()` (0 on
+/// `NoMatch`), and the totals equal those measured at commit `495a22f`.
+/// A protocol change moves these numbers on purpose; update them with it.
+#[test]
+fn fleet_traffic_is_pinned() {
+    let seed = 11;
+    let (builder, pool) = random_builder(seed);
+    let users = builder.snapshot().num_users();
+    let mut queries = random_queries(&mut StdRng::seed_from_u64(seed), users, &pool, 24);
+    queries.push(Query::new(UserId(0), vec![KeywordId(99_999)], 3));
+    let (mut fleet, hosts) = spawn_fleet(seed, 2, Transport::Loopback);
+    let mut no_match = 0;
+    for q in &queries {
+        let before = fleet.rounds();
+        let result = fleet.query(q).expect("fleet query");
+        let waves = if result.stats.stop == StopReason::NoMatch {
+            no_match += 1;
+            0
+        } else {
+            u64::from(result.stats.iterations) + 1
+        };
+        assert_eq!(fleet.rounds() - before, waves, "reply waves of {q:?}");
+    }
+    let total =
+        fleet.transport_stats().iter().fold(TransportStats::default(), |a, s| TransportStats {
+            frames_sent: a.frames_sent + s.frames_sent,
+            bytes_sent: a.bytes_sent + s.bytes_sent,
+            frames_received: a.frames_received + s.frames_received,
+            bytes_received: a.bytes_received + s.bytes_received,
+        });
+    let measured = (
+        no_match,
+        fleet.rounds(),
+        total.frames_sent,
+        total.frames_received,
+        total.bytes_sent,
+        total.bytes_received,
+    );
+    assert_eq!(measured, (1, 192, 489, 447, 4306, 15721));
+    shutdown(fleet, hosts);
+}
+
+/// A one-shard server over loopback and the keywords of `seed`'s instance.
+fn lone_server(seed: u64) -> (Box<dyn ShardTransport>, ShardHost, Vec<KeywordId>) {
+    let (builder, pool) = random_builder(seed);
+    let (conn, host) = ShardServer::new(builder, fleet_config(), 1, 0).spawn_loopback();
+    (Box::new(conn), host, pool)
+}
+
+/// The server ended the session with `expected` instead of panicking.
+fn assert_refused(conn: Box<dyn ShardTransport>, host: ShardHost, expected: &str) {
+    drop(conn);
+    match host.join() {
+        Err(WireError::Protocol(what)) => assert_eq!(what, expected),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
+#[test]
+fn next_round_without_a_query_is_refused() {
+    let (mut conn, host, _) = lone_server(5);
+    conn.send_next_round().unwrap();
+    conn.flush().unwrap();
+    assert_refused(conn, host, "no active query");
+}
+
+#[test]
+fn stop_check_past_the_pool_is_refused() {
+    let (mut conn, host, pool) = lone_server(5);
+    let start = Start { seeker: 0, k: 3, keywords: vec![pool[0].0] };
+    conn.send_start(&start).unwrap();
+    let mut reply = RoundReply::default();
+    conn.recv_round(&mut reply).unwrap();
+    assert!(!reply.no_match, "the query matches");
+    while reply.candidates == 0 {
+        conn.send_next_round().unwrap();
+        conn.recv_round(&mut reply).unwrap();
+    }
+    let past = reply.candidates as u32;
+    let check = StopCheck { merged_full: false, min_lower: f64::INFINITY, selected: vec![past] };
+    conn.send_stop_check(&check).unwrap();
+    conn.flush().unwrap();
+    assert_refused(conn, host, "stop check names a candidate past the shard's pool");
+}
+
+#[test]
+fn start_with_an_unknown_seeker_is_refused() {
+    let (mut conn, host, pool) = lone_server(5);
+    let users = random_builder(5).0.snapshot().num_users() as u32;
+    let start = Start { seeker: users + 3, k: 3, keywords: vec![pool[0].0] };
+    conn.send_start(&start).unwrap();
+    conn.flush().unwrap();
+    assert_refused(conn, host, "query seeker is not a user of the instance");
 }

@@ -1,12 +1,15 @@
 //! Wire protocol for the cross-process scatter-gather fleet.
 //!
-//! The iteration-synchronous sharded search (`s3_core::search::partitioned`
-//! and its per-shard executor `s3_core::FleetShard`) exchanges four tiny
-//! messages per round: a request to advance, the shard's newly-admitted
-//! candidates + current selection, the merged global stop probe, and a
-//! per-shard stop vote. This crate gives those messages (plus
-//! [`s3_core::IngestBatch`] shipping and epoch bumps) a hand-rolled,
-//! versioned, length-prefixed binary form, and provides the
+//! The fleet runs the core's one search driver (`s3_core::S3kEngine::search`)
+//! on a remote round executor: each executor operation is one request to
+//! every routed shard, answered by that shard's `s3_core::FleetShard` —
+//! [`Start`] (expand, round 0) and `NextRound` (one step, one round) are
+//! answered by a [`RoundReply`] with the round's admissions and the
+//! shard's selection; [`StopCheck`] (the shard's share of the merged
+//! selection) by a `Vote` carrying the shard's rival bound; `EndQuery`
+//! has no reply. This crate gives those messages (plus
+//! [`s3_core::IngestBatch`] shipping, snapshots and compaction) a
+//! hand-rolled, versioned, length-prefixed binary form, and provides the
 //! [`ShardTransport`] abstraction the fleet client drives:
 //!
 //! * [`FramedTransport`] over any `Read + Write` stream — in particular a
