@@ -2,8 +2,8 @@
 //! qualitative-comparison metrics (Figure 8) and table rendering.
 //!
 //! The `repro` binary (see `src/bin/repro.rs`) drives these to regenerate
-//! every figure and table of the paper's evaluation section; the Criterion
-//! benches under `benches/` use the same pieces for micro-measurements.
+//! every figure and table of the paper's evaluation section; the benches
+//! under `benches/` print the same tables and write the same reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -813,6 +813,7 @@ mod tests {
 
     fn assert_matches_cold(builder: &InstanceBuilder, live: &S3Instance, text: &str) {
         let cold = builder.snapshot();
+        assert_eq!(live.num_documents(), cold.num_documents(), "live vs cold documents");
         let config = SearchConfig::default();
         for (ql, qc) in all_queries(live, text).iter().zip(all_queries(&cold, text).iter()) {
             let a = live.search(ql, &config);

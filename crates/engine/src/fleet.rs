@@ -270,15 +270,20 @@ impl ShardServer {
 
     /// Handle a shipped ingest: rebuild the batch, apply it to the
     /// replica, extend the partition, bump the epoch and fill the
-    /// consistency ack.
-    pub fn ingest(&mut self, msg: &WireIngest, out: &mut IngestAck) {
+    /// consistency ack. Refused when the batch names an entity the
+    /// replica lacks ([`InstanceBuilder::check`]).
+    pub fn ingest(&mut self, msg: &WireIngest, out: &mut IngestAck) -> Result<(), WireError> {
         let batch = msg.to_batch();
+        self.builder
+            .check(&self.instance, &batch)
+            .map_err(|_| WireError::Protocol("ingest batch does not fit the replica"))?;
         let (instance, summary) = self.builder.apply(&self.instance, &batch);
         self.instance = Arc::new(instance);
         self.partition = Arc::new(self.partition.extended(&self.instance));
         self.session.invalidate();
         self.epoch += 1;
         *out = ingest_ack(&summary, self.epoch, &self.instance);
+        Ok(())
     }
 
     /// Handle a compaction request: rebuild the replica without
@@ -335,7 +340,7 @@ impl ShardServer {
                 }
                 RequestKind::Ingest => {
                     let mut ack = IngestAck::default();
-                    self.ingest(&req.ingest, &mut ack);
+                    self.ingest(&req.ingest, &mut ack)?;
                     ack.encode(&mut payload);
                 }
                 RequestKind::Shutdown => return Ok(()),
@@ -518,7 +523,7 @@ impl ShardTransport for LocalShard {
     fn send_ingest(&mut self, msg: &WireIngest) -> Result<(), WireError> {
         self.stats.frames_sent += 1;
         let mut ack = IngestAck::default();
-        self.server_mut()?.ingest(msg, &mut ack);
+        self.server_mut()?.ingest(msg, &mut ack)?;
         self.ack = Some(ack);
         Ok(())
     }

@@ -12,12 +12,16 @@ use common::{assert_identical, random_builder, random_queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use s3_core::{Query, StopReason, UserId};
+use s3_core::{IngestBatch, Query, StopReason, UserId, UserRef};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{EngineConfig, FleetEngine, LocalShard, ShardHost, ShardServer, ShardedEngine};
 use s3_text::KeywordId;
-use s3_wire::{RoundReply, ShardTransport, Start, StopCheck, TransportStats, WireError};
-use std::sync::Arc;
+use s3_wire::{
+    CompactAck, IngestAck, RoundReply, ShardTransport, SnapshotAck, Start, StopCheck,
+    TransportStats, WireError, WireIngest,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 #[derive(Clone, Copy, Debug)]
 enum Transport {
@@ -88,6 +92,15 @@ proptest! {
                 // reset cleanly between queries.
                 for (q, want) in queries.iter().zip(&expected).take(3) {
                     assert_identical(&fleet.query(q).expect("fleet requery"), want)?;
+                }
+                // A round is a compact request/reply pair per shard plus
+                // amortized query framing and stop checks: past 512 bytes
+                // the encoding grew or the client chatters mid-round.
+                let bytes: u64 =
+                    fleet.transport_stats().iter().map(|s| s.bytes_sent + s.bytes_received).sum();
+                if bytes > 0 {
+                    let per_round = bytes as f64 / fleet.rounds().max(1) as f64;
+                    prop_assert!(per_round <= 512.0, "{:?}: {} B/round", transport, per_round);
                 }
                 shutdown(fleet, hosts);
             }
@@ -185,6 +198,150 @@ fn fleet_traffic_is_pinned() {
     shutdown(fleet, hosts);
 }
 
+/// One transport call a [`Recording`] shard logged.
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    Send(&'static str),
+    Flush,
+    Recv,
+}
+
+/// A [`LocalShard`] that logs its sends, flushes and receives into a log
+/// every shard of the fleet shares.
+struct Recording {
+    shard: usize,
+    inner: LocalShard,
+    log: Arc<Mutex<Vec<(usize, Call)>>>,
+}
+
+impl Recording {
+    fn note(&self, call: Call) {
+        self.log.lock().unwrap().push((self.shard, call));
+    }
+}
+
+impl ShardTransport for Recording {
+    fn send_start(&mut self, msg: &Start) -> Result<(), WireError> {
+        self.note(Call::Send("start"));
+        self.inner.send_start(msg)
+    }
+    fn send_next_round(&mut self) -> Result<(), WireError> {
+        self.note(Call::Send("next_round"));
+        self.inner.send_next_round()
+    }
+    fn send_stop_check(&mut self, msg: &StopCheck) -> Result<(), WireError> {
+        self.note(Call::Send("stop_check"));
+        self.inner.send_stop_check(msg)
+    }
+    fn send_end_query(&mut self) -> Result<(), WireError> {
+        self.note(Call::Send("end_query"));
+        self.inner.send_end_query()
+    }
+    fn send_ingest(&mut self, msg: &WireIngest) -> Result<(), WireError> {
+        self.note(Call::Send("ingest"));
+        self.inner.send_ingest(msg)
+    }
+    fn send_snapshot(&mut self, shards: u32, shard: u32, bytes: &[u8]) -> Result<(), WireError> {
+        self.note(Call::Send("snapshot"));
+        self.inner.send_snapshot(shards, shard, bytes)
+    }
+    fn send_compact(&mut self) -> Result<(), WireError> {
+        self.note(Call::Send("compact"));
+        self.inner.send_compact()
+    }
+    fn send_shutdown(&mut self) -> Result<(), WireError> {
+        self.note(Call::Send("shutdown"));
+        self.inner.send_shutdown()
+    }
+    fn flush(&mut self) -> Result<(), WireError> {
+        self.note(Call::Flush);
+        self.inner.flush()
+    }
+    fn recv_round(&mut self, out: &mut RoundReply) -> Result<(), WireError> {
+        self.note(Call::Recv);
+        self.inner.recv_round(out)
+    }
+    fn recv_vote(&mut self) -> Result<f64, WireError> {
+        self.note(Call::Recv);
+        self.inner.recv_vote()
+    }
+    fn recv_ingest_ack(&mut self, out: &mut IngestAck) -> Result<(), WireError> {
+        self.note(Call::Recv);
+        self.inner.recv_ingest_ack(out)
+    }
+    fn recv_snapshot_ack(&mut self, out: &mut SnapshotAck) -> Result<(), WireError> {
+        self.note(Call::Recv);
+        self.inner.recv_snapshot_ack(out)
+    }
+    fn recv_compact_ack(&mut self, out: &mut CompactAck) -> Result<(), WireError> {
+        self.note(Call::Recv);
+        self.inner.recv_compact_ack(out)
+    }
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// Round latency is the slowest shard's, not the sum, because the client
+/// pipelines: in every wave (`Start`, `NextRound`, `StopCheck`) it
+/// flushes every routed shard's request before it reads any reply.
+/// Checked on the call order, without a clock.
+#[test]
+fn every_wave_flushes_all_shards_before_reading_a_reply() {
+    let (seed, shards) = (11, 4);
+    let (builder, pool) = random_builder(seed);
+    let users = builder.snapshot().num_users();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let transports = (0..shards)
+        .map(|shard| {
+            let server = ShardServer::new(random_builder(seed).0, fleet_config(), shards, shard);
+            let inner = LocalShard::new(server);
+            Box::new(Recording { shard, inner, log: Arc::clone(&log) }) as Box<dyn ShardTransport>
+        })
+        .collect();
+    let mut fleet = FleetEngine::new(builder, fleet_config(), transports);
+    for q in &random_queries(&mut StdRng::seed_from_u64(seed), users, &pool, 12) {
+        fleet.query(q).expect("fleet query");
+    }
+
+    // Replay the log. A wave is the requests sent since replies were
+    // last read; `unflushed` holds the shards whose request has not been
+    // pushed yet.
+    let mut unflushed = BTreeSet::new();
+    let (mut wave, mut kind, mut reading) = (BTreeSet::new(), "", false);
+    let mut multi_shard_waves: BTreeMap<&str, usize> = BTreeMap::new();
+    for &(shard, call) in log.lock().unwrap().iter() {
+        match call {
+            Call::Send(sent) => {
+                unflushed.insert(shard);
+                if sent != "end_query" {
+                    if std::mem::take(&mut reading) {
+                        wave.clear();
+                    }
+                    wave.insert(shard);
+                    kind = sent;
+                }
+            }
+            Call::Flush => {
+                unflushed.remove(&shard);
+            }
+            Call::Recv => {
+                assert!(
+                    unflushed.is_empty(),
+                    "shard {shard}'s {kind} reply read while shards {unflushed:?} hold queued requests"
+                );
+                if !reading && wave.len() > 1 {
+                    *multi_shard_waves.entry(kind).or_default() += 1;
+                }
+                reading = true;
+            }
+        }
+    }
+    for kind in ["start", "next_round", "stop_check"] {
+        assert!(multi_shard_waves.contains_key(kind), "no multi-shard {kind} wave ran");
+    }
+}
+
 /// A one-shard server over loopback and the keywords of `seed`'s instance.
 fn lone_server(seed: u64) -> (Box<dyn ShardTransport>, ShardHost, Vec<KeywordId>) {
     let (builder, pool) = random_builder(seed);
@@ -236,4 +393,24 @@ fn start_with_an_unknown_seeker_is_refused() {
     conn.send_start(&start).unwrap();
     conn.flush().unwrap();
     assert_refused(conn, host, "query seeker is not a user of the instance");
+}
+
+#[test]
+fn ingest_naming_an_unknown_user_is_refused() {
+    let users = random_builder(5).0.snapshot().num_users() as u32;
+    let mut batch = IngestBatch::new();
+    batch.add_social_edge(UserRef::Existing(UserId(users + 3)), UserRef::Existing(UserId(0)), 0.5);
+    let msg = WireIngest::from_batch(&batch);
+    let refused = "ingest batch does not fit the replica";
+
+    let (mut conn, host, _) = lone_server(5);
+    conn.send_ingest(&msg).unwrap();
+    conn.flush().unwrap();
+    assert_refused(conn, host, refused);
+
+    let server = ShardServer::new(random_builder(5).0, fleet_config(), 1, 0);
+    match LocalShard::new(server).send_ingest(&msg) {
+        Err(WireError::Protocol(what)) => assert_eq!(what, refused),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
 }

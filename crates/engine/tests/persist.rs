@@ -355,8 +355,9 @@ proptest! {
     /// A snapshot is a pure function of its builder: after appends,
     /// deletes, updates and component merges, the live instance's
     /// snapshot is byte-identical to a cold build's, the durable engine's
-    /// checkpoint writes exactly those bytes, and the engine reopened from
-    /// them answers byte-identically to the one that wrote them.
+    /// checkpoint writes exactly those bytes, the engine reopened from
+    /// them answers byte-identically to the one that wrote them, and its
+    /// own checkpoint rewrites them byte for byte.
     #[test]
     fn a_snapshot_is_a_pure_function_of_its_builder(seed in 0u64..500) {
         let (mut builder, pool) = random_builder(seed);
@@ -399,6 +400,11 @@ proptest! {
         for (q, want) in queries.iter().zip(&before) {
             assert_identical(&reopened.query(q), want)?;
         }
+        // The reopened instance was cold-built from the file: a checkpoint
+        // right away absorbs nothing and rewrites the very same bytes.
+        prop_assert_eq!(reopened.checkpoint().expect("re-checkpoint").absorbed, 0);
+        let rewritten = std::fs::read(s3_engine::persist::snapshot_path(&dir)).expect("reread");
+        prop_assert!(rewritten == bytes, "the re-checkpoint wrote different bytes");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,8 +1,8 @@
 //! Warm-cache serving must beat cold execution: replaying a batch against
 //! the populated cache is pure LRU lookups, orders of magnitude faster
 //! than running the search. This pins the acceptance bar for the serving
-//! layer (the `throughput` bench in `crates/bench` reports the full
-//! 1/2/4/8-thread sweep).
+//! layer; s3bench's `serve_zipf` measures it end to end (`qps`,
+//! `engine.cache.hit_us`).
 
 use s3_core::Query;
 use s3_datasets::{twitter, workload, Scale};

@@ -223,64 +223,23 @@ impl<S: Read + Write + Send> ShardTransport for FramedTransport<S> {
     }
 }
 
-/// How many empty polls a loopback read spins (`spin_loop` hint) before
-/// escalating to the mixed phase. Round replies usually land within a
-/// few hundred nanoseconds of the request on a loaded fleet, so a short
-/// spin keeps the common handoff off the scheduler entirely.
-const SPIN: usize = 512;
-
-/// How many further polls follow the pure-spin phase before parking on
-/// the condvar. The gaps a loopback end actually waits through during a
-/// query are the *peer's* per-round work — the client's merge between
-/// rounds, the server's propagation step — which is tens of
-/// microseconds; a condvar park/wake across that gap costs more than
-/// the gap itself and showed up as a multi-× round-latency penalty over
-/// the in-process transport in `benches/shards.rs`. During this phase
-/// the poll mostly `spin_loop`s but yields every [`YIELD_EVERY`] polls:
-/// pure spinning would hog a scheduler quantum when fleet threads
-/// outnumber cores (measured: millisecond rounds at 4 shards on 2
-/// cores), while yielding every poll pays a syscall per iteration when
-/// the core is otherwise free. A genuinely idle connection (between
-/// queries, after shutdown) falls through to the condvar after a few
-/// milliseconds instead of burning a CPU.
-const YIELD: usize = 50_000;
-
-/// Yield cadence inside the mixed phase (see [`YIELD`]).
-const YIELD_EVERY: usize = 64;
-
 #[derive(Debug, Default)]
 struct PipeState {
     buf: std::collections::VecDeque<u8>,
     closed: bool,
-    /// Is a reader parked on `ready`? Writers skip the (syscall-priced)
-    /// notify when nobody waits — the common case while the peer spins.
-    waiting: bool,
-}
-
-/// The reader-polled mirrors, padded onto their own cache line: a
-/// spinning reader must not share a line with the mutex or the buffer
-/// bookkeeping, or every byte the writer pushes invalidates the polled
-/// line and the coherence ping-pong taxes the writer per store (measured
-/// ~15µs per ~100-byte round before the padding).
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PollFlags {
-    /// `buf.len()` mirrored outside the lock; written once per `write`.
-    size: std::sync::atomic::AtomicUsize,
-    /// `closed` mirrored outside the lock.
-    hung_up: std::sync::atomic::AtomicBool,
 }
 
 #[derive(Debug, Default)]
 struct Pipe {
     state: Mutex<PipeState>,
     ready: Condvar,
-    poll: PollFlags,
 }
 
 /// One end of an in-memory duplex byte stream — the offline stand-in for
-/// a socket. Blocking `Read`/`Write`; dropping an end closes the peer's
-/// read side (EOF), mirroring socket hangup.
+/// a socket. Blocking `Read`/`Write`; dropping an end closes both
+/// directions, so the peer reads EOF and its writes fail with
+/// `BrokenPipe`, mirroring socket hangup. A read parks on a condvar: no
+/// measured workload serves over loopback, so the handoff is not tuned.
 #[derive(Debug)]
 pub struct LoopbackConn {
     rx: Arc<Pipe>,
@@ -296,47 +255,17 @@ pub fn loopback_pair() -> (LoopbackConn, LoopbackConn) {
 
 impl Read for LoopbackConn {
     fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        use std::sync::atomic::Ordering;
         if out.is_empty() {
             return Ok(0);
         }
-        for i in 0..SPIN + YIELD {
-            if self.rx.poll.size.load(Ordering::Acquire) != 0
-                || self.rx.poll.hung_up.load(Ordering::Acquire)
-            {
-                let state = self.rx.state.lock().unwrap();
-                if !state.buf.is_empty() || state.closed {
-                    return Ok(drain(&self.rx, state, out));
-                }
-            }
-            if i < SPIN || (i - SPIN) % YIELD_EVERY != YIELD_EVERY - 1 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        let mut state = self.rx.state.lock().unwrap();
-        while state.buf.is_empty() && !state.closed {
-            state.waiting = true;
-            state = self.rx.ready.wait(state).unwrap();
-        }
-        state.waiting = false;
-        Ok(drain(&self.rx, state, out))
+        let state = self.rx.state.lock().unwrap();
+        let mut state = self.rx.ready.wait_while(state, |s| s.buf.is_empty() && !s.closed).unwrap();
+        state.buf.read(out)
     }
-}
-
-fn drain(pipe: &Pipe, mut state: std::sync::MutexGuard<'_, PipeState>, out: &mut [u8]) -> usize {
-    let n = state.buf.len().min(out.len());
-    for slot in out.iter_mut().take(n) {
-        *slot = state.buf.pop_front().expect("sized above");
-    }
-    pipe.poll.size.store(state.buf.len(), std::sync::atomic::Ordering::Release);
-    n
 }
 
 impl Write for LoopbackConn {
     fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        use std::sync::atomic::Ordering;
         let mut state = self.tx.state.lock().unwrap();
         if state.closed {
             return Err(std::io::Error::new(
@@ -345,12 +274,8 @@ impl Write for LoopbackConn {
             ));
         }
         state.buf.extend(bytes);
-        self.tx.poll.size.store(state.buf.len(), Ordering::Release);
-        let waiting = state.waiting;
         drop(state);
-        if waiting {
-            self.tx.ready.notify_one();
-        }
+        self.tx.ready.notify_one();
         Ok(bytes.len())
     }
 
@@ -362,10 +287,7 @@ impl Write for LoopbackConn {
 impl Drop for LoopbackConn {
     fn drop(&mut self) {
         for pipe in [&self.rx, &self.tx] {
-            let mut state = pipe.state.lock().unwrap();
-            state.closed = true;
-            pipe.poll.hung_up.store(true, std::sync::atomic::Ordering::Release);
-            drop(state);
+            pipe.state.lock().unwrap().closed = true;
             pipe.ready.notify_all();
         }
     }

@@ -2,7 +2,8 @@
 //! decoder — every outcome is a value or a `WireError`, never UB or an
 //! abort; (2) encode→decode is the identity for every message type over
 //! arbitrary contents (candidate pools, selections, ingest batches);
-//! (3) framing honors the length prefix and the `MAX_FRAME` cap.
+//! (3) framing honors the length prefix and the `MAX_FRAME` cap; (4) the
+//! loopback duplex keeps a socket's contract.
 //!
 //! Structured inputs are generated from a per-case seed with `StdRng`
 //! (the proptest shim has no combinators), so every failure reproduces.
@@ -13,8 +14,8 @@ use rand::{Rng, SeedableRng};
 use s3_core::{DocRef, FragRef, TagId, TagRef, TagSubjectRef, UserId, UserRef};
 use s3_doc::{DocNodeId, LocalNodeId, TreeId};
 use s3_wire::{
-    peek_tag, read_frame, write_frame, CompactAck, IngestAck, Message, RequestBuf, RoundReply,
-    SelectionEntry, Start, StopCheck, WireDoc, WireError, WireIngest, MAX_FRAME,
+    loopback_pair, peek_tag, read_frame, write_frame, CompactAck, IngestAck, Message, RequestBuf,
+    RoundReply, SelectionEntry, Start, StopCheck, WireDoc, WireError, WireIngest, MAX_FRAME,
 };
 
 // ---- generators ---------------------------------------------------------
@@ -286,4 +287,23 @@ fn trailing_bytes_are_rejected() {
         Err(WireError::TrailingBytes(1)) => {}
         other => panic!("expected TrailingBytes(1), got {other:?}"),
     }
+}
+
+/// Reads block until bytes arrive, a hangup reads as EOF once the
+/// buffered bytes are drained, and a write to a hung-up peer fails with
+/// `BrokenPipe`.
+#[test]
+fn loopback_behaves_like_a_socket() {
+    use std::io::{Read, Write};
+    let (mut a, mut b) = loopback_pair();
+    let reader = std::thread::spawn(move || {
+        let mut got = Vec::new();
+        b.read_to_end(&mut got).map(|_| (got, b))
+    });
+    a.write_all(b"ping").unwrap();
+    a.write_all(b"pong").unwrap();
+    drop(a);
+    let (got, mut b) = reader.join().unwrap().unwrap();
+    assert_eq!(got, b"pingpong");
+    assert_eq!(b.write(b"x").unwrap_err().kind(), std::io::ErrorKind::BrokenPipe);
 }
