@@ -671,11 +671,11 @@ impl InstanceBuilder {
     /// Check every reference and weight of `batch` against the current
     /// builder state, without mutating anything: the checks
     /// [`Self::apply`] runs first, as a typed error. `Existing` references
-    /// must be alive: already-tombstoned entities and entities the same
-    /// batch *directly* deletes are rejected here (retractions apply
-    /// before additions). References to entities that die only through a
-    /// cascade (e.g. a tag on a document the batch deletes) are caught by
-    /// the builder's liveness assertions during the apply itself.
+    /// must be alive after the batch's retractions (they apply before its
+    /// additions): already-tombstoned entities, entities the batch
+    /// deletes, and tags that die through its cascades — with their
+    /// author, with their fragment's document, or with their subject tag —
+    /// are all rejected here, so an accepted batch always applies.
     pub fn check(&self, prev: &S3Instance, batch: &IngestBatch) -> Result<(), IngestError> {
         ensure(
             prev.graph.num_nodes()
@@ -743,15 +743,34 @@ impl InstanceBuilder {
             check_doc(comment)?;
             check_frag(target)?;
         }
+        // Tags dead once the batch's retractions have run, computed on the
+        // first `Existing` tag subject. A tag's subject tag precedes it,
+        // so one pass in tag-id order closes the cascade.
+        let mut dead_tags: Option<Vec<bool>> = None;
         for (i, (subject, author, _)) in batch.tags.iter().enumerate() {
             check_user(*author)?;
             match *subject {
                 TagSubjectRef::Frag(f) => check_frag(f)?,
                 TagSubjectRef::Tag(TagRef::Existing(t)) => {
                     ensure(t.index() < self.tags.len(), || format!("unknown tag {t}"))?;
-                    ensure(self.dead.tag_alive(t) && !del_tags.contains(&t), || {
-                        format!("tag {t} is deleted")
-                    })?;
+                    let dead = dead_tags.get_or_insert_with(|| {
+                        let mut dead = Vec::with_capacity(self.tags.len());
+                        for (j, tag) in self.tags.iter().enumerate() {
+                            let id = TagId(j as u32);
+                            let dies = !self.dead.tag_alive(id)
+                                || del_tags.contains(&id)
+                                || del_users.contains(&tag.author)
+                                || match tag.subject {
+                                    TagSubject::Frag(f) => {
+                                        del_trees.contains(&self.forest.tree_of(f))
+                                    }
+                                    TagSubject::Tag(s) => dead[s.index()],
+                                };
+                            dead.push(dies);
+                        }
+                        dead
+                    });
+                    ensure(!dead[t.index()], || format!("tag {t} is deleted"))?;
                 }
                 TagSubjectRef::Tag(TagRef::New(j)) => ensure(j < i, || {
                     format!("tag subjects must already exist (batch tag {j} after {i})")
@@ -999,5 +1018,40 @@ mod tests {
         // The builder still works.
         let (live, _) = b.apply(&prev, &IngestBatch::new());
         assert_eq!(live.num_users(), users);
+    }
+
+    #[test]
+    fn tags_killed_by_the_batch_cascade_are_refused_as_subjects() {
+        // u0 posts D; u1 tags D's root (t0); u0 endorses t0 (t1).
+        let (mut b, seeker, _) = base();
+        let u1 = b.add_user();
+        let root = b.doc_root(TreeId(0));
+        let kw = b.analyze("degrees")[0];
+        let t0 = b.add_tag(TagSubject::Frag(root), u1, Some(kw));
+        let t1 = b.add_tag(TagSubject::Tag(t0), UserId(0), None);
+        let prev = b.snapshot();
+        let tag_on = |t: TagId| {
+            let mut batch = IngestBatch::new();
+            batch.add_tag(TagSubjectRef::Tag(TagRef::Existing(t)), UserRef::Existing(seeker), None);
+            batch
+        };
+        let mut via_subject = tag_on(t1);
+        via_subject.delete_tag(t0);
+        let mut via_document = tag_on(t0);
+        via_document.delete_document(TreeId(0));
+        let mut via_author = tag_on(t0);
+        via_author.delete_user(u1);
+        for batch in [&via_subject, &via_document, &via_author] {
+            let err = b.check(&prev, batch).expect_err("a cascade-killed subject must be refused");
+            assert!(err.to_string().contains("is deleted"), "{err}");
+        }
+        assert_eq!(b.dead_counts(), (0, 0, 0), "check mutates nothing");
+        // Subjects the cascades spare are still accepted, and apply.
+        let mut spared = tag_on(t0);
+        spared.delete_tag(t1);
+        b.check(&prev, &spared).expect("t0 outlives the endorsement on it");
+        let (live, summary) = b.apply(&prev, &spared);
+        assert_eq!((summary.deleted_tags, summary.new_tags), (1, 1));
+        assert_eq!(live.num_tags(), 3);
     }
 }

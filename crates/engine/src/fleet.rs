@@ -29,7 +29,7 @@
 //! [`s3_wire::IngestAck`] fingerprint (node count, detachedness, epoch)
 //! cross-checks that invariant on every ingest.
 
-use crate::gate::{self, Admission, AdmissionGate, LoadStats, ServeOutcome};
+use crate::gate::{AdmissionGate, LoadStats, ServeOutcome};
 use crate::{EngineConfig, EngineError, ShardRouter};
 use s3_core::{
     read_snapshot, CompactionReport, ComponentPartition, FleetShard, Hit, IngestBatch,
@@ -617,11 +617,11 @@ pub struct FleetEngine {
     router: ShardRouter,
     search: SearchConfig,
     remote: Remote,
-    /// Admission gate for [`Self::serve`] (behind an `Arc` so the RAII
-    /// slot ticket can outlive the `&mut self` the query drive needs).
-    gate: Arc<AdmissionGate>,
+    /// The front of [`Self::serve`]: deadlines and load counters. It has
+    /// no overload policy, since one client never has two queries in
+    /// flight.
+    gate: AdmissionGate,
     epoch: u64,
-    rounds: u64,
 }
 
 /// The fleet's round executor: pool `p` of the driver is shard
@@ -630,6 +630,8 @@ pub struct FleetEngine {
 struct Remote {
     shards: Vec<Box<dyn ShardTransport>>,
     active: Vec<usize>,
+    /// Rounds driven so far ([`FleetEngine::rounds`]).
+    rounds: u64,
     replies: Vec<RoundReply>,
     start: Start,
     stop: StopCheck,
@@ -637,6 +639,24 @@ struct Remote {
 }
 
 impl Remote {
+    /// Answer one query: route it, then run the one driver on this
+    /// executor under `search`.
+    fn drive(
+        &mut self,
+        instance: &S3Instance,
+        router: &ShardRouter,
+        search: SearchConfig,
+        query: &Query,
+    ) -> Result<TopKResult, WireError> {
+        router.route_into(instance, query, &search, &mut self.active);
+        let result = S3kEngine::new(instance, search).search(query, self)?;
+        if result.stats.stop != StopReason::NoMatch {
+            // Fleet queries run cold: one reply wave per step, plus round 0.
+            self.rounds += u64::from(result.stats.iterations) + 1;
+        }
+        Ok(result)
+    }
+
     /// Flush every routed shard's queued request, then read each one's
     /// round reply.
     fn gather(&mut self) -> Result<(), WireError> {
@@ -800,9 +820,7 @@ impl FleetEngine {
         shards: Vec<Box<dyn ShardTransport>>,
     ) -> Self {
         assert!(!shards.is_empty(), "a fleet needs at least one shard");
-        let config = config.validated();
-        let gate = Arc::new(AdmissionGate::new(config.overload));
-        let search = config.search;
+        let search = config.validated().search;
         let partition = Arc::new(ComponentPartition::balanced(&instance, shards.len()));
         let router = ShardRouter::new(&instance, Arc::clone(&partition));
         let replies = shards.iter().map(|_| RoundReply::default()).collect();
@@ -814,9 +832,8 @@ impl FleetEngine {
             router,
             search,
             remote,
-            gate,
+            gate: AdmissionGate::new(None),
             epoch: 0,
-            rounds: 0,
         }
     }
 
@@ -843,7 +860,7 @@ impl FleetEngine {
     /// Rounds driven so far (reply waves across all queries; `NoMatch`
     /// probes count as zero rounds, matching the in-process driver).
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.remote.rounds
     }
 
     /// Per-shard transport traffic counters.
@@ -854,57 +871,33 @@ impl FleetEngine {
     /// Answer one query over the fleet: route it, then run the one
     /// driver on the remote executor.
     pub fn query(&mut self, query: &Query) -> Result<TopKResult, WireError> {
-        self.router.route_into(&self.instance, query, &self.search, &mut self.remote.active);
-        let engine = S3kEngine::new(&self.instance, self.search.clone());
-        let result = engine.search(query, &mut self.remote)?;
-        if result.stats.stop != StopReason::NoMatch {
-            // Fleet queries run cold: one reply wave per step, plus round 0.
-            self.rounds += u64::from(result.stats.iterations) + 1;
-        }
-        Ok(result)
+        self.remote.drive(&self.instance, &self.router, self.search.clone(), query)
     }
 
-    /// Load and shedding counters for [`Self::serve`].
+    /// Load counters for [`Self::serve`].
     pub fn load_stats(&self) -> LoadStats {
         self.gate.stats()
     }
 
-    /// Answer one query through the admission gate with an optional
-    /// per-query deadline ([`crate::ShardedEngine::serve`]'s contract, minus the
-    /// result cache — the fleet client does not keep one). A fleet
-    /// client drives queries one at a time (`&mut self`), so the gate
-    /// matters mostly for deadline and load accounting; degraded and
-    /// deadline-capped admissions run the fan-out under the tightened
-    /// time budget and return a certified best-effort answer.
+    /// Answer one query with an optional per-query deadline
+    /// ([`crate::ShardedEngine::serve`]'s contract, minus the result
+    /// cache — the fleet client does not keep one). The client drives
+    /// queries one at a time (`&mut self`), so the in-flight depth never
+    /// passes 1 and no overload policy could ever engage: the fleet
+    /// ignores [`crate::EngineConfigBuilder::overload`] and gets deadlines
+    /// and load counters only. A deadline-capped query runs the fan-out
+    /// under the tightened time budget and returns a certified
+    /// best-effort answer.
     pub fn serve(
         &mut self,
         query: &Query,
         deadline: Option<Duration>,
     ) -> Result<ServeOutcome, WireError> {
         let arrival = self.search.clock.now();
-        let gate = Arc::clone(&self.gate);
-        let (ticket, floor) = match gate.admit() {
-            Admission::Shed => return Ok(ServeOutcome::Shed),
-            Admission::Full(t) => (t, None),
-            Admission::Degraded(t, floor) => (t, Some(floor)),
-        };
-        let remaining = match deadline {
-            Some(deadline) => {
-                let waited = self.search.clock.now().saturating_sub(arrival);
-                if waited >= deadline {
-                    gate.note_expired();
-                    return Ok(ServeOutcome::Expired);
-                }
-                Some(deadline - waited)
-            }
-            None => None,
-        };
-        let configured = self.search.time_budget;
-        self.search.time_budget = gate::effective_budget(configured, remaining, floor);
-        let result = self.query(query);
-        self.search.time_budget = configured;
-        drop(ticket);
-        Ok(ServeOutcome::Answered(Arc::new(result?)))
+        let (instance, router, remote) = (&self.instance, &self.router, &mut self.remote);
+        self.gate.serve(self.search.clone(), arrival, deadline, |search| {
+            remote.drive(instance, router, search, query)
+        })
     }
 
     /// Ship a batch to every shard (pipelined), apply it locally, and

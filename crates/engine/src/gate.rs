@@ -1,31 +1,31 @@
-//! Engine overload control: the admission gate behind every engine's
-//! `serve` entry point.
+//! Engine overload control: the admission gate and the serve front
+//! behind every engine's `serve` entry point.
 //!
 //! [`crate::ShardedEngine::query`] and friends always compute — under
 //! saturation they just get slower, without bound. `serve` routes each
-//! query through an admission gate instead: a cache hit is returned
+//! query through one front instead: a cache hit is returned
 //! immediately (overload never degrades traffic the cache can already
 //! answer), and a miss claims an in-flight slot. When the live depth
 //! reaches [`OverloadConfig::max_inflight`], the configured
-//! [`OverloadPolicy`] decides the arrival's fate — shed it, admit it
+//! [`OverloadPolicy`] decides the arrival's fate — shed it, or admit it
 //! with its time budget capped so it returns a certified best-effort
-//! answer quickly ([`s3_core::QualityBound`]), or park it until a slot
-//! frees. Per-query deadlines compose with the gate: the wait spent in
-//! the queue counts against the deadline, and a query whose deadline
-//! lapses before it runs is counted and dropped instead of burning a
-//! slot on an answer nobody is waiting for.
+//! answer quickly ([`s3_core::QualityBound`]). Admission never blocks.
+//! Per-query deadlines compose with the gate: a query whose deadline has
+//! lapsed by the time it is admitted is counted and dropped instead of
+//! burning a slot on an answer nobody is waiting for, and what is left
+//! of the deadline caps the budget of the rest.
 //!
 //! The counters ([`LoadStats`]) play the role [`crate::CacheStats`]
 //! plays for the cache: one struct per engine, `Display` as a log line.
 
-use s3_core::TopKResult;
-use std::collections::VecDeque;
+use s3_core::{SearchConfig, TopKResult};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the admission gate does with an arrival once the engine is at
-/// [`OverloadConfig::max_inflight`].
+/// [`OverloadConfig::max_inflight`]. Either way the arrival is decided
+/// at once: no policy makes a query wait for a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Shed the query outright ([`ServeOutcome::Shed`]): strict capacity
@@ -41,12 +41,6 @@ pub enum OverloadPolicy {
         /// "answer from the first round, whatever is certified by then").
         floor_budget: Duration,
     },
-    /// Park the arrival until a slot frees or `timeout` passes (then
-    /// shed). The wait counts against the query's deadline.
-    Queue {
-        /// Longest a query may wait for a slot.
-        timeout: Duration,
-    },
 }
 
 /// Admission-gate configuration ([`crate::EngineConfigBuilder::overload`]).
@@ -61,7 +55,7 @@ pub struct OverloadConfig {
 
 impl OverloadConfig {
     /// Clamp `max_inflight` to at least 1 (a zero-slot gate could never
-    /// admit anything under `Reject`/`Queue`). Idempotent; called by
+    /// admit anything under `Reject`). Idempotent; called by
     /// [`crate::EngineConfig::validated`].
     pub fn validated(mut self) -> Self {
         self.max_inflight = self.max_inflight.max(1);
@@ -76,7 +70,7 @@ impl OverloadConfig {
 pub struct LoadStats {
     /// Queries admitted past the gate (including degraded ones).
     pub admitted: u64,
-    /// Queries shed by the policy (`Reject`, or `Queue` timeout).
+    /// Queries shed by the `Reject` policy.
     pub shed: u64,
     /// Queries admitted with a degraded (floor) time budget.
     pub degraded: u64,
@@ -123,7 +117,7 @@ pub enum ServeOutcome {
     /// The query was answered (possibly degraded — check
     /// `stats.quality`).
     Answered(Arc<TopKResult>),
-    /// The gate shed the query (`Reject`, or a `Queue` wait timed out).
+    /// The `Reject` policy shed the query: the engine was at capacity.
     Shed,
     /// The query's deadline lapsed before it could run.
     Expired,
@@ -139,55 +133,27 @@ impl ServeOutcome {
     }
 }
 
-/// The gate's verdict on one arrival. The [`Ticket`] is the RAII slot
-/// claim: dropping it frees the slot and wakes one queued waiter.
-pub(crate) enum Admission<'a> {
-    /// Run at full budget.
-    Full(Ticket<'a>),
-    /// Run with the time budget capped at the floor.
-    Degraded(Ticket<'a>, Duration),
-    /// Do not run.
-    Shed,
-}
-
-/// RAII in-flight slot claim (see [`Admission`]).
-pub(crate) struct Ticket<'a> {
+/// RAII in-flight slot claim: dropping it frees the slot.
+struct Ticket<'a> {
     gate: &'a AdmissionGate,
 }
 
 impl Drop for Ticket<'_> {
     fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("gate poisoned");
-        state.depth -= 1;
-        drop(state);
-        // notify_all, not notify_one: only the waiter at the head of the
-        // ticket queue may claim the slot, and the condvar does not know
-        // which thread that is. Everyone re-checks; the head proceeds.
-        self.gate.freed.notify_all();
+        self.gate.depth.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// The gate's mutable core: the live in-flight depth plus the FIFO
-/// ticket queue behind the `Queue` policy. Waiters draw a ticket on
-/// arrival and only the queue head may claim a freed slot, so admission
-/// order is arrival order — a late arrival can neither barge past parked
-/// waiters nor win a wakeup race against an earlier one.
-#[derive(Debug, Default)]
-struct GateState {
-    depth: usize,
-    next_ticket: u64,
-    queue: VecDeque<u64>,
-}
-
-/// The shared admission gate: live in-flight depth behind a mutex (the
-/// `Queue` policy parks waiters on the condvar, FIFO by ticket),
-/// counters in relaxed atomics. Constructed unconditionally — without an
+/// The shared admission gate: the live in-flight depth and the counters,
+/// each one relaxed atomic. Constructed unconditionally — without an
 /// [`OverloadConfig`] it admits everything and still tracks load.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct AdmissionGate {
     config: Option<OverloadConfig>,
-    state: Mutex<GateState>,
-    freed: Condvar,
+    /// Queries in flight. Relaxed is enough: it guards no other data, and
+    /// read-modify-writes of one atomic are totally ordered, so a
+    /// compare-and-swap claim never overshoots the cap.
+    depth: AtomicUsize,
     admitted: AtomicU64,
     shed: AtomicU64,
     degraded: AtomicU64,
@@ -197,85 +163,69 @@ pub(crate) struct AdmissionGate {
 
 impl AdmissionGate {
     pub(crate) fn new(config: Option<OverloadConfig>) -> Self {
-        AdmissionGate {
-            config: config.map(OverloadConfig::validated),
-            state: Mutex::new(GateState::default()),
-            freed: Condvar::new(),
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            peak: AtomicUsize::new(0),
-        }
+        AdmissionGate { config: config.map(OverloadConfig::validated), ..Self::default() }
     }
 
-    /// Decide one arrival's fate (may block under the `Queue` policy).
-    pub(crate) fn admit(&self) -> Admission<'_> {
-        let mut state = self.state.lock().expect("gate poisoned");
-        let Some(cfg) = self.config else {
-            return Admission::Full(self.enter(&mut state));
+    /// The serve front: admit the arrival, drop it if its `deadline`
+    /// (measured on `search.clock` from `arrival`) is already spent, else
+    /// `run` it under `search` with the time budget capped by the
+    /// remaining deadline and, for a degraded admission, the policy's
+    /// floor. The slot is released when `run` returns.
+    pub(crate) fn serve<E>(
+        &self,
+        mut search: SearchConfig,
+        arrival: Duration,
+        deadline: Option<Duration>,
+        run: impl FnOnce(SearchConfig) -> Result<TopKResult, E>,
+    ) -> Result<ServeOutcome, E> {
+        let Some((_ticket, floor)) = self.admit() else {
+            return Ok(ServeOutcome::Shed);
         };
-        // Under `Queue`, a non-empty ticket queue gates even a below-
-        // capacity arrival: the slot a just-dropped ticket freed belongs
-        // to the parked head, not to whoever locks the mutex first.
-        let contended = state.depth >= cfg.max_inflight
-            || (matches!(cfg.policy, OverloadPolicy::Queue { .. }) && !state.queue.is_empty());
-        if !contended {
-            return Admission::Full(self.enter(&mut state));
+        let remaining =
+            deadline.map(|d| d.saturating_sub(search.clock.now().saturating_sub(arrival)));
+        if remaining == Some(Duration::ZERO) {
+            self.expired.fetch_add(1, Ordering::Relaxed);
+            return Ok(ServeOutcome::Expired);
         }
+        for cap in [remaining, floor].into_iter().flatten() {
+            search.time_budget = Some(search.time_budget.map_or(cap, |b| b.min(cap)));
+        }
+        Ok(ServeOutcome::Answered(Arc::new(run(search)?)))
+    }
+
+    /// Decide one arrival's fate: `None` sheds it, else its slot and, for
+    /// a degraded admission, the floor budget. `Reject` claims a slot
+    /// only below the cap (compare-and-swap, so the cap holds even
+    /// between racing arrivals); every other arrival claims one.
+    fn admit(&self) -> Option<(Ticket<'_>, Option<Duration>)> {
+        let Some(cfg) = self.config else {
+            return Some((self.enter(self.depth.fetch_add(1, Ordering::Relaxed)), None));
+        };
         match cfg.policy {
             OverloadPolicy::Reject => {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                Admission::Shed
+                let below = |d: usize| (d < cfg.max_inflight).then_some(d + 1);
+                let claimed = self.depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, below);
+                if claimed.is_err() {
+                    self.shed.fetch_add(1, Ordering::Relaxed);
+                }
+                claimed.ok().map(|prior| (self.enter(prior), None))
             }
             OverloadPolicy::DegradeAnytime { floor_budget } => {
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                Admission::Degraded(self.enter(&mut state), floor_budget)
-            }
-            OverloadPolicy::Queue { timeout } => {
-                let ticket = state.next_ticket;
-                state.next_ticket += 1;
-                state.queue.push_back(ticket);
-                let blocked = |s: &mut GateState| {
-                    s.depth >= cfg.max_inflight || s.queue.front() != Some(&ticket)
-                };
-                let (mut state, wait) =
-                    self.freed.wait_timeout_while(state, timeout, blocked).expect("gate poisoned");
-                if state.depth >= cfg.max_inflight || state.queue.front() != Some(&ticket) {
-                    debug_assert!(wait.timed_out());
-                    let pos = state
-                        .queue
-                        .iter()
-                        .position(|&t| t == ticket)
-                        .expect("timed-out waiter still holds its ticket");
-                    state.queue.remove(pos);
-                    drop(state);
-                    // A timed-out head unblocks the ticket behind it.
-                    self.freed.notify_all();
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    Admission::Shed
-                } else {
-                    state.queue.pop_front();
-                    let admitted = self.enter(&mut state);
-                    drop(state);
-                    // The new head may fit too if several slots freed.
-                    self.freed.notify_all();
-                    Admission::Full(admitted)
+                let prior = self.depth.fetch_add(1, Ordering::Relaxed);
+                let degraded = prior >= cfg.max_inflight;
+                if degraded {
+                    self.degraded.fetch_add(1, Ordering::Relaxed);
                 }
+                Some((self.enter(prior), degraded.then_some(floor_budget)))
             }
         }
     }
 
-    fn enter(&self, state: &mut GateState) -> Ticket<'_> {
-        state.depth += 1;
+    /// Count a claimed slot (`prior` = the depth before the claim).
+    fn enter(&self, prior: usize) -> Ticket<'_> {
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        self.peak.fetch_max(state.depth, Ordering::Relaxed);
+        self.peak.fetch_max(prior + 1, Ordering::Relaxed);
         Ticket { gate: self }
-    }
-
-    /// Count a deadline that lapsed before the query ran.
-    pub(crate) fn note_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn stats(&self) -> LoadStats {
@@ -289,35 +239,22 @@ impl AdmissionGate {
     }
 }
 
-/// The time budget a gated query actually runs under: the configured
-/// budget capped by the remaining deadline and (for degraded
-/// admissions) the policy's floor.
-pub(crate) fn effective_budget(
-    configured: Option<Duration>,
-    remaining: Option<Duration>,
-    floor: Option<Duration>,
-) -> Option<Duration> {
-    let mut budget = configured;
-    for cap in [remaining, floor].into_iter().flatten() {
-        budget = Some(budget.map_or(cap, |b| b.min(cap)));
-    }
-    budget
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use s3_core::{SearchClock, SearchStats};
+    use std::convert::Infallible;
 
     #[test]
     fn ungated_admissions_always_pass_and_count() {
         let gate = AdmissionGate::new(None);
         let a = gate.admit();
         let b = gate.admit();
-        assert!(matches!(a, Admission::Full(_)) && matches!(b, Admission::Full(_)));
+        assert!(matches!(a, Some((_, None))) && matches!(b, Some((_, None))));
         drop((a, b));
         let stats = gate.stats();
         assert_eq!((stats.admitted, stats.shed, stats.peak_inflight), (2, 0, 2));
-        assert_eq!(gate.state.lock().unwrap().depth, 0, "tickets release on drop");
+        assert_eq!(gate.depth.load(Ordering::Relaxed), 0, "tickets release on drop");
     }
 
     #[test]
@@ -327,13 +264,65 @@ mod tests {
             policy: OverloadPolicy::Reject,
         }));
         let first = gate.admit();
-        assert!(matches!(first, Admission::Full(_)));
-        assert!(matches!(gate.admit(), Admission::Shed));
+        assert!(matches!(first, Some((_, None))));
+        assert!(gate.admit().is_none());
         drop(first);
-        assert!(matches!(gate.admit(), Admission::Full(_)), "slot freed by the drop");
+        assert!(matches!(gate.admit(), Some((_, None))), "slot freed by the drop");
         let stats = gate.stats();
         assert_eq!((stats.admitted, stats.shed, stats.degraded), (2, 1, 0));
         assert!((stats.shed_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reject_never_exceeds_the_cap_under_contention() {
+        const THREADS: usize = 4;
+        const ARRIVALS: usize = 20_000;
+        let gate = AdmissionGate::new(Some(OverloadConfig {
+            max_inflight: 2,
+            policy: OverloadPolicy::Reject,
+        }));
+        let (deepest, done) = (AtomicUsize::new(0), std::sync::atomic::AtomicBool::new(false));
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            // A watcher samples the depth throughout, as does every
+            // arrival: a claim that overshoots the cap and backs out
+            // shows here.
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    deepest.fetch_max(gate.depth.load(Ordering::Relaxed), Ordering::Relaxed);
+                }
+            });
+            let arrivals: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..ARRIVALS {
+                            deepest
+                                .fetch_max(gate.depth.load(Ordering::Relaxed), Ordering::Relaxed);
+                            if let Some((ticket, _)) = gate.admit() {
+                                // Hold the slot briefly so others find the
+                                // gate full.
+                                std::thread::yield_now();
+                                drop(ticket);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Stop the watcher before surfacing a panic, or the scope
+            // would wait on it forever.
+            let joined: Vec<_> = arrivals.into_iter().map(|a| a.join()).collect();
+            done.store(true, Ordering::Relaxed);
+            for arrival in joined {
+                arrival.expect("arrival thread");
+            }
+        });
+        let stats = gate.stats();
+        assert!(stats.peak_inflight <= 2, "peak {} past the cap", stats.peak_inflight);
+        assert!(deepest.load(Ordering::Relaxed) <= 2, "the depth passed the cap");
+        assert_eq!(stats.admitted + stats.shed, (THREADS * ARRIVALS) as u64);
+        assert!(stats.shed > 0, "four threads over two slots must contend");
+        assert_eq!(gate.depth.load(Ordering::Relaxed), 0, "every slot released");
     }
 
     #[test]
@@ -343,113 +332,44 @@ mod tests {
             policy: OverloadPolicy::DegradeAnytime { floor_budget: Duration::from_millis(5) },
         }));
         let _first = gate.admit();
-        match gate.admit() {
-            Admission::Degraded(_, floor) => assert_eq!(floor, Duration::from_millis(5)),
-            _ => panic!("second arrival must be degraded, not shed"),
-        }
+        let second = gate.admit().expect("second arrival must be degraded, not shed");
+        assert_eq!(second.1, Some(Duration::from_millis(5)));
         let stats = gate.stats();
         assert_eq!((stats.admitted, stats.degraded, stats.shed), (2, 1, 0));
         assert_eq!(stats.peak_inflight, 2, "degraded queries still occupy a slot");
     }
 
     #[test]
-    fn queue_timeout_sheds_when_no_slot_frees() {
-        let gate = AdmissionGate::new(Some(OverloadConfig {
-            max_inflight: 1,
-            policy: OverloadPolicy::Queue { timeout: Duration::from_millis(1) },
-        }));
-        let _held = gate.admit();
-        assert!(matches!(gate.admit(), Admission::Shed), "timed-out wait sheds");
-        assert_eq!(gate.stats().shed, 1);
-    }
-
-    #[test]
-    fn queued_arrival_runs_once_a_slot_frees() {
-        let gate = Arc::new(AdmissionGate::new(Some(OverloadConfig {
-            max_inflight: 1,
-            policy: OverloadPolicy::Queue { timeout: Duration::from_secs(30) },
-        })));
-        let held = gate.admit();
-        assert!(matches!(held, Admission::Full(_)));
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| matches!(gate.admit(), Admission::Full(_)));
-            std::thread::sleep(Duration::from_millis(10));
-            drop(held);
-            assert!(waiter.join().expect("waiter"), "freed slot must admit the parked arrival");
-        });
-        let stats = gate.stats();
-        assert_eq!((stats.admitted, stats.shed), (2, 0));
-    }
-
-    #[test]
-    fn queued_waiters_are_admitted_in_arrival_order() {
-        let gate = Arc::new(AdmissionGate::new(Some(OverloadConfig {
-            max_inflight: 1,
-            policy: OverloadPolicy::Queue { timeout: Duration::from_secs(30) },
-        })));
-        let held = gate.admit();
-        assert!(matches!(held, Admission::Full(_)));
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let waiters: Vec<_> = (0..3)
-                .map(|i| {
-                    let worker = Arc::clone(&gate);
-                    let order = &order;
-                    let handle = scope.spawn(move || {
-                        let admission = worker.admit();
-                        assert!(matches!(admission, Admission::Full(_)), "waiter {i} shed");
-                        // Record before releasing: with one slot, push
-                        // order is exactly admission order.
-                        order.lock().unwrap().push(i);
-                        drop(admission);
-                    });
-                    // Stagger arrivals so the ticket order is 0, 1, 2.
-                    while gate.state.lock().unwrap().queue.len() < i + 1 {
-                        std::thread::yield_now();
-                    }
-                    handle
-                })
-                .collect();
-            drop(held);
-            for w in waiters {
-                w.join().expect("waiter");
-            }
-        });
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "FIFO admission");
-        let stats = gate.stats();
-        assert_eq!((stats.admitted, stats.shed), (4, 0));
-    }
-
-    #[test]
-    fn late_arrival_queues_behind_a_parked_waiter() {
-        // Depth below capacity but a waiter parked: a newcomer must not
-        // barge past it — the freed slot belongs to the queue head. The
-        // parked waiter is simulated by seeding its ticket directly, so
-        // the window (slot freed, head not yet woken) is held open.
-        let gate = AdmissionGate::new(Some(OverloadConfig {
-            max_inflight: 1,
-            policy: OverloadPolicy::Queue { timeout: Duration::from_millis(5) },
-        }));
-        {
-            let mut state = gate.state.lock().unwrap();
-            state.next_ticket = 1;
-            state.queue.push_back(0);
-        }
-        assert!(matches!(gate.admit(), Admission::Shed), "latecomer must not barge");
-        assert_eq!(gate.stats().shed, 1);
-        let state = gate.state.lock().unwrap();
-        assert_eq!(state.queue.front(), Some(&0), "the parked ticket keeps its claim");
-        assert_eq!(state.queue.len(), 1, "the latecomer's ticket is withdrawn");
-    }
-
-    #[test]
     fn effective_budget_takes_the_tightest_cap() {
         let ms = Duration::from_millis;
-        assert_eq!(effective_budget(None, None, None), None);
-        assert_eq!(effective_budget(Some(ms(10)), None, None), Some(ms(10)));
-        assert_eq!(effective_budget(None, Some(ms(7)), None), Some(ms(7)));
-        assert_eq!(effective_budget(Some(ms(10)), Some(ms(7)), Some(ms(3))), Some(ms(3)));
-        assert_eq!(effective_budget(Some(ms(2)), Some(ms(7)), Some(ms(3))), Some(ms(2)));
+        let (clock, ticks) = SearchClock::manual();
+        // The budget the front runs an arrival at t = 0 under.
+        let budget = |gate: &AdmissionGate, deadline, time_budget| {
+            let search = SearchConfig { time_budget, clock: clock.clone(), ..Default::default() };
+            let mut seen = None;
+            let out = gate.serve(search, Duration::ZERO, deadline, |config| {
+                seen = config.time_budget;
+                let stats = SearchStats::default();
+                Ok::<_, Infallible>(TopKResult { hits: vec![], candidate_docs: vec![], stats })
+            });
+            assert!(matches!(out, Ok(ServeOutcome::Answered(_))));
+            seen
+        };
+        let open = AdmissionGate::new(None);
+        assert_eq!(budget(&open, None, None), None);
+        assert_eq!(budget(&open, None, Some(ms(10))), Some(ms(10)));
+        assert_eq!(budget(&open, Some(ms(7)), None), Some(ms(7)));
+        let floored = AdmissionGate::new(Some(OverloadConfig {
+            max_inflight: 1,
+            policy: OverloadPolicy::DegradeAnytime { floor_budget: ms(3) },
+        }));
+        let _held = floored.admit();
+        assert_eq!(budget(&floored, Some(ms(7)), Some(ms(10))), Some(ms(3)));
+        assert_eq!(budget(&floored, Some(ms(7)), Some(ms(2))), Some(ms(2)));
+        // Time since arrival counts against the deadline.
+        ticks.store(ms(5).as_nanos() as u64, Ordering::Relaxed);
+        assert_eq!(budget(&open, Some(ms(7)), Some(ms(10))), Some(ms(2)));
+        assert_eq!(open.stats().expired, 0);
     }
 
     #[test]
@@ -457,7 +377,7 @@ mod tests {
         let cfg = OverloadConfig { max_inflight: 0, policy: OverloadPolicy::Reject }.validated();
         assert_eq!(cfg.max_inflight, 1);
         let gate = AdmissionGate::new(Some(cfg));
-        assert!(matches!(gate.admit(), Admission::Full(_)));
+        assert!(matches!(gate.admit(), Some((_, None))));
     }
 
     #[test]

@@ -100,7 +100,10 @@ pub struct EngineConfig {
     /// plus the policy applied past it ([`OverloadPolicy`]). `None` (the
     /// default) admits everything — `serve` then behaves exactly like
     /// `query` plus deadline accounting, and the query paths are
-    /// untouched either way.
+    /// untouched either way. The policy engages only for concurrent
+    /// callers of an in-process engine's `&self` `serve`; a
+    /// [`FleetEngine`] client drives one query at a time and gets
+    /// deadlines and load counters only.
     pub(crate) overload: Option<OverloadConfig>,
 }
 
@@ -170,7 +173,9 @@ impl EngineConfigBuilder {
     }
 
     /// Overload control for the `serve` entry points. Accepts a bare
-    /// [`OverloadConfig`] or an `Option`.
+    /// [`OverloadConfig`] or an `Option`. Engages only for concurrent
+    /// callers of an in-process engine's `serve`: a [`FleetEngine`]
+    /// ignores it (one client, one query in flight).
     pub fn overload(mut self, overload: impl Into<Option<OverloadConfig>>) -> Self {
         self.config.overload = overload.into();
         self

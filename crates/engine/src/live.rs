@@ -474,7 +474,7 @@ impl Checkpoint for LiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s3_core::{FragRef, IngestDoc, TagSubjectRef, UserId, UserRef};
+    use s3_core::{FragRef, IngestDoc, TagRef, TagSubjectRef, UserId, UserRef};
     use s3_doc::DocBuilder;
     use s3_text::Language;
 
@@ -649,6 +649,38 @@ mod tests {
         assert_eq!(before.hits, after.hits);
         assert_eq!(before.candidate_docs, after.candidate_docs);
         assert_eq!(before.stats.stop, after.stats.stop);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_tag_on_a_cascade_killed_tag_is_rejected_before_the_journal() {
+        let dir = tmpdir("cascade");
+        let config = || EngineConfig::builder().threads(1).build();
+        let seeded = || {
+            let (mut b, author, seeker) = seed_builder();
+            let root = b.doc_root(s3_doc::TreeId(0));
+            let t0 = b.add_tag(s3_core::TagSubject::Frag(root), seeker, None);
+            let t1 = b.add_tag(s3_core::TagSubject::Tag(t0), author, None);
+            (b, t0, t1, seeker)
+        };
+        let (b, t0, t1, seeker) = seeded();
+        let (live, _) = LiveEngine::open(&dir, b, config()).unwrap();
+        live.ingest(&detached_doc_batch("journaled degrees"));
+        // Deleting t0 kills t1 (it endorses t0), so the batch's tag on t1
+        // can never apply.
+        let mut batch = IngestBatch::new();
+        batch.delete_tag(t0);
+        batch.add_tag(TagSubjectRef::Tag(TagRef::Existing(t1)), UserRef::Existing(seeker), None);
+        match live.try_ingest(&batch) {
+            Err(PersistError::Rejected(e)) => assert!(e.to_string().contains("is deleted"), "{e}"),
+            other => panic!("expected a rejection, got {:?}", other.map(|r| r.summary)),
+        }
+        assert_eq!(live.wal_records(), Some(1), "nothing journaled");
+        live.ingest(&detached_doc_batch("still writable"));
+        drop(live);
+        let (reopened, report) = LiveEngine::open(&dir, seeded().0, config()).unwrap();
+        assert_eq!(report.replayed, 2);
+        assert_eq!(reopened.instance().num_documents(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,7 +25,7 @@
 //! `tests/sharding.rs`).
 
 use crate::batch::{self, CacheKey, EpochConfig, ResultCache};
-use crate::gate::{self, Admission, AdmissionGate, LoadStats, ServeOutcome};
+use crate::gate::{AdmissionGate, LoadStats, ServeOutcome};
 use crate::warm::PropPool;
 use crate::{CacheStats, EngineConfig, ResumeStats};
 use s3_core::{
@@ -34,6 +34,7 @@ use s3_core::{
 };
 use s3_text::KeywordId;
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -285,20 +286,19 @@ impl ShardedEngine {
     }
 
     /// Answer one query through the admission gate, with an optional
-    /// per-query deadline measured from this call by the search clock
-    /// (time spent queued for a slot counts against it).
+    /// per-query deadline measured from this call by the search clock.
     ///
     /// A cache hit is returned without claiming a slot. On a miss the
     /// gate decides: shed ([`ServeOutcome::Shed`]), admit at full budget,
     /// or admit degraded — the query's time budget capped at the
     /// [`crate::OverloadPolicy::DegradeAnytime`] floor and the remaining
     /// deadline, so the whole scatter returns a certified best-effort
-    /// answer (`stats.quality`) instead of queueing unboundedly. A query
-    /// whose deadline lapses before it runs is dropped
-    /// ([`ServeOutcome::Expired`]). A degraded answer never enters the
-    /// cache, so it cannot mask the full answer an uncongested repeat
-    /// could compute — the warm propagation pool keeps its state, so that
-    /// repeat resumes instead of starting over.
+    /// answer (`stats.quality`) instead of piling full-cost work onto a
+    /// saturated engine. A query whose deadline lapses before it runs is
+    /// dropped ([`ServeOutcome::Expired`]). A degraded answer never
+    /// enters the cache, so it cannot mask the full answer an uncongested
+    /// repeat could compute — the warm propagation pool keeps its state,
+    /// so that repeat resumes instead of starting over.
     ///
     /// Without an [`crate::EngineConfigBuilder::overload`] policy and
     /// without a deadline, `serve` is [`Self::query`] with load
@@ -309,33 +309,17 @@ impl ShardedEngine {
         if let Some(hit) = self.cache.lookup(&CacheKey::new(query, epoch)) {
             return ServeOutcome::Answered(hit);
         }
-        let (ticket, floor) = match self.gate.admit() {
-            Admission::Shed => return ServeOutcome::Shed,
-            Admission::Full(t) => (t, None),
-            Admission::Degraded(t, floor) => (t, Some(floor)),
-        };
-        let remaining = match deadline {
-            Some(deadline) => {
-                let waited = search_config.clock.now().saturating_sub(arrival);
-                if waited >= deadline {
-                    self.gate.note_expired();
-                    return ServeOutcome::Expired;
-                }
-                Some(deadline - waited)
-            }
-            None => None,
-        };
-        let mut config = search_config;
-        config.time_budget = gate::effective_budget(config.time_budget, remaining, floor);
-        let mut out = self.scatter(std::slice::from_ref(query), &[0], &config, epoch, 1);
-        drop(ticket);
-        let (_, result) = out.pop().expect("one result");
-        let result = Arc::new(result);
+        let outcome = self.gate.serve(search_config, arrival, deadline, |config| {
+            let mut out = self.scatter(std::slice::from_ref(query), &[0], &config, epoch, 1);
+            Ok::<_, Infallible>(out.pop().expect("one result").1)
+        });
+        let Ok(outcome) = outcome;
+        let ServeOutcome::Answered(result) = &outcome else { return outcome };
         // The stored key is built after the search, not held across it:
         // allocated beside its result, it keeps later hits on nearby
         // cache lines (`serve_zipf`'s hit-dominated p50 measured it).
-        self.cache.insert(CacheKey::new(query, epoch), &result);
-        ServeOutcome::Answered(result)
+        self.cache.insert(CacheKey::new(query, epoch), result);
+        outcome
     }
 
     /// Answer a batch concurrently on the configured worker count.
