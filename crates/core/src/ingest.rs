@@ -37,10 +37,9 @@
 //! pre-existing node keeps its exact adjacency, out-weights and
 //! neighborhood weights, and nothing new is reachable from any
 //! pre-existing node — so every previously computed propagation, score and
-//! result remains exact. This is what lets the sharded serving layer scope
-//! its epoch bump to the touched shards plus the front cache, and *rebase*
-//! untouched warm propagation states onto the new graph
-//! ([`s3_graph::PropagationState::rebase`]) instead of dropping them.
+//! result remains exact. The classification is reported, not acted on:
+//! the serving layer purges its whole result cache on every ingest either
+//! way, and the fleet's ingest ack cross-checks the flag across replicas.
 
 use crate::connections::{ConnectionIndex, Scope};
 use crate::ids::{TagId, TagSubject, UserId};
@@ -388,8 +387,8 @@ pub struct IngestSummary {
     pub first_new_node: usize,
     /// Was the delta *detached* (see the module docs)? Detached deltas
     /// leave every pre-existing propagation, score and cached result
-    /// exact, so the serving layer may scope invalidation to the touched
-    /// shards plus its front cache and rebase warm propagation state.
+    /// exact; the serving layer reports this but purges its result cache
+    /// on every ingest.
     pub detached: bool,
     /// Components that gained nodes or edges (or were merged away),
     /// ascending. Their connection entries were recomputed.

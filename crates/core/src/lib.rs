@@ -60,10 +60,9 @@ pub mod wal;
 
 pub use clock::SearchClock;
 pub use connections::{ConnType, Connection, ConnectionIndex};
-// The component id and the propagation lifecycle types are part of this
-// crate's public API (component keyword sets, partitioning, the serving
-// layer's seeker-keyed warm propagation pool); re-exported so layers
-// above `core` need not reach into `s3-graph`.
+// The component id and the propagation are part of this crate's public
+// API (component keyword sets, partitioning, per-layer probes);
+// re-exported so layers above `core` need not reach into `s3-graph`.
 pub use ids::{TagId, TagSubject, UserId};
 pub use ingest::{
     DocRef, FragRef, IngestBatch, IngestDoc, IngestError, IngestSummary, TagRef, TagSubjectRef,
@@ -71,12 +70,11 @@ pub use ingest::{
 };
 pub use instance::{CompactionReport, InstanceBuilder, InstanceStats, S3Instance};
 pub use partition::ComponentPartition;
-pub use s3_graph::CompId;
-pub use s3_graph::{Propagation, PropagationState};
+pub use s3_graph::{CompId, Propagation};
 pub use score::{AnyKeywordScore, S3kScore, ScoreModel, TypeWeightedScore};
 pub use search::{
-    FleetShard, Hit, MergeScratch, QualityBound, Query, ResumeOutcome, Round, RoundExecutor,
-    S3kEngine, S3kSession, SearchConfig, SearchScratch, SearchStats, StopReason, TopKResult,
+    FleetShard, Hit, MergeScratch, QualityBound, Query, Round, RoundExecutor, S3kEngine,
+    S3kSession, SearchConfig, SearchScratch, SearchStats, StopReason, TopKResult,
 };
 pub use snapshot::{
     load_snapshot, read_snapshot, save_snapshot, write_snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -4,7 +4,7 @@
 use super::scratch::{Pool, QueryScratch};
 use super::stop::{self, MergeScratch};
 use super::{bounds, discover, expand};
-use super::{Hit, Query, ResumeOutcome, S3kEngine, SearchStats};
+use super::{Hit, Query, S3kEngine, SearchStats};
 use crate::partition::ComponentPartition;
 use crate::score::ScoreModel;
 use s3_doc::DocNodeId;
@@ -30,17 +30,12 @@ pub trait RoundExecutor {
     /// Why an operation failed.
     type Error;
 
-    /// Expand `query` and run round 0. `None`: the query cannot match and
-    /// no round state is kept; otherwise whether the propagation started
-    /// cold or resumed a warm one.
-    fn begin(&mut self, query: &Query) -> Result<Option<ResumeOutcome>, Self::Error>;
+    /// Expand `query` and run round 0, with the propagation at step 0.
+    /// `false`: the query cannot match and no round state is kept.
+    fn begin(&mut self, query: &Query) -> Result<bool, Self::Error>;
 
     /// One explore step, then one round.
     fn advance(&mut self) -> Result<(), Self::Error>;
-
-    /// Drop a resumed query's rounds (keeping its expansion) and run round
-    /// 0 again from a cold propagation.
-    fn restart_cold(&mut self) -> Result<(), Self::Error>;
 
     /// The largest upper bound, over every pool, of an unselected,
     /// positive candidate no selected vertical neighbor provably dominates
@@ -82,21 +77,28 @@ pub trait RoundExecutor {
 
 /// The in-process executor: one [`Propagation`] and N candidate pools.
 /// With a partition, pool `i` owns the components of shard `shards[i]`
-/// (sorted); without, pool 0 owns every component. With `resume` on, a
-/// warm same-seeker propagation is continued and discovery replays its
-/// visited journal — the node sequence a cold run would have fed it
-/// (ARCHITECTURE.md "Propagation lifecycle"). `prop` is reused when it
-/// was built over this graph with this γ.
+/// (sorted); without, pool 0 owns every component. The propagation runs
+/// over the buffers of `q.prop`, attached by [`RoundExecutor::begin`]
+/// and put back by [`Local::park`].
 pub(crate) struct Local<'a, 'p, 'i, S: ScoreModel> {
     pub engine: &'a S3kEngine<'i, S>,
     pub q: &'a mut QueryScratch,
     pub pools: &'a mut [&'p mut Pool],
     pub partition: Option<(&'a ComponentPartition, &'a [usize])>,
-    pub prop: &'a mut Option<Propagation<'i>>,
-    pub resume: bool,
+    /// The attached propagation (`None` before `begin`, and while parked).
+    pub prop: Option<Propagation<'i>>,
 }
 
 impl<S: ScoreModel> Local<'_, '_, '_, S> {
+    /// Put the propagation's buffers back into the scratch. A later
+    /// executor over the same scratch continues where this one stopped
+    /// (how a fleet shard spans its messages) until the next `begin`.
+    pub fn park(&mut self) {
+        if let Some(prop) = self.prop.take() {
+            self.q.prop = prop.detach();
+        }
+    }
+
     /// Stages 2–4 over the nodes in `q.newly`: dispatch every component
     /// they trigger to its owning pool, counting *every* trigger — owned
     /// or not — into the global sequence that tags each admission;
@@ -145,7 +147,7 @@ impl<S: ScoreModel> Local<'_, '_, '_, S> {
 impl<S: ScoreModel> RoundExecutor for Local<'_, '_, '_, S> {
     type Error = &'static str;
 
-    fn begin(&mut self, query: &Query) -> Result<Option<ResumeOutcome>, Self::Error> {
+    fn begin(&mut self, query: &Query) -> Result<bool, Self::Error> {
         let (engine, graph) = (self.engine, self.engine.instance.graph());
         self.q.begin(query.k);
         for pool in self.pools.iter_mut() {
@@ -156,52 +158,36 @@ impl<S: ScoreModel> RoundExecutor for Local<'_, '_, '_, S> {
             // Some keyword (or its whole extension) never occurs: the score
             // of every document is 0 and the (positive-score) answer is
             // empty — exact.
-            return Ok(None);
+            return Ok(false);
         }
         if query.seeker.index() >= engine.instance.num_users() {
             return Err("query seeker is not a user of the instance");
         }
         let seeker = engine.instance.user_node(query.seeker);
-        let gamma = engine.model.gamma();
-        // Reuse only a propagation built over *this* graph with this γ; a
-        // caller juggling several engines could otherwise hand us buffers
-        // sized for a different instance.
-        let prop = match &mut *self.prop {
-            Some(p) if p.gamma() == gamma && std::ptr::eq(p.graph(), graph) => p,
-            slot => slot.insert(Propagation::new(graph, gamma, seeker)),
-        };
-        let outcome = if self.resume && prop.seeker() == seeker && prop.iteration() > 0 {
-            self.q.newly.extend(prop.visited_journal());
-            ResumeOutcome::Resumed
-        } else {
-            if prop.seeker() != seeker || prop.iteration() > 0 {
-                prop.reset(seeker);
-            }
-            // Discovery from the seed (the seeker may source tags/documents).
-            self.q.newly.push(seeker);
-            ResumeOutcome::Cold
-        };
+        // The scratch's buffers only save allocations: whatever graph,
+        // seeker or step they last held, the propagation starts at step 0.
+        let state = std::mem::take(&mut self.q.prop);
+        let prop =
+            self.prop.insert(Propagation::attach(graph, engine.model.gamma(), seeker, state));
+        if prop.iteration() > 0 {
+            prop.reset(seeker);
+        }
+        // Discovery from the seed (the seeker may source tags/documents).
+        self.q.newly.push(seeker);
         self.run_round();
-        Ok(Some(outcome))
+        Ok(true)
     }
 
     fn advance(&mut self) -> Result<(), Self::Error> {
         // ---- Explore one more hop (Algorithm ExploreStep). ----
-        let prop = self.prop.as_mut().expect("a begun query has a propagation");
-        prop.step_into(1, false, &mut self.q.newly);
-        self.run_round();
-        Ok(())
-    }
-
-    fn restart_cold(&mut self) -> Result<(), Self::Error> {
-        self.q.rewind();
-        for pool in self.pools.iter_mut() {
-            pool.rewind();
-        }
-        let prop = self.prop.as_mut().expect("a begun query has a propagation");
-        let seeker = prop.seeker();
-        prop.reset(seeker);
-        self.q.newly.push(seeker);
+        let (graph, gamma) = (self.engine.instance.graph(), self.engine.model.gamma());
+        let q = &mut *self.q;
+        // Parked between a fleet shard's messages: re-attach where it was.
+        let prop = self.prop.get_or_insert_with(|| {
+            let state = std::mem::take(&mut q.prop);
+            Propagation::attach(graph, gamma, state.seeker(), state)
+        });
+        prop.step_into(1, false, &mut q.newly);
         self.run_round();
         Ok(())
     }
@@ -235,6 +221,11 @@ impl<S: ScoreModel> RoundExecutor for Local<'_, '_, '_, S> {
 
     fn work(&self, pool: usize) -> SearchStats {
         self.pools[pool].stats
+    }
+
+    fn end(&mut self) -> Result<(), Self::Error> {
+        self.park();
+        Ok(())
     }
 
     fn merge_scratch(&mut self) -> &mut MergeScratch {

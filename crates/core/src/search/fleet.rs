@@ -3,14 +3,13 @@
 //! The fleet client runs the one driver (see [`super`]) on a remote
 //! executor that sends one message per operation to every routed shard.
 //! [`FleetShard`] is the other end: the local executor in its one-pool
-//! form, driven one message at a time, with its propagation detached
-//! between messages. Every shard replays the identical propagation over
-//! the full graph and counts every component trigger, owned or not, into
-//! the global sequence that tags its admissions, so the driver's merges
-//! rebuild the single-process answer exactly. Fleet queries always run
-//! cold; same-seeker resume is exact, so they still match a resumed
-//! in-process engine byte for byte. A message that does not fit the
-//! shard's state is refused with a static description, never a panic.
+//! form, driven one message at a time, with its propagation parked in the
+//! scratch between messages. Every shard replays the identical propagation
+//! over the full graph and counts every component trigger, owned or not,
+//! into the global sequence that tags its admissions, so the driver's
+//! merges rebuild the single-process answer exactly. A message that does
+//! not fit the shard's state is refused with a static description, never
+//! a panic.
 
 use super::exec::{Local, Round, RoundExecutor};
 use super::scratch::SearchScratch;
@@ -19,24 +18,22 @@ use super::{Hit, Query, S3kEngine, SearchStats};
 use crate::partition::ComponentPartition;
 use crate::score::ScoreModel;
 use s3_doc::DocNodeId;
-use s3_graph::{Propagation, PropagationState};
 
 /// A round request or stop check arrived with no query begun.
 const NO_QUERY: &str = "no active query";
 
 /// One shard's executor state between round messages. The owning server
-/// keeps this alive across rounds (and across queries — the propagation
-/// state stays warm and is `reset` in O(touched) on the next seeker).
+/// keeps this alive across rounds and across queries (the scratch's
+/// propagation buffers are `reset` in O(touched) on the next query).
 #[derive(Debug, Default)]
 pub struct FleetShard {
     scratch: SearchScratch,
-    state: Option<PropagationState>,
     active: bool,
 }
 
 impl FleetShard {
-    /// Run `op` on the local executor over this shard's pool, with the
-    /// propagation attached for the call.
+    /// Run `op` on the local executor over this shard's pool, then park
+    /// the propagation in the scratch for the next message.
     fn with<S: ScoreModel, R>(
         &mut self,
         engine: &S3kEngine<'_, S>,
@@ -44,17 +41,16 @@ impl FleetShard {
         shard: usize,
         op: impl FnOnce(&mut Local<'_, '_, '_, S>) -> R,
     ) -> R {
-        let (graph, gamma) = (engine.instance.graph(), engine.model.gamma());
-        let mut prop = self.state.take().map(|s| Propagation::attach(graph, gamma, s.seeker(), s));
         let SearchScratch { query: q, pool } = &mut self.scratch;
         let (pools, partition) = (&mut [pool], Some((partition, &[shard][..])));
-        let result = op(&mut Local { engine, q, pools, partition, prop: &mut prop, resume: false });
-        self.state = prop.map(Propagation::detach);
+        let exec = &mut Local { engine, q, pools, partition, prop: None };
+        let result = op(exec);
+        exec.park();
         result
     }
 
-    /// Begin a query: expand it, start a cold propagation and run round
-    /// zero. Returns `false` when expansion fails (no shard can answer —
+    /// Begin a query: expand it, start the propagation at step 0 and run
+    /// round zero. Returns `false` when expansion fails (no shard can answer —
     /// the query is a `NoMatch` and no round state is kept).
     ///
     /// `engine` must carry the fleet client's configuration (same score
@@ -67,7 +63,7 @@ impl FleetShard {
         query: &Query,
     ) -> Result<bool, &'static str> {
         self.active = false;
-        self.active = self.with(engine, partition, shard, |x| x.begin(query))?.is_some();
+        self.active = self.with(engine, partition, shard, |x| x.begin(query))?;
         Ok(self.active)
     }
 
@@ -107,16 +103,9 @@ impl FleetShard {
         Ok(stop::pool_rival_upper(engine, pool))
     }
 
-    /// The client decided the query is over. The propagation state stays
-    /// warm for the next query's O(touched) reset.
+    /// The query is over: the client decided, or the instance was swapped
+    /// under it. The propagation buffers stay for the next query.
     pub fn end(&mut self) {
-        self.active = false;
-    }
-
-    /// The instance was swapped (ingest): drop state tied to the old
-    /// graph.
-    pub fn invalidate(&mut self) {
-        self.state = None;
         self.active = false;
     }
 

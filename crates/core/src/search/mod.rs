@@ -36,7 +36,8 @@
 //! threshold) and `stop` (per-pool greedy selection, the merges, and the
 //! one stop rule). The loop is generic over a [`RoundExecutor`], which
 //! runs the rounds; the driver merges the pools' selections and
-//! admissions, decides, resumes or restarts, and builds the answer.
+//! admissions, decides, and builds the answer. Every query starts its
+//! exploration at the seeker, at step 0.
 //!
 //! * The **local** executor steps one [`s3_graph::Propagation`] and
 //!   rounds N candidate pools in this process. The unsharded run
@@ -47,14 +48,11 @@
 //! * The **remote** executor (`s3-engine`'s fleet client) does frame I/O:
 //!   each operation is one message to every routed shard server.
 //!
-//! The scratch (and the [`s3_graph::Propagation`], via
-//! [`s3_graph::Propagation::reset`]) is reused across queries: repeat
-//! queries on a warm [`S3kSession`] allocate nothing in the steady state.
-//! When consecutive queries share a seeker, the propagation is *resumed*
-//! rather than reset (it is query-independent and monotone in the step
-//! count); see [`SearchConfig::resume`] and [`ResumeOutcome`] — resumed
-//! answers are byte-identical to cold ones. [`S3kEngine::run`] remains
-//! the one-shot convenience path.
+//! The scratch, the propagation's buffers included, is reused across
+//! queries: repeat queries on a warm [`S3kSession`] allocate nothing in
+//! the steady state, and [`s3_graph::Propagation::reset`] rewinds the
+//! buffers in O(touched). [`S3kEngine::run`] remains the one-shot
+//! convenience path.
 
 mod bounds;
 mod discover;
@@ -76,7 +74,6 @@ use crate::instance::S3Instance;
 use crate::score::{S3kScore, ScoreModel};
 use exec::Local;
 use s3_doc::DocNodeId;
-use s3_graph::Propagation;
 use s3_text::KeywordId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -119,13 +116,8 @@ pub struct SearchConfig {
     /// Slack used to break ties between converging bounds (the paper's
     /// finite-precision de-facto tie-breaking).
     pub epsilon: f64,
-    /// Continue a warm same-seeker propagation instead of resetting it
-    /// (the propagation is query-independent, so a later query from the
-    /// same seeker can start from the steps already taken). Results stay
-    /// byte-identical to cold runs — a resume whose very first stop
-    /// evaluation would return is replayed cold, since a cold run might
-    /// have stopped at an earlier step with different certified bounds.
-    /// Disable only to measure the cold path.
+    /// No effect: every search starts its propagation at step 0. Kept
+    /// while `s3bench` still sets it; removed by ROADMAP spine (d).
     pub resume: bool,
     /// Time source for [`SearchConfig::time_budget`] checks: the
     /// monotonic wall clock in production, a manually-advanced counter in
@@ -146,22 +138,6 @@ impl Default for SearchConfig {
             clock: SearchClock::monotonic(),
         }
     }
-}
-
-/// How the propagation lifecycle served a query (diagnostics only; every
-/// outcome returns byte-identical results).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResumeOutcome {
-    /// The search started from a fresh or reset propagation (step 0).
-    #[default]
-    Cold,
-    /// A warm same-seeker propagation was continued from a non-zero step,
-    /// skipping the explore work already done.
-    Resumed,
-    /// A resume attempt was discarded at its first stop evaluation (a
-    /// cold run might have stopped at an earlier step with different
-    /// certified bounds) and the query was replayed cold.
-    Fallback,
 }
 
 /// Why the search stopped.
@@ -288,8 +264,6 @@ pub struct SearchStats {
     pub pruned_components: usize,
     /// Why the search ended.
     pub stop: StopReason,
-    /// How the propagation lifecycle served this query.
-    pub resume: ResumeOutcome,
     /// Certified quality of the answer, computed at stop time.
     pub quality: QualityBound,
 }
@@ -303,8 +277,8 @@ pub struct SearchStats {
 /// [`S3kEngine::with_model`] accepts any [`ScoreModel`].
 ///
 /// For repeat queries, open an [`S3kSession`]: it reuses one
-/// [`SearchScratch`] and one [`Propagation`] across queries, eliminating
-/// per-query allocation.
+/// [`SearchScratch`], the propagation's buffers included, across queries,
+/// eliminating per-query allocation.
 pub struct S3kEngine<'i, S: ScoreModel = S3kScore> {
     pub(crate) instance: &'i S3Instance,
     pub(crate) config: SearchConfig,
@@ -350,60 +324,43 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
     /// Open a session for repeat queries: scratch and propagation buffers
     /// persist (cleared, not reallocated) across [`S3kSession::run`] calls.
     pub fn session(&self) -> S3kSession<'_, 'i, S> {
-        S3kSession { engine: self, scratch: SearchScratch::new(), prop: None }
+        S3kSession { engine: self, scratch: SearchScratch::new() }
     }
 
     /// Answer one query with throwaway buffers.
     pub fn run(&self, query: &Query) -> TopKResult {
-        let mut scratch = SearchScratch::new();
-        let mut prop = None;
-        self.run_with(query, &mut scratch, &mut prop)
+        self.run_with(query, &mut SearchScratch::new())
     }
 
-    /// Answer one query using caller-owned buffers. `scratch` is cleared
-    /// and refilled; `prop` is lazily created on first use (or graph /
-    /// damping change), *resumed* when it is already warm for this
-    /// query's seeker (unless [`SearchConfig::resume`] is off), and reset
-    /// otherwise. This is the allocation-free steady-state path the
+    /// Answer one query using caller-owned buffers: `scratch` is cleared
+    /// and refilled, and its propagation buffers are resized only when the
+    /// graph changed. This is the allocation-free steady-state path the
     /// serving layer drives; results are identical to [`S3kEngine::run`].
     ///
     /// # Panics
     ///
     /// If the query can match and its seeker is not a user of the
     /// instance.
-    pub fn run_with(
-        &self,
-        query: &Query,
-        scratch: &mut SearchScratch,
-        prop: &mut Option<Propagation<'i>>,
-    ) -> TopKResult {
+    pub fn run_with(&self, query: &Query, scratch: &mut SearchScratch) -> TopKResult {
         let SearchScratch { query: q, pool } = scratch;
-        let (pools, resume) = (&mut [pool], self.config.resume);
-        let exec = &mut Local { engine: self, q, pools, partition: None, prop, resume };
+        let exec = &mut Local { engine: self, q, pools: &mut [pool], partition: None, prop: None };
         self.search(query, exec).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The one search driver: `exec` runs the rounds; after each one this
     /// loop merges the pools' selections and admissions and applies the
     /// one stop rule (Algorithm `StopCondition`) to the merged selection.
-    ///
-    /// The **first** stop evaluation of a resumed query is a probe
-    /// (ARCHITECTURE.md "Propagation lifecycle"): if it would return, a
-    /// cold run might have stopped earlier with different certified
-    /// bounds, so the executor restarts cold and the query replays. Once
-    /// it fails, every later round equals the cold run's: the propagation
-    /// is a pure function of (seeker, γ, step) and the test only tightens.
     pub fn search<X: RoundExecutor>(
         &self,
         query: &Query,
         exec: &mut X,
     ) -> Result<TopKResult, X::Error> {
         let started = self.config.clock.now();
-        let Some(mut outcome) = exec.begin(query)? else {
+        if !exec.begin(query)? {
             let stats = SearchStats { stop: StopReason::NoMatch, ..SearchStats::default() };
             return Ok(TopKResult { hits: Vec::new(), candidate_docs: Vec::new(), stats });
-        };
-        let (k, mut first) = (query.k, true);
+        }
+        let k = query.k;
         // Lent for the query; an error path drops it, and the next query
         // starts from empty buffers.
         let mut merge = std::mem::take(exec.merge_scratch());
@@ -428,22 +385,9 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             #[cfg(test)]
             exec.audit(merged, &state, decision);
             if let Some((reason, quality)) = decision {
-                // A resumed run replays cold when its first stop evaluation
-                // would return — except on a blown time budget, where a
-                // cold replay could only burn more of a budget that is
-                // already gone: the resumed best-effort answer is returned
-                // (with its certified quality) and the propagation stays
-                // warm, so a repeat query can upgrade the degraded answer.
-                if outcome == ResumeOutcome::Resumed && first && reason != StopReason::TimeBudget {
-                    exec.restart_cold()?;
-                    outcome = ResumeOutcome::Fallback;
-                    merge.log.clear();
-                    continue;
-                }
                 let mut stats = SearchStats {
                     iterations: round.iteration,
                     stop: reason,
-                    resume: outcome,
                     quality,
                     ..SearchStats::default()
                 };
@@ -460,7 +404,6 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
                 exec.end()?;
                 return Ok(TopKResult { hits, candidate_docs, stats });
             }
-            first = false;
             exec.advance()?;
         }
     }
@@ -491,16 +434,14 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
 pub struct S3kSession<'e, 'i, S: ScoreModel = S3kScore> {
     engine: &'e S3kEngine<'i, S>,
     scratch: SearchScratch,
-    prop: Option<Propagation<'i>>,
 }
 
 impl<'e, 'i, S: ScoreModel> S3kSession<'e, 'i, S> {
     /// Answer one query, reusing the session's buffers. Results are
-    /// identical to a cold [`S3kEngine::run`] — the scratch carries no
-    /// state between queries, and a same-seeker propagation resume is
-    /// exact (property-tested in `crates/engine`).
+    /// identical to a cold [`S3kEngine::run`]: the scratch carries no
+    /// state between queries (property-tested in `crates/engine`).
     pub fn run(&mut self, query: &Query) -> TopKResult {
-        self.engine.run_with(query, &mut self.scratch, &mut self.prop)
+        self.engine.run_with(query, &mut self.scratch)
     }
 
     /// The engine this session queries.
@@ -722,9 +663,9 @@ mod tests {
 
     #[test]
     fn shared_prop_slot_across_instances_is_rebuilt() {
-        // A caller juggling two engines may pass the same scratch/prop
-        // buffers to both; the propagation must be rebuilt when the graph
-        // differs (same γ), not reused with wrong-sized buffers.
+        // A caller juggling two engines may pass the same scratch to both;
+        // the propagation buffers must be rebuilt when the graph differs
+        // (same γ), not reused with wrong-sized buffers.
         let (inst_a, u1, degree, _) = motivating();
         let mut b = InstanceBuilder::new(Language::English);
         let v0 = b.add_user();
@@ -738,12 +679,11 @@ mod tests {
         let engine_a = S3kEngine::new(&inst_a, SearchConfig::default());
         let engine_b = S3kEngine::new(&inst_b, SearchConfig::default());
         let mut scratch = SearchScratch::new();
-        let mut prop = None;
         let qa = Query::new(u1, vec![degree], 3);
         let qb = Query::new(v0, vec![degree_b], 3);
-        let warm_a = engine_a.run_with(&qa, &mut scratch, &mut prop);
-        let warm_b = engine_b.run_with(&qb, &mut scratch, &mut prop);
-        let warm_a2 = engine_a.run_with(&qa, &mut scratch, &mut prop);
+        let warm_a = engine_a.run_with(&qa, &mut scratch);
+        let warm_b = engine_b.run_with(&qb, &mut scratch);
+        let warm_a2 = engine_a.run_with(&qa, &mut scratch);
         assert_eq!(warm_a.hits, engine_a.run(&qa).hits);
         assert_eq!(warm_b.hits, engine_b.run(&qb).hits);
         assert_eq!(warm_a2.hits, warm_a.hits);
@@ -759,7 +699,6 @@ mod tests {
             Query::new(u1, vec![degree], 1),
             Query::new(u1, vec![degree], 2),
         ];
-        let mut outcomes = Vec::new();
         for q in &queries {
             let warm = session.run(q);
             let cold = engine.run(q);
@@ -767,13 +706,7 @@ mod tests {
             assert_eq!(warm.candidate_docs, cold.candidate_docs);
             assert_eq!(warm.stats.stop, cold.stats.stop);
             assert_eq!(warm.stats.iterations, cold.stats.iterations);
-            outcomes.push(warm.stats.resume);
         }
-        assert_eq!(outcomes[0], ResumeOutcome::Cold, "first query starts cold");
-        assert!(
-            outcomes[1..].iter().all(|&o| o != ResumeOutcome::Cold),
-            "later same-seeker queries must reuse the warm propagation: {outcomes:?}"
-        );
     }
 
     #[test]
@@ -784,20 +717,20 @@ mod tests {
         session.run(&Query::new(u1, vec![degree], 3));
         let other = UserId(0);
         let warm = session.run(&Query::new(other, vec![degree], 3));
-        assert_eq!(warm.stats.resume, ResumeOutcome::Cold);
         assert_eq!(warm.hits, engine.run(&Query::new(other, vec![degree], 3)).hits);
     }
 
+    /// The inert `resume` field changes nothing.
     #[test]
     fn resume_disabled_always_runs_cold() {
         let (inst, u1, degree, _) = motivating();
         let cfg = SearchConfig { resume: false, ..SearchConfig::default() };
         let engine = S3kEngine::new(&inst, cfg);
+        let default = S3kEngine::new(&inst, SearchConfig::default());
         let mut session = engine.session();
         for k in [3usize, 2, 1] {
             let warm = session.run(&Query::new(u1, vec![degree], k));
-            assert_eq!(warm.stats.resume, ResumeOutcome::Cold);
-            assert_eq!(warm.hits, engine.run(&Query::new(u1, vec![degree], k)).hits);
+            assert_eq!(warm.hits, default.run(&Query::new(u1, vec![degree], k)).hits);
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! [`S3kEngine::run_partitioned_with`] therefore runs the one search
 //! driver (see [`super`]) on the local executor with one candidate pool
-//! per active shard: one [`Propagation`] per query (proximity is a
+//! per active shard: one propagation per query (proximity is a
 //! function of the full graph and the seeker, so sharing it pins every
 //! shard to the same bounds), discovery dispatching each component to
 //! its owning shard's pool, and the stop rule judging the merged
@@ -28,23 +28,21 @@ use super::scratch::{Pool, SearchScratch};
 use super::{Query, S3kEngine, TopKResult};
 use crate::partition::ComponentPartition;
 use crate::score::ScoreModel;
-use s3_graph::Propagation;
 
 impl<'i, S: ScoreModel> S3kEngine<'i, S> {
     /// Answer one query over the partition's shards, one candidate pool
     /// per active shard (see the module docs).
     ///
     /// `carrier` lends its query-global half (expansion, frontier,
-    /// threshold parts, trigger count); `scratches` has one
-    /// slot per shard, and only the `active` shards' slots must be checked
-    /// out (`Some`) — each lends its candidate pool. The serving layer
-    /// borrows them lazily from the pools of the shards a query actually
-    /// routes to, so warm memory scales with scatter width rather than
-    /// workers × shards. `active` must be sorted and deduplicated;
+    /// threshold parts, trigger count, propagation buffers); `scratches`
+    /// has one slot per shard, and only the `active` shards' slots must be
+    /// checked out (`Some`) — each lends its candidate pool. The serving
+    /// layer borrows them lazily from the pools of the shards a query
+    /// actually routes to, so warm memory scales with scatter width rather
+    /// than workers × shards. `active` must be sorted and deduplicated;
     /// dropping a shard is exact as long as none of its components can
-    /// match the query (the router's contract). A warm same-seeker
-    /// propagation is resumed exactly like the unsharded path. Results
-    /// are byte-identical to [`S3kEngine::run`] on hits, candidate list,
+    /// match the query (the router's contract). Results are
+    /// byte-identical to [`S3kEngine::run`] on hits, candidate list,
     /// stop reason and quality; the per-component work counters
     /// (`SearchStats::components`, `pruned_components`, `rejected`) only
     /// reflect components of active shards, so they fall short of the
@@ -56,7 +54,6 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
         active: &[usize],
         carrier: &mut SearchScratch,
         scratches: &mut [Option<SearchScratch>],
-        prop: &mut Option<Propagation<'i>>,
     ) -> TopKResult {
         assert_eq!(
             partition.num_components(),
@@ -74,9 +71,8 @@ impl<'i, S: ScoreModel> S3kEngine<'i, S> {
             .filter(|(s, _)| active.binary_search(s).is_ok())
             .map(|(_, slot)| &mut slot.as_mut().expect("active shard scratch checked out").pool)
             .collect();
-        let partition = Some((partition, active));
-        let (q, resume) = (&mut carrier.query, self.config.resume);
-        let exec = &mut Local { engine: self, q, pools: &mut pools, partition, prop, resume };
+        let (q, partition) = (&mut carrier.query, Some((partition, active)));
+        let exec = &mut Local { engine: self, q, pools: &mut pools, partition, prop: None };
         self.search(query, exec).unwrap_or_else(|e| panic!("{e}"))
     }
 }
@@ -102,15 +98,7 @@ mod tests {
             let mut carrier = SearchScratch::new();
             let mut scratches: Vec<Option<SearchScratch>> =
                 (0..partition.num_shards()).map(|_| Some(SearchScratch::new())).collect();
-            let mut prop = None;
-            self.run_partitioned_with(
-                query,
-                partition,
-                &active,
-                &mut carrier,
-                &mut scratches,
-                &mut prop,
-            )
+            self.run_partitioned_with(query, partition, &active, &mut carrier, &mut scratches)
         }
     }
 
@@ -254,17 +242,10 @@ mod tests {
         let mut carrier = SearchScratch::new();
         let mut scratches: Vec<Option<SearchScratch>> =
             (0..3).map(|_| Some(SearchScratch::new())).collect();
-        let mut prop = None;
         let active = vec![0usize, 1, 2];
         for q in queries(&users, &pool) {
-            let warm = engine.run_partitioned_with(
-                &q,
-                &partition,
-                &active,
-                &mut carrier,
-                &mut scratches,
-                &mut prop,
-            );
+            let warm =
+                engine.run_partitioned_with(&q, &partition, &active, &mut carrier, &mut scratches);
             assert_same(&warm, &engine.run(&q));
         }
     }
@@ -293,14 +274,12 @@ mod tests {
             let mut carrier = SearchScratch::new();
             let mut scratches: Vec<Option<SearchScratch>> =
                 (0..2).map(|s| relevant.contains(&s).then(SearchScratch::new)).collect();
-            let mut prop = None;
             let merged = engine.run_partitioned_with(
                 &q,
                 &partition,
                 &relevant,
                 &mut carrier,
                 &mut scratches,
-                &mut prop,
             );
             assert_same(&merged, &engine.run(&q));
         }

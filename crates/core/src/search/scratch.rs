@@ -9,8 +9,9 @@
 //! buffers are all reused at their high-water capacity).
 //!
 //! It has two halves. [`QueryScratch`] is the query-global state — the
-//! expansion, the frontier, the threshold buffer, the trigger count and
-//! the last round's report. [`Pool`] is one candidate pool: the
+//! expansion, the frontier, the threshold buffer, the trigger count, the
+//! last round's report and the propagation's buffers. [`Pool`] is one
+//! candidate pool: the
 //! candidates of the components it owns, its round's admissions, its work
 //! counters and the per-pool stage buffers. An unsharded
 //! search runs one pool; a partitioned one borrows the pool of every
@@ -20,7 +21,7 @@ use super::stop::MergeScratch;
 use super::{Round, SearchStats};
 use crate::connections::ConnType;
 use s3_doc::DocNodeId;
-use s3_graph::NodeId;
+use s3_graph::{NodeId, PropagationState};
 use s3_text::KeywordId;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -119,6 +120,9 @@ pub(crate) struct QueryScratch {
     pub round: Round,
     /// The driver's merge buffers.
     pub merge: MergeScratch,
+    /// The propagation's buffers while no query holds them attached:
+    /// an allocation cache, since every query starts at step 0.
+    pub prop: PropagationState,
 }
 
 impl QueryScratch {
@@ -129,13 +133,6 @@ impl QueryScratch {
         self.exts.clear();
         self.smax_ext.clear();
         self.k = k;
-        self.rewind();
-    }
-
-    /// Rewind the search-loop state while keeping the query expansion
-    /// (`keywords`/`exts`/`smax_ext`): what a resume fallback needs before
-    /// replaying the same query cold.
-    pub fn rewind(&mut self) {
         self.newly.clear();
         self.triggers = 0;
         self.round = Round::default();
@@ -179,17 +176,12 @@ impl Pool {
     /// Rewind everything for a new query against an instance with
     /// `num_components` content components. Keeps capacity; the only
     /// possible allocation is growing `processed` the first time a larger
-    /// instance is seen.
+    /// instance is seen. The stage buffers are cleared where they are
+    /// used.
     pub fn begin(&mut self, num_components: usize) {
         if self.processed.len() < num_components {
             self.processed.resize(num_components);
         }
-        self.rewind();
-    }
-
-    /// Forget every candidate and flag of the current query (the stage
-    /// buffers are cleared where they are used).
-    pub fn rewind(&mut self) {
         self.candidates.clear();
         self.candidate_of.clear();
         for &comp in &self.touched {

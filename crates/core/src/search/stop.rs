@@ -522,9 +522,8 @@ pub(crate) mod tests {
                 for pool in refs.iter_mut() {
                     select(&engine, pool, k);
                 }
-                let (mut q, mut prop) = (QueryScratch::default(), None);
-                let (q, pools, prop) = (&mut q, &mut refs[..], &mut prop);
-                let mut exec = Local { engine: &engine, q, pools, partition: None, prop, resume: false };
+                let (q, pools) = (&mut QueryScratch::default(), &mut refs[..]);
+                let mut exec = Local { engine: &engine, q, pools, partition: None, prop: None };
                 let mut merge = MergeScratch::default();
                 let min_lower = merge.selections(&exec, k);
                 let (merged, shares) = (&merge.merged, &merge.shares);

@@ -12,8 +12,8 @@
 //!   transports serially) and return `Result` (only transports and
 //!   journals can actually fail; the in-process engines never do);
 //! * [`Engine::stats`] returns the consolidated [`EngineStats`] — the
-//!   result-cache, warm-resume and load counters in one struct with one
-//!   `Display` — instead of three separately-fetched values;
+//!   result-cache and load counters in one struct with one `Display` —
+//!   instead of separately-fetched values;
 //! * engines that can ingest while serving also implement [`Ingest`].
 //!
 //! All five types answer byte-identically for the same data
@@ -23,9 +23,7 @@
 
 use crate::gate::{LoadStats, ServeOutcome};
 use crate::persist::PersistError;
-use crate::{
-    CacheStats, FleetEngine, LiveEngine, LiveShardedEngine, ResumeStats, S3Engine, ShardedEngine,
-};
+use crate::{CacheStats, FleetEngine, LiveEngine, LiveShardedEngine, S3Engine, ShardedEngine};
 use s3_core::{IngestBatch, IngestError, IngestSummary, Query, TopKResult};
 use s3_wire::WireError;
 use std::sync::Arc;
@@ -90,16 +88,38 @@ impl From<PersistError> for EngineError {
 pub struct EngineStats {
     /// Result-cache counters.
     pub cache: CacheStats,
-    /// Warm-propagation (resume) counters.
+    /// Always zero: no engine resumes a propagation. Kept while `s3bench`
+    /// still reads it; removed by ROADMAP spine (d).
     pub resume: ResumeStats,
     /// Admission-gate load counters.
     pub load: LoadStats,
 }
 
 impl std::fmt::Display for EngineStats {
-    /// Three serving-log lines: cache, resume, load.
+    /// Two serving-log lines: cache, load.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cache: {}\nresume: {}\nload: {}", self.cache, self.resume, self.load)
+        write!(f, "cache: {}\nload: {}", self.cache, self.load)
+    }
+}
+
+/// Counters of a same-seeker propagation resume, which no engine does:
+/// every one is always 0. Kept while `s3bench` still reads them; removed
+/// by ROADMAP spine (d).
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResumeStats {
+    pub warm_hits: u64,
+    pub warm_misses: u64,
+    pub cold: u64,
+    pub resumed: u64,
+    pub fallbacks: u64,
+    pub invalidated: u64,
+}
+
+impl ResumeStats {
+    /// Always 0.0.
+    pub fn warm_hit_rate(&self) -> f64 {
+        0.0
     }
 }
 
@@ -147,8 +167,8 @@ macro_rules! in_process {
             fn stats(&self) -> EngineStats {
                 EngineStats {
                     cache: self.cache_stats(),
-                    resume: self.resume_stats(),
                     load: self.load_stats(),
+                    ..EngineStats::default()
                 }
             }
         }
@@ -183,8 +203,8 @@ impl Engine for FleetEngine {
     }
 
     fn stats(&self) -> EngineStats {
-        // The fleet client keeps no result cache or warm pool of its
-        // own; only the gate's load counters apply.
+        // The fleet client keeps no result cache of its own; only the
+        // gate's load counters apply.
         EngineStats { load: self.load_stats(), ..EngineStats::default() }
     }
 }

@@ -33,8 +33,8 @@ use crate::gate::{AdmissionGate, LoadStats, ServeOutcome};
 use crate::{EngineConfig, EngineError, ShardRouter};
 use s3_core::{
     read_snapshot, CompactionReport, ComponentPartition, FleetShard, Hit, IngestBatch,
-    IngestSummary, InstanceBuilder, MergeScratch, Query, ResumeOutcome, Round, RoundExecutor,
-    S3Instance, S3kEngine, SearchConfig, SearchStats, StopReason, TopKResult, UserId,
+    IngestSummary, InstanceBuilder, MergeScratch, Query, Round, RoundExecutor, S3Instance,
+    S3kEngine, SearchConfig, SearchStats, StopReason, TopKResult, UserId,
 };
 use s3_doc::DocNodeId;
 use s3_text::KeywordId;
@@ -280,7 +280,7 @@ impl ShardServer {
         let (instance, summary) = self.builder.apply(&self.instance, &batch);
         self.instance = Arc::new(instance);
         self.partition = Arc::new(self.partition.extended(&self.instance));
-        self.session.invalidate();
+        self.session.end();
         self.epoch += 1;
         *out = ingest_ack(&summary, self.epoch, &self.instance);
         Ok(())
@@ -289,15 +289,14 @@ impl ShardServer {
     /// Handle a compaction request: rebuild the replica without
     /// tombstoned state ([`InstanceBuilder::compact`]), re-partition the
     /// clean instance, bump the epoch and fill the consistency ack.
-    /// Entity ids are densely renumbered, so any in-flight session is
-    /// invalidated.
+    /// Entity ids are densely renumbered, so any in-flight query ends.
     pub fn compact(&mut self, out: &mut CompactAck) -> CompactionReport {
         let (builder, report) = self.builder.compact();
         self.builder = builder;
         self.instance = Arc::new(self.builder.snapshot());
         self.partition =
             Arc::new(ComponentPartition::balanced(&self.instance, self.partition.num_shards()));
-        self.session.invalidate();
+        self.session.end();
         self.epoch += 1;
         *out = compact_ack(self.epoch, &self.instance);
         report
@@ -651,7 +650,7 @@ impl Remote {
         router.route_into(instance, query, &search, &mut self.active);
         let result = S3kEngine::new(instance, search).search(query, self)?;
         if result.stats.stop != StopReason::NoMatch {
-            // Fleet queries run cold: one reply wave per step, plus round 0.
+            // One reply wave per step, plus round 0.
             self.rounds += u64::from(result.stats.iterations) + 1;
         }
         Ok(result)
@@ -677,7 +676,7 @@ impl Remote {
 impl RoundExecutor for Remote {
     type Error = WireError;
 
-    fn begin(&mut self, query: &Query) -> Result<Option<ResumeOutcome>, WireError> {
+    fn begin(&mut self, query: &Query) -> Result<bool, WireError> {
         if self.active.is_empty() {
             // No shard can admit a candidate, but the driver still runs the
             // (empty) round loop to its stop iteration; one shard
@@ -694,7 +693,7 @@ impl RoundExecutor for Remote {
         self.gather()?;
         // Expansion is deterministic: every shard agrees, and no round
         // state is kept server-side after a NoMatch.
-        Ok((!self.reply(0).no_match).then_some(ResumeOutcome::Cold))
+        Ok(!self.reply(0).no_match)
     }
 
     fn advance(&mut self) -> Result<(), WireError> {
@@ -702,10 +701,6 @@ impl RoundExecutor for Remote {
             self.shards[s].send_next_round()?;
         }
         self.gather()
-    }
-
-    fn restart_cold(&mut self) -> Result<(), WireError> {
-        Err(WireError::Protocol("fleet queries always start cold"))
     }
 
     fn rival(&mut self, shares: &[usize], min_lower: f64, full: bool) -> Result<f64, WireError> {

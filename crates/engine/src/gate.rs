@@ -34,8 +34,8 @@ pub enum OverloadPolicy {
     /// Admit the query anyway, but cap its time budget at `floor_budget`
     /// so it returns a certified best-effort answer quickly instead of
     /// piling full-cost work onto a saturated engine. Degraded answers
-    /// never enter the result cache, and the warm propagation pool keeps
-    /// their state, so an uncongested repeat upgrades them to exact.
+    /// never enter the result cache, so an uncongested repeat upgrades
+    /// them to exact.
     DegradeAnytime {
         /// Time budget for degraded queries ([`Duration::ZERO`] means
         /// "answer from the first round, whatever is certified by then").

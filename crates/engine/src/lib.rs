@@ -1,6 +1,5 @@
 //! The S3 serving layer: concurrent batched query execution over a shared
-//! instance, with scratch reuse, a warm propagation pool and an LRU result
-//! cache.
+//! instance, with scratch reuse and an LRU result cache.
 //!
 //! The core crate answers one query at a time against a borrowed
 //! [`S3Instance`]. This crate turns that algorithm into a substrate a
@@ -18,11 +17,9 @@
 //!   configuration bumps the epoch, so entries computed under a stale
 //!   configuration can never be served — even when an in-flight batch
 //!   inserts them after the change — and every cached answer is exact;
-//! * a seeker-keyed warm propagation pool ([`ResumeStats`], epoch-stamped
-//!   like the cache) routes each query to a propagation already advanced
-//!   for its seeker, which the search *resumes* instead of resetting —
-//!   repeat-seeker traffic skips the explore steps already taken, with
-//!   byte-identical results;
+//! * every search explores from its seeker at step 0; a worker's scratch
+//!   keeps the propagation's buffers, so only their O(touched) reset is
+//!   paid per query;
 //! * answers are returned as `Arc<TopKResult>`: cache hits are zero-copy.
 //!
 //! [`S3Engine`] is that engine at one shard, and [`LiveEngine`] is the
@@ -42,18 +39,16 @@ pub mod gate;
 pub mod live;
 pub mod persist;
 pub mod shard;
-mod warm;
 
-pub use api::{Engine, EngineError, EngineStats, Ingest};
+pub use api::{Engine, EngineError, EngineStats, Ingest, ResumeStats};
 pub use fleet::{FleetEngine, LocalShard, ShardHost, ShardServer};
 pub use gate::{LoadStats, OverloadConfig, OverloadPolicy, ServeOutcome};
-pub use live::{IngestReport, InvalidationScope, LiveEngine, LiveShardedEngine};
+pub use live::{IngestReport, LiveEngine, LiveShardedEngine};
 pub use persist::{
     Checkpoint, CheckpointReport, Checkpointer, Compact, CompactReport, CompactionPolicy,
     Compactor, PersistError, RecoveryReport, RecoverySource,
 };
 pub use shard::{ShardRouter, ShardedEngine};
-pub use warm::ResumeStats;
 
 use s3_core::{Query, S3Instance, SearchConfig, TopKResult};
 use std::ops::Deref;
@@ -89,13 +84,6 @@ pub struct EngineConfig {
     /// store grows with its entries, so a huge capacity costs nothing
     /// up front.
     pub(crate) cache_capacity: usize,
-    /// Capacity of the seeker-keyed warm propagation map: how many
-    /// seekers' propagations stay parked between queries for same-seeker
-    /// resume ([`ResumeStats`]). Each warm entry holds O(|graph|) buffers,
-    /// so this stays deliberately small; 0 disables seeker affinity
-    /// (workers still resume across *consecutive* same-seeker queries
-    /// they claim, unless `search.resume` is off).
-    pub(crate) warm_seekers: usize,
     /// Overload control for the `serve` entry points: an in-flight cap
     /// plus the policy applied past it ([`OverloadPolicy`]). `None` (the
     /// default) admits everything — `serve` then behaves exactly like
@@ -113,7 +101,6 @@ impl Default for EngineConfig {
             search: SearchConfig::default(),
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache_capacity: 4096,
-            warm_seekers: 16,
             overload: None,
         }
     }
@@ -166,9 +153,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Capacity of the seeker-keyed warm propagation map.
-    pub fn warm_seekers(mut self, seekers: usize) -> Self {
-        self.config.warm_seekers = seekers;
+    /// No effect: there is no warm propagation pool. Kept while
+    /// `s3bench` still calls it; removed by ROADMAP spine (d).
+    pub fn warm_seekers(self, _seekers: usize) -> Self {
         self
     }
 

@@ -9,32 +9,19 @@
 //! the instance), extends the partition (new components go to the
 //! least-loaded shards, nothing moves) and publishes it with one pointer
 //! swap. In-flight queries keep their snapshot alive; new queries see the
-//! new one. The successor shares its predecessor's result cache, warm
-//! propagation pool, scratch pool and gate, so warm state persists
-//! *across* swaps and is governed purely by epochs — and each generation
-//! carries its **own** epoch line (advanced, never shared), so a reader
-//! still pinning an old generation can only stamp old epochs into the
-//! shared cache, never a key the new one serves.
+//! new one. The successor shares its predecessor's result cache, scratch
+//! pool and gate, so warm buffers persist *across* swaps and cached
+//! answers are governed purely by epochs — and each generation carries
+//! its **own** epoch line (advanced, never shared), so a reader still
+//! pinning an old generation can only stamp old epochs into the shared
+//! cache, never a key the new one serves.
 //!
 //! # Invalidation
 //!
-//! Every ingest purges the result cache. What happens to the warm pool
-//! depends on the delta ([`IngestSummary::detached`]):
-//!
-//! * a **detached** delta (nothing points at a pre-existing node) leaves
-//!   every previously computed propagation exact, so the warm states are
-//!   *rebased* onto the appended graph
-//!   ([`s3_graph::PropagationState::rebase`]) instead of dropped
-//!   ([`InvalidationScope::Scoped`]);
-//! * anything else — a social edge from an existing user, a tag or
-//!   comment on existing content, a new keyword bridging into the
-//!   ontology — may change proximities reachable through the modified
-//!   nodes, so the warm pool is dropped ([`InvalidationScope::Global`]).
-//!
-//! The [`IngestReport`] makes this observable: which scope was chosen, how
-//! many cached results and warm states were dropped
-//! ([`crate::CacheStats::invalidated`], [`ResumeStats::invalidated`]) and
-//! how many warm states survived by rebase.
+//! Every ingest and compaction purges the result cache; the
+//! [`IngestReport`] counts the dropped entries
+//! ([`crate::CacheStats::invalidated`]). Nothing else carries answers
+//! across a swap: every search starts its propagation at step 0.
 //!
 //! Correctness bar (property-tested in `tests/ingest.rs`): after any
 //! sequence of batches, query results are byte-identical to a cold
@@ -46,7 +33,7 @@ use crate::persist::{
     self, Checkpoint, CheckpointReport, Compact, CompactReport, PersistError, Persistence,
     RecoveryReport, RecoverySource,
 };
-use crate::{CacheStats, EngineConfig, ResumeStats, ShardedEngine};
+use crate::{CacheStats, EngineConfig, ShardedEngine};
 use s3_core::{
     load_snapshot, save_snapshot, ComponentPartition, IngestBatch, IngestSummary, InstanceBuilder,
     Query, S3Instance, TopKResult, WriteAheadLog,
@@ -98,55 +85,30 @@ fn recover(
     Ok((writer, instance, report))
 }
 
-/// What an ingest did to the warm propagation pool (the result cache is
-/// always purged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvalidationScope {
-    /// The delta touched pre-existing nodes, so proximities anywhere may
-    /// have changed: the warm pool was dropped.
-    Global,
-    /// The delta was detached: the warm pool was rebased onto the
-    /// appended graph.
-    Scoped,
-}
-
 /// What one [`LiveShardedEngine::ingest`] did.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     /// The instance-level delta summary.
     pub summary: IngestSummary,
-    /// What happened to the warm pool.
-    pub scope: InvalidationScope,
     /// Cached results dropped.
     pub results_invalidated: u64,
-    /// Warm propagation states dropped.
-    pub warm_invalidated: u64,
-    /// Warm propagation states that survived by rebasing onto the
-    /// appended graph (detached deltas only).
-    pub warm_rebased: u64,
 }
 
 impl std::fmt::Display for IngestReport {
     /// One serving-log line with the delta shape and the invalidation
-    /// fallout — the companion of [`CacheStats`]'s and [`ResumeStats`]'s
-    /// `Display`, and what the examples print after each batch.
+    /// fallout — the companion of [`CacheStats`]'s `Display`, and what the
+    /// examples print after each batch.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "+{} users, +{} docs, +{} tags ({}, {} components touched) — \
-             scope {}, {} results invalidated, {} warm dropped, {} warm rebased",
+             {} results invalidated",
             self.summary.new_users,
             self.summary.new_documents,
             self.summary.new_tags,
             if self.summary.detached { "detached" } else { "attached" },
             self.summary.touched_components.len(),
-            match self.scope {
-                InvalidationScope::Global => "global",
-                InvalidationScope::Scoped => "scoped",
-            },
             self.results_invalidated,
-            self.warm_invalidated,
-            self.warm_rebased,
         )
     }
 }
@@ -232,11 +194,6 @@ impl LiveShardedEngine {
         self.engine().cache_stats()
     }
 
-    /// Warm-propagation counters (shared across snapshots).
-    pub fn resume_stats(&self) -> ResumeStats {
-        self.engine().resume_stats()
-    }
-
     /// Apply a batch and publish the extended snapshot atomically (see
     /// the module docs for what it invalidates).
     pub fn ingest(&self, batch: &IngestBatch) -> IngestReport {
@@ -259,38 +216,22 @@ impl LiveShardedEngine {
         let (instance, summary) = writer.builder.apply(prev.instance(), batch);
         let instance = Arc::new(instance);
         let partition = prev.partition().extended(&instance);
-        let (scope, results_invalidated, warm_invalidated, warm_rebased) =
-            self.publish(&prev, instance, partition, summary.detached);
-        Ok(IngestReport { summary, scope, results_invalidated, warm_invalidated, warm_rebased })
+        let results_invalidated = self.publish(&prev, instance, partition);
+        Ok(IngestReport { summary, results_invalidated })
     }
 
-    /// Publish the successor of `prev` over `instance` and `partition`:
-    /// purge the shared cache, then rebase the warm pool onto the appended
-    /// graph when `detached`, or drop it. Returns the scope and the
-    /// `(results dropped, warm dropped, warm rebased)` counts.
+    /// Publish the successor of `prev` over `instance` and `partition`
+    /// and purge the shared cache. Returns the number of results dropped.
     fn publish(
         &self,
         prev: &ShardedEngine,
         instance: Arc<S3Instance>,
         partition: ComponentPartition,
-        detached: bool,
-    ) -> (InvalidationScope, u64, u64, u64) {
-        let next = prev.succeed(Arc::clone(&instance), partition);
+    ) -> u64 {
+        let next = prev.succeed(instance, partition);
         let results = next.result_cache().invalidate();
-        let (scope, dropped, rebased) = if detached {
-            let gamma = next.search_config().score.gamma;
-            let (kept, dropped) = next.prop_pool().rebase_all(
-                prev.instance().graph(),
-                instance.graph(),
-                gamma,
-                next.config_epoch(),
-            );
-            (InvalidationScope::Scoped, dropped, kept)
-        } else {
-            (InvalidationScope::Global, next.prop_pool().invalidate_all(), 0)
-        };
         *self.current.write().expect("snapshot pointer poisoned") = Arc::new(next);
-        (scope, results, dropped, rebased)
+        results
     }
 
     /// Write a fresh snapshot of the current state atomically, then
@@ -331,8 +272,8 @@ impl LiveShardedEngine {
     /// from the old snapshot until the swap; in-flight readers pinning it
     /// stay consistent.
     ///
-    /// Compaction densely renumbers every entity id, so the cache and the
-    /// warm pool are always dropped, and callers must refresh any
+    /// Compaction densely renumbers every entity id, so the cache is
+    /// always dropped, and callers must refresh any
     /// [`s3_core::UserId`]/[`s3_doc::TreeId`]/tag ids they hold. On a
     /// durable engine the compaction **checkpoints before it publishes**
     /// — the compacted snapshot is written and the WAL truncated in the
@@ -352,9 +293,8 @@ impl LiveShardedEngine {
         writer.builder = compacted;
         let prev = self.engine();
         let partition = ComponentPartition::balanced(&instance, prev.num_shards());
-        let (_, results_invalidated, warm_invalidated, _) =
-            self.publish(&prev, instance, partition, false);
-        Ok(CompactReport { compaction, results_invalidated, warm_invalidated, checkpointed })
+        let results_invalidated = self.publish(&prev, instance, partition);
+        Ok(CompactReport { compaction, results_invalidated, checkpointed })
     }
 }
 
@@ -512,44 +452,12 @@ mod tests {
         let pinned = live.engine();
         let report = live.ingest(&detached_doc_batch("more rust degrees"));
         assert!(report.summary.detached);
-        assert_eq!(report.scope, InvalidationScope::Scoped);
         // The pinned engine still serves the old snapshot's universe...
         assert_eq!(pinned.instance().num_documents(), 2);
         // ...while the live path sees three documents (the new doc is
         // reachable only from its new poster — old seekers still get 2).
         assert_eq!(live.instance().num_documents(), 3);
         assert_eq!(live.query(&q).hits.len(), 2);
-    }
-
-    /// The front warm pool is the only one: after a detached ingest it is
-    /// rebased (nothing dropped) and the next same-seeker query resumes
-    /// it, at one shard and at two.
-    #[test]
-    fn detached_ingest_rebases_the_warm_pool() {
-        for shards in [1, 2] {
-            let (b, _, seeker) = seed_builder();
-            let config = EngineConfig::builder().threads(1).cache_capacity(0).build();
-            let live = LiveShardedEngine::new(b, config, shards);
-            let kws = live.instance().query_keywords("degrees");
-            live.query(&Query::new(seeker, kws.clone(), 2));
-            let warm_before = live.resume_stats();
-            assert!(warm_before.warm_misses > 0);
-
-            let report = live.ingest(&detached_doc_batch("fresh degrees"));
-            assert_eq!(report.scope, InvalidationScope::Scoped);
-            assert_eq!(
-                report.warm_invalidated, 0,
-                "detached delta drops nothing ({shards} shards)"
-            );
-            assert!(report.warm_rebased > 0, "the parked propagation survives ({shards} shards)");
-            assert!(report.results_invalidated == 0, "cache was disabled");
-
-            // The next same-seeker query finds the rebased state warm.
-            live.query(&Query::new(seeker, kws, 1));
-            let warm_after = live.resume_stats();
-            assert_eq!(warm_after.warm_hits, warm_before.warm_hits + 1, "{shards} shards");
-            assert_eq!(warm_after.invalidated, 0);
-        }
     }
 
     #[test]
@@ -593,7 +501,6 @@ mod tests {
         batch.add_social_edge(UserRef::Existing(author), u, 0.5);
         let report = live.ingest(&batch);
         assert!(!report.summary.detached);
-        assert_eq!(report.scope, InvalidationScope::Global);
         assert_eq!(report.results_invalidated, 1);
         assert_eq!(live.cache_stats().invalidated, 1);
         assert_eq!(live.cache_stats().entries, 0);

@@ -228,8 +228,6 @@ pub struct CompactReport {
     pub compaction: CompactionReport,
     /// Cached results dropped.
     pub results_invalidated: u64,
-    /// Warm propagation states dropped.
-    pub warm_invalidated: u64,
     /// WAL records absorbed by the checkpoint the compaction forced
     /// (`None` on an engine without durability). A durable compaction
     /// *must* checkpoint before publishing: the journal's records
@@ -242,10 +240,9 @@ impl std::fmt::Display for CompactReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} — {} results invalidated, {} warm dropped{}",
+            "{} — {} results invalidated{}",
             self.compaction,
             self.results_invalidated,
-            self.warm_invalidated,
             match self.checkpointed {
                 Some(n) => format!(", checkpoint absorbed {n} WAL records"),
                 None => String::new(),

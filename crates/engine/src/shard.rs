@@ -2,21 +2,20 @@
 //!
 //! [`ShardedEngine`] partitions the instance's content components across
 //! `num_shards` shards ([`ComponentPartition::balanced`]). A shard is a
-//! candidate pool, not an engine: it owns no cache, warm pool, gate or
-//! configuration of its own. Everything that serves sits once, in front:
+//! candidate pool, not an engine: it owns no cache, gate or configuration
+//! of its own. Everything that serves sits once, in front:
 //!
 //! * the epoch-keyed LRU result cache: a hit costs one lookup regardless
 //!   of shard count, and only exact answers (`Converged`/`NoMatch`) enter
 //!   it, whichever entry point computed them;
-//! * the seeker-keyed warm propagation pool: one propagation per query,
-//!   shared by every shard of its scatter;
 //! * the admission gate of [`ShardedEngine::serve`];
 //! * one scratch pool. A batch worker checks out one scratch for its
-//!   query half and, per query, one more per shard the query routes to
-//!   ([`ShardRouter`]), whose candidate pool the core's one search driver
-//!   borrows (`S3kEngine::run_partitioned_with`). Warm workers answer
-//!   without steady-state allocation, and warm memory scales with scatter
-//!   width, not workers × shards.
+//!   query half — the one propagation per query, shared by every shard
+//!   of its scatter, lives there — and, per query, one more per shard the
+//!   query routes to ([`ShardRouter`]), whose candidate pool the core's
+//!   one search driver borrows (`S3kEngine::run_partitioned_with`). Warm
+//!   workers answer without steady-state allocation, and warm memory
+//!   scales with scatter width, not workers × shards.
 //!
 //! [`crate::S3Engine`] is this engine at one shard. The defining
 //! invariant: for every query and any shard count, `ShardedEngine`
@@ -26,11 +25,10 @@
 
 use crate::batch::{self, CacheKey, EpochConfig, ResultCache};
 use crate::gate::{AdmissionGate, LoadStats, ServeOutcome};
-use crate::warm::PropPool;
-use crate::{CacheStats, EngineConfig, ResumeStats};
+use crate::{CacheStats, EngineConfig};
 use s3_core::{
-    CompId, ComponentPartition, Propagation, Query, S3Instance, S3kEngine, ScoreModel,
-    SearchConfig, SearchScratch, TopKResult, UserId,
+    CompId, ComponentPartition, Query, S3Instance, S3kEngine, ScoreModel, SearchConfig,
+    SearchScratch, TopKResult,
 };
 use s3_text::KeywordId;
 use std::collections::HashSet;
@@ -116,8 +114,8 @@ impl ShardRouter {
     }
 }
 
-/// The in-process serving engine: router + front cache, warm pool, gate
-/// and scratch pool (see the module docs).
+/// The in-process serving engine: router + front cache, gate and scratch
+/// pool (see the module docs).
 ///
 /// ```
 /// use s3_core::{InstanceBuilder, Query};
@@ -153,12 +151,11 @@ pub struct ShardedEngine {
     config: EpochConfig,
     threads: usize,
     /// The rest is `Arc`-shared with live-ingestion successors, so warm
-    /// state, load counters and in-flight depth survive snapshot swaps.
+    /// buffers, load counters and in-flight depth survive snapshot swaps.
     cache: Arc<ResultCache>,
     /// Idle scratches: each lends its query half to a worker or its
     /// candidate pool to one routed shard of one query.
     scratch: Arc<Mutex<Vec<SearchScratch>>>,
-    props: Arc<PropPool>,
     /// Admission gate for the `serve` entry point — in front of the
     /// scatter, like the cache, so shedding one query spares every shard.
     gate: Arc<AdmissionGate>,
@@ -169,8 +166,7 @@ impl ShardedEngine {
     /// least 1) balanced shards and build a serving engine over them. The
     /// configuration is [`EngineConfig::validated`] first.
     pub fn new(instance: Arc<S3Instance>, config: EngineConfig, num_shards: usize) -> Self {
-        let EngineConfig { search, threads, cache_capacity, warm_seekers, overload } =
-            config.validated();
+        let EngineConfig { search, threads, cache_capacity, overload } = config.validated();
         let partition = Arc::new(ComponentPartition::balanced(&instance, num_shards));
         ShardedEngine {
             router: ShardRouter::new(&instance, partition),
@@ -179,19 +175,17 @@ impl ShardedEngine {
             threads,
             cache: Arc::new(ResultCache::new(cache_capacity)),
             scratch: Arc::new(Mutex::new(Vec::new())),
-            props: Arc::new(PropPool::new(warm_seekers)),
             gate: Arc::new(AdmissionGate::new(overload)),
         }
     }
 
     /// The live-ingestion successor: an engine over a new snapshot and
-    /// partition that *shares* this one's cache, warm pool, scratch pool
-    /// and gate. In-flight queries keep the old engine (and its snapshot)
-    /// alive; new queries see the new one. The config/epoch line is
-    /// carried forward one past this engine's, never shared, so a reader
-    /// still pinning this generation can only stamp its old epoch into
-    /// the shared cache and warm pool — never a key the successor serves.
-    /// The caller purges the cache and drops or rebases the warm pool.
+    /// partition that *shares* this one's cache, scratch pool and gate.
+    /// In-flight queries keep the old engine (and its snapshot) alive; new
+    /// queries see the new one. The config/epoch line is carried forward
+    /// one past this engine's, never shared, so a reader still pinning
+    /// this generation can only stamp its old epoch into the shared cache
+    /// — never a key the successor serves. The caller purges the cache.
     pub(crate) fn succeed(
         &self,
         instance: Arc<S3Instance>,
@@ -206,7 +200,6 @@ impl ShardedEngine {
             threads: self.threads,
             cache: Arc::clone(&self.cache),
             scratch: Arc::clone(&self.scratch),
-            props: Arc::clone(&self.props),
             gate: Arc::clone(&self.gate),
         }
     }
@@ -214,11 +207,6 @@ impl ShardedEngine {
     /// The shared result cache (live-ingestion invalidation hook).
     pub(crate) fn result_cache(&self) -> &ResultCache {
         &self.cache
-    }
-
-    /// The shared warm pool (live-ingestion migration hook).
-    pub(crate) fn prop_pool(&self) -> &PropPool {
-        &self.props
     }
 
     /// The shared instance.
@@ -255,24 +243,16 @@ impl ShardedEngine {
     /// under the previous configuration can no longer be served (in-flight
     /// batches may still insert stale-epoch entries; their keys never match
     /// a post-change lookup, and LRU pressure retires them). The now
-    /// unservable cache entries and warm propagations are dropped and
-    /// counted ([`CacheStats::invalidated`], [`ResumeStats::invalidated`]).
+    /// unservable cache entries are dropped and counted
+    /// ([`CacheStats::invalidated`]).
     pub fn set_search_config(&self, search: SearchConfig) {
         self.config.replace(search);
         self.cache.invalidate();
-        self.props.invalidate_all();
     }
 
     /// Result-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Propagation-reuse counters (seeker-affinity hits, resumed and
-    /// fallback searches). The propagation is shared by every shard of a
-    /// query's scatter, so one resume saves the explore work fleet-wide.
-    pub fn resume_stats(&self) -> ResumeStats {
-        self.props.stats()
     }
 
     /// Load and shedding counters for the [`Self::serve`] entry point.
@@ -297,8 +277,7 @@ impl ShardedEngine {
     /// saturated engine. A query whose deadline lapses before it runs is
     /// dropped ([`ServeOutcome::Expired`]). A degraded answer never
     /// enters the cache, so it cannot mask the full answer an uncongested
-    /// repeat could compute — the warm propagation pool keeps its state,
-    /// so that repeat resumes instead of starting over.
+    /// repeat could compute.
     ///
     /// Without an [`crate::EngineConfigBuilder::overload`] policy and
     /// without a deadline, `serve` is [`Self::query`] with load
@@ -310,7 +289,7 @@ impl ShardedEngine {
             return ServeOutcome::Answered(hit);
         }
         let outcome = self.gate.serve(search_config, arrival, deadline, |config| {
-            let mut out = self.scatter(std::slice::from_ref(query), &[0], &config, epoch, 1);
+            let mut out = self.scatter(std::slice::from_ref(query), &[0], &config, 1);
             Ok::<_, Infallible>(out.pop().expect("one result").1)
         });
         let Ok(outcome) = outcome;
@@ -333,7 +312,7 @@ impl ShardedEngine {
     pub fn run_batch_on(&self, queries: &[Query], threads: usize) -> Vec<Arc<TopKResult>> {
         let (search_config, epoch) = self.config.snapshot();
         self.cache.run_cached(queries, epoch, |misses| {
-            self.scatter(queries, misses, &search_config, epoch, threads)
+            self.scatter(queries, misses, &search_config, threads)
         })
     }
 
@@ -345,24 +324,19 @@ impl ShardedEngine {
         queries: &[Query],
         misses: &[usize],
         search_config: &SearchConfig,
-        epoch: u64,
         threads: usize,
     ) -> Vec<(usize, TopKResult)> {
         let workers = threads.max(1).min(misses.len());
         let cursor = AtomicUsize::new(0);
-        let gamma = search_config.score.gamma();
         batch::fan_out(workers, || {
             // One worker: per claimed query, check a scratch out per shard
-            // the query routes to, bind the propagation parked for the
-            // query's seeker, run the partitioned search, and return the
-            // shard scratches immediately.
+            // the query routes to, run the partitioned search over the
+            // worker's own scratch, and return the shard scratches
+            // immediately.
             let engine = S3kEngine::new(&self.instance, search_config.clone());
-            let graph = self.instance.graph();
             let mut carrier = self.check_out();
             let mut scratches: Vec<Option<SearchScratch>> =
                 (0..self.num_shards()).map(|_| None).collect();
-            let mut prop: Option<Propagation<'_>> = None;
-            let mut prop_key = UserId(0);
             let mut active: Vec<usize> = Vec::new();
             let mut out = Vec::new();
             loop {
@@ -373,31 +347,18 @@ impl ShardedEngine {
                 for &s in &active {
                     scratches[s] = Some(self.check_out());
                 }
-                if prop.is_none() || prop_key != q.seeker {
-                    if let Some(p) = prop.take() {
-                        self.props.check_in(prop_key, epoch, p.detach());
-                    }
-                    let state = self.props.check_out(q.seeker, epoch);
-                    let seeker = self.instance.user_node(q.seeker);
-                    prop = Some(Propagation::attach(graph, gamma, seeker, state));
-                    prop_key = q.seeker;
-                }
+                let partition = self.router.partition();
                 let result = engine.run_partitioned_with(
                     q,
-                    self.router.partition(),
+                    partition,
                     &active,
                     &mut carrier,
                     &mut scratches,
-                    &mut prop,
                 );
                 for &s in &active {
                     self.check_in(scratches[s].take().expect("checked out"));
                 }
-                self.props.note(result.stats.resume);
                 out.push((i, result));
-            }
-            if let Some(p) = prop.take() {
-                self.props.check_in(prop_key, epoch, p.detach());
             }
             self.check_in(carrier);
             out
@@ -416,7 +377,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use s3_core::InstanceBuilder;
+    use s3_core::{InstanceBuilder, UserId};
     use s3_doc::DocBuilder;
     use s3_text::Language;
 

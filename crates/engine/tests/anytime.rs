@@ -36,7 +36,6 @@ fn capped_config(cap: u32) -> EngineConfig {
         .search(SearchConfig { max_iterations: cap, ..SearchConfig::default() })
         .threads(1)
         .cache_capacity(0)
-        .warm_seekers(0)
         .build()
 }
 
@@ -270,7 +269,6 @@ fn only_exact_answers_enter_the_result_cache() {
             .search(SearchConfig { time_budget: Some(Duration::ZERO), ..SearchConfig::default() })
             .threads(1)
             .cache_capacity(16)
-            .warm_seekers(2)
             .build(),
     );
     let degraded = queries
@@ -294,7 +292,7 @@ fn only_exact_answers_enter_the_result_cache() {
 
     let unbudgeted = S3Engine::new(
         Arc::clone(&inst),
-        EngineConfig::builder().threads(1).cache_capacity(16).warm_seekers(2).build(),
+        EngineConfig::builder().threads(1).cache_capacity(16).build(),
     );
     for _ in 0..3 {
         let out = unbudgeted.serve(degraded, None);
@@ -347,7 +345,6 @@ fn hammer(policy: OverloadPolicy) -> (Vec<ServeOutcome>, s3_engine::LoadStats) {
         EngineConfig::builder()
             .threads(1)
             .cache_capacity(0)
-            .warm_seekers(0)
             .overload(Some(OverloadConfig { max_inflight: 1, policy }))
             .build(),
     );

@@ -12,19 +12,20 @@ use common::{assert_identical, random_builder, random_queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use s3_core::{Query, S3kEngine, SearchConfig};
+use s3_core::{InstanceBuilder, Query, S3kEngine, SearchConfig, StopReason, UserId};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{
     Engine, EngineConfig, FleetEngine, Ingest, LiveEngine, LiveShardedEngine, LocalShard, S3Engine,
     ShardServer, ShardedEngine,
 };
+use s3_text::{KeywordId, Language};
 use s3_wire::ShardTransport;
 use std::sync::Arc;
 
 fn api_config() -> EngineConfig {
     // Cache off so `serve` reaches the admission gate on every call: the
     // harness asserts the unified `stats()` counters move in lockstep.
-    EngineConfig::builder().threads(1).cache_capacity(0).warm_seekers(0).build()
+    EngineConfig::builder().threads(1).cache_capacity(0).build()
 }
 
 /// A 2-shard fleet over in-process `LocalShard` transports, every
@@ -132,4 +133,36 @@ proptest! {
             }
         }
     }
+}
+
+/// A query no document can match is `NoMatch` before its seeker is
+/// looked up: every engine answers it for a seeker the instance does not
+/// have, instead of panicking.
+#[test]
+fn no_match_from_an_unknown_seeker_is_answered_by_every_engine() {
+    let one_user = || {
+        let mut b = InstanceBuilder::new(Language::English);
+        let u = b.add_user();
+        let kws = b.analyze("a degree");
+        let mut doc = s3_doc::DocBuilder::new("post");
+        doc.set_content(doc.root(), kws);
+        b.add_document(doc, Some(u));
+        b
+    };
+    let inst = Arc::new(one_user().snapshot());
+    let (conn, host) = ShardServer::new(one_user(), api_config(), 1, 0).spawn_loopback();
+    let transports: Vec<Box<dyn ShardTransport>> = vec![Box::new(conn)];
+    let engines: Vec<(&str, Box<dyn Engine>)> = vec![
+        ("s3", Box::new(S3Engine::new(Arc::clone(&inst), api_config()))),
+        ("sharded", Box::new(ShardedEngine::new(Arc::clone(&inst), api_config(), 2))),
+        ("live", Box::new(LiveEngine::new(one_user(), api_config()))),
+        ("fleet", Box::new(FleetEngine::new(one_user(), api_config(), transports))),
+    ];
+    let q = Query::new(UserId(7), vec![KeywordId(9999)], 3);
+    for (label, mut engine) in engines {
+        let got = engine.query(&q).expect("trait query");
+        assert_eq!(got.stats.stop, StopReason::NoMatch, "{label}");
+        assert!(got.hits.is_empty(), "{label}");
+    }
+    host.join().expect("the shard server exits when its client hangs up");
 }

@@ -1,5 +1,5 @@
 //! Shared generators and assertions for the serving-layer test suites
-//! (`parity.rs`, `sharding.rs`).
+//! (`parity.rs`, `resume.rs`, `sharding.rs`).
 
 #![allow(dead_code)] // each test binary uses a subset
 
@@ -111,6 +111,31 @@ pub fn random_queries(
             let n_kw = rng.gen_range(1..3usize);
             let kws = (0..n_kw).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
             Query::new(seeker, kws, rng.gen_range(1..5usize))
+        })
+        .collect()
+}
+
+/// A seeker-skewed stream: 70 % of the queries come from a hot pair of
+/// seekers (the Zipf-like shape of real social-search traffic), with
+/// keywords and k varied so the result cache cannot absorb the repeats.
+/// Consecutive same-seeker queries must each start their propagation
+/// afresh.
+pub fn skewed_queries(
+    rng: &mut StdRng,
+    num_users: usize,
+    pool: &[KeywordId],
+    n: usize,
+) -> Vec<Query> {
+    (0..n)
+        .map(|i| {
+            let seeker = if rng.gen_bool(0.7) {
+                UserId((i % 2) as u32) // hot pair
+            } else {
+                UserId(rng.gen_range(0..num_users) as u32)
+            };
+            let n_kw = rng.gen_range(1..3usize);
+            let kws = (0..n_kw).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            Query::new(seeker, kws, rng.gen_range(1..6usize))
         })
         .collect()
 }

@@ -31,7 +31,7 @@ enum Transport {
 }
 
 fn fleet_config() -> EngineConfig {
-    EngineConfig::builder().threads(1).cache_capacity(0).warm_seekers(0).build()
+    EngineConfig::builder().threads(1).cache_capacity(0).build()
 }
 
 /// Spawn a fleet of `shards` servers over `transport`, every replica

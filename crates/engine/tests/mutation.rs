@@ -21,8 +21,9 @@ mod common;
 
 use common::{assert_identical, random_builder};
 use proptest::prelude::*;
-use s3_core::{InstanceBuilder, Query, SearchConfig};
+use s3_core::{IngestBatch, InstanceBuilder, Query, SearchConfig, UserId};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
+use s3_doc::TreeId;
 use s3_engine::{
     EngineConfig, FleetEngine, LiveEngine, LiveShardedEngine, LocalShard, RecoverySource,
     ShardHost, ShardServer,
@@ -33,7 +34,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn test_config() -> EngineConfig {
-    EngineConfig::builder().threads(1).cache_capacity(64).warm_seekers(4).build()
+    EngineConfig::builder().threads(1).cache_capacity(64).build()
 }
 
 fn mutating_workload(seed: u64) -> LiveWorkloadConfig {
@@ -280,7 +281,7 @@ proptest! {
         }
 
         // Third life: recovery loads the compacted snapshot directly.
-        let (compacted_ref, _) = reference.compact();
+        let (mut compacted_ref, _) = reference.compact();
         let cold = compacted_ref.snapshot();
         {
             let (engine, report) = LiveEngine::open(&dir, random_builder(seed).0, test_config())
@@ -292,6 +293,47 @@ proptest! {
                 for spec in &step.queries {
                     let q = Query::new(spec.seeker, cold.query_keywords(&spec.text), spec.k);
                     assert_identical(&engine.query(&q), &cold.search(&q, &SearchConfig::default()))?;
+                }
+            }
+
+            // A compaction that shrinks the graph under the buffers the
+            // engine keeps between queries: serve from the user whose node
+            // comes last, delete every document but the newest, compact,
+            // and every answer over the surviving keywords must be the
+            // shrunk reference's.
+            let texts = ["w0", "w1", "w2", "ex:c0"];
+            let last = (0..cold.num_users() as u32).map(UserId).max_by_key(|&u| cold.user_node(u));
+            let last = last.expect("the corpus has users");
+            for text in texts {
+                let q = Query::new(last, cold.query_keywords(text), 4);
+                assert_identical(&engine.query(&q), &cold.search(&q, &SearchConfig::default()))?;
+            }
+            let mut shrink = IngestBatch::new();
+            for t in 0..cold.num_documents() - 1 {
+                shrink.delete_document(TreeId(t as u32));
+            }
+            engine.ingest(&shrink);
+            compacted_ref.apply(&cold, &shrink);
+            engine.compact().expect("compact the shrink");
+            let shrunk = compacted_ref.compact().0.snapshot();
+            prop_assert!(
+                shrunk.graph().num_nodes() <= cold.user_node(last).index(),
+                "the graph shrank below the last seeker's node"
+            );
+            let mut keywords: Vec<_> = shrunk
+                .graph()
+                .components()
+                .iter()
+                .flat_map(|c| shrunk.component_keywords(c).iter().copied())
+                .collect();
+            keywords.sort_unstable();
+            keywords.dedup();
+            prop_assert!(!keywords.is_empty(), "the newest document still answers");
+            for u in (0..shrunk.num_users() as u32).map(UserId) {
+                for &k in &keywords {
+                    let q = Query::new(u, vec![k], 4);
+                    let want = shrunk.search(&q, &SearchConfig::default());
+                    assert_identical(&engine.query(&q), &want)?;
                 }
             }
         }

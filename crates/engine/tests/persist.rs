@@ -89,7 +89,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn test_config() -> EngineConfig {
-    EngineConfig::builder().threads(1).cache_capacity(0).warm_seekers(0).build()
+    EngineConfig::builder().threads(1).cache_capacity(0).build()
 }
 
 /// A file whose header says version 2 — the format that still carried a

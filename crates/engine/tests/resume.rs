@@ -1,49 +1,27 @@
-//! Same-seeker propagation resume: serving-layer parity and counters.
+//! Seeker-skewed streams: serving-layer parity.
 //!
-//! The warm-propagation pool lets batched and sharded workers continue a
-//! propagation already advanced for a query's seeker. These tests certify
-//! the invariant that makes it safe — resumed execution is byte-identical
-//! to cold execution (hits with exact bounds, candidate lists, stop
-//! reasons) — across the single-query session path, the batched engine
-//! and the sharded engine at 1/2/4 shards, on seeker-skewed streams; and
-//! they pin the counter semantics (warm hits, resume/fallback outcomes,
-//! epoch invalidation).
+//! Real social-search traffic repeats a few hot seekers. No engine carries
+//! propagation work from one query to the next, so consecutive same-seeker
+//! queries must each be answered exactly as a cold run would answer them
+//! (hits with exact bounds, candidate lists, stop reasons) — across the
+//! single-query session path, the batched engine and the sharded engine at
+//! 1/2/4 shards.
 
 mod common;
 
-use common::{assert_identical, random_instance, random_queries};
+use common::{assert_identical, random_instance, skewed_queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use s3_core::{Query, S3kEngine, SearchConfig, UserId};
+use rand::SeedableRng;
+use s3_core::{S3kEngine, SearchConfig};
 use s3_engine::{EngineConfig, S3Engine, ShardedEngine};
-use s3_text::KeywordId;
 use std::sync::Arc;
-
-/// A seeker-skewed stream: most queries come from a couple of hot seekers
-/// (the Zipf-like shape of real social-search traffic), with keywords and
-/// k varied so the result cache cannot absorb the repeats.
-fn skewed_queries(rng: &mut StdRng, num_users: usize, pool: &[KeywordId], n: usize) -> Vec<Query> {
-    (0..n)
-        .map(|i| {
-            let seeker = if rng.gen_bool(0.7) {
-                UserId((i % 2) as u32) // hot pair
-            } else {
-                UserId(rng.gen_range(0..num_users) as u32)
-            };
-            let n_kw = rng.gen_range(1..3usize);
-            let kws = (0..n_kw).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
-            Query::new(seeker, kws, rng.gen_range(1..6usize))
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 30, ..ProptestConfig::default() })]
 
-    /// A warm session (sequential resume across consecutive same-seeker
-    /// queries) returns byte-identical results to cold runs on a skewed
-    /// stream.
+    /// A reused session returns byte-identical results to cold runs on a
+    /// skewed stream.
     #[test]
     fn session_resume_matches_cold_runs(seed in 0u64..3000) {
         let (inst, pool) = random_instance(seed);
@@ -58,38 +36,19 @@ proptest! {
         }
     }
 
-    /// The batched engine (worker-local resume + the seeker-keyed warm
-    /// pool) and the sharded engine at 1/2/4 shards return byte-identical
-    /// results to direct cold runs on a skewed stream, replayed twice so
-    /// the second pass draws from the parked warm states.
+    /// The batched engine and the sharded engine at 1/2/4 shards return
+    /// byte-identical results to direct cold runs on a skewed stream,
+    /// replayed twice with the result cache off so every repeat recomputes.
     #[test]
     fn batched_and_sharded_resume_match_cold_runs(seed in 0u64..3000) {
         let (inst, pool) = random_instance(seed);
         let inst = Arc::new(inst);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C4);
         let queries = skewed_queries(&mut rng, inst.num_users(), &pool, 10);
-        // In-batch dedup collapses repeated identical queries even with
-        // the cache off: only distinct ones execute a search.
-        let distinct = {
-            let mut keys: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let mut kws = q.keywords.clone();
-                    kws.sort_unstable();
-                    kws.dedup();
-                    (q.seeker, kws, q.k)
-                })
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            keys.len() as u64
-        };
 
         let direct_engine = S3kEngine::new(&inst, SearchConfig::default());
         let direct: Vec<_> = queries.iter().map(|q| direct_engine.run(q)).collect();
 
-        // Cache off: every query recomputes, so the propagation lifecycle
-        // (not the result cache) is what serves the repeats.
         let serving = S3Engine::new(
             Arc::clone(&inst),
             EngineConfig::builder().threads(2).cache_capacity(0).build(),
@@ -113,158 +72,6 @@ proptest! {
                     assert_identical(g, d)?;
                 }
             }
-            let stats = sharded.resume_stats();
-            prop_assert_eq!(
-                stats.cold + stats.resumed + stats.fallbacks,
-                2 * distinct,
-                "every executed query reports a resume outcome"
-            );
         }
     }
-
-    /// Turning `SearchConfig::resume` off forces every query cold while
-    /// returning the same results.
-    #[test]
-    fn resume_disabled_is_equivalent(seed in 0u64..3000) {
-        let (inst, pool) = random_instance(seed);
-        let inst = Arc::new(inst);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD15AB1E);
-        let queries = skewed_queries(&mut rng, inst.num_users(), &pool, 8);
-        let on = S3Engine::new(
-            Arc::clone(&inst),
-            EngineConfig::builder().threads(1).cache_capacity(0).build(),
-        );
-        let off = S3Engine::new(
-            Arc::clone(&inst),
-            EngineConfig::builder().search(SearchConfig { resume: false, ..SearchConfig::default() }).threads(1).cache_capacity(0).build(),
-        );
-        let a = on.run_batch_on(&queries, 1);
-        let b = off.run_batch_on(&queries, 1);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_identical(x, y)?;
-        }
-        let stats = off.resume_stats();
-        prop_assert_eq!(stats.resumed, 0, "resume off must never continue a propagation");
-        prop_assert_eq!(stats.fallbacks, 0);
-    }
-}
-
-/// Keywords of the pool that occur in the corpus (the search is not
-/// `NoMatch`), so queries over them run the propagation for ≥ 1 step.
-fn live_keywords(direct: &S3kEngine<'_>, pool: &[KeywordId]) -> Vec<KeywordId> {
-    let live: Vec<KeywordId> = pool
-        .iter()
-        .copied()
-        .filter(|&k| {
-            direct.run(&Query::new(UserId(0), vec![k], 3)).stats.stop
-                != s3_core::StopReason::NoMatch
-        })
-        .collect();
-    assert!(live.len() >= 3, "generator must yield ≥ 3 matchable keywords");
-    live
-}
-
-/// Deterministic counter semantics on a hand-built stream: a seeker whose
-/// propagation was parked is served warm when it returns; a configuration
-/// change (epoch bump) invalidates the parked state.
-#[test]
-fn warm_pool_counters_and_epoch_invalidation() {
-    let (inst, pool) = random_instance(1);
-    let inst = Arc::new(inst);
-    let s0 = UserId(0);
-    let s1 = UserId(1);
-    let direct = S3kEngine::new(&inst, SearchConfig::default());
-    // Keywords that actually occur (answerability is seeker-independent),
-    // so every query advances the propagation at least one step.
-    let live = live_keywords(&direct, &pool);
-    let queries = vec![
-        Query::new(s0, vec![live[0]], 3), // cold attach for s0
-        Query::new(s0, vec![live[1]], 2), // same worker, same seeker: resume attempt
-        Query::new(s1, vec![live[0]], 3), // park s0, cold attach for s1
-        Query::new(s0, vec![live[2]], 4), // park s1, warm-hit s0 from the pool
-    ];
-    let engine = S3Engine::new(
-        Arc::clone(&inst),
-        EngineConfig::builder().threads(1).cache_capacity(0).build(),
-    );
-    for (got, q) in engine.run_batch_on(&queries, 1).iter().zip(&queries) {
-        let cold = direct.run(q);
-        assert_eq!(got.hits, cold.hits);
-        assert_eq!(got.candidate_docs, cold.candidate_docs);
-        assert_eq!(got.stats.stop, cold.stats.stop);
-    }
-    let stats = engine.resume_stats();
-    assert_eq!(stats.warm_hits, 1, "s0's parked propagation must be found on return");
-    assert_eq!(stats.warm_misses, 2, "first s0 and first s1 checkouts miss");
-    assert!(
-        stats.resumed + stats.fallbacks >= 2,
-        "the repeat s0 queries must attempt a resume: {stats:?}"
-    );
-    assert_eq!(stats.cold + stats.resumed + stats.fallbacks, queries.len() as u64);
-
-    // A configuration change bumps the epoch: the parked states go stale
-    // and the next checkout recycles the buffers without the warmth —
-    // the post-bump query must attach (and run) cold, never resume
-    // pre-bump propagation work.
-    engine.set_search_config(SearchConfig { epsilon: 1e-8, ..SearchConfig::default() });
-    engine.query(&Query::new(s0, vec![live[0]], 3));
-    let after = engine.resume_stats();
-    assert_eq!(after.warm_hits, stats.warm_hits, "stale-epoch state must not hit");
-    assert_eq!(after.warm_misses, stats.warm_misses + 1);
-    assert_eq!(after.cold, stats.cold + 1, "the recycled stale state must start cold");
-    assert_eq!(after.resumed, stats.resumed);
-    assert_eq!(after.fallbacks, stats.fallbacks);
-}
-
-/// The sharded scatter shares one propagation per query across all its
-/// shards; a returning seeker is served warm at the front.
-#[test]
-fn sharded_warm_pool_serves_returning_seekers() {
-    let (inst, pool) = random_instance(2);
-    let inst = Arc::new(inst);
-    let s0 = UserId(0);
-    let s1 = UserId(1);
-    let direct = S3kEngine::new(&inst, SearchConfig::default());
-    let live = live_keywords(&direct, &pool);
-    let queries = vec![
-        Query::new(s0, vec![live[0]], 3),
-        Query::new(s1, vec![live[1]], 2),
-        Query::new(s0, vec![live[2]], 4),
-    ];
-    let sharded = ShardedEngine::new(
-        Arc::clone(&inst),
-        EngineConfig::builder().threads(1).cache_capacity(0).build(),
-        3,
-    );
-    for (got, q) in sharded.run_batch_on(&queries, 1).iter().zip(&queries) {
-        let cold = direct.run(q);
-        assert_eq!(got.hits, cold.hits);
-        assert_eq!(got.candidate_docs, cold.candidate_docs);
-        assert_eq!(got.stats.stop, cold.stats.stop);
-    }
-    let stats = sharded.resume_stats();
-    assert_eq!(stats.warm_hits, 1, "s0 returns after s1: warm hit at the front");
-    assert!(stats.resumed + stats.fallbacks >= 1, "{stats:?}");
-}
-
-/// `random_queries` (uniform seekers) through a zero-capacity warm pool:
-/// worker-local consecutive resume still applies, results stay exact.
-#[test]
-fn zero_warm_capacity_stays_exact() {
-    let (inst, pool) = random_instance(3);
-    let inst = Arc::new(inst);
-    let mut rng = StdRng::seed_from_u64(33);
-    let queries = random_queries(&mut rng, inst.num_users(), &pool, 12);
-    let engine = S3Engine::new(
-        Arc::clone(&inst),
-        EngineConfig::builder().threads(2).cache_capacity(0).warm_seekers(0).build(),
-    );
-    let direct = S3kEngine::new(&inst, SearchConfig::default());
-    for (got, q) in engine.run_batch_on(&queries, 2).iter().zip(&queries) {
-        let cold = direct.run(q);
-        assert_eq!(got.hits, cold.hits);
-        assert_eq!(got.candidate_docs, cold.candidate_docs);
-        assert_eq!(got.stats.stop, cold.stats.stop);
-    }
-    assert_eq!(engine.resume_stats().warm_hits, 0);
 }

@@ -139,7 +139,7 @@ mod tests {
         /// path-enumeration oracle at every depth, reports newly-visited
         /// nodes in ascending id order, and keeps `visited_journal()` equal
         /// to the seeker followed by every step's newly list in turn — the
-        /// first-visit order that resume replay depends on.
+        /// first-visit order the search's discovery sees.
         #[test]
         fn step_sequences_match_oracle_and_journal_order(seed in 0u64..2000) {
             use proptest::prelude::{prop_assert, prop_assert_eq};

@@ -85,23 +85,15 @@
 //! thread: queries are parallel one level up, across batch workers and
 //! shards.
 //!
-//! Two lifecycle refinements keep the per-query fixed cost proportional to
-//! the search extent rather than the graph:
-//!
-//! * **Sparse reset** — every write to the `x`/`acc`/`visited` buffers is
-//!   journaled (visited nodes in first-visit order; `x_next` and the mask
-//!   are empty between steps), so [`Propagation::reset`] clears only the
-//!   entries a search actually touched: O(touched), not O(|graph|).
-//! * **Resume** — the propagation depends only on (graph, γ, seeker), never
-//!   on the query, and `prox≤n` is monotone in `n`. A propagation left at
-//!   step `n` can therefore serve a later query from the same seeker by
-//!   *continuing* instead of resetting; [`Propagation::visited_journal`]
-//!   replays the discovery seeds (the concatenation of every step's
-//!   newly-visited list) and [`Propagation::frontier_closed`] restores the
-//!   driver's frontier flag. [`Propagation::detach`] /
-//!   [`Propagation::attach`] move the buffers through a graph-independent
-//!   [`PropagationState`] so a serving layer can pool warm propagations
-//!   keyed by seeker.
+//! **Sparse reset** keeps the per-query fixed cost proportional to the
+//! search extent rather than the graph: every write to the
+//! `x`/`acc`/`visited` buffers is journaled (visited nodes in first-visit
+//! order; `x_next` and the mask are empty between steps), so
+//! [`Propagation::reset`] clears only the entries a search actually
+//! touched: O(touched), not O(|graph|). [`Propagation::detach`] /
+//! [`Propagation::attach`] move the buffers through a graph-independent
+//! [`PropagationState`], so a caller can keep them between queries (the
+//! search keeps them in its scratch) without borrowing the graph.
 
 use crate::bitset::BitSet;
 use crate::graph::{SocialGraph, NO_PARENT};
@@ -109,7 +101,7 @@ use crate::node::{NodeId, NodeKind};
 use s3_doc::TreeId;
 
 /// Incremental all-paths proximity evaluation from one seeker: a graph
-/// borrow over a [`PropagationState`] (the buffers detach for pooling via
+/// borrow over a [`PropagationState`] (the buffers detach via
 /// [`Propagation::detach`] / [`Propagation::attach`]).
 #[derive(Debug)]
 pub struct Propagation<'g> {
@@ -155,30 +147,20 @@ impl NodeBuffers {
             flags.resize(n);
         }
     }
-
-    /// Grow every buffer to `n` nodes, zero-filling the extension and
-    /// preserving existing content (the rebase path).
-    fn grow_to(&mut self, n: usize) {
-        for buf in [&mut self.x, &mut self.x_next, &mut self.acc] {
-            buf.resize(n, 0.0);
-        }
-        self.visited.resize(n);
-        self.next.resize(n);
-    }
 }
 
 /// The graph-independent buffers of a [`Propagation`], detached so a
-/// serving layer can pool warm propagations without borrowing the graph.
+/// caller can keep them without borrowing the graph.
 ///
 /// A default state is empty; [`Propagation::attach`] sizes it for the
 /// graph on first use. A detached state remembers which graph and γ it
-/// was built for, so `attach` can tell a warm same-graph state (buffers
-/// and step preserved — the resume path) from a stale one (buffers
-/// recycled, propagation reseeded).
+/// was built for, so `attach` can tell a same-graph state (buffers and
+/// step preserved, or a sparse reset on another seeker) from a stale one
+/// (buffers recycled, propagation reseeded).
 #[derive(Debug, Default)]
 pub struct PropagationState {
     /// Identity of the graph the buffers are sized and filled for (the
-    /// graph's address; 0 = never attached / invalidated).
+    /// graph's address; 0 = never attached).
     graph_tag: usize,
     gamma: f64,
     c_gamma: f64,
@@ -200,8 +182,7 @@ pub struct PropagationState {
     frontier_closed: bool,
     /// Journal of visited nodes in first-visit order: the seeker, then
     /// every step's newly-visited list. Exactly the nodes with `x`, `acc`
-    /// or `visited` writes — what [`Propagation::reset`] must clear, and
-    /// what a resumed search replays through discovery.
+    /// or `visited` writes — what [`Propagation::reset`] must clear.
     touched: Vec<u32>,
     /// Scratch: active trees of the current frontier, deduplicated.
     unit_trees: Vec<TreeId>,
@@ -241,46 +222,13 @@ impl PropagationState {
             && self.gamma == gamma
             && self.nodes.len() == graph.num_nodes()
     }
-
-    /// Forget what this state was warm for: the next
-    /// [`Propagation::attach`] rebuilds it from scratch (reusing only the
-    /// allocations). The serving layer calls this whenever a state loses
-    /// its seeker binding or epoch stamp, so a later attach can never
-    /// silently resume work done under an invalidated configuration.
-    pub fn invalidate(&mut self) {
-        self.graph_tag = 0;
-    }
-
-    /// Re-home a state warm for `from` onto `to`, **without** losing its
-    /// warmth: per-node buffers grow (zero-filled) to the new graph's
-    /// sizes and the identity tag moves, so the next
-    /// [`Propagation::attach`] on `to` resumes instead of reseeding.
-    ///
-    /// Caller contract (live ingestion's *detached* deltas): `to` must be
-    /// `from` plus strictly appended nodes and trees — every
-    /// previously-existing node keeps its id, out-edges, weights and
-    /// neighborhood weight, and no appended node is reachable from any
-    /// previously-visited one. Under that contract the propagation's past
-    /// *and future* on `to` coincide with what they would have been on
-    /// `from`, step for step. Returns `false` (and invalidates the state)
-    /// when the state was not warm for `(from, gamma)` or the sizes
-    /// shrink; resuming it would then be unsound.
-    pub fn rebase(&mut self, from: &SocialGraph, to: &SocialGraph, gamma: f64) -> bool {
-        if !self.warm_for(from, gamma) || self.nodes.len() > to.num_nodes() {
-            self.invalidate();
-            return false;
-        }
-        self.nodes.grow_to(to.num_nodes());
-        self.graph_tag = graph_tag(to);
-        true
-    }
 }
 
 /// The identity tag stored in a detached state: the graph's address.
-/// Address reuse after a graph is dropped could collide, but a state is
-/// only ever re-attached by the owner that detached it (the serving
-/// layer's pool, keyed per engine), matching the `std::ptr::eq` contract
-/// the search driver already applies to reused propagations.
+/// Address reuse after a graph is dropped could collide with a graph of
+/// the same size; a caller that re-attaches across graphs therefore
+/// rewinds to step 0 ([`Propagation::reset`]), which is exact on any graph
+/// the buffers fit.
 fn graph_tag(graph: &SocialGraph) -> usize {
     std::ptr::from_ref(graph) as usize
 }
@@ -372,10 +320,11 @@ impl<'g> Propagation<'g> {
 
     /// Bind a detached [`PropagationState`] back to a graph. A state warm
     /// for `(graph, gamma)` keeps its buffers and step count: if its
-    /// seeker equals `seeker` the propagation is ready to *resume*;
-    /// otherwise it is [`Self::reset`] (sparse, O(touched)). Any other
-    /// state — fresh, or from a different graph or damping — has its
-    /// buffers recycled and the propagation is seeded from scratch.
+    /// seeker equals `seeker` the propagation continues where it was
+    /// detached; otherwise it is [`Self::reset`] (sparse, O(touched)).
+    /// Any other state — fresh, or from a different graph or damping —
+    /// has its buffers recycled and the propagation is seeded from
+    /// scratch.
     pub fn attach(
         graph: &'g SocialGraph,
         gamma: f64,
@@ -404,7 +353,7 @@ impl<'g> Propagation<'g> {
         engine
     }
 
-    /// Detach the buffers for pooling; [`Self::attach`] restores them.
+    /// Detach the buffers; [`Self::attach`] restores them.
     pub fn detach(self) -> PropagationState {
         let mut state = self.s;
         state.graph_tag = graph_tag(self.graph);
@@ -484,9 +433,7 @@ impl<'g> Propagation<'g> {
 
     /// Every visited node in first-visit order: the seeker, then each
     /// step's newly-visited list in turn — exactly the sequence a search
-    /// driver fed to discovery while this propagation advanced, which is
-    /// what lets a resumed same-seeker search replay discovery in the
-    /// original admission order.
+    /// driver fed to discovery while this propagation advanced.
     pub fn visited_journal(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
         self.s.touched.iter().map(|&v| NodeId(v))
     }
@@ -1176,62 +1123,6 @@ mod tests {
         for node in [u0, u1, d] {
             assert_eq!(p.prox_leq(node), fresh.prox_leq(node));
         }
-    }
-
-    #[test]
-    fn rebase_carries_warmth_onto_an_appended_graph() {
-        // The same base graph built twice: once alone, once with an
-        // appended (unreachable) document + user. Node ids of the base
-        // prefix coincide, and nothing old points at the appendix —
-        // exactly the detached-delta contract.
-        let build_base = |extend: bool| {
-            let mut forest = Forest::new();
-            let t = forest.add_document(DocBuilder::new("doc"));
-            let t2 = extend.then(|| forest.add_document(DocBuilder::new("appendix")));
-            let mut g = GraphBuilder::new(forest);
-            let u0 = g.add_user();
-            let u1 = g.add_user();
-            let d = g.register_tree(t);
-            g.add_edge(d, u0, EdgeKind::PostedBy, 1.0);
-            g.add_edge(u0, u1, EdgeKind::Social, 0.3);
-            if let Some(t2) = t2 {
-                let u2 = g.add_user();
-                let d2 = g.register_tree(t2);
-                g.add_edge(d2, u2, EdgeKind::PostedBy, 1.0);
-                g.add_edge(u2, u1, EdgeKind::Social, 0.8);
-            }
-            (g.build(), u0, u1, d)
-        };
-        let (old, u0, u1, d) = build_base(false);
-        let (new, ..) = build_base(true);
-
-        let mut warm = Propagation::new(&old, 1.5, u0);
-        let mut cold = Propagation::new(&new, 1.5, u0);
-        for _ in 0..3 {
-            warm.step();
-            cold.step();
-        }
-        let mut state = warm.detach();
-        assert!(state.rebase(&old, &new, 1.5), "appended graph must accept the rebase");
-        assert!(state.warm_for(&new, 1.5));
-        let mut warm = Propagation::attach(&new, 1.5, u0, state);
-        assert_eq!(warm.iteration(), 3, "warmth survives the rebase");
-        for _ in 0..5 {
-            assert_eq!(warm.step().to_vec(), cold.step());
-            for node in [u0, u1, d] {
-                assert_eq!(warm.prox_leq(node), cold.prox_leq(node));
-            }
-            assert_eq!(warm.border_mass(), cold.border_mass());
-            assert_eq!(warm.bound_beyond(), cold.bound_beyond());
-        }
-
-        // A state that was never warm for `from` refuses the rebase.
-        let mut stale = Propagation::new(&old, 2.0, u0).detach();
-        assert!(!stale.rebase(&old, &new, 1.5), "γ mismatch must invalidate");
-        assert!(!stale.warm_for(&new, 1.5));
-        // Shrinking is refused too (rebase only ever appends).
-        let mut backwards = Propagation::new(&new, 1.5, u0).detach();
-        assert!(!backwards.rebase(&new, &old, 1.5));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the same step sequence must perform **zero** heap allocations, `reset`
 //! and the on-demand `prox_leq` of every node (users, tags, roots and
 //! inner fragments of multi-node trees) included. This is the contract the
-//! serving layer's warm propagation pool depends on.
+//! serving layer's scratch reuse depends on.
 //!
 //! Single `#[test]` on purpose: the counter is process-global, so
 //! concurrently-running tests would bleed into each other's windows.

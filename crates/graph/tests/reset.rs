@@ -1,4 +1,4 @@
-//! Sparse-reset and resume-state equivalence for [`Propagation`].
+//! Sparse-reset and detached-state equivalence for [`Propagation`].
 //!
 //! `Propagation::reset` clears only the journaled (touched) entries; these
 //! properties certify that after *any* number of steps a reset propagation

@@ -5,9 +5,8 @@
 //! [`s3::engine::LiveShardedEngine`] (2 shards) and replays an update
 //! workload against it: each step ingests a batch (published by an atomic
 //! snapshot swap — queries never stop) and then queries the grown corpus.
-//! Every batch purges the result cache; detached batches (new users
-//! posting new content) keep the warm propagations by rebasing them onto
-//! the grown graph, while batches touching existing data drop them.
+//! Every batch purges the result cache, whether it is detached (new users
+//! posting new content) or touches existing data.
 //!
 //! ```text
 //! cargo run --release --example live_ingest
@@ -62,7 +61,7 @@ fn main() {
 
     // ---- A hand-written detached batch: a new author's first post,
     // followed (and tagged) by a new fan. Nothing points at existing
-    // data, so the warm propagations survive by rebase. ----
+    // data. ----
     let mut batch = IngestBatch::new();
     let author = batch.add_user();
     let fan = batch.add_user();
@@ -80,7 +79,7 @@ fn main() {
     );
     let report = live.ingest(&batch);
     assert!(report.summary.detached);
-    println!("\nnew author onboarded: scope {:?}", report.scope);
+    println!("\nnew author onboarded: {report}");
 
     // Batch user ids map onto the instance in order: the author is the
     // second-to-last user now.

@@ -155,6 +155,5 @@ fn main() {
 
     // The final serving report: hits, evictions and the entries the
     // config change invalidated.
-    println!("\nfinal cache stats:  {}", shared.cache_stats());
-    println!("final resume stats: {}", shared.resume_stats());
+    println!("\nfinal cache stats: {}", shared.cache_stats());
 }

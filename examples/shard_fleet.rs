@@ -29,10 +29,10 @@ fn corpus() -> twitter::TwitterConfig {
     config
 }
 
-/// No result cache and no warm pool: shard servers answer every scatter
-/// cold, so the comparison below is propagation against propagation.
+/// No result cache: shard servers answer every scatter cold, so the
+/// comparison below is propagation against propagation.
 fn fleet_config() -> EngineConfig {
-    EngineConfig::builder().threads(1).cache_capacity(0).warm_seekers(0).build()
+    EngineConfig::builder().threads(1).cache_capacity(0).build()
 }
 
 /// Spawn one fleet; every replica regenerates the corpus from the
