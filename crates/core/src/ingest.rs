@@ -44,8 +44,8 @@
 use crate::connections::{ConnectionIndex, Scope};
 use crate::ids::{TagId, TagSubject, UserId};
 use crate::instance::{
-    build_graph, derived_social_edges, keyword_bridges, tag_inputs, tag_records, GraphParts,
-    InstanceBuilder, RetractionLog, S3Instance,
+    build_graph, connected_keywords, derived_social_edges, keyword_bridges, tag_inputs,
+    tag_records, ComponentKeywords, GraphParts, InstanceBuilder, RetractionLog, S3Instance,
 };
 use s3_doc::{DocBuilder, DocNodeId, LocalNodeId, TreeId};
 use s3_graph::{CompId, NodeId, NodeKind};
@@ -611,20 +611,13 @@ impl InstanceBuilder {
         );
 
         // ---- Extend the per-component keyword sets. ----
-        let mut comp_keywords: Vec<HashSet<_>> = Vec::with_capacity(comps.len());
-        for c in comps.iter() {
+        let comp_keywords = ComponentKeywords::collect(comps.iter(), |c, out| {
             if c.index() < comps0 && !comp_touched[c.index()] {
-                comp_keywords.push(prev.comp_keywords[c.index()].clone());
+                out.extend_from_slice(prev.component_keywords(c));
             } else {
-                let mut kws = HashSet::new();
-                for &node in comps.members(c) {
-                    if let Some(d) = graph.frag_of_node(node) {
-                        kws.extend(conn_index.keywords_of(d));
-                    }
-                }
-                comp_keywords.push(kws);
+                connected_keywords(&graph, &conn_index, c, out);
             }
-        }
+        });
 
         // ---- Extend the keyword ↔ URI bridge over the new vocabulary. ----
         let vocabulary = self.analyzer.vocabulary().clone();

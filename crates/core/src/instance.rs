@@ -896,13 +896,9 @@ fn freeze(
 
     // Component → keyword sets (the §5.2 pruning test "each keyword is
     // present in every component").
-    let mut comp_keywords: Vec<HashSet<KeywordId>> = vec![HashSet::new(); graph.components().len()];
-    for idx in 0..graph.forest().num_nodes() {
-        let d = DocNodeId(idx as u32);
-        let node = graph.node_of_frag(d).expect("registered");
-        let comp = graph.components().component_of(node);
-        comp_keywords[comp.index()].extend(conn_index.keywords_of(d));
-    }
+    let comp_keywords = ComponentKeywords::collect(graph.components().iter(), |c, out| {
+        connected_keywords(&graph, &conn_index, c, out);
+    });
 
     let tag_records = tag_records(&tags, &tag_nodes);
     let dead_nodes = dead.mark_nodes(&graph, &user_nodes, &tag_nodes);
@@ -933,6 +929,58 @@ fn voc_user() -> UriId {
 /// Cached `Smax` tables keyed by the score's `(γ, η)` bit patterns.
 type SmaxCache = Mutex<HashMap<(u64, u64), Arc<HashMap<KeywordId, f64>>>>;
 
+/// The §5.2 pruning sets as one flat CSR: the keywords a component is
+/// connected to, sorted and distinct, are
+/// `keywords[offsets[c]..offsets[c + 1]]`. A few bytes per keyword, where
+/// a hash set per component cost a table and a 48-byte header each.
+#[derive(Debug, Clone)]
+pub(crate) struct ComponentKeywords {
+    offsets: Vec<u32>,
+    keywords: Vec<KeywordId>,
+}
+
+impl ComponentKeywords {
+    /// One run per component of `comps`, in order: `fill` appends the
+    /// component's keywords (in any order, repeats allowed), and the run
+    /// is stored sorted and distinct.
+    pub(crate) fn collect(
+        comps: impl Iterator<Item = CompId>,
+        mut fill: impl FnMut(CompId, &mut Vec<KeywordId>),
+    ) -> Self {
+        let (mut offsets, mut keywords, mut run) = (vec![0], Vec::new(), Vec::new());
+        for c in comps {
+            run.clear();
+            fill(c, &mut run);
+            run.sort_unstable();
+            run.dedup();
+            keywords.extend_from_slice(&run);
+            offsets.push(keywords.len() as u32);
+        }
+        keywords.shrink_to_fit();
+        ComponentKeywords { offsets, keywords }
+    }
+
+    /// The sorted keywords of component `c`.
+    pub(crate) fn get(&self, c: CompId) -> &[KeywordId] {
+        &self.keywords[self.offsets[c.index()] as usize..self.offsets[c.index() + 1] as usize]
+    }
+}
+
+/// Append the keywords every document fragment of component `c` is
+/// connected to (with repeats).
+pub(crate) fn connected_keywords(
+    graph: &SocialGraph,
+    conn_index: &ConnectionIndex,
+    c: CompId,
+    out: &mut Vec<KeywordId>,
+) {
+    for &node in graph.components().members(c) {
+        if let Some(d) = graph.frag_of_node(node) {
+            out.extend(conn_index.keywords_of(d));
+        }
+    }
+}
+
 /// A frozen tag.
 #[derive(Debug, Clone, Copy)]
 pub struct TagRecord {
@@ -960,7 +1008,7 @@ pub struct S3Instance {
     pub(crate) poster_of: HashMap<TreeId, UserId>,
     pub(crate) comment_pairs: Vec<(DocNodeId, DocNodeId)>,
     pub(crate) conn_index: ConnectionIndex,
-    pub(crate) comp_keywords: Vec<HashSet<KeywordId>>,
+    pub(crate) comp_keywords: ComponentKeywords,
     pub(crate) kw_to_uri: HashMap<KeywordId, UriId>,
     pub(crate) uri_to_kw: HashMap<UriId, KeywordId>,
     /// Tombstoned graph nodes (dead users/fragments/tags). Dead nodes have
@@ -1032,9 +1080,10 @@ impl S3Instance {
         &self.comment_pairs
     }
 
-    /// Keywords a component is connected to (the §5.2 pruning sets).
-    pub fn component_keywords(&self, comp: CompId) -> &HashSet<KeywordId> {
-        &self.comp_keywords[comp.index()]
+    /// Keywords a component is connected to (the §5.2 pruning sets),
+    /// sorted ascending and distinct.
+    pub fn component_keywords(&self, comp: CompId) -> &[KeywordId] {
+        self.comp_keywords.get(comp)
     }
 
     /// `Ext(k)` at the keyword level (Definition 2.1): the keyword itself
@@ -1395,6 +1444,47 @@ mod tests {
         assert!(b.delete_tag(t0));
         assert!(b.tag_is_deleted(t1), "the endorsement dies with its subject");
         assert_eq!(b.dead_counts(), (0, 0, 2));
+    }
+
+    /// Compaction renumbers every node and rebuilds the graph whole, so
+    /// the reverse CSR a gathered propagation step reads must come out
+    /// as the forward edges transposed, each target's in-edges in
+    /// emission order: trees by `TreeId` (their nodes ascending), then
+    /// users and tags by node id, a source's parallel edges in CSR order.
+    #[test]
+    fn compacted_graph_reverse_csr_is_the_transpose() {
+        let (mut b, _author, seeker) = mutation_base();
+        let root2 = b.doc_root(s3_doc::TreeId(2));
+        let kw = b.analyzer_mut().vocabulary_mut().intern("tagword");
+        b.add_tag(TagSubject::Frag(root2), seeker, Some(kw));
+        let late = b.add_user();
+        b.add_social_edge(late, seeker, 0.5);
+        let mut comment = DocBuilder::new("comment");
+        let sec = comment.child(comment.root(), "sec");
+        let ckws = b.analyze("great degrees");
+        comment.set_content(sec, ckws);
+        let c = b.add_document(comment, Some(late));
+        b.add_comment_edge(c, root2);
+        b.delete_document(s3_doc::TreeId(0));
+        let (compacted, report) = b.compact();
+        assert_eq!(report.dropped_documents, 1);
+        let inst = compacted.snapshot();
+        let g = inst.graph();
+
+        let trees = g.forest().trees().filter_map(|t| g.tree_node_range(t));
+        let singles = g.nodes().filter(|&v| !g.kind(v).is_frag()).map(NodeId::index);
+        let mut expected = vec![Vec::new(); g.num_nodes()];
+        for src in trees.flatten().chain(singles) {
+            for (t, _, w) in g.out_edges(NodeId(src as u32)) {
+                expected[t.index()].push((NodeId(src as u32), w.to_bits()));
+            }
+        }
+        for t in g.nodes() {
+            let (sources, weights) = g.in_edge_slices(t);
+            let got: Vec<_> = sources.iter().zip(weights).map(|(&s, w)| (s, w.to_bits())).collect();
+            assert_eq!(got, expected[t.index()], "in-edges of {t:?}");
+        }
+        assert_eq!(expected.iter().map(Vec::len).sum::<usize>(), g.num_edges());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub(crate) fn discover_component<S: ScoreModel>(
     let inst = engine.instance;
     if engine.config.component_pruning {
         let comp_kws = inst.component_keywords(comp);
-        let hit = |ext: &[KeywordId]| ext.iter().any(|k| comp_kws.contains(k));
+        let hit = |ext: &[KeywordId]| ext.iter().any(|k| comp_kws.binary_search(k).is_ok());
         let matches = if engine.model.requires_all_keywords() {
             exts.iter().all(|e| hit(e))
         } else {

@@ -3,7 +3,8 @@
 //! frontiers, plus a *saturated* arm —
 //! steps taken after the frontier closed, when the border is every
 //! reachable node and a step re-emits the whole component (where a cold
-//! query spends most of its steps).
+//! query spends most of its steps). Such a border is dense, so every
+//! saturated step runs in the gather direction; the arm counts them.
 //!
 //! Run with `cargo bench --bench propagation` (the bench carries its own
 //! `main`; `BENCH_SMOKE=1` shrinks the corpus and rep counts for CI's
@@ -474,6 +475,7 @@ fn main() {
     }
     assert!(p.frontier_closed(), "frontier still open after {lead_steps} steps");
     let sat_units = legacy.collect_units();
+    let gathered_before = p.gathered_steps();
     let (mut sat_new, mut sat_old) = (Duration::MAX, Duration::MAX);
     for _ in 0..rounds {
         let t = Instant::now();
@@ -495,9 +497,13 @@ fn main() {
             "saturated arm: node {i} diverged"
         );
     }
+    // A closed border is dense, so every saturated step gathers.
+    let sat_gathered = (p.gathered_steps() - gathered_before) as usize;
+    assert_eq!(sat_gathered, rounds * sat_steps, "saturated steps that gathered");
     let sat_ratio = sat_new.as_secs_f64() / sat_old.as_secs_f64().max(1e-12);
     println!(
-        "\nsaturated (closed after {lead_steps} steps, {sat_units} units): \
+        "\nsaturated (closed after {lead_steps} steps, {sat_units} units, \
+         {sat_gathered} steps gathered): \
          {:.2}µs/step (legacy {:.2}µs/step, new/legacy = {sat_ratio:.3})",
         micros(sat_new, sat_steps),
         micros(sat_old, sat_steps),
@@ -537,6 +543,7 @@ fn main() {
         .num("large_frontier.seq_new_us", micros(seq_new_large, reps))
         .int("saturated.lead_steps", lead_steps as u64)
         .int("saturated.units", sat_units as u64)
+        .int("saturated.gathered_steps", sat_gathered as u64)
         .num("saturated.us_per_step", micros(sat_new, sat_steps))
         .num("saturated.legacy_us_per_step", micros(sat_old, sat_steps))
         .num("saturated.new_over_legacy", sat_ratio);

@@ -23,11 +23,15 @@ impl CompId {
     }
 }
 
-/// The frozen partition.
+/// The frozen partition. The member lists are one flat CSR: component
+/// `c`'s nodes, ascending, are `nodes[offsets[c]..offsets[c + 1]]` — one
+/// allocation where a list per component cost a header and a heap block
+/// for every one of them (most are singleton users).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Components {
     comp_of: Vec<CompId>,
-    members: Vec<Vec<NodeId>>,
+    offsets: Vec<u32>,
+    nodes: Vec<NodeId>,
 }
 
 impl Components {
@@ -104,15 +108,15 @@ impl Components {
             // A split-off part that lost the first member claims nothing
             // and falls through to a fresh id below: one old id is never
             // shared by two disjoint node sets.
-            for (c, members) in prev.members.iter().enumerate() {
-                if let Some(&m0) = members.first() {
+            for c in prev.iter() {
+                if let Some(&m0) = prev.members(c).first() {
                     let r = uf.find(m0.index());
-                    if label[r] > c as u32 {
-                        label[r] = c as u32;
+                    if label[r] > c.0 {
+                        label[r] = c.0;
                     }
                 }
             }
-            num_comps = prev.members.len() as u32;
+            num_comps = prev.len() as u32;
         }
         let mut comp_of = Vec::with_capacity(num_nodes);
         for i in 0..num_nodes {
@@ -123,12 +127,22 @@ impl Components {
             }
             comp_of.push(CompId(label[r]));
         }
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_comps as usize];
+        // Counting sort by component; ascending node order within each.
+        let mut offsets = vec![0u32; num_comps as usize + 1];
+        for &c in &comp_of {
+            offsets[c.index() + 1] += 1;
+        }
+        for c in 0..num_comps as usize {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets[..num_comps as usize].to_vec();
+        let mut nodes = vec![NodeId(0); num_nodes];
         for (i, &c) in comp_of.iter().enumerate() {
-            members[c.index()].push(NodeId(i as u32));
+            nodes[cursor[c.index()] as usize] = NodeId(i as u32);
+            cursor[c.index()] += 1;
         }
         debug_assert_eq!(kinds.len(), num_nodes);
-        Components { comp_of, members }
+        Components { comp_of, offsets, nodes }
     }
 
     /// The component of a node.
@@ -138,22 +152,23 @@ impl Components {
 
     /// The member nodes of a component (ascending ids).
     pub fn members(&self, comp: CompId) -> &[NodeId] {
-        &self.members[comp.index()]
+        let c = comp.index();
+        &self.nodes[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
 
     /// Number of components.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.offsets.len() - 1
     }
 
     /// True for an empty graph.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len() == 0
     }
 
     /// Iterate over component ids.
     pub fn iter(&self) -> impl Iterator<Item = CompId> {
-        (0..self.members.len() as u32).map(CompId)
+        (0..self.len() as u32).map(CompId)
     }
 }
 

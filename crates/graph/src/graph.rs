@@ -1,9 +1,10 @@
 //! The social graph: construction ([`GraphBuilder`]) and the frozen,
 //! query-ready form ([`SocialGraph`]).
 //!
-//! Freezing computes the three derived structures everything else needs:
-//! a CSR adjacency over network edges, the vertical-neighborhood weights
-//! `W(neigh(n))` of §2.5, and the content components of §5.2.
+//! Freezing computes the derived structures everything else needs: a CSR
+//! adjacency over network edges and its transpose (the in-edges, in the
+//! order a propagation step emits them), the vertical-neighborhood
+//! weights `W(neigh(n))` of §2.5, and the content components of §5.2.
 
 use crate::component::{CompId, Components};
 use crate::edge::EdgeKind;
@@ -30,6 +31,23 @@ fn frag_parents(forest: &Forest, kinds: &[NodeKind]) -> Vec<u32> {
         }
     }
     parents
+}
+
+/// Every node once, in the order a propagation step emits from them:
+/// the registered trees ascending by [`TreeId`], each tree's nodes
+/// ascending, then the users and tags ascending by id. Tree order and
+/// node order differ whenever trees were registered out of id order.
+fn emission_order<'a>(
+    forest: &'a Forest,
+    kinds: &'a [NodeKind],
+    tree_root_node: &'a [u32],
+) -> impl Iterator<Item = usize> + 'a {
+    let trees = forest.trees().filter_map(move |t| match tree_root_node[t.index()] {
+        UNREGISTERED => None,
+        base => Some(base as usize..base as usize + forest.tree_len(t)),
+    });
+    let singles = kinds.iter().enumerate().filter(|(_, k)| !k.is_frag()).map(|(v, _)| v);
+    trees.flatten().chain(singles)
 }
 
 /// Mutable graph under construction. Nodes of a registered document tree
@@ -198,6 +216,28 @@ impl GraphBuilder {
             }
         }
 
+        // The reverse CSR, filled source by source in emission order so
+        // each target's in-edges come out in that order.
+        let mut in_offsets = vec![0u32; n + 1];
+        for &t in &targets {
+            in_offsets[t.index() + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut in_sources = vec![NodeId(0); m];
+        let mut in_weights = vec![0.0f64; m];
+        let mut cursor = in_offsets[..n].to_vec();
+        for src in emission_order(&self.forest, &self.kinds, &self.tree_root_node) {
+            let (s, e) = (offsets[src] as usize, offsets[src + 1] as usize);
+            for (&t, &w) in targets[s..e].iter().zip(&weights[s..e]) {
+                let slot = &mut cursor[t.index()];
+                in_sources[*slot as usize] = NodeId(src as u32);
+                in_weights[*slot as usize] = w;
+                *slot += 1;
+            }
+        }
+
         let tree_ranges =
             self.forest.trees().filter(|t| self.tree_root_node[t.index()] != UNREGISTERED).map(
                 |t| {
@@ -228,7 +268,9 @@ impl GraphBuilder {
             targets,
             weights,
             ekinds,
-            out_weight,
+            in_offsets,
+            in_sources,
+            in_weights,
             nb_weight,
             components,
             num_users: self.num_users,
@@ -249,7 +291,12 @@ pub struct SocialGraph {
     targets: Vec<NodeId>,
     weights: Vec<f64>,
     ekinds: Vec<EdgeKind>,
-    out_weight: Vec<f64>,
+    /// The reverse CSR: `in_offsets[t]..in_offsets[t + 1]` indexes the
+    /// in-edges of `t` in `in_sources`/`in_weights`, ordered by
+    /// [`emission_order`] of the source, then CSR order within a source.
+    in_offsets: Vec<u32>,
+    in_sources: Vec<NodeId>,
+    in_weights: Vec<f64>,
     nb_weight: Vec<f64>,
     components: Components,
     num_users: u32,
@@ -352,9 +399,27 @@ impl SocialGraph {
         (self.offsets[node.index() + 1] - self.offsets[node.index()]) as usize
     }
 
-    /// Total weight of the network edges leaving this node.
-    pub fn out_weight(&self, node: NodeId) -> f64 {
-        self.out_weight[node.index()]
+    /// The reverse-CSR slices of a node's in-edges: `(sources, weights)`,
+    /// index-aligned, with the sources in emission order — registered
+    /// trees ascending by [`TreeId`] (each tree's nodes ascending), then
+    /// users and tags ascending by id — and a source's parallel edges in
+    /// its CSR order. Summing `emit(source) · weight` over these slices
+    /// left to right adds exactly the terms, in exactly the order, that
+    /// a push step scatters into the node; the propagation's gather
+    /// direction relies on it.
+    pub fn in_edge_slices(&self, node: NodeId) -> (&[NodeId], &[f64]) {
+        let (s, e) =
+            (self.in_offsets[node.index()] as usize, self.in_offsets[node.index() + 1] as usize);
+        (&self.in_sources[s..e], &self.in_weights[s..e])
+    }
+
+    /// The whole reverse CSR, `(offsets, sources, weights)`: node `t`'s
+    /// in-edges are `offsets[t]..offsets[t + 1]` of the two index-aligned
+    /// arrays, as [`Self::in_edge_slices`] slices them. A gather walks
+    /// every node, so it reads the offsets in pairs instead of indexing
+    /// them twice per node.
+    pub(crate) fn in_edges_csr(&self) -> (&[u32], &[NodeId], &[f64]) {
+        (&self.in_offsets, &self.in_sources, &self.in_weights)
     }
 
     /// `W(neigh(n))` (§2.5): total weight of network edges leaving any
@@ -587,6 +652,86 @@ mod tests {
         // Every document lives in exactly one component.
         let total: usize = comps.iter().map(|comp| g.component_doc_count(comp)).sum();
         assert_eq!(total, g.forest().num_trees());
+    }
+
+    /// Four documents (two with children) registered out of `TreeId`
+    /// order among users and a tag; `extended` appends a second batch —
+    /// two more trees, a user, edges between old and new nodes — on top
+    /// of exactly the same first batch, as live ingestion does.
+    fn shuffled(extended: bool) -> GraphBuilder {
+        let mut forest = Forest::new();
+        let mut trees = Vec::new();
+        for d in 0..4 {
+            let mut b = DocBuilder::new(format!("doc{d}"));
+            if d % 2 == 0 {
+                let sec = b.child(b.root(), "sec");
+                b.child(sec, "p");
+                b.child(b.root(), "sec");
+            }
+            trees.push(forest.add_document(b));
+        }
+        let mut g = GraphBuilder::new(forest);
+        let u0 = g.add_user();
+        let r2 = g.register_tree(trees[2]);
+        let u1 = g.add_user();
+        let r0 = g.register_tree(trees[0]);
+        let tag = g.add_tag();
+        g.add_edge(u0, u1, EdgeKind::Social, 0.4);
+        g.add_edge(u1, u0, EdgeKind::Social, 0.6);
+        g.add_edge(r2, u1, EdgeKind::PostedBy, 1.0);
+        g.add_edge(r0, u0, EdgeKind::PostedBy, 1.0);
+        g.add_edge(NodeId(r0.0 + 3), NodeId(r2.0 + 2), EdgeKind::CommentsOn, 0.5);
+        g.add_edge(tag, NodeId(r2.0 + 1), EdgeKind::HasSubject, 1.0);
+        g.add_edge(tag, u0, EdgeKind::HasAuthor, 1.0);
+        if extended {
+            let r3 = g.register_tree(trees[3]);
+            let u2 = g.add_user();
+            let r1 = g.register_tree(trees[1]);
+            g.add_edge(u2, u0, EdgeKind::Social, 0.3);
+            g.add_edge(r3, u2, EdgeKind::PostedBy, 1.0);
+            g.add_edge(r1, u0, EdgeKind::PostedBy, 1.0);
+            g.add_edge(r1, NodeId(r0.0 + 1), EdgeKind::CommentsOn, 0.7);
+            g.add_edge(r3, r2, EdgeKind::CommentsOn, 0.2);
+        }
+        g
+    }
+
+    /// The reverse CSR is the forward CSR transposed: every `(source,
+    /// target, weight)` once, and each target's in-edges ordered by the
+    /// source's emission rank (trees by `TreeId`, their nodes ascending,
+    /// then users and tags by id), a source's parallel edges in CSR order.
+    fn assert_reverse_is_transpose(g: &SocialGraph) {
+        let trees = g.forest().trees().filter_map(|t| g.tree_node_range(t));
+        let singles = g.nodes().filter(|&v| !g.kind(v).is_frag()).map(NodeId::index);
+        let order: Vec<usize> = trees.flatten().chain(singles).collect();
+        assert_eq!(order.len(), g.num_nodes(), "the emission order covers every node once");
+        let mut expected = vec![Vec::new(); g.num_nodes()];
+        for &src in &order {
+            for (t, _, w) in g.out_edges(NodeId(src as u32)) {
+                expected[t.index()].push((NodeId(src as u32), w.to_bits()));
+            }
+        }
+        let mut in_edges = 0;
+        for t in g.nodes() {
+            let (sources, weights) = g.in_edge_slices(t);
+            let got: Vec<_> = sources.iter().zip(weights).map(|(&s, w)| (s, w.to_bits())).collect();
+            assert_eq!(got, expected[t.index()], "in-edges of {t:?}");
+            in_edges += got.len();
+        }
+        assert_eq!(in_edges, g.num_edges());
+    }
+
+    #[test]
+    fn reverse_csr_is_the_forward_csr_transposed() {
+        let (fig3, ..) = figure3();
+        assert_reverse_is_transpose(&fig3);
+        let base = shuffled(false).build();
+        assert_reverse_is_transpose(&base);
+        let extended = shuffled(true).build_extending(base.components());
+        assert!(extended.num_nodes() > base.num_nodes());
+        assert_reverse_is_transpose(&extended);
+        // Node order and tree order disagree: tree 2 sits before tree 0.
+        assert!(extended.tree_root_node(TreeId(2)) < extended.tree_root_node(TreeId(0)));
     }
 
     #[test]

@@ -26,6 +26,18 @@
 //!    ancestor prefix pass plus a subtree suffix pass (O(tree));
 //! 3. for every network edge `e: m → t`, `x_{j+1}(t) += emit(m) · w(e)`.
 //!
+//! Step 3 runs in one of two directions, chosen per step from the border
+//! alone (`|border| · 4 ≥ |nodes|` gathers, see `GATHER_DENSITY`):
+//!
+//! * **push** (a sparse border): each active unit — a tree with a border
+//!   node, or a border user/tag — scatters `emit(m) · w(e)` along its
+//!   out-edges, so the step costs the border's edges;
+//! * **gather** (a dense border, most of a cold query's steps): one pass
+//!   writes `emit(m)` of every node, then every node, in ascending id,
+//!   sums `emit(m) · w(e)` over its in-edges and joins the border iff the
+//!   sum is positive. It sweeps the whole graph, but with no kind lookup,
+//!   no tree sort, no mask and sequential writes.
+//!
 //! The accumulated proximity to a node is then
 //! `prox≤n(u, b) = Σ_{v ∈ neigh(b) ∪ {b}} acc(v)` with
 //! `acc(v) = Cγ Σ_{j≤n} x_j(v)/γ^j`. A step maintains `acc` at the border
@@ -42,36 +54,53 @@
 //!
 //! # Hot-path layout and reduction order
 //!
-//! The per-node fields `step_into` touches together — `x`, `x_next`,
-//! `acc`, the visited flags and the next border's membership mask — live
-//! in one `NodeBuffers` struct-of-arrays block with a single shared length
+//! The per-node fields a step touches together — `x`, `x_next`, `acc`,
+//! the visited flags and the next border's membership mask — live in one
+//! `NodeBuffers` struct-of-arrays block with a single shared length
 //! discipline, and the boolean flags are word-packed [`crate::BitSet`]s:
-//! 64 flags per word instead of one per byte. Edge emission reads the
-//! graph's CSR ranges as contiguous slices
-//! ([`SocialGraph::out_edge_slices`]) so the neighbor multiply-adds run in
-//! tight bounds-check-free loops the compiler can vectorize, and the
-//! per-tree ρ/ancestor/subtree passes read the tree's shape from one flat
-//! per-node parent array ([`SocialGraph::frag_parents`]) — a contiguous
-//! slice per tree, no walk through the forest.
+//! 64 flags per word instead of one per byte. Both directions read the
+//! graph's CSR ranges as contiguous slices — out-edges
+//! ([`SocialGraph::out_edge_slices`]) for a push, in-edges
+//! ([`SocialGraph::in_edge_slices`]) for a gather — so the multiply-adds
+//! run in tight bounds-check-free loops. The ρ/ancestor/subtree passes
+//! read the tree shape from one flat per-node parent array
+//! ([`SocialGraph::frag_parents`]), no walk through the forest: a push
+//! runs them per active tree on the tree's contiguous slice, a gather
+//! runs them once over the whole node range, ascending then descending
+//! (parents precede their fragments), with the same additions in the
+//! same order.
 //!
-//! A step costs its emitted edges: a target enters the next border on its
-//! first positive contribution, which sets its bit in the mask, and the
-//! border is read back by scanning the mask's set bits — ascending by
-//! construction, so nothing is sorted.
+//! Neither direction sorts its new border. A push marks a target in the
+//! mask on its first positive contribution and reads the border back by
+//! scanning the mask's set bits; a gather visits the nodes in id order
+//! and appends each positive sum. Both come out ascending. A gather uses
+//! `x_next` as its emission scratch and writes the new border over `x`,
+//! so it needs no buffer of its own; after either direction `x_next` and
+//! the mask are empty again, and the next step may take the other.
 //!
 //! The floating-point **reduction order is fixed** and part of the API
-//! contract (engine parity asserts byte-identical results):
+//! contract (engine parity asserts byte-identical results). Sources are
+//! ranked in **emission order**:
 //!
-//! * emission units are processed as *active trees in ascending tree id*,
-//!   then *user/tag singles in frontier order*;
-//! * within a unit, edges are emitted in CSR order (tree nodes ascending,
-//!   each node's out-edges in insertion order);
-//! * each contribution is added into `x_next[target]` **at emission time**,
-//!   so per-target accumulation order equals the emission order above —
-//!   exactly the order the seed implementation produced by buffering
-//!   `(target, Δmass)` pairs and merging them sequentially.
+//! * registered trees ascending by tree id, each tree's nodes ascending;
+//! * then users and tags ascending by node id;
+//! * within a source, out-edges in CSR (insertion) order.
 //!
-//! The `reduction_order_is_emission_order` test pins this down.
+//! A push emits its units in that order and adds each contribution into
+//! `x_next[target]` **at emission time** — exactly the order the seed
+//! implementation produced by buffering `(target, Δmass)` pairs and
+//! merging them sequentially. A gather adds a node's in-edges left to
+//! right, and the reverse CSR stores them in that same order, so every
+//! `x_{j+1}(t)` is the same left-to-right sum starting from `+0.0`. The
+//! gather also adds the terms a push skips — sources off the border's
+//! trees, or with `emit(m) = 0` — but each of those is `0 · w = +0.0`, and
+//! adding `+0.0` to a non-negative sum leaves its bits unchanged (`+0.0 +
+//! +0.0 = +0.0`; `a + 0.0 = a` for any `a > 0`). A sum is positive iff some
+//! term was, so the two borders agree too.
+//!
+//! The `reduction_order_is_emission_order` test pins this down for both
+//! directions, and `either_direction_equals_the_eager_oracle` draws each
+//! step's direction at random.
 //!
 //! # Reuse across queries
 //!
@@ -169,6 +198,8 @@ pub struct PropagationState {
     gamma_pow: f64,
     /// Number of explore steps done so far (`n`).
     step: u32,
+    /// How many of those steps gathered.
+    gathered: u32,
     /// The node the propagation was seeded from.
     seeker: NodeId,
     /// The per-node SoA block (`x`, `x_next`, `acc`, `visited`, `next`).
@@ -232,6 +263,26 @@ impl PropagationState {
 fn graph_tag(graph: &SocialGraph) -> usize {
     std::ptr::from_ref(graph) as usize
 }
+
+/// A step gathers once `|border| · GATHER_DENSITY ≥ |nodes|`, and pushes
+/// below that. A gather sweeps the whole graph at a near-flat cost, a push
+/// costs the border's edges; they cross at a border of 15–30 % of the
+/// nodes. Best of five times per step of each direction at the same
+/// borders (16 seekers × 22 steps, two runs, 2-vCPU Xeon at 2.1 GHz):
+///
+/// | border / nodes | `docs-8k` push | gather | `social-1k` push | gather |
+/// |---|---|---|---|---|
+/// | 0.10–0.125 | 377–406 µs | 547–551 µs | 41 µs | 53–54 µs |
+/// | 0.125–0.20 | — | — | 43–50 µs | 51–53 µs |
+/// | 0.20–0.30 | 673–726 µs | 528–562 µs | — | — |
+/// | 0.30–0.50 | 766–843 µs | 469–484 µs | 73 µs | 46–47 µs |
+///
+/// (`docs-8k`: 29,741 nodes, 97,448 edges; `social-1k`: 2,271 nodes,
+/// 13,946 edges.) A whole query is fastest with the switch at 1/4 to 1/6
+/// of the nodes on both corpora: 8.9–9.2 ms against 14.2–15.6 ms pushing
+/// throughout on `docs-8k`, 0.76 ms against 1.27–1.30 ms on `social-1k`;
+/// 1/8 costs 0–0.5 % more, 1/16 2 %.
+const GATHER_DENSITY: usize = 4;
 
 /// Emission density `ρ(n) = x(n) / W(neigh(n))`; `0` at sinks and off the
 /// border, where `0/w` would be `+0.0` anyway.
@@ -312,6 +363,44 @@ fn emit_tree(
     }
 }
 
+/// Write `emit(m)` of **every** node into `emit` (the gather's first
+/// pass): [`emit_tree`]'s additions in its order, but as two flat passes
+/// over the node range instead of a loop per tree. A fragment's parent
+/// precedes it (pre-order); users, tags and roots have none.
+///
+/// * Ascending, `emit[v]` takes `ρ(v)` and `x[v]` takes `anc(v) + ρ(v)`,
+///   which is `anc` of each of `v`'s fragments.
+/// * Descending, each node adds its finished subtree sum into its
+///   parent's — siblings in descending id, as in [`emit_tree`] — then
+///   adds its own `anc`, read off its parent's `x` (`+0.0` without a
+///   parent, which leaves `ρ`).
+///
+/// `x` is clobbered; the gather overwrites it with the new border next.
+/// A node off the border's trees gets `+0.0`, the value a push step
+/// never scatters.
+fn emission_everywhere(graph: &SocialGraph, x: &mut [f64], emit: &mut [f64]) {
+    let (weights, parents) = (graph.neighborhood_weights(), graph.frag_parents());
+    for v in 0..emit.len() {
+        let rho = density(x[v], weights[v]);
+        let anc = match parents[v] {
+            NO_PARENT => 0.0,
+            p => x[p as usize],
+        };
+        emit[v] = rho;
+        x[v] = anc + rho;
+    }
+    for v in (0..emit.len()).rev() {
+        let anc = match parents[v] {
+            NO_PARENT => 0.0,
+            p => {
+                emit[p as usize] += emit[v];
+                x[p as usize]
+            }
+        };
+        emit[v] += anc;
+    }
+}
+
 impl<'g> Propagation<'g> {
     /// Start a propagation from `seeker` with damping `gamma > 1`.
     pub fn new(graph: &'g SocialGraph, gamma: f64, seeker: NodeId) -> Self {
@@ -365,9 +454,10 @@ impl<'g> Propagation<'g> {
     /// allocation regardless of the previous search's extent. Equivalent
     /// to `Propagation::new(graph, gamma, seeker)`.
     pub fn reset(&mut self, seeker: NodeId) {
-        // `x_next` and the `next` mask are empty between steps (`advance`
+        // `x_next` and the `next` mask are empty between steps (a push
         // zeroes the old border before swapping and clears the mask once
-        // read), so only x/acc/visited at visited nodes hold residue.
+        // read; a gather overwrites `x` whole and zeroes its emission
+        // scratch), so only x/acc/visited at visited nodes hold residue.
         let nodes = &mut self.s.nodes;
         for &v in &self.s.touched {
             let v = v as usize;
@@ -385,6 +475,7 @@ impl<'g> Propagation<'g> {
     /// already cleared the per-node buffers and journals).
     fn rewind(&mut self, seeker: NodeId) {
         self.s.step = 0;
+        self.s.gathered = 0;
         self.s.gamma_pow = 1.0;
         self.s.border_mass = 1.0;
         self.s.frontier_closed = false;
@@ -529,13 +620,32 @@ impl<'g> Propagation<'g> {
 
     /// Allocation-free step: `newly` is cleared, then filled with the nodes
     /// that received border mass for the first time, in ascending id
-    /// order (the order the next border's mask is scanned in).
+    /// order (the order the next border is assembled in).
+    ///
+    /// A sparse border pushes; a dense one (`GATHER_DENSITY`) gathers.
+    /// Both directions produce the same floats bit for bit (module docs).
     ///
     /// The two leading arguments are ignored: every step runs on the
     /// caller's thread. They stay in the signature only so that existing
     /// callers, the `s3bench` probe among them, keep compiling; they are
     /// dropped together with those callers.
     pub fn step_into(&mut self, _threads: usize, _force_parallel: bool, newly: &mut Vec<NodeId>) {
+        if self.s.frontier.len() * GATHER_DENSITY >= self.graph.num_nodes() {
+            self.gather_step(newly);
+        } else {
+            self.push_step(newly);
+        }
+    }
+
+    /// Number of steps since the seeker was seeded that ran in the gather
+    /// direction (at most [`Self::iteration`]).
+    pub fn gathered_steps(&self) -> u32 {
+        self.s.gathered
+    }
+
+    /// The push direction: each active unit scatters its emission along
+    /// its out-edges, so the step costs the border's edges.
+    fn push_step(&mut self, newly: &mut Vec<NodeId>) {
         newly.clear();
         self.collect_units();
         // Split-borrow the state: emission reads `x` and the unit lists
@@ -550,6 +660,40 @@ impl<'g> Propagation<'g> {
             let v = v as usize;
             emit_node(self.graph, v, density(x[v], weights[v]), x_next, next);
         }
+        // Swap in the new border; clear the old one.
+        for &v in &s.frontier {
+            x[v as usize] = 0.0;
+        }
+        std::mem::swap(x, x_next);
+        s.frontier.clear();
+        s.frontier.extend(next.ones().map(|v| v as u32));
+        next.clear_all();
+        self.advance(newly);
+    }
+
+    /// The gather direction: `x_next` takes every node's emission, then
+    /// every node, ascending, sums `emit(source) · w` over its in-edges
+    /// (emission order) into `x`, which the old border no longer needs.
+    fn gather_step(&mut self, newly: &mut Vec<NodeId>) {
+        newly.clear();
+        let s = &mut self.s;
+        let NodeBuffers { x, x_next, .. } = &mut s.nodes;
+        emission_everywhere(self.graph, x, x_next);
+        s.frontier.clear();
+        let (offsets, sources, weights) = self.graph.in_edges_csr();
+        for (t, (slot, range)) in x.iter_mut().zip(offsets.windows(2)).enumerate() {
+            let edges = range[0] as usize..range[1] as usize;
+            let mut sum = 0.0;
+            for (&src, &w) in sources[edges.clone()].iter().zip(&weights[edges]) {
+                sum += x_next[src.index()] * w;
+            }
+            *slot = sum;
+            if sum > 0.0 {
+                s.frontier.push(t as u32);
+            }
+        }
+        x_next.fill(0.0);
+        s.gathered += 1;
         self.advance(newly);
     }
 
@@ -567,18 +711,11 @@ impl<'g> Propagation<'g> {
         self.s.unit_trees.dedup();
     }
 
-    /// Swap in the new border, advance the iteration counter, update
-    /// `acc` and the visited set; push first-time nodes to `newly`.
+    /// With the new border in `x` and `frontier`: advance the iteration
+    /// counter, update `acc` and the visited set; push first-time nodes
+    /// to `newly`.
     fn advance(&mut self, newly: &mut Vec<NodeId>) {
         let s = &mut self.s;
-        // Swap in the new border; clear the old one.
-        for &v in &s.frontier {
-            s.nodes.x[v as usize] = 0.0;
-        }
-        std::mem::swap(&mut s.nodes.x, &mut s.nodes.x_next);
-        s.frontier.clear();
-        s.frontier.extend(s.nodes.next.ones().map(|v| v as u32));
-        s.nodes.next.clear_all();
         s.step += 1;
         s.gamma_pow *= s.gamma;
 
@@ -879,6 +1016,58 @@ mod tests {
                         oracle.acc_nb[i].to_bits(),
                         "step {}: prox≤n({:?}) = {} vs eager {}",
                         step, node, p.prox_leq(node), oracle.acc_nb[i]
+                    );
+                }
+            }
+        }
+    }
+
+    /// One step in the direction the test names, whatever the border.
+    fn step_forced(p: &mut Propagation<'_>, gather: bool) -> Vec<NodeId> {
+        let mut newly = Vec::new();
+        if gather {
+            p.gather_step(&mut newly);
+        } else {
+            p.push_step(&mut newly);
+        }
+        newly
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Push and gather are one function: with each step's direction
+        /// drawn at random, the propagation still equals the eager oracle
+        /// bit for bit — border, border mass, `newly` and `prox_leq` at
+        /// every node — and leaves `x_next` and the mask empty after
+        /// either direction, so the next step may take the other.
+        #[test]
+        fn either_direction_equals_the_eager_oracle(seed in 0u64..100_000) {
+            let (graph, users) = random_forest_graph(seed, 24 + (seed % 8) as usize);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xD1EC);
+            let gamma = [1.2, 1.5, 2.0][rng.gen_range(0..3usize)];
+            let seeker = users[rng.gen_range(0..users.len())];
+
+            let mut oracle = Eager::new(&graph, gamma, seeker);
+            let mut p = Propagation::new(&graph, gamma, seeker);
+            let mut gathered = 0;
+            for step in 1..=14 {
+                let gather = rng.gen_bool(0.5);
+                gathered += u32::from(gather);
+                let expected = oracle.step();
+                prop_assert_eq!(step_forced(&mut p, gather), expected);
+                prop_assert_eq!(p.gathered_steps(), gathered);
+                prop_assert_eq!(&p.s.frontier, &oracle.frontier);
+                prop_assert_eq!(p.border_mass().to_bits(), oracle.border_mass.to_bits());
+                prop_assert!(p.s.nodes.x_next.iter().all(|&v| v.to_bits() == 0));
+                prop_assert_eq!(p.s.nodes.next.ones().count(), 0);
+                for node in graph.nodes() {
+                    let i = node.index();
+                    prop_assert_eq!(p.s.nodes.x[i].to_bits(), oracle.x[i].to_bits());
+                    prop_assert_eq!(
+                        p.prox_leq(node).to_bits(),
+                        oracle.acc_nb[i].to_bits(),
+                        "step {} (gather {}): prox≤n({:?})", step, gather, node
                     );
                 }
             }
@@ -1199,5 +1388,44 @@ mod tests {
             expected.to_bits(),
             "sequential reduction order must match the documented emission order"
         );
+
+        // The gather arm: one target fed by two one-node trees registered
+        // out of `TreeId` order, and by a user. The gather must add in
+        // emission order — tree 0, tree 1, then the user — not in the
+        // order of the sources' node ids (user, tree 1, tree 0).
+        let mut forest = Forest::new();
+        let trees =
+            [forest.add_document(DocBuilder::new("a")), forest.add_document(DocBuilder::new("b"))];
+        let mut gb = GraphBuilder::new(forest);
+        let (u0, mid, t) = (gb.add_user(), gb.add_user(), gb.add_user());
+        let root1 = gb.register_tree(trees[1]);
+        let root0 = gb.register_tree(trees[0]);
+        assert!(mid < root1 && root1 < root0, "node order disagrees with tree order");
+        let (r, w, s) = ([0.3, 0.7], [0.1, 0.1, 0.3], 0.35);
+        // u0 reaches both roots through postedBy⁻ and `mid` socially; each
+        // feeds t.
+        gb.add_edge(root0, u0, EdgeKind::PostedBy, r[0]);
+        gb.add_edge(root1, u0, EdgeKind::PostedBy, r[1]);
+        gb.add_edge(u0, mid, EdgeKind::Social, s);
+        gb.add_edge(root0, t, EdgeKind::PostedBy, w[0]);
+        gb.add_edge(root1, t, EdgeKind::PostedBy, w[1]);
+        gb.add_edge(mid, t, EdgeKind::Social, w[2]);
+        let g = gb.build();
+
+        // x₁ of each source, then ρ = x₁ / W(neigh) (a root's neighborhood
+        // is its one-node tree: the edges back to u0 and on to t).
+        let w_u0: f64 = [r[0], r[1], s].iter().sum();
+        let x1 = [(1.0 / w_u0) * r[0], (1.0 / w_u0) * r[1], (1.0 / w_u0) * s];
+        let rho = [x1[0] / (r[0] + w[0]), x1[1] / (r[1] + w[1]), x1[2] / w[2]];
+        let terms = [rho[0] * w[0], rho[1] * w[1], rho[2] * w[2]];
+        let x2 = (0.0 + terms[0] + terms[1]) + terms[2];
+        let by_node_id = (0.0 + terms[2] + terms[1]) + terms[0];
+        assert_ne!(x2.to_bits(), by_node_id.to_bits(), "the weights expose the order");
+        for gather in [false, true] {
+            let mut p = Propagation::new(&g, gamma, u0);
+            step_forced(&mut p, gather);
+            step_forced(&mut p, gather);
+            assert_eq!(p.s.nodes.x[t.index()].to_bits(), x2.to_bits(), "gather {gather}");
+        }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up pass has grown every buffer to its high-water mark, replaying
-//! the same step sequence must perform **zero** heap allocations, `reset`
-//! and the on-demand `prox_leq` of every node (users, tags, roots and
-//! inner fragments of multi-node trees) included. This is the contract the
-//! serving layer's scratch reuse depends on.
+//! the same step sequence must perform **zero** heap allocations, pushed
+//! and gathered steps alike, `reset` and the on-demand `prox_leq` of
+//! every node (users, tags, roots and inner fragments of multi-node trees)
+//! included. This is the contract the serving layer's scratch reuse
+//! depends on.
 //!
 //! Single `#[test]` on purpose: the counter is process-global, so
 //! concurrently-running tests would bleed into each other's windows.
@@ -81,6 +82,17 @@ fn build_graph() -> SocialGraph {
             g.add_edge(root, target, EdgeKind::CommentsOn, rng.gen_range(0.1..=1.0));
         }
     }
+    // A dense core: 16 users, each following every other, reached from
+    // the seeker's side, so the border grows dense enough to gather.
+    let core: Vec<NodeId> = (0..16).map(|_| g.add_user()).collect();
+    g.add_edge(users[0], core[0], EdgeKind::Social, 0.5);
+    for &a in &core {
+        for &b in &core {
+            if a != b {
+                g.add_edge(a, b, EdgeKind::Social, rng.gen_range(0.1..=1.0));
+            }
+        }
+    }
     g.build()
 }
 
@@ -88,8 +100,9 @@ const STEPS: usize = 8;
 
 /// Run the fixed step sequence — every step followed by `prox_leq` of
 /// every node — and return the allocation events counted over it (reset
-/// included, so every pass replays the same trajectory).
-fn run_pass(p: &mut Propagation<'_>, seeker: NodeId, newly: &mut Vec<NodeId>) -> usize {
+/// included, so every pass replays the same trajectory) and the number
+/// of its steps that gathered.
+fn run_pass(p: &mut Propagation<'_>, seeker: NodeId, newly: &mut Vec<NodeId>) -> (usize, u32) {
     let before = ALLOC_EVENTS.load(Ordering::SeqCst);
     p.reset(seeker);
     for _ in 0..STEPS {
@@ -98,7 +111,7 @@ fn run_pass(p: &mut Propagation<'_>, seeker: NodeId, newly: &mut Vec<NodeId>) ->
             std::hint::black_box(p.prox_leq(node));
         }
     }
-    ALLOC_EVENTS.load(Ordering::SeqCst) - before
+    (ALLOC_EVENTS.load(Ordering::SeqCst) - before, p.gathered_steps())
 }
 
 #[test]
@@ -116,6 +129,9 @@ fn steady_state_step_into_allocates_nothing() {
 
     // Steady state: replaying the same trajectory must not touch the
     // allocator, reset included.
-    let seq = run_pass(&mut p, seeker, &mut newly);
+    let (seq, gathered) = run_pass(&mut p, seeker, &mut newly);
     assert_eq!(seq, 0, "sequential step_into allocated {seq} times after warm-up");
+    // The window covers both directions: pushed steps while the border is
+    // sparse, gathered ones once the core makes it dense.
+    assert!(0 < gathered && gathered < STEPS as u32, "{gathered} of {STEPS} steps gathered");
 }
