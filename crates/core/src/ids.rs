@@ -8,6 +8,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct UserId(pub u32);
 
+s3_snap::codec!(struct UserId { 0 });
+
 impl UserId {
     /// The id as an index.
     #[inline]
@@ -25,6 +27,8 @@ impl fmt::Display for UserId {
 /// Dense id of a tag (`T`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TagId(pub u32);
+
+s3_snap::codec!(struct TagId { 0 });
 
 impl TagId {
     /// The id as an index.
@@ -49,6 +53,8 @@ pub enum TagSubject {
     /// Another tag (higher-level annotation, requirement R4).
     Tag(TagId),
 }
+
+s3_snap::codec!(enum TagSubject { 0 => Frag(DocNodeId), 1 => Tag(TagId) });
 
 #[cfg(test)]
 mod tests {

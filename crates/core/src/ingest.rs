@@ -49,6 +49,7 @@ use crate::instance::{
 };
 use s3_doc::{DocBuilder, DocNodeId, LocalNodeId, TreeId};
 use s3_graph::{CompId, NodeId, NodeKind};
+use s3_snap::{codec, put_str, Codec, SnapError, SnapReader};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -105,11 +106,38 @@ pub enum TagSubjectRef {
     Tag(TagRef),
 }
 
+codec!(enum UserRef { 0 => Existing(UserId), 1 => New(usize) });
+codec!(enum DocRef { 0 => Existing(TreeId), 1 => New(usize) });
+codec!(enum FragRef { 0 => Existing(DocNodeId), 1 => New { doc: usize, node: LocalNodeId } });
+
+/// One discriminant byte for the three shapes (a fragment, an existing
+/// tag, a batch-new tag), then the reference.
+impl Codec for TagSubjectRef {
+    const MIN_BYTES: usize = 2;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            TagSubjectRef::Frag(f) => (0u8, f).encode(out),
+            TagSubjectRef::Tag(TagRef::Existing(t)) => (1u8, t).encode(out),
+            TagSubjectRef::Tag(TagRef::New(i)) => (2u8, i).encode(out),
+        }
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u8()? {
+            0 => TagSubjectRef::Frag(FragRef::decode(r)?),
+            1 => TagSubjectRef::Tag(TagRef::Existing(TagId::decode(r)?)),
+            2 => TagSubjectRef::Tag(TagRef::New(r.usize_v()?)),
+            _ => return Err(SnapError::Value("tag subject discriminant")),
+        })
+    }
+}
+
 /// One document under construction for a batch: a [`DocBuilder`] tree shape
 /// plus raw text per node, analyzed against the live vocabulary when the
 /// batch is applied (so new terms are interned exactly as a cold build
 /// would intern them).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestDoc {
     pub(crate) builder: DocBuilder,
     pub(crate) texts: Vec<(LocalNodeId, String)>,
@@ -139,17 +167,6 @@ impl IngestDoc {
         self.texts.push((node, text.into()));
     }
 
-    /// The underlying tree builder (read-only; the wire protocol
-    /// flattens it for shipping).
-    pub fn builder(&self) -> &DocBuilder {
-        &self.builder
-    }
-
-    /// Pending `(node, text)` assignments, in call order.
-    pub fn texts(&self) -> &[(LocalNodeId, String)] {
-        &self.texts
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.builder.len()
@@ -158,6 +175,60 @@ impl IngestDoc {
     /// A document always has at least its root.
     pub fn is_empty(&self) -> bool {
         false
+    }
+}
+
+/// The tree flattened to `(parent, name)` pairs in node-id order (the
+/// root's parent slot is 0 and unused), then the pending `(node, text)`
+/// assignments. Node ids are assigned in creation order, so replaying the
+/// pairs through [`IngestDoc::child`] reproduces every child list
+/// exactly. The decode checks that every parent precedes its child and
+/// every text names a node, so a decoded document always replays.
+impl Codec for IngestDoc {
+    /// The node count, the root's parent and name length, the text count.
+    const MIN_BYTES: usize = 4;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        let b = &self.builder;
+        let mut parents = vec![0u32; b.len()];
+        for i in 0..b.len() as u32 {
+            for &child in b.children(LocalNodeId(i)) {
+                parents[child.0 as usize] = i;
+            }
+        }
+        parents.len().encode(out);
+        for (i, parent) in parents.iter().enumerate() {
+            parent.encode(out);
+            put_str(out, b.name(LocalNodeId(i as u32)));
+        }
+        self.texts.encode(out);
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.seq(2)?;
+        if n == 0 {
+            return Err(SnapError::Value("document without a root node"));
+        }
+        let out_of_range = SnapError::Value("document node parent out of range");
+        if r.u32v()? != 0 {
+            return Err(out_of_range);
+        }
+        let mut doc = IngestDoc::new(r.str()?);
+        for i in 1..n {
+            let parent = r.u32v()?;
+            if parent as usize >= i {
+                return Err(out_of_range);
+            }
+            doc.child(LocalNodeId(parent), r.str()?);
+        }
+        for _ in 0..r.seq(2)? {
+            let node = r.u32v()?;
+            if node as usize >= n {
+                return Err(SnapError::Value("text node out of range"));
+            }
+            doc.set_text(LocalNodeId(node), r.str()?);
+        }
+        Ok(doc)
     }
 }
 
@@ -174,7 +245,10 @@ impl IngestDoc {
 /// batch.add_document(doc, Some(poster));
 /// assert_eq!((batch.num_users(), batch.num_documents()), (1, 1));
 /// ```
-#[derive(Debug, Clone, Default)]
+///
+/// Its encoding (a wire ingest frame's body and a WAL record's) is its
+/// fields in declaration order.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestBatch {
     pub(crate) new_users: usize,
     pub(crate) social_edges: Vec<(UserRef, UserRef, f64)>,
@@ -187,6 +261,19 @@ pub struct IngestBatch {
     pub(crate) remove_social_edges: Vec<(UserId, UserId)>,
     pub(crate) remove_comments: Vec<(TreeId, DocNodeId)>,
 }
+
+codec!(struct IngestBatch {
+    new_users,
+    social_edges,
+    documents,
+    comments,
+    tags,
+    delete_users,
+    delete_documents,
+    delete_tags,
+    remove_social_edges,
+    remove_comments,
+});
 
 impl IngestBatch {
     /// An empty batch.

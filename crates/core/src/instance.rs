@@ -18,6 +18,8 @@ pub(crate) struct PendingTag {
     pub(crate) keyword: Option<KeywordId>,
 }
 
+s3_snap::codec!(struct PendingTag { subject, author, keyword });
+
 /// One entity event, in insertion order. Graph nodes are numbered by
 /// replaying this log, so an instance extended incrementally (live
 /// ingestion appends events) numbers its nodes exactly like a cold
@@ -44,6 +46,15 @@ pub(crate) enum BuildEvent {
     /// `delete_tag` (likewise; also pushed by cascades).
     DeadTag(TagId),
 }
+
+s3_snap::codec!(enum BuildEvent {
+    0 => User,
+    1 => Tree,
+    2 => Tag,
+    3 => DeadUser(UserId),
+    4 => DeadTree(TreeId),
+    5 => DeadTag(TagId),
+});
 
 /// The builder's tombstone sets: entities deleted but never deallocated
 /// (ids are stable forever). A dead entity keeps its graph node but loses
@@ -190,6 +201,13 @@ pub struct InstanceBuilder {
     /// changes require a fresh snapshot — apply refuses to silently drop
     /// them. A `Cell` because `snapshot(&self)` clears it.
     pub(crate) rdf_dirty: std::cell::Cell<bool>,
+}
+
+/// An empty English instance.
+impl Default for InstanceBuilder {
+    fn default() -> Self {
+        InstanceBuilder::new(Language::English)
+    }
 }
 
 impl InstanceBuilder {

@@ -33,8 +33,8 @@ use crate::ids::{TagId, TagSubject, UserId};
 use crate::instance::{BuildEvent, InstanceBuilder, PendingTag, S3Instance, Tombstones};
 use s3_doc::{DocNodeId, Forest, TreeId};
 use s3_rdf::{TripleStore, UriId};
-use s3_snap::{put_block, put_bool, put_f64, put_u32v, put_usize, SnapError, SnapReader};
-use s3_text::{Analyzer, KeywordId, Language, Vocabulary};
+use s3_snap::{put_block, Codec, SnapError, SnapReader};
+use s3_text::{Analyzer, Language, Vocabulary};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
@@ -63,7 +63,7 @@ pub fn write_snapshot(builder: &InstanceBuilder, instance: &S3Instance) -> Vec<u
     assert_eq!(builder.tags.len(), instance.num_tags(), "tag counts out of sync");
 
     let mut payload = Vec::new();
-    put_block(&mut payload, |out| write_builder_block(builder, out));
+    put_block(&mut payload, |out| builder.encode(out));
 
     let mut bytes = Vec::with_capacity(payload.len() + 14);
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -95,7 +95,7 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<(InstanceBuilder, S3Instance), Snap
 
     let mut r = SnapReader::new(payload);
     let mut builder_block = r.block()?;
-    let builder = read_builder_block(&mut builder_block)?;
+    let builder = InstanceBuilder::decode(&mut builder_block)?;
     builder_block.finish()?;
     r.finish()?;
 
@@ -134,263 +134,178 @@ pub fn load_snapshot(path: &Path) -> Result<(InstanceBuilder, S3Instance), SnapE
     read_snapshot(&bytes)
 }
 
-fn write_builder_block(b: &InstanceBuilder, out: &mut Vec<u8>) {
-    b.analyzer.language().snap_write(out);
-    b.analyzer.vocabulary().snap_write(out);
-    b.rdf.snap_write(out);
-    b.forest.snap_write(out);
-    put_u32v(out, b.num_users);
-    let mut uris: Vec<(UriId, UserId)> = b.user_uris.iter().map(|(&u, &id)| (u, id)).collect();
-    uris.sort_unstable();
-    put_usize(out, uris.len());
-    for (uri, user) in uris {
-        put_u32v(out, uri.0);
-        put_u32v(out, user.0);
-    }
-    put_usize(out, b.social_edges.len());
-    for &(from, to, w) in &b.social_edges {
-        put_u32v(out, from.0);
-        put_u32v(out, to.0);
-        put_f64(out, w);
-    }
-    put_usize(out, b.posters.len());
-    for &(tree, user) in &b.posters {
-        put_u32v(out, tree.0);
-        put_u32v(out, user.0);
-    }
-    put_usize(out, b.comments.len());
-    for &(tree, target) in &b.comments {
-        put_u32v(out, tree.0);
-        put_u32v(out, target.0);
-    }
-    put_usize(out, b.tags.len());
-    for t in &b.tags {
-        match t.subject {
-            TagSubject::Frag(f) => {
-                out.push(0);
-                put_u32v(out, f.0);
-            }
-            TagSubject::Tag(tag) => {
-                out.push(1);
-                put_u32v(out, tag.0);
-            }
-        }
-        put_u32v(out, t.author.0);
-        put_bool(out, t.keyword.is_some());
-        if let Some(kw) = t.keyword {
-            put_u32v(out, kw.0);
-        }
-    }
-    put_usize(out, b.events.len());
-    for ev in &b.events {
-        match ev {
-            BuildEvent::User => out.push(0),
-            BuildEvent::Tree => out.push(1),
-            BuildEvent::Tag => out.push(2),
-            BuildEvent::DeadUser(u) => {
-                out.push(3);
-                put_u32v(out, u.0);
-            }
-            BuildEvent::DeadTree(t) => {
-                out.push(4);
-                put_u32v(out, t.0);
-            }
-            BuildEvent::DeadTag(t) => {
-                out.push(5);
-                put_u32v(out, t.0);
-            }
-        }
-    }
-}
+/// The builder block: the replayable source of truth, field by field —
+/// language, vocabulary, unsaturated RDF store, forest, user count, the
+/// URI-named users (sorted, so the bytes do not depend on hash-map
+/// order), social edges, posters, comments, tags and the event log.
+impl Codec for InstanceBuilder {
+    /// A byte per scalar and per length prefix (three each in the RDF
+    /// store and the forest).
+    const MIN_BYTES: usize = 15;
 
-fn read_builder_block(r: &mut SnapReader<'_>) -> Result<InstanceBuilder, SnapError> {
-    let language = Language::snap_read(r)?;
-    let vocabulary = Vocabulary::snap_read(r)?;
-    let rdf = TripleStore::snap_read(r)?;
-    let forest = Forest::snap_read(r)?;
-    let num_users = r.u32v()?;
-    let num_trees = forest.num_trees();
-    let num_kws = vocabulary.len() as u32;
-    let num_uris = rdf.dictionary().len() as u32;
-
-    let n = r.seq(2)?;
-    let mut user_uris = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let uri = r.u32v()?;
-        let user = r.u32v()?;
-        if uri >= num_uris || user >= num_users {
-            return Err(SnapError::Value("user-uri entry out of range"));
-        }
-        if user_uris.insert(UriId(uri), UserId(user)).is_some() {
-            return Err(SnapError::Value("duplicate user uri"));
-        }
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.analyzer.language().encode(out);
+        self.analyzer.vocabulary().encode(out);
+        self.rdf.encode(out);
+        self.forest.encode(out);
+        self.num_users.encode(out);
+        let mut uris: Vec<(UriId, UserId)> =
+            self.user_uris.iter().map(|(&u, &id)| (u, id)).collect();
+        uris.sort_unstable();
+        uris.encode(out);
+        self.social_edges.encode(out);
+        self.posters.encode(out);
+        self.comments.encode(out);
+        self.tags.encode(out);
+        self.events.encode(out);
     }
 
-    let n = r.seq(10)?;
-    let mut social_edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let from = r.u32v()?;
-        let to = r.u32v()?;
-        let w = r.f64()?;
-        if from >= num_users || to >= num_users {
-            return Err(SnapError::Value("social edge user out of range"));
-        }
-        if !(w > 0.0 && w <= 1.0) {
-            return Err(SnapError::Value("social weight outside (0,1]"));
-        }
-        social_edges.push((UserId(from), UserId(to), w));
-    }
+    /// Every index is validated against the entity counts, the event log
+    /// must replay to those counts, and no live list entry may touch a
+    /// tombstoned entity — so the cold build behind a decode never sees
+    /// an inconsistent builder.
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let language = Language::decode(r)?;
+        let vocabulary = Vocabulary::decode(r)?;
+        let rdf = TripleStore::decode(r)?;
+        let forest = Forest::decode(r)?;
+        let num_users = r.u32v()?;
+        let num_trees = forest.num_trees();
+        let user = |u: UserId| u.0 < num_users;
+        let tree = |t: TreeId| t.index() < num_trees;
+        let node = |n: DocNodeId| n.index() < forest.num_nodes();
 
-    let n = r.seq(2)?;
-    let mut posters = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tree = r.u32v()?;
-        let user = r.u32v()?;
-        if tree as usize >= num_trees || user >= num_users {
+        let uris = Vec::<(UriId, UserId)>::decode(r)?;
+        let mut user_uris = HashMap::with_capacity(uris.len());
+        for (uri, u) in uris {
+            if uri.index() >= rdf.dictionary().len() || !user(u) {
+                return Err(SnapError::Value("user-uri entry out of range"));
+            }
+            if user_uris.insert(uri, u).is_some() {
+                return Err(SnapError::Value("duplicate user uri"));
+            }
+        }
+
+        let social_edges = Vec::<(UserId, UserId, f64)>::decode(r)?;
+        for &(from, to, w) in &social_edges {
+            if !user(from) || !user(to) {
+                return Err(SnapError::Value("social edge user out of range"));
+            }
+            if !(w > 0.0 && w <= 1.0) {
+                return Err(SnapError::Value("social weight outside (0,1]"));
+            }
+        }
+
+        let posters = Vec::<(TreeId, UserId)>::decode(r)?;
+        if posters.iter().any(|&(t, u)| !tree(t) || !user(u)) {
             return Err(SnapError::Value("poster entry out of range"));
         }
-        posters.push((TreeId(tree), UserId(user)));
-    }
 
-    let n = r.seq(2)?;
-    let mut comments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tree = r.u32v()?;
-        let target = r.u32v()?;
-        if tree as usize >= num_trees || target as usize >= forest.num_nodes() {
-            return Err(SnapError::Value("comment entry out of range"));
+        let comments = Vec::<(TreeId, DocNodeId)>::decode(r)?;
+        for &(t, target) in &comments {
+            if !tree(t) || !node(target) {
+                return Err(SnapError::Value("comment entry out of range"));
+            }
+            if forest.tree_of(target) == t {
+                return Err(SnapError::Value("document comments on itself"));
+            }
         }
-        if forest.tree_of(DocNodeId(target)) == TreeId(tree) {
-            return Err(SnapError::Value("document comments on itself"));
-        }
-        comments.push((TreeId(tree), DocNodeId(target)));
-    }
 
-    let n = r.seq(4)?;
-    let mut tags: Vec<PendingTag> = Vec::with_capacity(n);
-    for i in 0..n {
-        let subject = match r.u8()? {
-            0 => {
-                let f = r.u32v()?;
-                if f as usize >= forest.num_nodes() {
+        let tags = Vec::<PendingTag>::decode(r)?;
+        for (i, t) in tags.iter().enumerate() {
+            match t.subject {
+                TagSubject::Frag(f) if !node(f) => {
                     return Err(SnapError::Value("tag fragment out of range"));
                 }
-                TagSubject::Frag(DocNodeId(f))
-            }
-            1 => {
-                let t = r.u32v()?;
-                if t as usize >= i {
+                TagSubject::Tag(b) if b.index() >= i => {
                     return Err(SnapError::Value("tag subject must be an earlier tag"));
                 }
-                TagSubject::Tag(TagId(t))
+                _ => {}
             }
-            _ => return Err(SnapError::Value("tag-subject discriminant")),
-        };
-        let author = r.u32v()?;
-        if author >= num_users {
-            return Err(SnapError::Value("tag author out of range"));
-        }
-        let keyword = if r.bool()? {
-            let kw = r.u32v()?;
-            if kw >= num_kws {
+            if !user(t.author) {
+                return Err(SnapError::Value("tag author out of range"));
+            }
+            if t.keyword.is_some_and(|k| k.index() >= vocabulary.len()) {
                 return Err(SnapError::Value("tag keyword out of range"));
             }
-            Some(KeywordId(kw))
-        } else {
-            None
-        };
-        tags.push(PendingTag { subject, author: UserId(author), keyword });
-    }
-
-    // Event log: creation events must replay to the entity counts, and
-    // tombstone events must kill only already-created, not yet dead
-    // entities — replaying the log reconstructs the dead sets.
-    let n = r.seq(1)?;
-    let mut events = Vec::with_capacity(n);
-    let mut dead = Tombstones::default();
-    let (mut ev_users, mut ev_trees, mut ev_tags) = (0u32, 0usize, 0usize);
-    for _ in 0..n {
-        events.push(match r.u8()? {
-            0 => {
-                ev_users += 1;
-                BuildEvent::User
-            }
-            1 => {
-                ev_trees += 1;
-                BuildEvent::Tree
-            }
-            2 => {
-                ev_tags += 1;
-                BuildEvent::Tag
-            }
-            3 => {
-                let u = r.u32v()?;
-                if u >= ev_users || !dead.users.insert(UserId(u)) {
-                    return Err(SnapError::Value("invalid user tombstone"));
-                }
-                BuildEvent::DeadUser(UserId(u))
-            }
-            4 => {
-                let t = r.u32v()?;
-                if t as usize >= ev_trees || !dead.trees.insert(TreeId(t)) {
-                    return Err(SnapError::Value("invalid document tombstone"));
-                }
-                BuildEvent::DeadTree(TreeId(t))
-            }
-            5 => {
-                let t = r.u32v()?;
-                if t as usize >= ev_tags || !dead.tags.insert(TagId(t)) {
-                    return Err(SnapError::Value("invalid tag tombstone"));
-                }
-                BuildEvent::DeadTag(TagId(t))
-            }
-            _ => return Err(SnapError::Value("build-event discriminant")),
-        });
-    }
-    if ev_users != num_users || ev_trees != num_trees || ev_tags != tags.len() {
-        return Err(SnapError::Value("event log disagrees with entity counts"));
-    }
-
-    // Retractions physically unlink edges when they land, so a consistent
-    // snapshot never stores a list entry touching a tombstoned entity
-    // (live tags only; dead tags legitimately keep their stored shape).
-    if social_edges.iter().any(|&(a, b, _)| !dead.user_alive(a) || !dead.user_alive(b)) {
-        return Err(SnapError::Value("social edge touches a tombstoned user"));
-    }
-    if posters.iter().any(|&(t, u)| !dead.tree_alive(t) || !dead.user_alive(u)) {
-        return Err(SnapError::Value("poster entry touches a tombstoned entity"));
-    }
-    if comments.iter().any(|&(t, tgt)| !dead.tree_alive(t) || !dead.tree_alive(forest.tree_of(tgt)))
-    {
-        return Err(SnapError::Value("comment edge touches a tombstoned document"));
-    }
-    for (i, t) in tags.iter().enumerate() {
-        if !dead.tag_alive(TagId(i as u32)) {
-            continue;
         }
-        let subject_dead = match t.subject {
-            TagSubject::Frag(f) => !dead.tree_alive(forest.tree_of(f)),
-            TagSubject::Tag(b) => !dead.tag_alive(b),
-        };
-        if subject_dead || !dead.user_alive(t.author) {
-            return Err(SnapError::Value("live tag touches a tombstoned entity"));
-        }
-    }
 
-    Ok(InstanceBuilder {
-        analyzer: Analyzer::from_parts(language, vocabulary),
-        rdf,
-        forest,
-        num_users,
-        user_uris,
-        social_edges,
-        posters,
-        comments,
-        tags,
-        events,
-        dead,
-        rdf_dirty: std::cell::Cell::new(false),
-    })
+        // Event log: creation events must replay to the entity counts, and
+        // tombstone events must kill only already-created, not yet dead
+        // entities — replaying the log reconstructs the dead sets.
+        let events = Vec::<BuildEvent>::decode(r)?;
+        let mut dead = Tombstones::default();
+        let (mut ev_users, mut ev_trees, mut ev_tags) = (0u32, 0usize, 0usize);
+        for &ev in &events {
+            match ev {
+                BuildEvent::User => ev_users += 1,
+                BuildEvent::Tree => ev_trees += 1,
+                BuildEvent::Tag => ev_tags += 1,
+                BuildEvent::DeadUser(u) => {
+                    if u.0 >= ev_users || !dead.users.insert(u) {
+                        return Err(SnapError::Value("invalid user tombstone"));
+                    }
+                }
+                BuildEvent::DeadTree(t) => {
+                    if t.index() >= ev_trees || !dead.trees.insert(t) {
+                        return Err(SnapError::Value("invalid document tombstone"));
+                    }
+                }
+                BuildEvent::DeadTag(t) => {
+                    if t.index() >= ev_tags || !dead.tags.insert(t) {
+                        return Err(SnapError::Value("invalid tag tombstone"));
+                    }
+                }
+            }
+        }
+        if ev_users != num_users || ev_trees != num_trees || ev_tags != tags.len() {
+            return Err(SnapError::Value("event log disagrees with entity counts"));
+        }
+
+        // Retractions physically unlink edges when they land, so a
+        // consistent snapshot never stores a list entry touching a
+        // tombstoned entity (live tags only; dead tags legitimately keep
+        // their stored shape).
+        if social_edges.iter().any(|&(a, b, _)| !dead.user_alive(a) || !dead.user_alive(b)) {
+            return Err(SnapError::Value("social edge touches a tombstoned user"));
+        }
+        if posters.iter().any(|&(t, u)| !dead.tree_alive(t) || !dead.user_alive(u)) {
+            return Err(SnapError::Value("poster entry touches a tombstoned entity"));
+        }
+        if comments
+            .iter()
+            .any(|&(t, tgt)| !dead.tree_alive(t) || !dead.tree_alive(forest.tree_of(tgt)))
+        {
+            return Err(SnapError::Value("comment edge touches a tombstoned document"));
+        }
+        for (i, t) in tags.iter().enumerate() {
+            if !dead.tag_alive(TagId(i as u32)) {
+                continue;
+            }
+            let subject_dead = match t.subject {
+                TagSubject::Frag(f) => !dead.tree_alive(forest.tree_of(f)),
+                TagSubject::Tag(b) => !dead.tag_alive(b),
+            };
+            if subject_dead || !dead.user_alive(t.author) {
+                return Err(SnapError::Value("live tag touches a tombstoned entity"));
+            }
+        }
+
+        Ok(InstanceBuilder {
+            analyzer: Analyzer::from_parts(language, vocabulary),
+            rdf,
+            forest,
+            num_users,
+            user_uris,
+            social_edges,
+            posters,
+            comments,
+            tags,
+            events,
+            dead,
+            rdf_dirty: std::cell::Cell::new(false),
+        })
+    }
 }
 
 #[cfg(test)]

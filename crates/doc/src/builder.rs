@@ -8,10 +8,12 @@ use s3_text::KeywordId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocalNodeId(pub u32);
 
+s3_snap::codec!(struct LocalNodeId { 0 });
+
 /// A node under construction. (Parent linkage is implied by membership in
 /// the parent's `children`; the frozen `Forest` rebuilds parent pointers
 /// during its pre-order traversal.)
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PendingNode {
     pub(crate) name: String,
     pub(crate) content: Vec<KeywordId>,
@@ -20,7 +22,7 @@ pub(crate) struct PendingNode {
 
 /// Builder for one tree-shaped document (paper §2.3: unranked ordered tree;
 /// children keep insertion order, which defines their 1-based Dewey ranks).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DocBuilder {
     pub(crate) nodes: Vec<PendingNode>,
     /// Optional external URI string for the document root (kept for
@@ -94,7 +96,7 @@ impl DocBuilder {
     /// The children of a node, in insertion order (their Dewey ranks).
     /// Node ids are assigned sequentially, so re-adding every node in id
     /// order with its recorded parent reproduces each child list exactly
-    /// — the invariant the wire form of an ingest document relies on.
+    /// — the invariant the encoding of an ingest document relies on.
     pub fn children(&self, node: LocalNodeId) -> &[LocalNodeId] {
         &self.nodes[node.0 as usize].children
     }

@@ -8,7 +8,7 @@
 
 use crate::builder::DocBuilder;
 use crate::dewey::Dewey;
-use s3_snap::{put_str, put_u32v, put_usize, SnapError, SnapReader};
+use s3_snap::{codec, Codec, SnapError, SnapReader};
 use s3_text::KeywordId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -26,6 +26,8 @@ impl DocNodeId {
     }
 }
 
+codec!(struct DocNodeId { 0 });
+
 impl fmt::Display for DocNodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -35,6 +37,8 @@ impl fmt::Display for DocNodeId {
 /// Id of a document tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TreeId(pub u32);
+
+codec!(struct TreeId { 0 });
 
 impl TreeId {
     /// The id as an index.
@@ -55,6 +59,8 @@ struct TreeData {
     /// Optional external URI of the document.
     uri: Option<String>,
 }
+
+codec!(struct TreeData { first, len, local_map, uri });
 
 /// The forest arena. See the crate docs for an example.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -300,141 +306,6 @@ impl Forest {
         }
     }
 
-    /// Serialize for the durable snapshot format: the tree directory and
-    /// the struct-of-arrays node storage, verbatim. The name-interning
-    /// index is rebuilt on read, so the encoding is independent of
-    /// hash-map iteration order.
-    pub fn snap_write(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.names.len());
-        for name in &self.names {
-            put_str(out, name);
-        }
-        put_usize(out, self.trees.len());
-        for t in &self.trees {
-            put_u32v(out, t.first);
-            put_u32v(out, t.len);
-            put_usize(out, t.local_map.len());
-            for &n in &t.local_map {
-                put_u32v(out, n.0);
-            }
-            match &t.uri {
-                None => out.push(0),
-                Some(uri) => {
-                    out.push(1);
-                    put_str(out, uri);
-                }
-            }
-        }
-        put_usize(out, self.tree_of.len());
-        for i in 0..self.tree_of.len() {
-            put_u32v(out, self.tree_of[i].0);
-            match self.parent[i] {
-                None => out.push(0),
-                Some(p) => {
-                    out.push(1);
-                    put_u32v(out, p.0);
-                }
-            }
-            put_u32v(out, self.depth[i]);
-            put_u32v(out, self.child_rank[i] as u32);
-            put_u32v(out, self.subtree_size[i]);
-            put_u32v(out, self.name[i]);
-            put_usize(out, self.content[i].len());
-            for &k in &self.content[i] {
-                put_u32v(out, k.0);
-            }
-        }
-    }
-
-    /// Decode a forest written by [`Self::snap_write`]. Structural
-    /// indices (tree ids, parents, name ids) are validated; never panics
-    /// on malformed input.
-    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut f = Forest::default();
-        let names = r.seq(1)?;
-        for i in 0..names {
-            let name = r.str()?;
-            if f.name_ids.insert(name.to_owned(), i as u32).is_some() {
-                return Err(SnapError::Value("duplicate forest node name"));
-            }
-            f.names.push(name.to_owned());
-        }
-        let trees = r.seq(3)?;
-        for _ in 0..trees {
-            let first = r.u32v()?;
-            let len = r.u32v()?;
-            let locals = r.seq(1)?;
-            let mut local_map = Vec::with_capacity(locals);
-            for _ in 0..locals {
-                local_map.push(DocNodeId(r.u32v()?));
-            }
-            let uri = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?.to_owned()),
-                _ => return Err(SnapError::Value("tree uri option discriminant")),
-            };
-            f.trees.push(TreeData { first, len, local_map, uri });
-        }
-        let nodes = r.seq(7)?;
-        for i in 0..nodes {
-            let tree = r.u32v()?;
-            if tree as usize >= f.trees.len() {
-                return Err(SnapError::Value("node tree id out of range"));
-            }
-            f.tree_of.push(TreeId(tree));
-            f.parent.push(match r.u8()? {
-                0 => None,
-                1 => {
-                    let p = r.u32v()?;
-                    if p as usize >= i {
-                        return Err(SnapError::Value("node parent not an earlier node"));
-                    }
-                    Some(DocNodeId(p))
-                }
-                _ => return Err(SnapError::Value("node parent option discriminant")),
-            });
-            f.depth.push(r.u32v()?);
-            let rank = r.u32v()?;
-            f.child_rank
-                .push(u16::try_from(rank).map_err(|_| SnapError::Value("child rank overflow"))?);
-            f.subtree_size.push(r.u32v()?);
-            let name = r.u32v()?;
-            if name as usize >= f.names.len() {
-                return Err(SnapError::Value("node name id out of range"));
-            }
-            f.name.push(name);
-            let kws = r.seq(1)?;
-            let mut content = Vec::with_capacity(kws);
-            for _ in 0..kws {
-                content.push(KeywordId(r.u32v()?));
-            }
-            f.content.push(content);
-        }
-        // The tree directory must tile the node range exactly, or the
-        // interval arithmetic (subtree/tree ranges) would index out of
-        // bounds later.
-        let mut expect_first = 0u32;
-        for t in &f.trees {
-            if t.first != expect_first || t.local_map.len() != t.len as usize {
-                return Err(SnapError::Value("tree directory does not tile the node range"));
-            }
-            for &n in &t.local_map {
-                if n.index() < t.first as usize || n.index() >= (t.first + t.len) as usize {
-                    return Err(SnapError::Value("local map outside its tree range"));
-                }
-            }
-            expect_first =
-                expect_first.checked_add(t.len).ok_or(SnapError::Value("tree range overflow"))?;
-        }
-        if expect_first as usize != f.tree_of.len() {
-            return Err(SnapError::Value("tree directory does not cover every node"));
-        }
-        for tree in f.trees() {
-            f.check_tree(tree)?;
-        }
-        Ok(f)
-    }
-
     /// Validate one decoded tree against what [`Self::add_document`]
     /// would have stored: its nodes carry its id, the parent links form a
     /// pre-order tree rooted at its first node, and the derived depth,
@@ -487,6 +358,83 @@ impl Forest {
             return Err(SnapError::Value("subtree sizes disagree with the parent links"));
         }
         Ok(())
+    }
+}
+
+/// The snapshot format: the tree directory and the struct-of-arrays node
+/// storage, verbatim. The name-interning index is rebuilt on decode, so
+/// the encoding is independent of hash-map iteration order.
+impl Codec for Forest {
+    const MIN_BYTES: usize = 3;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.names.encode(out);
+        self.trees.encode(out);
+        self.tree_of.len().encode(out);
+        for i in 0..self.tree_of.len() {
+            (self.tree_of[i], self.parent[i], self.depth[i]).encode(out);
+            (self.child_rank[i] as u32, self.subtree_size[i], self.name[i]).encode(out);
+            self.content[i].encode(out);
+        }
+    }
+
+    /// Structural indices (tree ids, parents, name ids) are validated;
+    /// never panics on malformed input.
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut f = Forest { names: Codec::decode(r)?, ..Forest::default() };
+        for (i, name) in f.names.iter().enumerate() {
+            if f.name_ids.insert(name.clone(), i as u32).is_some() {
+                return Err(SnapError::Value("duplicate forest node name"));
+            }
+        }
+        f.trees = Codec::decode(r)?;
+        let nodes = r.seq(7)?;
+        for i in 0..nodes {
+            let tree = r.u32v()?;
+            if tree as usize >= f.trees.len() {
+                return Err(SnapError::Value("node tree id out of range"));
+            }
+            f.tree_of.push(TreeId(tree));
+            let parent = Option::<DocNodeId>::decode(r)?;
+            if parent.is_some_and(|p| p.index() >= i) {
+                return Err(SnapError::Value("node parent not an earlier node"));
+            }
+            f.parent.push(parent);
+            f.depth.push(r.u32v()?);
+            let rank = r.u32v()?;
+            f.child_rank
+                .push(u16::try_from(rank).map_err(|_| SnapError::Value("child rank overflow"))?);
+            f.subtree_size.push(r.u32v()?);
+            let name = r.u32v()?;
+            if name as usize >= f.names.len() {
+                return Err(SnapError::Value("node name id out of range"));
+            }
+            f.name.push(name);
+            f.content.push(Codec::decode(r)?);
+        }
+        // The tree directory must tile the node range exactly, or the
+        // interval arithmetic (subtree/tree ranges) would index out of
+        // bounds later.
+        let mut expect_first = 0u32;
+        for t in &f.trees {
+            if t.first != expect_first || t.local_map.len() != t.len as usize {
+                return Err(SnapError::Value("tree directory does not tile the node range"));
+            }
+            for &n in &t.local_map {
+                if n.index() < t.first as usize || n.index() >= (t.first + t.len) as usize {
+                    return Err(SnapError::Value("local map outside its tree range"));
+                }
+            }
+            expect_first =
+                expect_first.checked_add(t.len).ok_or(SnapError::Value("tree range overflow"))?;
+        }
+        if expect_first as usize != f.tree_of.len() {
+            return Err(SnapError::Value("tree directory does not cover every node"));
+        }
+        for tree in f.trees() {
+            f.check_tree(tree)?;
+        }
+        Ok(f)
     }
 }
 
@@ -647,8 +595,8 @@ mod tests {
         f2.add_document(DocBuilder::new("other"));
         let decode = |f: &Forest| {
             let mut bytes = Vec::new();
-            f.snap_write(&mut bytes);
-            Forest::snap_read(&mut SnapReader::new(&bytes))
+            f.encode(&mut bytes);
+            Forest::decode(&mut SnapReader::new(&bytes))
         };
         assert!(decode(&f2).is_ok());
         let tampered: [fn(&mut Forest); 6] = [

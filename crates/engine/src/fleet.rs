@@ -15,10 +15,9 @@
 //!   only does frame I/O — `Start`, `NextRound`, `StopCheck`, `EndQuery`
 //!   to every routed shard, pipelined so a wave costs the slowest shard,
 //!   not the sum. Results are byte-identical to [`crate::ShardedEngine`];
-//! * [`LocalShard`] is the zero-cost in-process transport: replies move
-//!   as typed values through option slots, no bytes on the query hot
-//!   path (ingest still exercises the codec — it is rare and the round
-//!   trip doubles as a serialization check).
+//! * [`LocalShard`] is the zero-cost in-process transport: requests and
+//!   replies move as typed values through option slots, no bytes on any
+//!   path.
 //!
 //! Replication model: every shard server holds the full instance (built
 //! from its own [`InstanceBuilder`]) because proximity propagates over
@@ -39,10 +38,9 @@ use s3_core::{
 use s3_doc::DocNodeId;
 use s3_text::KeywordId;
 use s3_wire::{
-    loopback_pair, read_frame, tag, write_frame, CompactAck, FramedTransport, IngestAck,
-    LoopbackConn, RequestBuf, RequestKind, RoundReply, SelectionEntry, ShardTransport, Snapshot,
-    SnapshotAck, SnapshotChunk, Start, StopCheck, TransportStats, WireError, WireIngest,
-    WIRE_VERSION,
+    loopback_pair, read_frame, write_frame, CompactAck, FramedTransport, IngestAck, LoopbackConn,
+    Message, RequestBuf, RequestKind, RoundReply, SelectionEntry, ShardTransport, Snapshot,
+    SnapshotAck, SnapshotChunk, Start, StopCheck, TransportStats, WireError,
 };
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -147,8 +145,7 @@ impl ShardServer {
         if shard >= num_shards {
             return Err(WireError::Value("snapshot shard index out of range"));
         }
-        let (builder, instance) =
-            read_snapshot(snapshot).map_err(|_| WireError::Value("snapshot rejected"))?;
+        let (builder, instance) = read_snapshot(snapshot)?;
         Ok(Self::from_parts(builder, Arc::new(instance), config, num_shards, shard))
     }
 
@@ -268,16 +265,15 @@ impl ShardServer {
         self.session.end();
     }
 
-    /// Handle a shipped ingest: rebuild the batch, apply it to the
-    /// replica, extend the partition, bump the epoch and fill the
-    /// consistency ack. Refused when the batch names an entity the
-    /// replica lacks ([`InstanceBuilder::check`]).
-    pub fn ingest(&mut self, msg: &WireIngest, out: &mut IngestAck) -> Result<(), WireError> {
-        let batch = msg.to_batch();
+    /// Handle a shipped ingest: apply the batch to the replica, extend
+    /// the partition, bump the epoch and fill the consistency ack.
+    /// Refused when the batch names an entity the replica lacks
+    /// ([`InstanceBuilder::check`]).
+    pub fn ingest(&mut self, batch: &IngestBatch, out: &mut IngestAck) -> Result<(), WireError> {
         self.builder
-            .check(&self.instance, &batch)
+            .check(&self.instance, batch)
             .map_err(|_| WireError::Protocol("ingest batch does not fit the replica"))?;
-        let (instance, summary) = self.builder.apply(&self.instance, &batch);
+        let (instance, summary) = self.builder.apply(&self.instance, batch);
         self.instance = Arc::new(instance);
         self.partition = Arc::new(self.partition.extended(&self.instance));
         self.session.end();
@@ -329,9 +325,7 @@ impl ShardServer {
                     reply.encode(&mut payload);
                 }
                 RequestKind::StopCheck => {
-                    let rival = self.stop_check(&req.stop)?;
-                    payload.extend_from_slice(&[WIRE_VERSION, tag::VOTE]);
-                    payload.extend_from_slice(&rival.to_bits().to_le_bytes());
+                    Message::Vote(self.stop_check(&req.stop)?).encode(&mut payload);
                 }
                 RequestKind::EndQuery => {
                     self.end_query();
@@ -437,10 +431,9 @@ impl ShardHost {
 }
 
 /// The in-process [`ShardTransport`]: wraps a [`ShardServer`] and moves
-/// replies as typed values through single-message slots. The query hot
-/// path is byte-free and copy-free; ingest goes through the wire form
-/// like every other transport (it is rare, and the round trip keeps the
-/// codec honest).
+/// requests and replies as typed values through single-message slots —
+/// byte-free and copy-free. The codec is exercised by the framed
+/// transports and its own property tests.
 #[derive(Default)]
 pub struct LocalShard {
     /// `None` until bootstrapped ([`Self::awaiting`] + a shipped
@@ -519,10 +512,10 @@ impl ShardTransport for LocalShard {
         Ok(())
     }
 
-    fn send_ingest(&mut self, msg: &WireIngest) -> Result<(), WireError> {
+    fn send_ingest(&mut self, batch: &IngestBatch) -> Result<(), WireError> {
         self.stats.frames_sent += 1;
         let mut ack = IngestAck::default();
-        self.server_mut()?.ingest(msg, &mut ack)?;
+        self.server_mut()?.ingest(batch, &mut ack)?;
         self.ack = Some(ack);
         Ok(())
     }
@@ -787,8 +780,7 @@ impl FleetEngine {
         mut shards: Vec<Box<dyn ShardTransport>>,
     ) -> Result<Self, WireError> {
         assert!(!shards.is_empty(), "a fleet needs at least one shard");
-        let (builder, instance) =
-            read_snapshot(snapshot).map_err(|_| WireError::Value("snapshot rejected"))?;
+        let (builder, instance) = read_snapshot(snapshot)?;
         let instance = Arc::new(instance);
         let num_shards = shards.len() as u32;
         for (shard, transport) in shards.iter_mut().enumerate() {
@@ -902,9 +894,8 @@ impl FleetEngine {
     /// ([`EngineError::Rejected`]): nothing is sent or applied.
     pub fn ingest(&mut self, batch: &IngestBatch) -> Result<IngestSummary, EngineError> {
         self.builder.check(&self.instance, batch).map_err(EngineError::Rejected)?;
-        let wire = WireIngest::from_batch(batch);
         for t in &mut self.remote.shards {
-            t.send_ingest(&wire)?;
+            t.send_ingest(batch)?;
         }
         for t in &mut self.remote.shards {
             t.flush()?;

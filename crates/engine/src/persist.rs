@@ -9,10 +9,10 @@
 //! <dir>/ingest.wal     batches applied since (s3_core::WriteAheadLog)
 //! ```
 //!
-//! **Commit rule.** Every [`s3_core::IngestBatch`] is journaled — as an
-//! encoded [`s3_wire::WireIngest`] frame — and fsynced *before* it is
-//! applied, so an ingest whose effect was ever observable can always be
-//! replayed after a crash.
+//! **Commit rule.** Every [`s3_core::IngestBatch`] is journaled — as the
+//! ingest frame it would ship in ([`s3_wire::encode_ingest`]) — and
+//! fsynced *before* it is applied, so an ingest whose effect was ever
+//! observable can always be replayed after a crash.
 //!
 //! **Recovery** is load-snapshot-then-replay-tail: `open` loads the
 //! snapshot — decodes its builder and cold-builds the instance — (or
@@ -29,7 +29,7 @@
 
 use s3_core::{CompactionReport, IngestBatch, IngestError, WriteAheadLog};
 use s3_snap::SnapError;
-use s3_wire::{WireError, WireIngest};
+use s3_wire::{decode_ingest, encode_ingest, WireError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -142,21 +142,20 @@ pub(crate) struct Persistence {
 }
 
 impl Persistence {
-    /// Journal one batch (encoded as a [`WireIngest`] frame) and fsync it
-    /// — the commit rule's first half; the caller applies afterwards.
+    /// Journal one batch (encoded as an ingest frame) and fsync it — the
+    /// commit rule's first half; the caller applies afterwards.
     pub(crate) fn journal(&mut self, batch: &IngestBatch) -> Result<(), SnapError> {
-        let wire = WireIngest::from_batch(batch);
         let mut payload = Vec::new();
-        wire.encode(&mut payload);
+        encode_ingest(batch, &mut payload);
         self.wal.append(&payload)
     }
 }
 
 /// Decode one WAL record back into a batch.
 pub(crate) fn record_to_batch(record: &[u8]) -> Result<IngestBatch, WireError> {
-    let mut wire = WireIngest::default();
-    wire.decode_into(record)?;
-    Ok(wire.to_batch())
+    let mut batch = IngestBatch::default();
+    decode_ingest(record, &mut batch)?;
+    Ok(batch)
 }
 
 /// The snapshot path inside a persistence directory.

@@ -18,7 +18,7 @@ use s3_engine::{EngineConfig, FleetEngine, LocalShard, ShardHost, ShardServer, S
 use s3_text::KeywordId;
 use s3_wire::{
     CompactAck, IngestAck, RoundReply, ShardTransport, SnapshotAck, Start, StopCheck,
-    TransportStats, WireError, WireIngest,
+    TransportStats, WireError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -237,9 +237,9 @@ impl ShardTransport for Recording {
         self.note(Call::Send("end_query"));
         self.inner.send_end_query()
     }
-    fn send_ingest(&mut self, msg: &WireIngest) -> Result<(), WireError> {
+    fn send_ingest(&mut self, batch: &IngestBatch) -> Result<(), WireError> {
         self.note(Call::Send("ingest"));
-        self.inner.send_ingest(msg)
+        self.inner.send_ingest(batch)
     }
     fn send_snapshot(&mut self, shards: u32, shard: u32, bytes: &[u8]) -> Result<(), WireError> {
         self.note(Call::Send("snapshot"));
@@ -400,16 +400,15 @@ fn ingest_naming_an_unknown_user_is_refused() {
     let users = random_builder(5).0.snapshot().num_users() as u32;
     let mut batch = IngestBatch::new();
     batch.add_social_edge(UserRef::Existing(UserId(users + 3)), UserRef::Existing(UserId(0)), 0.5);
-    let msg = WireIngest::from_batch(&batch);
     let refused = "ingest batch does not fit the replica";
 
     let (mut conn, host, _) = lone_server(5);
-    conn.send_ingest(&msg).unwrap();
+    conn.send_ingest(&batch).unwrap();
     conn.flush().unwrap();
     assert_refused(conn, host, refused);
 
     let server = ShardServer::new(random_builder(5).0, fleet_config(), 1, 0);
-    match LocalShard::new(server).send_ingest(&msg) {
+    match LocalShard::new(server).send_ingest(&batch) {
         Err(WireError::Protocol(what)) => assert_eq!(what, refused),
         other => panic!("expected a protocol error, got {other:?}"),
     }

@@ -5,7 +5,8 @@
 //!   a recovered prefix of the committed records) — never a panic, never
 //!   silently wrong data. A flipped snapshot resealed under a fresh CRC
 //!   reaches the decoder and the cold build, and still never panics; an
-//!   old-version file is a typed error, never a fresh seed.
+//!   old-version file is a typed error, never a fresh seed; a fleet
+//!   bootstrapped from a damaged snapshot reports the cause.
 //! * **Purity**: a snapshot is a function of its builder alone, not of
 //!   the ingest history that produced the live instance.
 //! * **Restart byte-identity**: a durable live engine reopened from its
@@ -34,7 +35,7 @@ use s3_engine::{
 };
 use s3_snap::SnapError;
 use s3_text::Language;
-use s3_wire::ShardTransport;
+use s3_wire::{ShardTransport, WireError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -108,6 +109,39 @@ fn old_version_snapshots_fail_open_instead_of_reseeding() {
         Ok((_, report)) => panic!("a v2 snapshot must not open: {report}"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fleet (re)started from a damaged snapshot says why: the client's
+/// own decode and a shard server's carry the `SnapError` — a flipped
+/// payload byte is a checksum mismatch, a version-2 header a version
+/// error.
+#[test]
+fn a_rejected_snapshot_keeps_its_cause() {
+    let (builder, _) = random_builder(3);
+    let bytes = write_snapshot(&builder, &builder.snapshot());
+    let mut flipped = bytes.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x01;
+    let mut old = bytes;
+    old[8..10].copy_from_slice(&2u16.to_le_bytes());
+    let cause = |result: Result<(), WireError>| match result {
+        Err(WireError::Snapshot(e)) => e,
+        Err(e) => panic!("expected a snapshot error, got {e}"),
+        Ok(()) => panic!("a damaged snapshot must be rejected"),
+    };
+    for (damaged, checksum) in [(&flipped, true), (&old, false)] {
+        let transports: Vec<Box<dyn ShardTransport>> =
+            vec![Box::new(LocalShard::awaiting(test_config()))];
+        let client = FleetEngine::bootstrap(damaged, test_config(), transports).map(drop);
+        let server = ShardServer::from_snapshot(damaged, test_config(), 1, 0).map(drop);
+        for e in [cause(client), cause(server)] {
+            if checksum {
+                assert!(matches!(e, SnapError::Checksum), "flipped payload: {e}");
+            } else {
+                assert!(matches!(e, SnapError::Version(2)), "version-2 header: {e}");
+            }
+        }
+    }
 }
 
 /// A WAL record that names an entity the recovering builder lacks — the

@@ -5,6 +5,7 @@
 //! dictionary and keep the distinction in [`crate::Term`]; dictionary ids
 //! are dense `u32`s so downstream structures can use plain vectors.
 
+use s3_snap::{codec, Codec, SnapError, SnapReader};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -12,6 +13,8 @@ use std::fmt;
 /// Dense identifier of an interned URI (or literal spelling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct UriId(pub u32);
+
+codec!(struct UriId { 0 });
 
 impl UriId {
     /// The id as a vector index.
@@ -81,34 +84,34 @@ impl Dictionary {
     pub fn iter(&self) -> impl Iterator<Item = (UriId, &str)> + '_ {
         self.texts.iter().enumerate().map(|(i, t)| (UriId(i as u32), t.as_str()))
     }
+}
 
-    /// Serialize for the durable snapshot format: interned texts in id
-    /// order (the text→id index is rebuilt on read).
-    pub fn snap_write(&self, out: &mut Vec<u8>) {
-        s3_snap::put_usize(out, self.texts.len());
-        for text in &self.texts {
-            s3_snap::put_str(out, text);
-        }
+/// The snapshot format: interned texts in id order (the text→id index is
+/// rebuilt on decode).
+impl Codec for Dictionary {
+    const MIN_BYTES: usize = 1;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.texts.encode(out);
     }
 
-    /// Decode a dictionary written by [`Self::snap_write`]. The built-in
-    /// vocabulary prefix is verified so the vocabulary constants stay
-    /// valid. Never panics on malformed input.
-    pub fn snap_read(r: &mut s3_snap::SnapReader<'_>) -> Result<Self, s3_snap::SnapError> {
+    /// The built-in vocabulary prefix is verified so the vocabulary
+    /// constants stay valid. Never panics on malformed input.
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.seq(1)?;
         if n < crate::vocabulary::BUILTIN_URIS.len() {
-            return Err(s3_snap::SnapError::Value("dictionary misses the built-in vocabulary"));
+            return Err(SnapError::Value("dictionary misses the built-in vocabulary"));
         }
         let mut d = Dictionary { by_text: HashMap::with_capacity(n), texts: Vec::with_capacity(n) };
         for i in 0..n {
             let text = r.str()?;
             if let Some(&builtin) = crate::vocabulary::BUILTIN_URIS.get(i) {
                 if text != builtin {
-                    return Err(s3_snap::SnapError::Value("built-in vocabulary prefix mismatch"));
+                    return Err(SnapError::Value("built-in vocabulary prefix mismatch"));
                 }
             }
             if d.by_text.insert(text.to_owned(), UriId(i as u32)).is_some() {
-                return Err(s3_snap::SnapError::Value("duplicate dictionary text"));
+                return Err(SnapError::Value("duplicate dictionary text"));
             }
             d.texts.push(text.to_owned());
         }

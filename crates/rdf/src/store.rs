@@ -8,6 +8,7 @@
 
 use crate::dict::{Dictionary, UriId};
 use crate::triple::{Term, Triple, WeightedTriple};
+use s3_snap::{Codec, SnapError, SnapReader};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -140,39 +141,27 @@ impl TripleStore {
     pub fn extension(&self, k: UriId) -> Vec<UriId> {
         crate::extension::extension(self, k)
     }
+}
 
-    /// Serialize for the durable snapshot format: dictionary, triples in
-    /// insertion order, and the saturation flag. The four access-path
-    /// indexes are rebuilt on read by replaying the insertion order, so
-    /// the encoding is independent of hash-map iteration order.
-    pub fn snap_write(&self, out: &mut Vec<u8>) {
-        self.dict.snap_write(out);
-        s3_snap::put_usize(out, self.triples.len());
-        for t in &self.triples {
-            s3_snap::put_u32v(out, t.triple.s.0);
-            s3_snap::put_u32v(out, t.triple.p.0);
-            match t.triple.o {
-                Term::Uri(u) => {
-                    out.push(0);
-                    s3_snap::put_u32v(out, u.0);
-                }
-                Term::Literal(l) => {
-                    out.push(1);
-                    s3_snap::put_u32v(out, l.0);
-                }
-            }
-            s3_snap::put_f64(out, t.weight);
-        }
-        s3_snap::put_bool(out, self.saturated);
+/// The snapshot format: dictionary, triples in insertion order, and the
+/// saturation flag. The four access-path indexes are rebuilt on decode by
+/// replaying the insertion order, so the encoding is independent of
+/// hash-map iteration order.
+impl Codec for TripleStore {
+    const MIN_BYTES: usize = 3;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.dict.encode(out);
+        self.triples.encode(out);
+        self.saturated.encode(out);
     }
 
-    /// Decode a store written by [`Self::snap_write`]. Ids are validated
-    /// against the dictionary and weights against `[0,1]`; never panics
-    /// on malformed input.
-    pub fn snap_read(r: &mut s3_snap::SnapReader<'_>) -> Result<Self, s3_snap::SnapError> {
-        let dict = Dictionary::snap_read(r)?;
+    /// Ids are validated against the dictionary and weights against
+    /// `[0,1]`; never panics on malformed input.
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let dict = Dictionary::decode(r)?;
         let uris = dict.len() as u32;
-        let n = r.seq(11)?;
+        let n = r.seq(WeightedTriple::MIN_BYTES)?;
         let mut store = TripleStore {
             dict,
             triples: Vec::with_capacity(n),
@@ -183,25 +172,18 @@ impl TripleStore {
             saturated: false,
         };
         for idx in 0..n {
-            let s = UriId(r.u32v()?);
-            let p = UriId(r.u32v()?);
-            let o = match r.u8()? {
-                0 => Term::Uri(UriId(r.u32v()?)),
-                1 => Term::Literal(UriId(r.u32v()?)),
-                _ => return Err(s3_snap::SnapError::Value("term discriminant")),
-            };
-            let weight = r.f64()?;
+            let t = WeightedTriple::decode(r)?;
+            let Triple { s, p, o } = t.triple;
             if s.0 >= uris || p.0 >= uris || o.id().0 >= uris {
-                return Err(s3_snap::SnapError::Value("triple id outside the dictionary"));
+                return Err(SnapError::Value("triple id outside the dictionary"));
             }
-            if !(0.0..=1.0).contains(&weight) {
-                return Err(s3_snap::SnapError::Value("triple weight outside [0,1]"));
+            if !(0.0..=1.0).contains(&t.weight) {
+                return Err(SnapError::Value("triple weight outside [0,1]"));
             }
-            let triple = Triple::new(s, p, o);
-            if store.by_triple.insert(triple, idx as u32).is_some() {
-                return Err(s3_snap::SnapError::Value("duplicate triple"));
+            if store.by_triple.insert(t.triple, idx as u32).is_some() {
+                return Err(SnapError::Value("duplicate triple"));
             }
-            store.triples.push(WeightedTriple { triple, weight });
+            store.triples.push(t);
             store.by_sp.entry((s, p)).or_default().push(idx as u32);
             store.by_po.entry((p, o)).or_default().push(idx as u32);
             store.by_p.entry(p).or_default().push(idx as u32);

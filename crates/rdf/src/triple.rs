@@ -22,6 +22,8 @@ pub enum Term {
     Literal(UriId),
 }
 
+s3_snap::codec!(enum Term { 0 => Uri(UriId), 1 => Literal(UriId) });
+
 impl Term {
     /// The underlying dictionary id, whatever the kind.
     #[inline]
@@ -52,6 +54,8 @@ pub struct Triple {
     pub o: Term,
 }
 
+s3_snap::codec!(struct Triple { s, p, o });
+
 impl Triple {
     /// Construct a triple.
     pub fn new(s: UriId, p: UriId, o: Term) -> Self {
@@ -67,6 +71,8 @@ pub struct WeightedTriple {
     /// The weight, in `[0, 1]`; 1 means "certainly holds".
     pub weight: f64,
 }
+
+s3_snap::codec!(struct WeightedTriple { triple, weight });
 
 impl WeightedTriple {
     /// Construct; panics (debug) if the weight is outside `[0,1]`.

@@ -1,26 +1,31 @@
-//! Primitive binary codec for the durable snapshot format.
+//! The one binary codec behind the durable snapshot, the ingest WAL and
+//! the fleet's wire protocol.
 //!
-//! `s3-core`'s snapshot and WAL modules (and the per-crate serializers
-//! they call into: forest, vocabulary, RDF store, graph) all encode with
-//! the same primitives: LEB128 varints, bit-exact little-endian `f64`s
-//! (the byte-identity property bar requires the exact bits back),
-//! length-prefixed UTF-8 strings, and length-prefixed nested blocks.
-//! This crate sits below every data crate so they can share one
-//! bounds-checked decoder; it deliberately mirrors `s3-wire`'s codec
-//! (same varint format) without depending on it — the wire crate sits
-//! *above* `s3-core` in the dependency order.
+//! A value's encoding is its [`Codec`] impl: LEB128 varints for the
+//! integers, bit-exact little-endian `f64`s (the byte-identity property
+//! bar requires the exact bits back), one byte for a `bool`,
+//! varint-length-prefixed UTF-8 strings and sequences, a presence byte
+//! for an `Option`, and the concatenation of the parts for tuples,
+//! field-list structs and tagged enums (both written with [`codec!`]).
+//! Length-prefixed nested blocks ([`put_block`], [`SnapReader::block`])
+//! confine a section's reads to its own extent. This crate sits below
+//! every data crate: `s3-text`, `s3-doc`, `s3-rdf` and `s3-core` encode
+//! their snapshot state with it, and `s3-wire` frames its message bodies
+//! and shipped ingest batches with it.
 //!
 //! Decoding is panic-free by construction: every read checks bounds
-//! before touching the buffer, every sequence length is sanity-checked
-//! against the remaining bytes before any allocation, and [`crc32`]
-//! gives the snapshot/WAL layers their corruption check. The snapshot
-//! robustness proptests (truncate/flip any byte ⇒ clean error) lean on
-//! exactly these guarantees.
+//! before touching the buffer, every sequence length is checked against
+//! the remaining bytes (at [`Codec::MIN_BYTES`] per element) before any
+//! allocation, and [`crc32`] gives the snapshot/WAL layers their
+//! corruption check. The snapshot and wire robustness properties
+//! (truncate/flip any byte ⇒ clean error or a value that re-encodes
+//! stably) lean on exactly these guarantees.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Errors produced while decoding snapshot or WAL bytes.
+/// Errors produced while decoding snapshot, WAL or wire bytes (`s3-wire`
+/// converts them into its own `WireError`).
 #[derive(Debug)]
 pub enum SnapError {
     /// The buffer ended in the middle of a value.
@@ -101,44 +106,296 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Append a `u64` as a LEB128 varint.
-pub fn put_u64v(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+/// A value with one binary encoding, shared by the snapshot, the WAL and
+/// the wire. [`Self::encode`] appends; [`Self::decode`] reads a fresh
+/// value; [`Self::decode_into`] overwrites `self` in place, reusing its
+/// allocations (strings and sequences keep their capacity), which is how
+/// the fleet's round decoders allocate nothing in steady state.
+pub trait Codec: Sized {
+    /// The fewest bytes any encoding of the type takes: the per-element
+    /// bound [`SnapReader::seq`] checks a sequence length against before
+    /// anything is allocated for it.
+    const MIN_BYTES: usize;
+
+    /// Append the encoding of `self` to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Decode one value.
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+
+    /// Decode one value over `self`. After an error `self` holds some
+    /// valid but unspecified value.
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Self::decode(r)?;
+        Ok(())
     }
 }
 
-/// Append a `u32` as a LEB128 varint.
-pub fn put_u32v(out: &mut Vec<u8>, v: u32) {
-    put_u64v(out, v as u64);
+macro_rules! varint_codec {
+    ($($ty:ty => $read:ident),*) => {$(
+        impl Codec for $ty {
+            const MIN_BYTES: usize = 1;
+            fn encode(&self, out: &mut Vec<u8>) {
+                let mut v = *self as u64;
+                while v >= 0x80 {
+                    out.push(v as u8 | 0x80);
+                    v >>= 7;
+                }
+                out.push(v as u8);
+            }
+            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.$read()
+            }
+        }
+    )*};
+}
+varint_codec!(u64 => u64v, u32 => u32v, usize => usize_v);
+
+/// One raw byte (discriminants, version bytes, message tags).
+impl Codec for u8 {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.u8()
+    }
 }
 
-/// Append a `usize` as a LEB128 varint.
-pub fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64v(out, v as u64);
+/// One byte, strictly 0 or 1.
+impl Codec for bool {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.bool()
+    }
 }
 
-/// Append an `f64` as its IEEE-754 bits, little-endian (bit-exact round
-/// trip — weights and scores must come back identical).
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+/// The IEEE-754 bits, little-endian: the round trip is bit-exact.
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.f64()
+    }
 }
 
-/// Append a bool as one byte.
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
+/// Append a varint-length-prefixed byte string (read back with
+/// [`SnapReader::bytes`]).
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    bytes.len().encode(out);
+    out.extend_from_slice(bytes);
 }
 
-/// Append a varint-length-prefixed UTF-8 string.
+/// Append a borrowed string exactly as its `String` would encode.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_usize(out, s.len());
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
+}
+
+/// Varint byte length, then the UTF-8 bytes.
+impl Codec for String {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(r.str()?.to_owned())
+    }
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let s = r.str()?;
+        self.clear();
+        self.push_str(s);
+        Ok(())
+    }
+}
+
+/// Varint element count, then the elements; the count is checked against
+/// the remaining bytes at `T::MIN_BYTES` each before anything is reserved.
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.len().encode(out);
+        for v in self {
+            v.encode(out);
+        }
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut v = Vec::new();
+        v.decode_into(r)?;
+        Ok(v)
+    }
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.seq(T::MIN_BYTES)?;
+        self.clear();
+        self.reserve(n);
+        for _ in 0..n {
+            self.push(T::decode(r)?);
+        }
+        Ok(())
+    }
+}
+
+/// A presence byte (0 or 1), then the value when present.
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.is_some().encode(out);
+        if let Some(v) = self {
+            v.encode(out);
+        }
+    }
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(r)?)),
+            _ => Err(SnapError::Value("option discriminant")),
+        }
+    }
+}
+
+macro_rules! tuple_codec {
+    ($($part:ident)+) => {
+        /// The parts in order.
+        #[allow(non_snake_case)]
+        impl<$($part: Codec),+> Codec for ($($part,)+) {
+            const MIN_BYTES: usize = 0 $(+ $part::MIN_BYTES)+;
+            fn encode(&self, out: &mut Vec<u8>) {
+                let ($($part,)+) = self;
+                $($part.encode(out);)+
+            }
+            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($part::decode(r)?,)+))
+            }
+        }
+    };
+}
+tuple_codec!(A B);
+tuple_codec!(A B C);
+
+/// [`Codec::MIN_BYTES`] of the field `field` selects (the field-list
+/// arm of [`codec!`] names fields, not their types).
+#[doc(hidden)]
+pub const fn field_min_bytes<S, T: Codec>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// The smallest of `xs` (the enum arm of [`codec!`]: the lightest
+/// variant bounds the encoding from below).
+#[doc(hidden)]
+pub const fn min_of(xs: &[usize]) -> usize {
+    let (mut min, mut i) = (usize::MAX, 0);
+    while i < xs.len() {
+        if xs[i] < min {
+            min = xs[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// Implement [`Codec`] for a field-list struct or a tagged enum.
+///
+/// A struct encodes as the listed fields in order (named fields, or `0`,
+/// `1`, ... of a tuple struct); `where check` runs
+/// `check(&value) -> Result<(), SnapError>` after every decode. An enum
+/// encodes as its variant's discriminant byte, then the variant's
+/// payload: nothing, one tuple field, or named fields in order.
+///
+/// ```
+/// use s3_snap::{codec, Codec, SnapReader};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Edge {
+///     from: u32,
+///     weight: f64,
+/// }
+/// codec!(struct Edge { from, weight });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Ref {
+///     Existing(u32),
+///     New { index: usize },
+/// }
+/// codec!(enum Ref { 0 => Existing(u32), 1 => New { index: usize } });
+///
+/// let value = (Edge { from: 1, weight: 0.5 }, Ref::New { index: 3 });
+/// let mut out = Vec::new();
+/// value.encode(&mut out);
+/// assert_eq!(out.len(), 1 + 8 + 1 + 1);
+/// assert_eq!(<(Edge, Ref)>::decode(&mut SnapReader::new(&out)).unwrap(), value);
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (struct $ty:ident { $($field:tt),* $(,)? } $(where $check:expr)?) => {
+        impl $crate::Codec for $ty {
+            const MIN_BYTES: usize = 0 $(+ $crate::field_min_bytes(|v: &$ty| &v.$field))*;
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::Codec::encode(&self.$field, out);)*
+            }
+            fn decode(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                let value = $ty { $($field: $crate::Codec::decode(r)?),* };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+            fn decode_into(
+                &mut self,
+                r: &mut $crate::SnapReader<'_>,
+            ) -> Result<(), $crate::SnapError> {
+                $($crate::Codec::decode_into(&mut self.$field, r)?;)*
+                $($check(self)?;)?
+                Ok(())
+            }
+        }
+    };
+    (enum $ty:ident {
+        $($tag:literal => $variant:ident $(($inner:ty))? $({ $($f:ident: $fty:ty),* })?),* $(,)?
+    }) => {
+        impl $crate::Codec for $ty {
+            const MIN_BYTES: usize =
+                1 + $crate::min_of(&[$($crate::codec!(@min $(($inner))? $({ $($f: $fty),* })?)),*]);
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($crate::codec!(@pat $ty $variant value $(($inner))? $({ $($f: $fty),* })?) => {
+                        out.push($tag);
+                        $crate::codec!(@put out value $(($inner))? $({ $($f: $fty),* })?);
+                    })*
+                }
+            }
+            fn decode(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => $crate::codec!(@get r $ty $variant $(($inner))? $({ $($f: $fty),* })?),)*
+                    _ => {
+                        let what = concat!(stringify!($ty), " discriminant");
+                        return Err($crate::SnapError::Value(what));
+                    }
+                })
+            }
+        }
+    };
+    (@min) => { 0 };
+    (@min ($inner:ty)) => { <$inner as $crate::Codec>::MIN_BYTES };
+    (@min { $($f:ident: $fty:ty),* }) => { 0 $(+ <$fty as $crate::Codec>::MIN_BYTES)* };
+    (@pat $ty:ident $variant:ident $v:ident) => { $ty::$variant };
+    (@pat $ty:ident $variant:ident $v:ident ($inner:ty)) => { $ty::$variant($v) };
+    (@pat $ty:ident $variant:ident $v:ident { $($f:ident: $fty:ty),* }) => {
+        $ty::$variant { $($f),* }
+    };
+    (@put $out:ident $v:ident) => {};
+    (@put $out:ident $v:ident ($inner:ty)) => { $crate::Codec::encode($v, $out) };
+    (@put $out:ident $v:ident { $($f:ident: $fty:ty),* }) => {
+        $($crate::Codec::encode($f, $out);)*
+    };
+    (@get $r:ident $ty:ident $variant:ident) => { $ty::$variant };
+    (@get $r:ident $ty:ident $variant:ident ($inner:ty)) => {
+        $ty::$variant(<$inner as $crate::Codec>::decode($r)?)
+    };
+    (@get $r:ident $ty:ident $variant:ident { $($f:ident: $fty:ty),* }) => {
+        $ty::$variant { $($f: <$fty as $crate::Codec>::decode($r)?),* }
+    };
 }
 
 /// Append a varint-length-prefixed nested block encoded by `encode` —
@@ -147,8 +404,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub fn put_block(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     let mut body = Vec::new();
     encode(&mut body);
-    put_usize(out, body.len());
-    out.extend_from_slice(&body);
+    put_bytes(out, &body);
 }
 
 /// A bounds-checked cursor over snapshot bytes. No method panics on
@@ -224,15 +480,21 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(bytes)))
     }
 
-    /// Read a varint-length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, SnapError> {
+    /// Read a varint-length-prefixed byte string, borrowed from the
+    /// buffer.
+    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let len = self.usize_v()?;
         if len > self.remaining() {
             return Err(SnapError::Truncated);
         }
         let bytes = &self.buf[self.pos..self.pos + len];
         self.pos += len;
-        std::str::from_utf8(bytes).map_err(|_| SnapError::Value("string is not UTF-8"))
+        Ok(bytes)
+    }
+
+    /// Read a varint-length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<&'a str, SnapError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| SnapError::Value("string is not UTF-8"))
     }
 
     /// Read a sequence length and reject it outright when even
@@ -250,13 +512,7 @@ impl<'a> SnapReader<'a> {
     /// [`put_block`]) as its own reader. The block must be fully
     /// consumed; call [`SnapReader::finish`] on it.
     pub fn block(&mut self) -> Result<SnapReader<'a>, SnapError> {
-        let len = self.usize_v()?;
-        if len > self.remaining() {
-            return Err(SnapError::Truncated);
-        }
-        let sub = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(SnapReader::new(sub))
+        Ok(SnapReader::new(self.bytes()?))
     }
 
     /// Error unless every byte was consumed.
@@ -278,7 +534,7 @@ mod tests {
         let mut out = Vec::new();
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             out.clear();
-            put_u64v(&mut out, v);
+            v.encode(&mut out);
             let mut r = SnapReader::new(&out);
             assert_eq!(r.u64v().unwrap(), v);
             r.finish().unwrap();
@@ -292,7 +548,7 @@ mod tests {
     fn f64_bits_are_exact() {
         for v in [0.0f64, -0.0, 1.5, f64::INFINITY, f64::MIN_POSITIVE, 0.1 + 0.2] {
             let mut out = Vec::new();
-            put_f64(&mut out, v);
+            v.encode(&mut out);
             let mut r = SnapReader::new(&out);
             assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
         }
@@ -301,8 +557,8 @@ mod tests {
     #[test]
     fn blocks_confine_reads_and_report_trailing() {
         let mut out = Vec::new();
-        put_block(&mut out, |b| put_str(b, "abc"));
-        put_u32v(&mut out, 7);
+        put_block(&mut out, |b| "abc".to_owned().encode(b));
+        7u32.encode(&mut out);
         let mut r = SnapReader::new(&out);
         let mut block = r.block().unwrap();
         assert_eq!(block.str().unwrap(), "abc");
@@ -314,7 +570,7 @@ mod tests {
     #[test]
     fn seq_guard_rejects_absurd_lengths() {
         let mut out = Vec::new();
-        put_usize(&mut out, usize::MAX / 2);
+        (usize::MAX / 2).encode(&mut out);
         let mut r = SnapReader::new(&out);
         assert!(matches!(r.seq(4), Err(SnapError::Truncated)));
     }

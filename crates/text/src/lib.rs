@@ -55,24 +55,8 @@ pub enum Language {
     French,
 }
 
-impl Language {
-    /// Serialize for the durable snapshot format: one discriminant byte.
-    pub fn snap_write(self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Language::English => 0,
-            Language::French => 1,
-        });
-    }
-
-    /// Decode a language written by [`Self::snap_write`].
-    pub fn snap_read(r: &mut s3_snap::SnapReader<'_>) -> Result<Self, s3_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(Language::English),
-            1 => Ok(Language::French),
-            _ => Err(s3_snap::SnapError::Value("language discriminant")),
-        }
-    }
-}
+// One discriminant byte in the snapshot format.
+s3_snap::codec!(enum Language { 0 => English, 1 => French });
 
 /// End-to-end text analysis pipeline: tokenize, drop stop words, stem, intern.
 ///

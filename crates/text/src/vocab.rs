@@ -9,7 +9,7 @@
 //! query workloads (§5.1) draw "rare" keywords from the 25% least frequent
 //! and "common" keywords from the 25% most frequent of the document set.
 
-use s3_snap::{put_str, put_u64v, put_usize, SnapError, SnapReader};
+use s3_snap::{codec, Codec, SnapError, SnapReader};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -25,6 +25,8 @@ impl KeywordId {
         self.0 as usize
     }
 }
+
+codec!(struct KeywordId { 0 });
 
 impl fmt::Display for KeywordId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -165,22 +167,24 @@ impl Vocabulary {
         out.sort_unstable_by_key(|k| (self.occurrences[k.index()], k.0));
         out
     }
+}
 
-    /// Serialize for the durable snapshot format (`s3-core`'s snapshot
-    /// module): interned texts in id order plus occurrence counts. The
-    /// text→id index is rebuilt on read, so the encoding is independent
-    /// of hash-map iteration order.
-    pub fn snap_write(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.texts.len());
-        for (text, &occ) in self.texts.iter().zip(&self.occurrences) {
-            put_str(out, text);
-            put_u64v(out, occ);
+/// The snapshot format (`s3-core`'s snapshot module): interned texts in
+/// id order plus occurrence counts. The text→id index is rebuilt on
+/// decode, so the encoding is independent of hash-map iteration order.
+impl Codec for Vocabulary {
+    const MIN_BYTES: usize = 1;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.texts.len().encode(out);
+        for (text, occ) in self.texts.iter().zip(&self.occurrences) {
+            text.encode(out);
+            occ.encode(out);
         }
     }
 
-    /// Decode a vocabulary written by [`Self::snap_write`]. Never panics
-    /// on malformed input.
-    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    /// Rejects a repeated text; never panics on malformed input.
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.seq(2)?;
         let mut v = Vocabulary {
             by_text: HashMap::with_capacity(n),

@@ -4,8 +4,9 @@ use crate::WireError;
 use std::io::{Read, Write};
 
 /// Largest accepted frame payload (version + tag + body), 64 MiB. Large
-/// enough for any realistic [`crate::WireIngest`]; small enough that a
-/// corrupt length prefix cannot ask the decoder for an absurd allocation.
+/// enough for any realistic shipped [`s3_core::IngestBatch`] (see
+/// [`crate::encode_ingest`]); small enough that a corrupt length prefix
+/// cannot ask the decoder for an absurd allocation.
 pub const MAX_FRAME: u32 = 1 << 26;
 
 /// Write one frame: length prefix + payload.

@@ -9,7 +9,7 @@
 //! selection) by a `Vote` carrying the shard's rival bound; `EndQuery`
 //! has no reply. This crate gives those messages (plus
 //! [`s3_core::IngestBatch`] shipping, snapshots and compaction) a
-//! hand-rolled, versioned, length-prefixed binary form, and provides the
+//! versioned, length-prefixed binary form, and provides the
 //! [`ShardTransport`] abstraction the fleet client drives:
 //!
 //! * [`FramedTransport`] over any `Read + Write` stream — in particular a
@@ -26,14 +26,19 @@
 //! ```
 //!
 //! `len` counts the version + tag + body bytes and is capped at
-//! [`MAX_FRAME`]. Integers in bodies are LEB128 varints, `f64`s are their
-//! IEEE bits little-endian (bit-exact round trip — the byte-identity
-//! property bar depends on it), strings are varint-length-prefixed UTF-8.
+//! [`MAX_FRAME`]. Bodies are written in `s3-snap`'s codec, the one the
+//! snapshot and the WAL use: each message body is a field list
+//! ([`s3_snap::codec!`]), and an ingest body is [`s3_core::IngestBatch`]'s
+//! own encoding. Integers are LEB128 varints, `f64`s are their IEEE bits
+//! little-endian (bit-exact round trip — the byte-identity property bar
+//! depends on it), strings and sequences are varint-length-prefixed.
+//! A WAL record is an ingest frame.
 //!
 //! # Versioning rule
 //!
 //! [`WIRE_VERSION`] is a single byte checked on every frame; any change to
-//! any message body bumps it. There are no compatibility shims yet: a
+//! any message body bumps it, and with it `s3_core::WAL_VERSION` (the
+//! journal holds ingest frames). There are no compatibility shims yet: a
 //! mismatch is a hard [`WireError::Version`] and the fleet refuses to
 //! start. (Rolling upgrades can add per-tag negotiation later without
 //! changing the frame header.)
@@ -41,25 +46,24 @@
 //! Decoding is panic-free by construction: every length is bounds-checked
 //! against the remaining frame before any allocation, and structural
 //! indices (document tree parents, text node ids) are validated so a
-//! decoded [`WireIngest`] can always be replayed through the public
-//! [`s3_core::IngestBatch`] builder API. The proptest suite feeds the
-//! decoder arbitrary byte strings to keep it that way.
+//! decoded [`s3_core::IngestBatch`] always holds documents its builder
+//! API could have built. The proptest suite feeds the decoders arbitrary
+//! byte strings to keep it that way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codec;
 mod frame;
 mod msg;
 mod transport;
 
-pub use codec::Reader;
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use msg::{
-    encode_snapshot_chunk, peek_tag, tag, CompactAck, IngestAck, Message, RequestBuf, RequestKind,
-    RoundReply, SelectionEntry, Snapshot, SnapshotAck, SnapshotChunk, Start, StopCheck, WireDoc,
-    WireIngest, SNAPSHOT_CHUNK_BYTES, WIRE_VERSION,
+    decode_ingest, encode_ingest, encode_snapshot_chunk, peek_tag, tag, CompactAck, IngestAck,
+    Message, RequestBuf, RequestKind, RoundReply, SelectionEntry, Snapshot, SnapshotAck,
+    SnapshotChunk, Start, StopCheck, WireIngest, SNAPSHOT_CHUNK_BYTES, WIRE_VERSION,
 };
+use s3_snap::SnapError;
 pub use transport::{loopback_pair, FramedTransport, LoopbackConn, ShardTransport, TransportStats};
 
 /// Errors produced while encoding, decoding or transporting frames.
@@ -85,6 +89,9 @@ pub enum WireError {
     Protocol(&'static str),
     /// Underlying transport I/O error.
     Io(std::io::Error),
+    /// A shipped or loaded snapshot was rejected (bad magic, wrong
+    /// version, checksum mismatch).
+    Snapshot(SnapError),
 }
 
 impl std::fmt::Display for WireError {
@@ -103,6 +110,7 @@ impl std::fmt::Display for WireError {
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message body"),
             WireError::Protocol(what) => write!(f, "protocol violation: {what}"),
             WireError::Io(e) => write!(f, "transport i/o: {e}"),
+            WireError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
         }
     }
 }
@@ -111,6 +119,7 @@ impl std::error::Error for WireError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WireError::Io(e) => Some(e),
+            WireError::Snapshot(e) => Some(e),
             _ => None,
         }
     }
@@ -122,6 +131,21 @@ impl From<std::io::Error> for WireError {
             WireError::Truncated
         } else {
             WireError::Io(e)
+        }
+    }
+}
+
+/// The codec's shared failures keep their wire names (a truncated,
+/// malformed or over-long body); what only a snapshot can fail with
+/// travels as [`WireError::Snapshot`].
+impl From<SnapError> for WireError {
+    fn from(e: SnapError) -> Self {
+        match e {
+            SnapError::Truncated => WireError::Truncated,
+            SnapError::Value(what) => WireError::Value(what),
+            SnapError::TrailingBytes(n) => WireError::TrailingBytes(n),
+            SnapError::Io(e) => WireError::Io(e),
+            other => WireError::Snapshot(other),
         }
     }
 }

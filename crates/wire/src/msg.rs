@@ -1,15 +1,15 @@
 //! Message bodies for the per-round fleet exchange and ingest shipping.
 //!
-//! Every reply-carrying struct decodes *into* `&mut self` so the fleet
-//! client and shard servers reuse one buffer per message kind across
-//! rounds — no per-round `Vec` churn on the hot path.
+//! A frame is [`WIRE_VERSION`], the message tag, then the body; every
+//! body is a field list ([`s3_snap::codec!`]), and a shipped ingest batch
+//! is [`IngestBatch`]'s own encoding. Every reply-carrying struct decodes
+//! *into* `&mut self` so the fleet client and shard servers reuse one
+//! buffer per message kind across rounds — no per-round `Vec` churn on the
+//! hot path.
 
-use crate::codec::{put_bool, put_f64, put_str, put_u32v, put_u64v, put_usize, Reader};
 use crate::WireError;
-use s3_core::{
-    DocRef, FragRef, IngestBatch, IngestDoc, TagId, TagRef, TagSubjectRef, UserId, UserRef,
-};
-use s3_doc::{DocNodeId, LocalNodeId, TreeId};
+use s3_core::IngestBatch;
+use s3_snap::{codec, put_bytes, Codec, SnapError, SnapReader};
 
 /// Protocol version; bumped on *any* body change (see crate docs).
 /// Version 2: the stop-check reply ([`tag::VOTE`]) carries the shard's
@@ -23,10 +23,13 @@ use s3_doc::{DocNodeId, LocalNodeId, TreeId};
 /// compaction request/acknowledgement pair ([`tag::COMPACT`],
 /// [`tag::COMPACT_ACK`]) lets the fleet client drive the off-path
 /// rebuild on every replica and cross-check the resulting fingerprints.
+///
+/// A WAL record is an ingest frame, so a bump here must bump
+/// `s3_core::WAL_VERSION` too.
 pub const WIRE_VERSION: u8 = 4;
 
 /// Payload bytes per [`SnapshotChunk`] frame (8 MiB — comfortably under
-/// [`crate::frame::MAX_FRAME`], so a shipped snapshot of any size frames
+/// [`crate::MAX_FRAME`], so a shipped snapshot of any size frames
 /// cleanly).
 pub const SNAPSHOT_CHUNK_BYTES: usize = 1 << 23;
 
@@ -40,7 +43,7 @@ pub mod tag {
     pub const STOP_CHECK: u8 = 3;
     /// The client decided the query is over.
     pub const END_QUERY: u8 = 4;
-    /// Ship an ingest batch ([`super::WireIngest`]).
+    /// Ship an ingest batch ([`super::encode_ingest`]).
     pub const INGEST: u8 = 5;
     /// Shut the shard server down.
     pub const SHUTDOWN: u8 = 6;
@@ -68,39 +71,103 @@ pub mod tag {
 }
 
 fn begin(out: &mut Vec<u8>, t: u8) {
-    out.push(WIRE_VERSION);
-    out.push(t);
+    out.extend_from_slice(&[WIRE_VERSION, t]);
+}
+
+/// Read the version byte (rejecting a mismatch before anything else) and
+/// return the tag.
+fn read_header(r: &mut SnapReader<'_>) -> Result<u8, WireError> {
+    let v = r.u8()?;
+    if v != WIRE_VERSION {
+        return Err(WireError::Version(v));
+    }
+    Ok(r.u8()?)
 }
 
 /// Check the version byte and return the message tag without consuming
 /// the body.
 pub fn peek_tag(frame: &[u8]) -> Result<u8, WireError> {
-    let mut r = Reader::new(frame);
-    let v = r.u8()?;
-    if v != WIRE_VERSION {
-        return Err(WireError::Version(v));
-    }
-    r.u8()
+    read_header(&mut SnapReader::new(frame))
 }
 
-fn expect<'a>(frame: &'a [u8], want: u8) -> Result<Reader<'a>, WireError> {
-    let mut r = Reader::new(frame);
-    let v = r.u8()?;
-    if v != WIRE_VERSION {
-        return Err(WireError::Version(v));
-    }
-    let t = r.u8()?;
-    if t != want {
-        return Err(WireError::Tag(t));
-    }
-    Ok(r)
+/// Append a `t` frame carrying `body`.
+pub(crate) fn encode_frame(t: u8, body: &impl Codec, out: &mut Vec<u8>) {
+    begin(out, t);
+    body.encode(out);
 }
+
+/// Decode a `t` frame into `body`; the frame must hold exactly the body.
+pub(crate) fn decode_frame(t: u8, body: &mut impl Codec, frame: &[u8]) -> Result<(), WireError> {
+    let mut r = SnapReader::new(frame);
+    let got = read_header(&mut r)?;
+    if got != t {
+        return Err(WireError::Tag(got));
+    }
+    body.decode_into(&mut r)?;
+    Ok(r.finish()?)
+}
+
+/// Append an ingest frame: how a batch ships to a shard, and the record
+/// the live engines journal to their WAL.
+pub fn encode_ingest(batch: &IngestBatch, out: &mut Vec<u8>) {
+    encode_frame(tag::INGEST, batch, out);
+}
+
+/// Decode an ingest frame ([`encode_ingest`]) into `batch`.
+pub fn decode_ingest(frame: &[u8], batch: &mut IngestBatch) -> Result<(), WireError> {
+    decode_frame(tag::INGEST, batch, frame)
+}
+
+/// A batch borrowed for shipping: [`encode_ingest`] under the name the
+/// benchmark's WAL probe still calls.
+#[derive(Debug, Clone, Copy)]
+pub struct WireIngest<'a>(pub &'a IngestBatch);
+
+impl<'a> WireIngest<'a> {
+    /// Borrow a batch.
+    pub fn from_batch(batch: &'a IngestBatch) -> Self {
+        WireIngest(batch)
+    }
+
+    /// Append the batch's ingest frame to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        encode_ingest(self.0, out);
+    }
+}
+
+/// Each body type's frame-level pair: the whole frame, header included.
+macro_rules! frames {
+    ($($ty:ident = $tag:ident),* $(,)?) => {$(
+        impl $ty {
+            /// Append version + tag + body to `out`.
+            pub fn encode(&self, out: &mut Vec<u8>) {
+                encode_frame(tag::$tag, self, out);
+            }
+
+            /// Decode a full frame into `self`.
+            pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
+                decode_frame(tag::$tag, self, frame)
+            }
+        }
+    )*};
+}
+
+frames!(
+    Start = START,
+    RoundReply = ROUND,
+    StopCheck = STOP_CHECK,
+    IngestAck = INGEST_ACK,
+    Snapshot = SNAPSHOT,
+    SnapshotChunk = SNAPSHOT_CHUNK,
+    SnapshotAck = SNAPSHOT_ACK,
+    CompactAck = COMPACT_ACK,
+);
 
 /// Start a query on a shard: round 0 runs immediately and the shard
 /// replies with a [`RoundReply`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Start {
-    /// Seeker user id ([`UserId`] raw value).
+    /// Seeker user id ([`s3_core::UserId`] raw value).
     pub seeker: u32,
     /// Requested result count.
     pub k: u64,
@@ -108,42 +175,14 @@ pub struct Start {
     pub keywords: Vec<u32>,
 }
 
+codec!(struct Start { seeker, k, keywords });
+
 impl Start {
     /// Reset for reuse.
     pub fn clear(&mut self) {
         self.seeker = 0;
         self.k = 0;
         self.keywords.clear();
-    }
-
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::START);
-        put_u32v(out, self.seeker);
-        put_u64v(out, self.k);
-        put_usize(out, self.keywords.len());
-        for &k in &self.keywords {
-            put_u32v(out, k);
-        }
-    }
-
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.clear();
-        self.seeker = r.u32v()?;
-        self.k = r.u64v()?;
-        let n = r.seq(1)?;
-        self.keywords.reserve(n);
-        for _ in 0..n {
-            self.keywords.push(r.u32v()?);
-        }
-        Ok(())
-    }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::START)?;
-        self.read_body(&mut r)?;
-        r.finish()
     }
 }
 
@@ -153,13 +192,15 @@ pub struct SelectionEntry {
     /// Index into the shard's candidate pool (stable for the query's
     /// lifetime — used to address candidates in [`StopCheck`]).
     pub index: u32,
-    /// Document node id ([`DocNodeId`] raw value).
+    /// Document node id (`s3_doc::DocNodeId` raw value).
     pub doc: u32,
     /// Certified lower score bound.
     pub lower: f64,
     /// Certified upper score bound.
     pub upper: f64,
 }
+
+codec!(struct SelectionEntry { index, doc, lower, upper });
 
 /// A shard's answer to `Start`/`NextRound`: what this round admitted, the
 /// shard's current selection, and the global-threshold ingredients.
@@ -191,6 +232,19 @@ pub struct RoundReply {
     pub selection: Vec<SelectionEntry>,
 }
 
+codec!(struct RoundReply {
+    no_match,
+    iteration,
+    threshold,
+    frontier_closed,
+    candidates,
+    rejected,
+    components,
+    pruned,
+    admitted,
+    selection,
+});
+
 impl RoundReply {
     /// Reset for reuse.
     pub fn clear(&mut self) {
@@ -204,67 +258,6 @@ impl RoundReply {
         self.pruned = 0;
         self.admitted.clear();
         self.selection.clear();
-    }
-
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::ROUND);
-        put_bool(out, self.no_match);
-        put_u32v(out, self.iteration);
-        put_f64(out, self.threshold);
-        put_bool(out, self.frontier_closed);
-        put_u64v(out, self.candidates);
-        put_u64v(out, self.rejected);
-        put_u64v(out, self.components);
-        put_u64v(out, self.pruned);
-        put_usize(out, self.admitted.len());
-        for &(seq, doc) in &self.admitted {
-            put_u32v(out, seq);
-            put_u32v(out, doc);
-        }
-        put_usize(out, self.selection.len());
-        for e in &self.selection {
-            put_u32v(out, e.index);
-            put_u32v(out, e.doc);
-            put_f64(out, e.lower);
-            put_f64(out, e.upper);
-        }
-    }
-
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.clear();
-        self.no_match = r.bool()?;
-        self.iteration = r.u32v()?;
-        self.threshold = r.f64()?;
-        self.frontier_closed = r.bool()?;
-        self.candidates = r.u64v()?;
-        self.rejected = r.u64v()?;
-        self.components = r.u64v()?;
-        self.pruned = r.u64v()?;
-        let n = r.seq(2)?;
-        self.admitted.reserve(n);
-        for _ in 0..n {
-            let seq = r.u32v()?;
-            let doc = r.u32v()?;
-            self.admitted.push((seq, doc));
-        }
-        let n = r.seq(18)?;
-        self.selection.reserve(n);
-        for _ in 0..n {
-            let index = r.u32v()?;
-            let doc = r.u32v()?;
-            let lower = r.f64()?;
-            let upper = r.f64()?;
-            self.selection.push(SelectionEntry { index, doc, lower, upper });
-        }
-        Ok(())
-    }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::ROUND)?;
-        self.read_body(&mut r)?;
-        r.finish()
     }
 }
 
@@ -282,6 +275,8 @@ pub struct StopCheck {
     pub selected: Vec<u32>,
 }
 
+codec!(struct StopCheck { merged_full, min_lower, selected });
+
 impl StopCheck {
     /// Reset for reuse.
     pub fn clear(&mut self) {
@@ -289,39 +284,9 @@ impl StopCheck {
         self.min_lower = 0.0;
         self.selected.clear();
     }
-
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::STOP_CHECK);
-        put_bool(out, self.merged_full);
-        put_f64(out, self.min_lower);
-        put_usize(out, self.selected.len());
-        for &i in &self.selected {
-            put_u32v(out, i);
-        }
-    }
-
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.clear();
-        self.merged_full = r.bool()?;
-        self.min_lower = r.f64()?;
-        let n = r.seq(1)?;
-        self.selected.reserve(n);
-        for _ in 0..n {
-            self.selected.push(r.u32v()?);
-        }
-        Ok(())
-    }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::STOP_CHECK)?;
-        self.read_body(&mut r)?;
-        r.finish()
-    }
 }
 
-/// Acknowledgement of an applied [`WireIngest`]: consistency fingerprints
+/// Acknowledgement of an applied ingest batch: consistency fingerprints
 /// the client cross-checks against its own apply (shards must never
 /// drift).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -336,31 +301,7 @@ pub struct IngestAck {
     pub touched: u64,
 }
 
-impl IngestAck {
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::INGEST_ACK);
-        put_bool(out, self.detached);
-        put_u64v(out, self.epoch);
-        put_u64v(out, self.nodes);
-        put_u64v(out, self.touched);
-    }
-
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.detached = r.bool()?;
-        self.epoch = r.u64v()?;
-        self.nodes = r.u64v()?;
-        self.touched = r.u64v()?;
-        Ok(())
-    }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::INGEST_ACK)?;
-        self.read_body(&mut r)?;
-        r.finish()
-    }
-}
+codec!(struct IngestAck { detached, epoch, nodes, touched });
 
 /// Announce a snapshot shipment to a shard server that is waiting to
 /// bootstrap: which shard of how many it is to become, and how the
@@ -379,50 +320,25 @@ pub struct Snapshot {
     pub num_chunks: u32,
 }
 
-impl Snapshot {
-    /// Reset for reuse.
-    pub fn clear(&mut self) {
-        *self = Snapshot::default();
-    }
+codec!(struct Snapshot { num_shards, shard, total_len, num_chunks } where fleet_place);
 
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::SNAPSHOT);
-        put_u32v(out, self.num_shards);
-        put_u32v(out, self.shard);
-        put_u64v(out, self.total_len);
-        put_u32v(out, self.num_chunks);
+/// A decoded [`Snapshot`] must name a shard of a non-empty fleet.
+fn fleet_place(s: &Snapshot) -> Result<(), SnapError> {
+    if s.num_shards == 0 {
+        return Err(SnapError::Value("snapshot for a zero-shard fleet"));
     }
-
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.num_shards = r.u32v()?;
-        self.shard = r.u32v()?;
-        self.total_len = r.u64v()?;
-        self.num_chunks = r.u32v()?;
-        if self.num_shards == 0 {
-            return Err(WireError::Value("snapshot for a zero-shard fleet"));
-        }
-        if self.shard >= self.num_shards {
-            return Err(WireError::Value("snapshot shard index out of range"));
-        }
-        Ok(())
+    if s.shard >= s.num_shards {
+        return Err(SnapError::Value("snapshot shard index out of range"));
     }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::SNAPSHOT)?;
-        self.read_body(&mut r)?;
-        r.finish()
-    }
+    Ok(())
 }
 
 /// Encode one snapshot chunk frame without materializing a
 /// [`SnapshotChunk`] (the send path slices the snapshot in place).
 pub fn encode_snapshot_chunk(out: &mut Vec<u8>, index: u32, bytes: &[u8]) {
     begin(out, tag::SNAPSHOT_CHUNK);
-    put_u32v(out, index);
-    put_usize(out, bytes.len());
-    out.extend_from_slice(bytes);
+    index.encode(out);
+    put_bytes(out, bytes);
 }
 
 /// One chunk of a shipped snapshot (see [`Snapshot`]).
@@ -434,30 +350,24 @@ pub struct SnapshotChunk {
     pub bytes: Vec<u8>,
 }
 
-impl SnapshotChunk {
-    /// Reset for reuse.
-    pub fn clear(&mut self) {
-        self.index = 0;
-        self.bytes.clear();
+/// The index, then the length-prefixed bytes, copied as one slice.
+impl Codec for SnapshotChunk {
+    const MIN_BYTES: usize = 2;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.index.encode(out);
+        put_bytes(out, &self.bytes);
     }
 
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        encode_snapshot_chunk(out, self.index, &self.bytes);
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(SnapshotChunk { index: r.u32v()?, bytes: r.bytes()?.to_vec() })
     }
 
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.clear();
+    fn decode_into(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.index = r.u32v()?;
+        self.bytes.clear();
         self.bytes.extend_from_slice(r.bytes()?);
         Ok(())
-    }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::SNAPSHOT_CHUNK)?;
-        self.read_body(&mut r)?;
-        r.finish()
     }
 }
 
@@ -476,31 +386,7 @@ pub struct SnapshotAck {
     pub connections: u64,
 }
 
-impl SnapshotAck {
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::SNAPSHOT_ACK);
-        put_u64v(out, self.nodes);
-        put_u64v(out, self.users);
-        put_u64v(out, self.docs);
-        put_u64v(out, self.connections);
-    }
-
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.nodes = r.u64v()?;
-        self.users = r.u64v()?;
-        self.docs = r.u64v()?;
-        self.connections = r.u64v()?;
-        Ok(())
-    }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::SNAPSHOT_ACK)?;
-        self.read_body(&mut r)?;
-        r.finish()
-    }
-}
+codec!(struct SnapshotAck { nodes, users, docs, connections });
 
 /// Acknowledgement of a completed compaction: the rebuilt instance's
 /// consistency fingerprint, which the fleet client cross-checks against
@@ -520,572 +406,95 @@ pub struct CompactAck {
     pub connections: u64,
 }
 
-impl CompactAck {
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::COMPACT_ACK);
-        put_u64v(out, self.epoch);
-        put_u64v(out, self.nodes);
-        put_u64v(out, self.users);
-        put_u64v(out, self.docs);
-        put_u64v(out, self.connections);
-    }
+codec!(struct CompactAck { epoch, nodes, users, docs, connections });
 
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.epoch = r.u64v()?;
-        self.nodes = r.u64v()?;
-        self.users = r.u64v()?;
-        self.docs = r.u64v()?;
-        self.connections = r.u64v()?;
-        Ok(())
-    }
+/// [`Message`] from its variant list: each variant's tag and body type.
+macro_rules! messages {
+    ($($(#[doc = $doc:literal])* $variant:ident $(($body:ty))? = $tag:ident,)*) => {
+        /// Owned form of any protocol message — the dispatch/diagnostic
+        /// convenience (tests, tooling); the hot path uses the per-type
+        /// `encode`/`decode_into` pairs with reused buffers instead.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Message {
+            $($(#[doc = $doc])* $variant $(($body))?,)*
+        }
 
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::COMPACT_ACK)?;
-        self.read_body(&mut r)?;
-        r.finish()
-    }
-}
+        impl Message {
+            /// Append version + tag + body to `out`.
+            pub fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(messages!(@pat $variant body $($body)?) => {
+                        begin(out, tag::$tag);
+                        messages!(@put out body $($body)?);
+                    })*
+                }
+            }
 
-fn put_user_ref(out: &mut Vec<u8>, r: UserRef) {
-    match r {
-        UserRef::Existing(UserId(u)) => {
-            out.push(0);
-            put_u32v(out, u);
+            /// Decode any message from a frame payload.
+            pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
+                let mut r = SnapReader::new(frame);
+                let msg = match read_header(&mut r)? {
+                    $(tag::$tag => messages!(@get r $variant $($body)?),)*
+                    other => return Err(WireError::Tag(other)),
+                };
+                r.finish()?;
+                Ok(msg)
+            }
         }
-        UserRef::New(i) => {
-            out.push(1);
-            put_usize(out, i);
-        }
-    }
-}
-
-fn read_user_ref(r: &mut Reader<'_>) -> Result<UserRef, WireError> {
-    match r.u8()? {
-        0 => Ok(UserRef::Existing(UserId(r.u32v()?))),
-        1 => Ok(UserRef::New(r.usize_v()?)),
-        _ => Err(WireError::Value("user ref discriminant")),
-    }
-}
-
-fn put_doc_ref(out: &mut Vec<u8>, r: DocRef) {
-    match r {
-        DocRef::Existing(TreeId(t)) => {
-            out.push(0);
-            put_u32v(out, t);
-        }
-        DocRef::New(i) => {
-            out.push(1);
-            put_usize(out, i);
-        }
-    }
-}
-
-fn read_doc_ref(r: &mut Reader<'_>) -> Result<DocRef, WireError> {
-    match r.u8()? {
-        0 => Ok(DocRef::Existing(TreeId(r.u32v()?))),
-        1 => Ok(DocRef::New(r.usize_v()?)),
-        _ => Err(WireError::Value("doc ref discriminant")),
-    }
-}
-
-fn put_frag_ref(out: &mut Vec<u8>, r: FragRef) {
-    match r {
-        FragRef::Existing(DocNodeId(n)) => {
-            out.push(0);
-            put_u32v(out, n);
-        }
-        FragRef::New { doc, node } => {
-            out.push(1);
-            put_usize(out, doc);
-            put_u32v(out, node.0);
-        }
-    }
-}
-
-fn read_frag_ref(r: &mut Reader<'_>) -> Result<FragRef, WireError> {
-    match r.u8()? {
-        0 => Ok(FragRef::Existing(DocNodeId(r.u32v()?))),
-        1 => {
-            let doc = r.usize_v()?;
-            let node = LocalNodeId(r.u32v()?);
-            Ok(FragRef::New { doc, node })
-        }
-        _ => Err(WireError::Value("frag ref discriminant")),
-    }
-}
-
-fn put_tag_subject(out: &mut Vec<u8>, s: TagSubjectRef) {
-    match s {
-        TagSubjectRef::Frag(f) => {
-            out.push(0);
-            put_frag_ref(out, f);
-        }
-        TagSubjectRef::Tag(TagRef::Existing(TagId(t))) => {
-            out.push(1);
-            put_u32v(out, t);
-        }
-        TagSubjectRef::Tag(TagRef::New(i)) => {
-            out.push(2);
-            put_usize(out, i);
-        }
-    }
-}
-
-fn read_tag_subject(r: &mut Reader<'_>) -> Result<TagSubjectRef, WireError> {
-    match r.u8()? {
-        0 => Ok(TagSubjectRef::Frag(read_frag_ref(r)?)),
-        1 => Ok(TagSubjectRef::Tag(TagRef::Existing(TagId(r.u32v()?)))),
-        2 => Ok(TagSubjectRef::Tag(TagRef::New(r.usize_v()?))),
-        _ => Err(WireError::Value("tag subject discriminant")),
-    }
-}
-
-/// One document in a [`WireIngest`]: the builder tree flattened to
-/// `(parent, name)` pairs in node-id order (node ids are assigned
-/// sequentially in creation order, so replaying the pairs through
-/// [`IngestDoc::child`] reproduces every child list exactly), plus the
-/// pending per-node texts and the optional poster.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireDoc {
-    /// `(parent, name)` per node; the root's parent slot is 0 and unused.
-    pub nodes: Vec<(u32, String)>,
-    /// `(node, text)` pending text assignments.
-    pub texts: Vec<(u32, String)>,
-    /// Posting user, if any.
-    pub poster: Option<UserRef>,
-}
-
-fn put_wire_doc(out: &mut Vec<u8>, d: &WireDoc) {
-    put_usize(out, d.nodes.len());
-    for (parent, name) in &d.nodes {
-        put_u32v(out, *parent);
-        put_str(out, name);
-    }
-    put_usize(out, d.texts.len());
-    for (node, text) in &d.texts {
-        put_u32v(out, *node);
-        put_str(out, text);
-    }
-    match d.poster {
-        None => out.push(0),
-        Some(p) => {
-            out.push(1);
-            put_user_ref(out, p);
-        }
-    }
-}
-
-fn read_wire_doc(r: &mut Reader<'_>) -> Result<WireDoc, WireError> {
-    let mut d = WireDoc::default();
-    let n = r.seq(2)?;
-    if n == 0 {
-        return Err(WireError::Value("document without a root node"));
-    }
-    d.nodes.reserve(n);
-    for i in 0..n {
-        let parent = r.u32v()?;
-        let ok = if i == 0 { parent == 0 } else { (parent as usize) < i };
-        if !ok {
-            return Err(WireError::Value("document node parent out of range"));
-        }
-        d.nodes.push((parent, r.str()?.to_owned()));
-    }
-    let t = r.seq(2)?;
-    d.texts.reserve(t);
-    for _ in 0..t {
-        let node = r.u32v()?;
-        if node as usize >= n {
-            return Err(WireError::Value("text node out of range"));
-        }
-        d.texts.push((node, r.str()?.to_owned()));
-    }
-    d.poster = match r.u8()? {
-        0 => None,
-        1 => Some(read_user_ref(r)?),
-        _ => Err(WireError::Value("poster option discriminant"))?,
     };
-    Ok(d)
+    (@pat $variant:ident $v:ident) => { Message::$variant };
+    (@pat $variant:ident $v:ident $body:ty) => { Message::$variant($v) };
+    (@put $out:ident $v:ident) => {};
+    (@put $out:ident $v:ident $body:ty) => { Codec::encode($v, $out) };
+    (@get $r:ident $variant:ident) => { Message::$variant };
+    (@get $r:ident $variant:ident $body:ty) => {
+        Message::$variant(<$body as Codec>::decode(&mut $r)?)
+    };
 }
 
-/// An [`IngestBatch`] in wire form. Conversion is loss-free in both
-/// directions; the decode validates every structural index so
-/// [`WireIngest::to_batch`] can always replay through the public batch
-/// builder API without panicking.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireIngest {
-    /// Users the batch creates.
-    pub new_users: u64,
-    /// Weighted social edges.
-    pub social_edges: Vec<(UserRef, UserRef, f64)>,
-    /// New documents.
-    pub documents: Vec<WireDoc>,
-    /// Comment edges.
-    pub comments: Vec<(DocRef, FragRef)>,
-    /// Tags: subject, author, optional keyword (`None` = endorsement).
-    pub tags: Vec<(TagSubjectRef, UserRef, Option<String>)>,
-    /// Users the batch tombstones (raw [`UserId`] values).
-    pub delete_users: Vec<u32>,
-    /// Documents the batch tombstones (raw [`TreeId`] values).
-    pub delete_documents: Vec<u32>,
-    /// Tags the batch tombstones (raw [`TagId`] values).
-    pub delete_tags: Vec<u32>,
-    /// Social edges the batch removes (raw `(from, to)` [`UserId`] pairs).
-    pub remove_social_edges: Vec<(u32, u32)>,
-    /// Comment edges the batch removes (raw `(comment TreeId, target
-    /// DocNodeId)` pairs).
-    pub remove_comments: Vec<(u32, u32)>,
-}
-
-impl WireIngest {
-    /// Reset for reuse.
-    pub fn clear(&mut self) {
-        self.new_users = 0;
-        self.social_edges.clear();
-        self.documents.clear();
-        self.comments.clear();
-        self.tags.clear();
-        self.delete_users.clear();
-        self.delete_documents.clear();
-        self.delete_tags.clear();
-        self.remove_social_edges.clear();
-        self.remove_comments.clear();
-    }
-
-    /// Capture a batch for shipping.
-    pub fn from_batch(batch: &IngestBatch) -> Self {
-        let mut w = WireIngest { new_users: batch.num_users() as u64, ..WireIngest::default() };
-        w.social_edges.extend_from_slice(batch.social_edges());
-        for (doc, poster) in batch.documents() {
-            let builder = doc.builder();
-            let mut nodes: Vec<(u32, String)> = (0..builder.len())
-                .map(|i| (0u32, builder.name(LocalNodeId(i as u32)).to_owned()))
-                .collect();
-            for i in 0..builder.len() {
-                for &child in builder.children(LocalNodeId(i as u32)) {
-                    nodes[child.0 as usize].0 = i as u32;
-                }
-            }
-            let texts = doc.texts().iter().map(|(n, t)| (n.0, t.clone())).collect();
-            w.documents.push(WireDoc { nodes, texts, poster: *poster });
-        }
-        w.comments.extend_from_slice(batch.comments());
-        w.tags.extend(batch.tags().iter().cloned());
-        w.delete_users.extend(batch.deleted_users().iter().map(|u| u.0));
-        w.delete_documents.extend(batch.deleted_documents().iter().map(|t| t.0));
-        w.delete_tags.extend(batch.deleted_tags().iter().map(|t| t.0));
-        w.remove_social_edges.extend(batch.removed_social_edges().iter().map(|&(a, b)| (a.0, b.0)));
-        w.remove_comments.extend(batch.removed_comments().iter().map(|&(c, t)| (c.0, t.0)));
-        w
-    }
-
-    /// Rebuild the batch on the receiving side.
-    pub fn to_batch(&self) -> IngestBatch {
-        let mut batch = IngestBatch::new();
-        for _ in 0..self.new_users {
-            batch.add_user();
-        }
-        for &(from, to, weight) in &self.social_edges {
-            batch.add_social_edge(from, to, weight);
-        }
-        for d in &self.documents {
-            let mut doc = IngestDoc::new(d.nodes[0].1.as_str());
-            for (parent, name) in &d.nodes[1..] {
-                doc.child(LocalNodeId(*parent), name.as_str());
-            }
-            for (node, text) in &d.texts {
-                doc.set_text(LocalNodeId(*node), text.as_str());
-            }
-            batch.add_document(doc, d.poster);
-        }
-        for &(comment, target) in &self.comments {
-            batch.add_comment(comment, target);
-        }
-        for (subject, author, keyword) in &self.tags {
-            batch.add_tag(*subject, *author, keyword.as_deref());
-        }
-        for &u in &self.delete_users {
-            batch.delete_user(UserId(u));
-        }
-        for &t in &self.delete_documents {
-            batch.delete_document(TreeId(t));
-        }
-        for &t in &self.delete_tags {
-            batch.delete_tag(TagId(t));
-        }
-        for &(from, to) in &self.remove_social_edges {
-            batch.remove_social_edge(UserId(from), UserId(to));
-        }
-        for &(comment, target) in &self.remove_comments {
-            batch.remove_comment(TreeId(comment), DocNodeId(target));
-        }
-        batch
-    }
-
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        begin(out, tag::INGEST);
-        put_u64v(out, self.new_users);
-        put_usize(out, self.social_edges.len());
-        for &(from, to, weight) in &self.social_edges {
-            put_user_ref(out, from);
-            put_user_ref(out, to);
-            put_f64(out, weight);
-        }
-        put_usize(out, self.documents.len());
-        for d in &self.documents {
-            put_wire_doc(out, d);
-        }
-        put_usize(out, self.comments.len());
-        for &(comment, target) in &self.comments {
-            put_doc_ref(out, comment);
-            put_frag_ref(out, target);
-        }
-        put_usize(out, self.tags.len());
-        for (subject, author, keyword) in &self.tags {
-            put_tag_subject(out, *subject);
-            put_user_ref(out, *author);
-            match keyword {
-                None => out.push(0),
-                Some(k) => {
-                    out.push(1);
-                    put_str(out, k);
-                }
-            }
-        }
-        put_usize(out, self.delete_users.len());
-        for &u in &self.delete_users {
-            put_u32v(out, u);
-        }
-        put_usize(out, self.delete_documents.len());
-        for &t in &self.delete_documents {
-            put_u32v(out, t);
-        }
-        put_usize(out, self.delete_tags.len());
-        for &t in &self.delete_tags {
-            put_u32v(out, t);
-        }
-        put_usize(out, self.remove_social_edges.len());
-        for &(from, to) in &self.remove_social_edges {
-            put_u32v(out, from);
-            put_u32v(out, to);
-        }
-        put_usize(out, self.remove_comments.len());
-        for &(comment, target) in &self.remove_comments {
-            put_u32v(out, comment);
-            put_u32v(out, target);
-        }
-    }
-
-    pub(crate) fn read_body(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.clear();
-        self.new_users = r.u64v()?;
-        let n = r.seq(12)?;
-        self.social_edges.reserve(n);
-        for _ in 0..n {
-            let from = read_user_ref(r)?;
-            let to = read_user_ref(r)?;
-            let weight = r.f64()?;
-            self.social_edges.push((from, to, weight));
-        }
-        let n = r.seq(4)?;
-        self.documents.reserve(n);
-        for _ in 0..n {
-            self.documents.push(read_wire_doc(r)?);
-        }
-        let n = r.seq(4)?;
-        self.comments.reserve(n);
-        for _ in 0..n {
-            let comment = read_doc_ref(r)?;
-            let target = read_frag_ref(r)?;
-            self.comments.push((comment, target));
-        }
-        let n = r.seq(5)?;
-        self.tags.reserve(n);
-        for _ in 0..n {
-            let subject = read_tag_subject(r)?;
-            let author = read_user_ref(r)?;
-            let keyword = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?.to_owned()),
-                _ => Err(WireError::Value("tag keyword option discriminant"))?,
-            };
-            self.tags.push((subject, author, keyword));
-        }
-        let n = r.seq(1)?;
-        self.delete_users.reserve(n);
-        for _ in 0..n {
-            self.delete_users.push(r.u32v()?);
-        }
-        let n = r.seq(1)?;
-        self.delete_documents.reserve(n);
-        for _ in 0..n {
-            self.delete_documents.push(r.u32v()?);
-        }
-        let n = r.seq(1)?;
-        self.delete_tags.reserve(n);
-        for _ in 0..n {
-            self.delete_tags.push(r.u32v()?);
-        }
-        let n = r.seq(2)?;
-        self.remove_social_edges.reserve(n);
-        for _ in 0..n {
-            let from = r.u32v()?;
-            let to = r.u32v()?;
-            self.remove_social_edges.push((from, to));
-        }
-        let n = r.seq(2)?;
-        self.remove_comments.reserve(n);
-        for _ in 0..n {
-            let comment = r.u32v()?;
-            let target = r.u32v()?;
-            self.remove_comments.push((comment, target));
-        }
-        Ok(())
-    }
-
-    /// Decode a full frame into `self`.
-    pub fn decode_into(&mut self, frame: &[u8]) -> Result<(), WireError> {
-        let mut r = expect(frame, tag::INGEST)?;
-        self.read_body(&mut r)?;
-        r.finish()
-    }
-}
-
-/// Owned form of any protocol message — the dispatch/diagnostic
-/// convenience (tests, tooling); the hot path uses the per-type
-/// `encode`/`decode_into` pairs with reused buffers instead.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
+messages! {
     /// Begin a query.
-    Start(Start),
+    Start(Start) = START,
     /// Advance one propagation step and run the next round.
-    NextRound,
+    NextRound = NEXT_ROUND,
     /// Global stop probe.
-    StopCheck(StopCheck),
+    StopCheck(StopCheck) = STOP_CHECK,
     /// Query is over.
-    EndQuery,
+    EndQuery = END_QUERY,
     /// Ship an ingest batch.
-    Ingest(WireIngest),
+    Ingest(IngestBatch) = INGEST,
     /// Shut the server down.
-    Shutdown,
+    Shutdown = SHUTDOWN,
     /// Announce a snapshot shipment.
-    Snapshot(Snapshot),
+    Snapshot(Snapshot) = SNAPSHOT,
     /// One chunk of a shipped snapshot.
-    SnapshotChunk(SnapshotChunk),
+    SnapshotChunk(SnapshotChunk) = SNAPSHOT_CHUNK,
     /// Compact the replica off the serving path.
-    Compact,
+    Compact = COMPACT,
     /// Per-round shard reply.
-    Round(RoundReply),
+    Round(RoundReply) = ROUND,
     /// Per-shard stop-check reply: the certified rival upper bound.
-    Vote(f64),
+    Vote(f64) = VOTE,
     /// Ingest acknowledgement.
-    IngestAck(IngestAck),
+    IngestAck(IngestAck) = INGEST_ACK,
     /// Snapshot bootstrap acknowledgement.
-    SnapshotAck(SnapshotAck),
+    SnapshotAck(SnapshotAck) = SNAPSHOT_ACK,
     /// Compaction acknowledgement.
-    CompactAck(CompactAck),
-}
-
-impl Message {
-    /// Append version + tag + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Message::Start(m) => m.encode(out),
-            Message::NextRound => begin(out, tag::NEXT_ROUND),
-            Message::StopCheck(m) => m.encode(out),
-            Message::EndQuery => begin(out, tag::END_QUERY),
-            Message::Ingest(m) => m.encode(out),
-            Message::Shutdown => begin(out, tag::SHUTDOWN),
-            Message::Snapshot(m) => m.encode(out),
-            Message::SnapshotChunk(m) => m.encode(out),
-            Message::Compact => begin(out, tag::COMPACT),
-            Message::Round(m) => m.encode(out),
-            Message::Vote(v) => {
-                begin(out, tag::VOTE);
-                put_f64(out, *v);
-            }
-            Message::IngestAck(m) => m.encode(out),
-            Message::SnapshotAck(m) => m.encode(out),
-            Message::CompactAck(m) => m.encode(out),
-        }
-    }
-
-    /// Decode any message from a frame payload.
-    pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
-        let t = peek_tag(frame)?;
-        let mut r = expect(frame, t)?;
-        let msg = match t {
-            tag::START => {
-                let mut m = Start::default();
-                m.read_body(&mut r)?;
-                Message::Start(m)
-            }
-            tag::NEXT_ROUND => Message::NextRound,
-            tag::STOP_CHECK => {
-                let mut m = StopCheck::default();
-                m.read_body(&mut r)?;
-                Message::StopCheck(m)
-            }
-            tag::END_QUERY => Message::EndQuery,
-            tag::INGEST => {
-                let mut m = WireIngest::default();
-                m.read_body(&mut r)?;
-                Message::Ingest(m)
-            }
-            tag::SHUTDOWN => Message::Shutdown,
-            tag::SNAPSHOT => {
-                let mut m = Snapshot::default();
-                m.read_body(&mut r)?;
-                Message::Snapshot(m)
-            }
-            tag::SNAPSHOT_CHUNK => {
-                let mut m = SnapshotChunk::default();
-                m.read_body(&mut r)?;
-                Message::SnapshotChunk(m)
-            }
-            tag::COMPACT => Message::Compact,
-            tag::ROUND => {
-                let mut m = RoundReply::default();
-                m.read_body(&mut r)?;
-                Message::Round(m)
-            }
-            tag::VOTE => Message::Vote(r.f64()?),
-            tag::INGEST_ACK => {
-                let mut m = IngestAck::default();
-                m.read_body(&mut r)?;
-                Message::IngestAck(m)
-            }
-            tag::SNAPSHOT_ACK => {
-                let mut m = SnapshotAck::default();
-                m.read_body(&mut r)?;
-                Message::SnapshotAck(m)
-            }
-            tag::COMPACT_ACK => {
-                let mut m = CompactAck::default();
-                m.read_body(&mut r)?;
-                Message::CompactAck(m)
-            }
-            other => return Err(WireError::Tag(other)),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
+    CompactAck(CompactAck) = COMPACT_ACK,
 }
 
 /// Reusable decode buffers for a shard server's request loop: one slot
-/// per request kind, so steady-state serving allocates nothing for
-/// `Start`/`StopCheck` bodies (ingest strings still allocate — they are
-/// rare and retained).
+/// per request kind with a body, so steady-state serving allocates
+/// nothing for `Start`/`StopCheck` bodies (ingest strings still allocate
+/// — they are rare and retained).
 #[derive(Debug, Default)]
 pub struct RequestBuf {
     /// Last decoded `Start`.
     pub start: Start,
     /// Last decoded `StopCheck`.
     pub stop: StopCheck,
-    /// Last decoded `WireIngest`.
-    pub ingest: WireIngest,
+    /// Last decoded ingest batch.
+    pub ingest: IngestBatch,
 }
 
 /// Which request a frame carried (bodies land in [`RequestBuf`]).
@@ -1099,7 +508,7 @@ pub enum RequestKind {
     StopCheck,
     /// Query is over.
     EndQuery,
-    /// [`WireIngest`] (body in `RequestBuf::ingest`).
+    /// An ingest batch (body in `RequestBuf::ingest`).
     Ingest,
     /// Shut down.
     Shutdown,
@@ -1110,21 +519,20 @@ pub enum RequestKind {
 impl RequestBuf {
     /// Decode one request frame into the matching slot.
     pub fn read(&mut self, frame: &[u8]) -> Result<RequestKind, WireError> {
-        let t = peek_tag(frame)?;
-        let mut r = expect(frame, t)?;
-        let kind = match t {
+        let mut r = SnapReader::new(frame);
+        let kind = match read_header(&mut r)? {
             tag::START => {
-                self.start.read_body(&mut r)?;
+                Codec::decode_into(&mut self.start, &mut r)?;
                 RequestKind::Start
             }
             tag::NEXT_ROUND => RequestKind::NextRound,
             tag::STOP_CHECK => {
-                self.stop.read_body(&mut r)?;
+                Codec::decode_into(&mut self.stop, &mut r)?;
                 RequestKind::StopCheck
             }
             tag::END_QUERY => RequestKind::EndQuery,
             tag::INGEST => {
-                self.ingest.read_body(&mut r)?;
+                self.ingest.decode_into(&mut r)?;
                 RequestKind::Ingest
             }
             tag::SHUTDOWN => RequestKind::Shutdown,

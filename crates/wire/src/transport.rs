@@ -4,10 +4,11 @@
 
 use crate::frame::{read_frame, MAX_FRAME};
 use crate::msg::{
-    encode_snapshot_chunk, tag, CompactAck, IngestAck, RoundReply, Snapshot, SnapshotAck, Start,
-    StopCheck, WireIngest, SNAPSHOT_CHUNK_BYTES, WIRE_VERSION,
+    decode_frame, encode_ingest, encode_snapshot_chunk, tag, CompactAck, IngestAck, Message,
+    RoundReply, Snapshot, SnapshotAck, Start, StopCheck, SNAPSHOT_CHUNK_BYTES,
 };
 use crate::WireError;
+use s3_core::IngestBatch;
 use std::io::{Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -43,7 +44,7 @@ pub trait ShardTransport: Send {
     /// Queue an end-of-query notice.
     fn send_end_query(&mut self) -> Result<(), WireError>;
     /// Queue an ingest shipment.
-    fn send_ingest(&mut self, msg: &WireIngest) -> Result<(), WireError>;
+    fn send_ingest(&mut self, batch: &IngestBatch) -> Result<(), WireError>;
     /// Queue a snapshot shipment for a bootstrapping shard server: one
     /// [`Snapshot`] header naming the shard's place in the fleet, then
     /// the snapshot bytes chunked under
@@ -129,7 +130,7 @@ impl<S: Read + Write + Send> ShardTransport for FramedTransport<S> {
     }
 
     fn send_next_round(&mut self) -> Result<(), WireError> {
-        self.queue(|out| out.extend_from_slice(&[WIRE_VERSION, tag::NEXT_ROUND]))
+        self.queue(|out| Message::NextRound.encode(out))
     }
 
     fn send_stop_check(&mut self, msg: &StopCheck) -> Result<(), WireError> {
@@ -137,11 +138,11 @@ impl<S: Read + Write + Send> ShardTransport for FramedTransport<S> {
     }
 
     fn send_end_query(&mut self) -> Result<(), WireError> {
-        self.queue(|out| out.extend_from_slice(&[WIRE_VERSION, tag::END_QUERY]))
+        self.queue(|out| Message::EndQuery.encode(out))
     }
 
-    fn send_ingest(&mut self, msg: &WireIngest) -> Result<(), WireError> {
-        self.queue(|out| msg.encode(out))
+    fn send_ingest(&mut self, batch: &IngestBatch) -> Result<(), WireError> {
+        self.queue(|out| encode_ingest(batch, out))
     }
 
     fn send_snapshot(
@@ -164,11 +165,11 @@ impl<S: Read + Write + Send> ShardTransport for FramedTransport<S> {
     }
 
     fn send_compact(&mut self) -> Result<(), WireError> {
-        self.queue(|out| out.extend_from_slice(&[WIRE_VERSION, tag::COMPACT]))
+        self.queue(|out| Message::Compact.encode(out))
     }
 
     fn send_shutdown(&mut self) -> Result<(), WireError> {
-        self.queue(|out| out.extend_from_slice(&[WIRE_VERSION, tag::SHUTDOWN]))
+        self.queue(|out| Message::Shutdown.encode(out))
     }
 
     fn flush(&mut self) -> Result<(), WireError> {
@@ -189,17 +190,8 @@ impl<S: Read + Write + Send> ShardTransport for FramedTransport<S> {
 
     fn recv_vote(&mut self) -> Result<f64, WireError> {
         self.recv_frame()?;
-        let mut r = crate::codec::Reader::new(&self.inbuf);
-        let v = r.u8()?;
-        if v != WIRE_VERSION {
-            return Err(WireError::Version(v));
-        }
-        let t = r.u8()?;
-        if t != tag::VOTE {
-            return Err(WireError::Tag(t));
-        }
-        let rival = r.f64()?;
-        r.finish()?;
+        let mut rival = 0.0;
+        decode_frame(tag::VOTE, &mut rival, &self.inbuf)?;
         Ok(rival)
     }
 

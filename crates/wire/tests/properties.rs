@@ -11,11 +11,14 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use s3_core::{DocRef, FragRef, TagId, TagRef, TagSubjectRef, UserId, UserRef};
+use s3_core::{
+    DocRef, FragRef, IngestBatch, IngestDoc, TagId, TagRef, TagSubjectRef, UserId, UserRef,
+};
 use s3_doc::{DocNodeId, LocalNodeId, TreeId};
 use s3_wire::{
-    loopback_pair, peek_tag, read_frame, write_frame, CompactAck, IngestAck, Message, RequestBuf,
-    RoundReply, SelectionEntry, Start, StopCheck, WireDoc, WireError, WireIngest, MAX_FRAME,
+    decode_ingest, encode_ingest, loopback_pair, peek_tag, read_frame, write_frame, CompactAck,
+    IngestAck, Message, RequestBuf, RoundReply, SelectionEntry, Start, StopCheck, WireError,
+    MAX_FRAME,
 };
 
 // ---- generators ---------------------------------------------------------
@@ -72,44 +75,60 @@ fn tag_subject(rng: &mut StdRng) -> TagSubjectRef {
 /// node's parent precedes it, texts address distinct existing nodes
 /// (`IngestDoc::set_text` replaces repeats, so duplicate text nodes would
 /// not round-trip verbatim).
-fn wire_doc(rng: &mut StdRng) -> WireDoc {
+fn ingest_doc(rng: &mut StdRng) -> IngestDoc {
     let n = rng.gen_range(1..6usize);
-    let nodes = (0..n)
-        .map(|i| {
-            let parent = if i == 0 { 0 } else { rng.gen_range(0..i) as u32 };
-            (parent, word(rng, 6))
-        })
-        .collect();
+    let mut doc = IngestDoc::new(word(rng, 6));
+    for i in 1..n {
+        let parent = LocalNodeId(rng.gen_range(0..i) as u32);
+        doc.child(parent, word(rng, 6));
+    }
     let mut text_nodes: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.5)).collect();
     // Texts replay in arbitrary node order.
     for i in (1..text_nodes.len()).rev() {
         text_nodes.swap(i, rng.gen_range(0..=i));
     }
-    let texts = text_nodes.into_iter().map(|node| (node, word(rng, 8))).collect();
-    let poster = rng.gen_bool(0.7).then(|| user_ref(rng));
-    WireDoc { nodes, texts, poster }
+    for node in text_nodes {
+        doc.set_text(LocalNodeId(node), word(rng, 8));
+    }
+    doc
 }
 
-fn wire_ingest(rng: &mut StdRng) -> WireIngest {
-    WireIngest {
-        // Small: `to_batch` replays this through `add_user` calls.
-        new_users: rng.gen_range(0..20u64),
-        social_edges: (0..rng.gen_range(0..5usize))
-            .map(|_| (user_ref(rng), user_ref(rng), wire_f64(rng)))
-            .collect(),
-        documents: (0..rng.gen_range(0..4usize)).map(|_| wire_doc(rng)).collect(),
-        comments: (0..rng.gen_range(0..4usize)).map(|_| (doc_ref(rng), frag_ref(rng))).collect(),
-        tags: (0..rng.gen_range(0..4usize))
-            .map(|_| (tag_subject(rng), user_ref(rng), rng.gen_bool(0.7).then(|| word(rng, 5))))
-            .collect(),
-        delete_users: (0..rng.gen_range(0..4usize)).map(|_| rng.gen()).collect(),
-        delete_documents: (0..rng.gen_range(0..4usize)).map(|_| rng.gen()).collect(),
-        delete_tags: (0..rng.gen_range(0..4usize)).map(|_| rng.gen()).collect(),
-        remove_social_edges: (0..rng.gen_range(0..4usize))
-            .map(|_| (rng.gen(), rng.gen()))
-            .collect(),
-        remove_comments: (0..rng.gen_range(0..4usize)).map(|_| (rng.gen(), rng.gen())).collect(),
+fn ingest_batch(rng: &mut StdRng) -> IngestBatch {
+    let mut batch = IngestBatch::new();
+    // Small: every user is one `add_user` call.
+    for _ in 0..rng.gen_range(0..20u64) {
+        batch.add_user();
     }
+    for _ in 0..rng.gen_range(0..5usize) {
+        batch.add_social_edge(user_ref(rng), user_ref(rng), wire_f64(rng));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        let poster = rng.gen_bool(0.7).then(|| user_ref(rng));
+        batch.add_document(ingest_doc(rng), poster);
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        batch.add_comment(doc_ref(rng), frag_ref(rng));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        let keyword = rng.gen_bool(0.7).then(|| word(rng, 5));
+        batch.add_tag(tag_subject(rng), user_ref(rng), keyword.as_deref());
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        batch.delete_user(UserId(rng.gen()));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        batch.delete_document(TreeId(rng.gen()));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        batch.delete_tag(TagId(rng.gen()));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        batch.remove_social_edge(UserId(rng.gen()), UserId(rng.gen()));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        batch.remove_comment(TreeId(rng.gen()), DocNodeId(rng.gen()));
+    }
+    batch
 }
 
 fn round_reply(rng: &mut StdRng) -> RoundReply {
@@ -150,7 +169,7 @@ fn message(rng: &mut StdRng) -> Message {
             selected: (0..rng.gen_range(0..6usize)).map(|_| rng.gen()).collect(),
         }),
         3 => Message::EndQuery,
-        4 => Message::Ingest(wire_ingest(rng)),
+        4 => Message::Ingest(ingest_batch(rng)),
         5 => Message::Shutdown,
         6 => Message::Round(round_reply(rng)),
         7 => Message::Vote(wire_f64(rng)),
@@ -187,8 +206,8 @@ proptest! {
         let _ = RequestBuf::default().read(&bytes);
         let mut reply = RoundReply::default();
         let _ = reply.decode_into(&bytes);
-        let mut ingest = WireIngest::default();
-        let _ = ingest.decode_into(&bytes);
+        let mut ingest = IngestBatch::default();
+        let _ = decode_ingest(&bytes, &mut ingest);
         let mut buf = Vec::new();
         let _ = read_frame(&mut bytes.as_slice(), &mut buf);
     }
@@ -218,15 +237,17 @@ proptest! {
         prop_assert_eq!(back, msg);
     }
 
-    /// Ingest batches survive the full wire → batch → wire round trip
-    /// (the shape shipped to every shard replica).
+    /// Ingest batches survive the full batch → frame → batch round trip
+    /// (the shape shipped to every shard replica and journaled to the WAL).
     #[test]
     fn ingest_batch_round_trips(seed in 0u64..1u64 << 32) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C4);
-        let wire = wire_ingest(&mut rng);
-        let batch = wire.to_batch();
-        let again = WireIngest::from_batch(&batch);
-        prop_assert_eq!(again, wire);
+        let batch = ingest_batch(&mut rng);
+        let mut frame = Vec::new();
+        encode_ingest(&batch, &mut frame);
+        let mut again = IngestBatch::default();
+        decode_ingest(&frame, &mut again).expect("own encoding must decode");
+        prop_assert_eq!(again, batch);
     }
 
     /// Framing: what `write_frame` produces, `read_frame` returns intact.
