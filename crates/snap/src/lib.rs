@@ -151,7 +151,7 @@ macro_rules! varint_codec {
 }
 varint_codec!(u64 => u64v, u32 => u32v, usize => usize_v);
 
-/// One raw byte (discriminants, version bytes, message tags).
+/// One raw byte (a discriminant).
 impl Codec for u8 {
     const MIN_BYTES: usize = 1;
     fn encode(&self, out: &mut Vec<u8>) {
