@@ -1321,6 +1321,64 @@ mod tests {
         }
     }
 
+    /// The fixpoint's work on one fixed corpus, cold and scoped to the
+    /// components its second phase touched. Each rule fires once per
+    /// first-seen signature or new tuple, so these counts do not depend
+    /// on the order the build visits items in.
+    #[test]
+    fn build_counters_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let c = random_corpus(&mut rng);
+        let dead = Tombstones::default();
+        let scope = Scope::all(&c.forest, c.tags.len(), &dead);
+        let (_, cold) =
+            ConnectionIndex::build_scoped(&c.forest, &c.tags, &c.comments, src_of, &scope);
+        assert_eq!(cold, BuildCounters { tuples: 177, rule_firings: 243 });
+
+        let tags0 = &c.tags[..c.base_tags];
+        let comments0 = &c.comments[..c.base_comments];
+        let scope0 = Scope::all(&c.base_forest, c.base_tags, &dead);
+        let (prev, _) =
+            ConnectionIndex::build_scoped(&c.base_forest, tags0, comments0, src_of, &scope0);
+        // Content components over trees, then tags.
+        let trees = c.forest.num_trees();
+        let mut comp: Vec<usize> = (0..trees + c.tags.len()).collect();
+        let mut unite = |a: usize, b: usize| {
+            let (from, to) = (comp[a], comp[b]);
+            comp.iter_mut().filter(|x| **x == from).for_each(|x| *x = to);
+        };
+        let tree_of = |d: DocNodeId| c.forest.tree_of(d).index();
+        for (i, t) in c.tags.iter().enumerate() {
+            unite(
+                trees + i,
+                match t.subject {
+                    TagSubject::Frag(f) => tree_of(f),
+                    TagSubject::Tag(b) => trees + b.index(),
+                },
+            );
+        }
+        for &(root, target) in &c.comments {
+            unite(tree_of(root), tree_of(target));
+        }
+        let mut touched: HashSet<usize> = HashSet::new();
+        touched.extend((c.base_forest.num_trees()..trees).map(|t| comp[t]));
+        touched.extend((c.base_tags..c.tags.len()).map(|t| comp[trees + t]));
+        touched.extend(c.comments[c.base_comments..].iter().map(|&(root, _)| comp[tree_of(root)]));
+        let scope = Scope {
+            docs: c.forest.trees().filter(|t| touched.contains(&comp[t.index()])).collect(),
+            tags: (0..c.tags.len() as u32)
+                .map(TagId)
+                .filter(|t| touched.contains(&comp[trees + t.index()]))
+                .collect(),
+            dead: &dead,
+            prev: Some(&prev),
+        };
+        assert_eq!((scope.docs.len(), trees), (5, 6));
+        let (_, scoped) =
+            ConnectionIndex::build_scoped(&c.forest, &c.tags, &c.comments, src_of, &scope);
+        assert_eq!(scoped, BuildCounters { tuples: 116, rule_firings: 152 });
+    }
+
     /// The clock-free linearity gate: a retweet cascade — one document, `E`
     /// endorsers, every second one endorsing the previous endorser's tag —
     /// costs a bounded number of insert attempts per tuple it derives.
