@@ -50,16 +50,27 @@
 //! *E* endorsers costs ∝ *E* per signature, where re-firing E per source
 //! cost ∝ *E*².
 //!
+//! The rules follow three kinds of edge only: a tag to its subject (E, E′,
+//! T) and a comment root to its target (C). So no tuple leaves a
+//! *content component* — the trees and tags those edges join — and the
+//! build runs the fixpoint one component at a time: seed it, run the
+//! rules, freeze its trees' blocks, clear the working sets. Cold builds
+//! and the scoped rebuilds of live ingestion share this one loop, and
+//! the working sets never hold more than the largest component's tuples,
+//! whatever the size of the scope. Each rule still fires once per
+//! first-seen signature or new tuple, so the work is the one-pass
+//! fixpoint's exactly.
+//!
 //! # Frozen layout
 //!
 //! One [`Arc`]'d block per document tree: a directory of `(node, keyword)`
 //! entries, sorted, over one flat [`Connection`] array in `(node, keyword,
-//! frag, src, type)` order. Connections never leave a content component,
-//! and a component is a union of whole trees, so a scoped rebuild replaces
-//! the blocks of the touched trees and shares every other block with the
-//! previous index by refcount. Each stored tuple records `|pos(d, f)|`
-//! (the structural depth used by the concrete score), so scores never
-//! re-walk the tree.
+//! frag, src, type)` order. A component is a union of whole trees, so its
+//! blocks are final when its fixpoint ends and are written then, at their
+//! exact size; a scoped rebuild replaces the blocks of the touched trees
+//! and shares every other block with the previous index by refcount. Each
+//! stored tuple records `|pos(d, f)|` (the structural depth used by the
+//! concrete score), so scores never re-walk the tree.
 
 use crate::ids::{TagId, TagSubject};
 use crate::instance::Tombstones;
@@ -118,7 +129,8 @@ pub(crate) struct Scope<'a> {
     /// component-closed: a tree commented on from, or commenting on, an
     /// in-scope tree is in scope.
     pub(crate) docs: Vec<TreeId>,
-    /// The tags taking part: exactly those whose subject lies in `docs`.
+    /// The tags taking part, ascending: exactly those whose subject lies
+    /// in `docs`.
     pub(crate) tags: Vec<TagId>,
     /// Tombstones. Dead documents seed no `contains` connections and dead
     /// tags take no part, so dead entities' entries come out empty —
@@ -222,14 +234,18 @@ struct ItemSets {
     later_sources: HashSet<u64, BuildHasherDefault<IdHasher>>,
 }
 
-/// The fixpoint's working sets, one pair of tables per item that a rule
-/// wrote to: the rules dwell on one document and the tags around it, so
-/// small per-item tables stay in cache where one table over all tuples
-/// misses on every insert. Their total size follows the scope's output.
+/// The fixpoint's working sets for one content component, one pair of
+/// tables per item that a rule wrote to: the rules dwell on one document
+/// and the tags around it, so small per-item tables stay in cache where
+/// one table over all tuples misses on every insert. The build clears
+/// them between components and keeps their capacity, so their size
+/// follows the largest component, not the scope.
 #[derive(Default)]
 struct Derivation {
     sets: IdMap<u32, ItemSets>,
     pending: Vec<Derived>,
+    /// The tuples derived at document nodes, in derivation order.
+    stored: Vec<Stored>,
     counters: BuildCounters,
 }
 
@@ -267,6 +283,54 @@ impl Derivation {
         self.pending.push(Derived { sig, src, first });
         true
     }
+}
+
+/// Split a scope into its content components by joining what the rules
+/// connect: a tag with its subject's tree or subject tag (rules E, E′ and
+/// T), a comment root's tree with its target's tree (rule C). Elements
+/// are the positions in `scope.docs`, then those in `scope.tags` offset
+/// by `docs.len()`; the result holds `component << 32 | element`,
+/// ascending, so each component is one run, its trees first.
+fn components(
+    forest: &Forest,
+    tags: &[TagInput],
+    comments: &[(DocNodeId, DocNodeId)],
+    scope: &Scope<'_>,
+) -> Vec<u64> {
+    let num_docs = scope.docs.len();
+    let tree_pos = |d: DocNodeId| scope.docs.binary_search(&forest.tree_of(d)).ok();
+    let tag_pos = |t: TagId| scope.tags.binary_search(&t).ok().map(|i| num_docs + i);
+    // Union-find with path halving; a root is its set's least element.
+    let mut parent: Vec<u32> = (0..(num_docs + scope.tags.len()) as u32).collect();
+    let find = |parent: &mut [u32], mut x: usize| {
+        while parent[x] as usize != x {
+            parent[x] = parent[parent[x] as usize];
+            x = parent[x] as usize;
+        }
+        x
+    };
+    let join = |parent: &mut [u32], a: usize, b: Option<usize>| {
+        if let Some(b) = b {
+            let (a, b) = (find(parent, a), find(parent, b));
+            parent[a.max(b)] = a.min(b) as u32;
+        }
+    };
+    for (i, &t) in scope.tags.iter().enumerate() {
+        let subject = match tags[t.index()].subject {
+            TagSubject::Frag(f) => tree_pos(f),
+            TagSubject::Tag(b) => tag_pos(b),
+        };
+        join(&mut parent, num_docs + i, subject);
+    }
+    for &(root, target) in comments {
+        if let Some(r) = tree_pos(root) {
+            join(&mut parent, r, tree_pos(target));
+        }
+    }
+    let mut keyed: Vec<u64> =
+        (0..parent.len()).map(|x| (find(&mut parent, x) as u64) << 32 | x as u64).collect();
+    keyed.sort_unstable();
+    keyed
 }
 
 /// A stored tuple in frozen order: `(node, keyword, frag, src, type)`.
@@ -308,19 +372,31 @@ impl TreeBlock {
         start..start + self.dir[start..].partition_point(|e| e.node == d)
     }
 
-    /// While building: close the entry of `(node, kw)` over the
-    /// connections pushed since the previous one; `None` when the tree
-    /// outgrows the `u32` offsets.
-    fn close_entry(&mut self, node: DocNodeId, kw: KeywordId) -> Option<()> {
-        self.dir.push(DirEntry { node, kw, end: u32::try_from(self.conns.len()).ok()? });
-        Some(())
-    }
-
-    /// Done building: drop the spare capacity and share.
-    fn freeze(mut self) -> Arc<TreeBlock> {
-        self.dir.shrink_to_fit();
-        self.conns.shrink_to_fit();
-        Arc::new(self)
+    /// The block of one tree's tuples, `own`, sorted in frozen order.
+    fn freeze(forest: &Forest, own: &[Stored]) -> Arc<TreeBlock> {
+        let entries = own.chunk_by(|a, b| (a.doc, a.kw) == (b.doc, b.kw));
+        let mut block = TreeBlock {
+            dir: Vec::with_capacity(entries.clone().count()),
+            conns: Vec::with_capacity(own.len()),
+        };
+        for entry in entries {
+            let d = entry[0].doc;
+            block.conns.extend(entry.iter().map(|s| {
+                Connection {
+                    ctype: s.ctype,
+                    frag: s.frag,
+                    depth: forest
+                        .structural_distance(d, s.frag)
+                        .expect("connection fragments are fragments of d")
+                        .min(u8::MAX as u32) as u8,
+                    src: s.src,
+                }
+            }));
+            let end =
+                u32::try_from(block.conns.len()).expect("a tree holds fewer than 2^32 tuples");
+            block.dir.push(DirEntry { node: d, kw: entry[0].kw, end });
+        }
+        Arc::new(block)
     }
 }
 
@@ -369,12 +445,13 @@ impl ConnectionIndex {
             "document nodes and tags share one u32 item space"
         );
         let tag_item = |t: TagId| num_nodes + t.0;
-        let live_tags = || scope.tags.iter().copied().filter(|&t| scope.dead.tag_alive(t));
 
         // What the rules look up (scoped tags and comments only; rules
         // never leave a component-closed scope).
         let mut endorsements_on: IdMap<u32, Vec<TagId>> = IdMap::default();
-        for t in live_tags().filter(|t| tags[t.index()].keyword.is_none()) {
+        let endorsements =
+            scope.tags.iter().copied().filter(|&t| tags[t.index()].keyword.is_none());
+        for t in endorsements.filter(|&t| scope.dead.tag_alive(t)) {
             let subject = match tags[t.index()].subject {
                 TagSubject::Frag(f) => f.0,
                 TagSubject::Tag(b) => tag_item(b),
@@ -391,8 +468,7 @@ impl ConnectionIndex {
         // The rules, run until nothing is pending. The order tuples are
         // taken in does not matter: the result is the least set closed
         // under the rules.
-        let mut stored: Vec<Stored> = Vec::new();
-        let mut run_rules = |set: &mut Derivation| {
+        let run_rules = |set: &mut Derivation| {
             while let Some(Derived { sig, src, first }) = set.pending.pop() {
                 // Rules E and E′: endorsements on the item inherit the
                 // signature, with the endorser as source.
@@ -403,7 +479,7 @@ impl ConnectionIndex {
                     }
                 }
                 if sig.item < num_nodes {
-                    stored.push(Stored {
+                    set.stored.push(Stored {
                         doc: DocNodeId(sig.item),
                         kw: sig.kw,
                         frag: DocNodeId(sig.frag),
@@ -458,90 +534,93 @@ impl ConnectionIndex {
                 }
             }
         };
-        let mut set = Derivation::default();
 
-        // Seed: keyword tags.
-        for t in live_tags() {
-            let tag = &tags[t.index()];
-            if let Some(kw) = tag.keyword {
-                let frag = match tag.subject {
-                    TagSubject::Frag(f) => f.0,
-                    TagSubject::Tag(_) => NO_ORIGIN,
-                };
-                let sig = Signature { item: tag_item(t), frag, kw, ctype: ConnType::RelatedTo };
-                set.derive(sig, tag.author_node);
-            }
-        }
-        run_rules(&mut set);
-
-        // Seed: contains — every keyword occurrence, pushed to every
-        // ancestor-or-self with itself as source; the rules run tree by
-        // tree, while the tables a tree's tuples land in are warm.
-        let mut kws: Vec<KeywordId> = Vec::new();
-        for &tree in scope.docs.iter().filter(|&&t| scope.dead.tree_alive(t)) {
-            for f in forest.tree_range(tree).map(|i| DocNodeId(i as u32)) {
-                kws.clear();
-                kws.extend_from_slice(forest.content(f));
-                kws.sort_unstable();
-                kws.dedup();
-                if kws.is_empty() {
-                    continue;
-                }
-                for d in forest.ancestors_or_self(f) {
-                    let src = doc_src_node(d);
-                    for &kw in &kws {
-                        let sig = Signature { item: d.0, frag: f.0, kw, ctype: ConnType::Contains };
-                        set.seed(sig, src);
-                    }
-                }
-            }
-            run_rules(&mut set);
-        }
-        let counters = set.counters;
-        drop(set);
-
-        // Freeze: one block per in-scope tree, |pos(d, f)| recorded per
-        // tuple. Out-of-scope trees keep their previous block by
-        // Arc-share (a refcount bump, not a copy — the O(touched)
-        // memory-traffic contract), and `total` is carried over from
-        // `prev` adjusted by the in-scope trees' old and new counts only.
-        stored.sort_unstable();
+        // Out-of-scope trees keep their previous block by Arc-share (a
+        // refcount bump, not a copy — the O(touched) memory-traffic
+        // contract), and `total` is carried over from `prev` adjusted by
+        // the in-scope trees' old and new counts only.
         let empty = Arc::new(TreeBlock::default());
         let mut trees = scope.prev.map_or_else(Vec::new, |p| p.trees.clone());
         trees.resize(forest.num_trees(), Arc::clone(&empty));
         let mut total = scope.prev.map_or(0, |p| p.total);
-        let mut rest = stored.as_slice();
-        for &tree in &scope.docs {
-            let range = forest.tree_range(tree);
-            rest = &rest[rest.partition_point(|s| s.doc.index() < range.start)..];
-            let (own, later) = rest.split_at(rest.partition_point(|s| s.doc.index() < range.end));
-            rest = later;
-            total -= trees[tree.index()].conns.len();
-            total += own.len();
-            if own.is_empty() {
-                trees[tree.index()] = Arc::clone(&empty);
-                continue;
+
+        // One content component at a time: derive, clear the tables,
+        // freeze its trees' blocks. No tuple crosses components, so the
+        // result is the one-pass fixpoint's, and the working sets never
+        // hold more than the largest component's tuples.
+        let num_docs = scope.docs.len();
+        let components = components(forest, tags, comments, scope);
+        let element = |x: &u64| *x as u32 as usize;
+        let mut set = Derivation::default();
+        let mut kws: Vec<KeywordId> = Vec::new();
+        for component in components.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let split = component.partition_point(|x| element(x) < num_docs);
+            let docs = component[..split].iter().map(|x| scope.docs[element(x)]);
+            let component_tags =
+                component[split..].iter().map(|x| scope.tags[element(x) - num_docs]);
+
+            // Seed: keyword tags.
+            for t in component_tags.filter(|&t| scope.dead.tag_alive(t)) {
+                let tag = &tags[t.index()];
+                if let Some(kw) = tag.keyword {
+                    let frag = match tag.subject {
+                        TagSubject::Frag(f) => f.0,
+                        TagSubject::Tag(_) => NO_ORIGIN,
+                    };
+                    let sig = Signature { item: tag_item(t), frag, kw, ctype: ConnType::RelatedTo };
+                    set.derive(sig, tag.author_node);
+                }
             }
-            let mut block = TreeBlock::default();
-            for entry in own.chunk_by(|a, b| (a.doc, a.kw) == (b.doc, b.kw)) {
-                let d = entry[0].doc;
-                block.conns.extend(entry.iter().map(|s| {
-                    Connection {
-                        ctype: s.ctype,
-                        frag: s.frag,
-                        depth: forest
-                            .structural_distance(d, s.frag)
-                            .expect("connection fragments are fragments of d")
-                            .min(u8::MAX as u32) as u8,
-                        src: s.src,
+            run_rules(&mut set);
+
+            // Seed: contains — every keyword occurrence, pushed to every
+            // ancestor-or-self with itself as source; the rules run tree
+            // by tree, while the tables a tree's tuples land in are warm.
+            for tree in docs.clone().filter(|&t| scope.dead.tree_alive(t)) {
+                for f in forest.tree_range(tree).map(|i| DocNodeId(i as u32)) {
+                    kws.clear();
+                    kws.extend_from_slice(forest.content(f));
+                    kws.sort_unstable();
+                    kws.dedup();
+                    if kws.is_empty() {
+                        continue;
                     }
-                }));
-                block.close_entry(d, entry[0].kw).expect("a tree holds fewer than 2^32 tuples");
+                    for d in forest.ancestors_or_self(f) {
+                        let src = doc_src_node(d);
+                        for &kw in &kws {
+                            let sig =
+                                Signature { item: d.0, frag: f.0, kw, ctype: ConnType::Contains };
+                            set.seed(sig, src);
+                        }
+                    }
+                }
+                run_rules(&mut set);
             }
-            trees[tree.index()] = block.freeze();
+
+            // Freeze: one block per tree of the component, |pos(d, f)|
+            // recorded per tuple. The tables go first, so the blocks can
+            // take the memory they held.
+            set.sets.clear();
+            set.stored.sort_unstable();
+            let mut rest = set.stored.as_slice();
+            for tree in docs {
+                let range = forest.tree_range(tree);
+                rest = &rest[rest.partition_point(|s| s.doc.index() < range.start)..];
+                let (own, later) =
+                    rest.split_at(rest.partition_point(|s| s.doc.index() < range.end));
+                rest = later;
+                total -= trees[tree.index()].conns.len();
+                total += own.len();
+                trees[tree.index()] = if own.is_empty() {
+                    Arc::clone(&empty)
+                } else {
+                    TreeBlock::freeze(forest, own)
+                };
+            }
+            set.stored.clear();
         }
         let tree_of = (0..num_nodes).map(|i| forest.tree_of(DocNodeId(i))).collect();
-        (ConnectionIndex { tree_of, trees, total }, counters)
+        (ConnectionIndex { tree_of, trees, total }, set.counters)
     }
 
     fn block_of(&self, d: DocNodeId) -> &TreeBlock {
@@ -556,11 +635,6 @@ impl ConnectionIndex {
             Ok(entry) => block.span(entry),
             Err(_) => &[],
         }
-    }
-
-    /// Does `d` have at least one connection for some keyword in `ext`?
-    pub fn matches_any(&self, d: DocNodeId, ext: &[KeywordId]) -> bool {
-        ext.iter().any(|k| !self.connections(d, *k).is_empty())
     }
 
     /// The keywords `d` is connected to, ascending.

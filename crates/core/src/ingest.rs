@@ -767,6 +767,30 @@ impl InstanceBuilder {
              snapshot() (full rebuild) first"
                 .into()
         })?;
+        // Every id is a u32, and the graph numbers users, document nodes
+        // and tags in one space: refuse counts that would overflow them
+        // before `apply` adds a single entity.
+        let new_nodes: usize = batch.documents.iter().map(|(doc, _)| doc.len()).sum();
+        let fits = |now: usize, new: &[usize]| {
+            new.iter()
+                .try_fold(now, |n, &k| n.checked_add(k))
+                .is_some_and(|n| n < u32::MAX as usize)
+        };
+        ensure(fits(self.forest.num_trees(), &[batch.documents.len()]), || {
+            format!("{} new documents overflow the u32 tree ids", batch.documents.len())
+        })?;
+        ensure(
+            fits(prev.graph.num_nodes(), &[batch.new_users, new_nodes, batch.tags.len()]),
+            || {
+                format!(
+                "{} new users, {new_nodes} new document nodes and {} new tags overflow the u32 \
+                 ids of a {}-node graph",
+                batch.new_users,
+                batch.tags.len(),
+                prev.graph.num_nodes()
+            )
+            },
+        )?;
         let del_users: HashSet<UserId> = batch.delete_users.iter().copied().collect();
         let del_trees: HashSet<TreeId> = batch.delete_documents.iter().copied().collect();
         let del_tags: HashSet<TagId> = batch.delete_tags.iter().copied().collect();
@@ -862,8 +886,9 @@ impl InstanceBuilder {
 
 /// Why [`InstanceBuilder::check`] refused a batch: a reference to an
 /// entity the builder lacks or has deleted, an out-of-range batch-local
-/// index, a weight outside `(0, 1]`, or a `prev` instance that is not the
-/// builder's latest. Nothing was mutated.
+/// index, a weight outside `(0, 1]`, counts that would overflow the `u32`
+/// ids, or a `prev` instance that is not the builder's latest. Nothing
+/// was mutated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestError(String);
 

@@ -397,6 +397,36 @@ mod tests {
         assert!(matches!(read_snapshot(&bytes[..10]), Err(SnapError::Truncated)));
     }
 
+    /// `b` written under a valid CRC after `corrupt` broke it: the
+    /// checksum passes, so only the builder-block decode can refuse it.
+    fn read_corrupted(corrupt: impl FnOnce(&mut InstanceBuilder)) -> Result<(), SnapError> {
+        let mut b = sample();
+        let inst = b.snapshot();
+        corrupt(&mut b);
+        read_snapshot(&write_snapshot(&b, &inst)).map(|_| ())
+    }
+
+    #[test]
+    fn a_sealed_self_comment_is_rejected() {
+        let refused = read_corrupted(|b| {
+            let (comment, _) = b.comments[0];
+            b.comments[0].1 = b.doc_root(comment);
+        });
+        assert!(
+            matches!(refused, Err(SnapError::Value("document comments on itself"))),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
+    fn a_sealed_tag_on_a_later_tag_is_rejected() {
+        let refused = read_corrupted(|b| b.tags[0].subject = TagSubject::Tag(TagId(1)));
+        assert!(
+            matches!(refused, Err(SnapError::Value("tag subject must be an earlier tag"))),
+            "{refused:?}"
+        );
+    }
+
     #[test]
     fn loaded_builder_keeps_ingesting() {
         let b = sample();

@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use s3_core::{InstanceBuilder, Query, S3Instance, TagSubject, TopKResult, UserId};
+use s3_core::{IngestBatch, InstanceBuilder, Query, S3Instance, TagSubject, TopKResult, UserId};
 use s3_doc::DocBuilder;
+use s3_snap::Codec;
 use s3_text::{KeywordId, Language};
 
 /// Seeded random instance exercising every data-model feature: multi-node
@@ -152,4 +153,19 @@ pub fn assert_identical(a: &TopKResult, b: &TopKResult) -> Result<(), TestCaseEr
         prop_assert!(x.upper == y.upper, "upper {} != {}", x.upper, y.upper);
     }
     Ok(())
+}
+
+/// An ingest frame whose `new_users` count says 2^40: a valid frame of
+/// seventeen bytes that would have `apply` add users one at a time past
+/// the u32 ids.
+pub fn oversized_ingest_frame() -> Vec<u8> {
+    let (empty, mut body, mut frame) = (IngestBatch::new(), Vec::new(), Vec::new());
+    empty.encode(&mut body);
+    s3_wire::encode_ingest(&empty, &mut frame);
+    // `new_users` is the body's first field: one byte while it is zero.
+    let at = frame.len() - body.len();
+    let mut count = Vec::new();
+    (1usize << 40).encode(&mut count);
+    frame.splice(at..at + 1, count);
+    frame
 }

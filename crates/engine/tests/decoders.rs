@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::random_builder;
+use common::{oversized_ingest_frame, random_builder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,11 +25,12 @@ use s3_core::{
 };
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_doc::TreeId;
+use s3_engine::persist::PersistError;
 use s3_engine::{EngineConfig, LiveEngine};
 use s3_snap::{Codec, SnapReader};
 use s3_wire::{
-    encode_ingest, CompactAck, IngestAck, RoundReply, SelectionEntry, Snapshot, SnapshotAck,
-    SnapshotChunk, Start, StopCheck,
+    decode_ingest, encode_ingest, CompactAck, IngestAck, RoundReply, SelectionEntry, Snapshot,
+    SnapshotAck, SnapshotChunk, Start, StopCheck,
 };
 
 /// Decode `bytes` as a `T`; on success the value's encoding must decode
@@ -105,6 +106,44 @@ fn live_batch(builder: &InstanceBuilder, seed: u64) -> IngestBatch {
 
 fn test_config() -> EngineConfig {
     EngineConfig::builder().threads(1).cache_capacity(0).build()
+}
+
+/// A WAL at `dir` holding `record` as its one record, under a valid CRC.
+fn write_wal(dir: &std::path::Path, record: &[u8]) {
+    let mut wal = s3_core::wal::WAL_MAGIC.to_vec();
+    wal.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    wal.extend_from_slice(&(record.len() as u32).to_le_bytes());
+    wal.extend_from_slice(&s3_snap::crc32(record).to_le_bytes());
+    wal.extend_from_slice(record);
+    std::fs::create_dir_all(dir).expect("create test dir");
+    std::fs::write(s3_engine::persist::wal_path(dir), &wal).expect("write the WAL");
+}
+
+/// A frame whose `new_users` says 2^40 decodes — it is well-formed — and
+/// `check` refuses it before `apply` could add a single user.
+#[test]
+fn an_ingest_frame_counting_2_40_new_users_decodes_and_is_refused() {
+    let mut batch = IngestBatch::default();
+    decode_ingest(&oversized_ingest_frame(), &mut batch).expect("the frame is well-formed");
+    assert_eq!(batch.num_users(), 1 << 40);
+    let builder = random_builder(5).0;
+    let refused = builder.check(&builder.snapshot(), &batch).expect_err("past the u32 ids");
+    assert!(refused.to_string().contains("overflow the u32 ids"), "{refused}");
+}
+
+/// The same frame as a journaled record under a resealed CRC: `open`
+/// returns a typed replay error instead of adding users without end.
+#[test]
+fn a_wal_record_counting_2_40_new_users_fails_open() {
+    let dir = std::env::temp_dir().join(format!("s3-decoders-wal-2-40-{}", std::process::id()));
+    write_wal(&dir, &oversized_ingest_frame());
+    let opened = LiveEngine::open(&dir, random_builder(5).0, test_config());
+    std::fs::remove_dir_all(&dir).ok();
+    match opened {
+        Err(PersistError::Replay(e)) => assert!(e.to_string().contains("overflow the u32 ids")),
+        Err(other) => panic!("expected a replay error, got {other}"),
+        Ok(_) => panic!("a record past the u32 ids replayed"),
+    }
 }
 
 proptest! {
@@ -199,15 +238,9 @@ proptest! {
         let at = rng.gen_range(0..record.len());
         record[at] ^= rng.gen_range(1..=255u8);
 
-        let mut wal = s3_core::wal::WAL_MAGIC.to_vec();
-        wal.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        wal.extend_from_slice(&(record.len() as u32).to_le_bytes());
-        wal.extend_from_slice(&s3_snap::crc32(&record).to_le_bytes());
-        wal.extend_from_slice(&record);
         let dir = std::env::temp_dir()
             .join(format!("s3-decoders-wal-{}-{seed}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create test dir");
-        std::fs::write(s3_engine::persist::wal_path(&dir), &wal).expect("write the WAL");
+        write_wal(&dir, &record);
         let opened = LiveEngine::open(&dir, random_builder(seed % 64).0, test_config());
         std::fs::remove_dir_all(&dir).ok();
         if let Ok((_, report)) = opened {

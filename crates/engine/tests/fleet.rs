@@ -8,17 +8,19 @@
 
 mod common;
 
-use common::{assert_identical, random_builder, random_queries};
+use common::{assert_identical, oversized_ingest_frame, random_builder, random_queries};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s3_core::{IngestBatch, Query, StopReason, UserId, UserRef};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
-use s3_engine::{EngineConfig, FleetEngine, LocalShard, ShardHost, ShardServer, ShardedEngine};
+use s3_engine::{
+    EngineConfig, EngineError, FleetEngine, LocalShard, ShardHost, ShardServer, ShardedEngine,
+};
 use s3_text::KeywordId;
 use s3_wire::{
-    CompactAck, IngestAck, RoundReply, ShardTransport, SnapshotAck, Start, StopCheck,
-    TransportStats, WireError,
+    decode_ingest, CompactAck, IngestAck, RoundReply, ShardTransport, SnapshotAck, Start,
+    StopCheck, TransportStats, WireError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -412,4 +414,22 @@ fn ingest_naming_an_unknown_user_is_refused() {
         Err(WireError::Protocol(what)) => assert_eq!(what, refused),
         other => panic!("expected a protocol error, got {other:?}"),
     }
+}
+
+#[test]
+fn an_ingest_counting_2_40_new_users_is_refused() {
+    let mut batch = IngestBatch::new();
+    decode_ingest(&oversized_ingest_frame(), &mut batch).expect("the frame is well-formed");
+
+    let (mut fleet, hosts) = spawn_fleet(5, 2, Transport::Local);
+    match fleet.ingest(&batch) {
+        Err(EngineError::Rejected(e)) => assert!(e.to_string().contains("overflow the u32 ids")),
+        other => panic!("expected a rejected batch, got {other:?}"),
+    }
+    shutdown(fleet, hosts);
+
+    let (mut conn, host, _) = lone_server(5);
+    conn.send_ingest(&batch).unwrap();
+    conn.flush().unwrap();
+    assert_refused(conn, host, "ingest batch does not fit the replica");
 }
