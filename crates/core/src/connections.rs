@@ -54,7 +54,7 @@
 //! T) and a comment root to its target (C). So no tuple leaves a
 //! *content component* — the trees and tags those edges join — and the
 //! build runs the fixpoint one component at a time: seed it, run the
-//! rules, freeze its trees' blocks, clear the working sets. Cold builds
+//! rules, clear the working sets, freeze its trees' blocks. Cold builds
 //! and the scoped rebuilds of live ingestion share this one loop, and
 //! the working sets never hold more than the largest component's tuples,
 //! whatever the size of the scope. Each rule still fires once per

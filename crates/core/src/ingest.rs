@@ -768,29 +768,22 @@ impl InstanceBuilder {
                 .into()
         })?;
         // Every id is a u32, and the graph numbers users, document nodes
-        // and tags in one space: refuse counts that would overflow them
-        // before `apply` adds a single entity.
+        // and tags in one space (every document has a node, so this bounds
+        // the tree ids too): refuse counts that would overflow it before
+        // `apply` adds a single entity.
         let new_nodes: usize = batch.documents.iter().map(|(doc, _)| doc.len()).sum();
-        let fits = |now: usize, new: &[usize]| {
-            new.iter()
-                .try_fold(now, |n, &k| n.checked_add(k))
-                .is_some_and(|n| n < u32::MAX as usize)
-        };
-        ensure(fits(self.forest.num_trees(), &[batch.documents.len()]), || {
-            format!("{} new documents overflow the u32 tree ids", batch.documents.len())
-        })?;
-        ensure(
-            fits(prev.graph.num_nodes(), &[batch.new_users, new_nodes, batch.tags.len()]),
-            || {
-                format!(
+        let graph_ids = [batch.new_users, new_nodes, batch.tags.len()]
+            .iter()
+            .try_fold(prev.graph.num_nodes(), |n, &k| n.checked_add(k));
+        ensure(graph_ids.is_some_and(|n| n < u32::MAX as usize), || {
+            format!(
                 "{} new users, {new_nodes} new document nodes and {} new tags overflow the u32 \
                  ids of a {}-node graph",
                 batch.new_users,
                 batch.tags.len(),
                 prev.graph.num_nodes()
             )
-            },
-        )?;
+        })?;
         let del_users: HashSet<UserId> = batch.delete_users.iter().copied().collect();
         let del_trees: HashSet<TreeId> = batch.delete_documents.iter().copied().collect();
         let del_tags: HashSet<TagId> = batch.delete_tags.iter().copied().collect();

@@ -21,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use s3::core::connections::TagInput;
-use s3::core::{ConnectionIndex, InstanceBuilder, S3Instance};
+use s3::core::{ConnectionIndex, InstanceBuilder};
 use s3::datasets::twitter::{self, TwitterConfig};
 use s3::datasets::Scale;
 
@@ -92,7 +92,7 @@ fn docs_config(tweets: usize) -> TwitterConfig {
 
 /// The freeze's transient, then the `con` build's on the frozen inputs.
 fn freeze_transients(builder: &InstanceBuilder) -> (usize, usize) {
-    let (instance, snapshot): (S3Instance, usize) = transient(|| builder.snapshot());
+    let (instance, snapshot) = transient(|| builder.snapshot());
     let graph = instance.graph();
     let tags: Vec<TagInput> = instance
         .tags()
