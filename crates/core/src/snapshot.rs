@@ -397,8 +397,9 @@ mod tests {
         assert!(matches!(read_snapshot(&bytes[..10]), Err(SnapError::Truncated)));
     }
 
-    /// `b` written under a valid CRC after `corrupt` broke it: the
-    /// checksum passes, so only the builder-block decode can refuse it.
+    /// Load the sample builder after `corrupt` broke it, written under a
+    /// valid CRC: the checksum passes, so only the builder-block decode
+    /// can refuse it.
     fn read_corrupted(corrupt: impl FnOnce(&mut InstanceBuilder)) -> Result<(), SnapError> {
         let mut b = sample();
         let inst = b.snapshot();
