@@ -25,7 +25,7 @@
 //! **seeker-independent** and is built once per instance; at query time
 //! `con(d, k) = ⋃_{k' ∈ Ext(k)} conDirect(d, k')` (see DESIGN.md §3.3/§3.5).
 //!
-//! # Evaluation: each rule fires once per projection
+//! # Evaluation: each rule fires once per projection, sources travel as lists
 //!
 //! A tuple is a *signature* — `(type, frag, kw)` at a document node,
 //! `(type, origin_frag, kw)` at a tag — plus a source. What a rule emits
@@ -42,13 +42,24 @@
 //! per source; C stops at the commented fragment itself when the tuple it
 //! would spread is already there (only C produces `commentsOn` tuples, and
 //! it always writes a target's whole ancestor chain at once); T fires per
-//! new `(signature, source)`. "First seen" is no side set: each item a
-//! rule writes to has one map `signature → (slot, first source)`, whose
-//! vacant entry is the test, and one set of `(slot, source)` words for
-//! the later sources of its signatures. The work is therefore
-//! O(inputs + derived tuples × ancestor depth): an endorsed document with
-//! *E* endorsers costs ∝ *E* per signature, where re-firing E per source
-//! cost ∝ *E*².
+//! new `(signature, source)`.
+//!
+//! T and C only carry a source, and E ignores it, so the keyword-less
+//! tags on one item that no tag is on all get the same signatures and
+//! pass them on the same way: they derive as one **endorsement group**,
+//! an item whose source is the sorted list of their authors (the paper's
+//! retweets of one tweet). A tag something else is on stays an item of
+//! its own, a group of one. The fixpoint therefore carries a *source*
+//! that is one graph node or one group, and E fires once per group and
+//! first-seen signature: on a tweet with *S* signatures and *E* plain
+//! retweets the rules cost ∝ *S* + *E*, where one tuple per retweet and
+//! signature cost ∝ *S* × *E*.
+//!
+//! "First seen" is no side set: each item a rule writes to has one map
+//! `signature → (slot, first source)`, whose vacant entry is the test,
+//! and one set of `(slot, source)` words for the later sources of its
+//! signatures. The work is O(inputs + derived `(signature, source)` pairs
+//! × ancestor depth).
 //!
 //! The rules follow three kinds of edge only: a tag to its subject (E, E′,
 //! T) and a comment root to its target (C). So no tuple leaves a
@@ -56,21 +67,29 @@
 //! build runs the fixpoint one component at a time: seed it, run the
 //! rules, clear the working sets, freeze its trees' blocks. Cold builds
 //! and the scoped rebuilds of live ingestion share this one loop, and
-//! the working sets never hold more than the largest component's tuples,
-//! whatever the size of the scope. Each rule still fires once per
-//! first-seen signature or new tuple, so the work is the one-pass
-//! fixpoint's exactly.
+//! the working sets never hold more than the largest component's
+//! signatures and sources, whatever the size of the scope.
 //!
 //! # Frozen layout
 //!
 //! One [`Arc`]'d block per document tree: a directory of `(node, keyword)`
-//! entries, sorted, over one flat [`Connection`] array in `(node, keyword,
-//! frag, src, type)` order. A component is a union of whole trees, so its
-//! blocks are final when its fixpoint ends and are written then, at their
-//! exact size; a scoped rebuild replaces the blocks of the touched trees
-//! and shares every other block with the previous index by refcount. Each
-//! stored tuple records `|pos(d, f)|` (the structural depth used by the
-//! concrete score), so scores never re-walk the tree.
+//! entries, sorted, over one flat array of `(type, frag, depth, list)`
+//! entries in `(node, keyword, frag, type)` order. When a component
+//! freezes, the sources of each `(d, signature)` are unioned into one
+//! sorted list: a single source sits in its entry, longer lists in the
+//! block's arena, each stored once (hash-consed), so the endorsers of a
+//! tweet are stored once per block, not once per signature.
+//! A fragment has ≤ 3 lists, one per type, stored in the order of their
+//! sources, so [`ConnectionIndex::connections`] reads them whole; only
+//! where two of them interleave does it merge them by source. Readers
+//! see one [`Connection`] per tuple, in `(frag, src, type)` order.
+//!
+//! A component is a union of whole trees, so its blocks are final when
+//! its fixpoint ends and are written then, at their exact size; a scoped
+//! rebuild replaces the blocks of the touched trees and shares every
+//! other block, lists included, with the previous index by refcount. Each
+//! entry records `|pos(d, f)|` (the structural depth used by the concrete
+//! score), so scores never re-walk the tree.
 
 use crate::ids::{TagId, TagSubject};
 use crate::instance::Tombstones;
@@ -80,7 +99,7 @@ use s3_text::KeywordId;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Connection type (§3.2): how `d` relates to the keyword.
@@ -159,9 +178,14 @@ impl<'a> Scope<'a> {
 /// fixpoint cost against what it produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct BuildCounters {
-    /// Distinct tuples derived, at documents and at tags.
+    /// Distinct tuples derived, at documents and at tags, one per source
+    /// (a group's list counts once per source, its item once per tag).
     pub(crate) tuples: u64,
-    /// Set-insert attempts made by the seeds and the rules.
+    /// `(signature, source)` pairs derived: what the fixpoint holds, a
+    /// group's list counting once.
+    pub(crate) pairs: u64,
+    /// Set-insert attempts made by the seeds and the rules, plus one per
+    /// endorsement joining its group.
     pub(crate) rule_firings: u64,
 }
 
@@ -198,6 +222,7 @@ impl Hasher for IdHasher {
 }
 
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// `origin_frag` of a tag tuple that has none (a keyword tag on a tag).
 const NO_ORIGIN: u32 = u32::MAX;
@@ -215,11 +240,77 @@ struct Signature {
     ctype: ConnType,
 }
 
+/// A tuple's source as the fixpoint carries it: one graph node, or every
+/// author of one endorsement group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Source {
+    Node(NodeId),
+    Group(u32),
+}
+
+/// The low 33 bits of a `(slot, source)` word: the source.
+const SOURCE_BITS: u64 = (1 << 33) - 1;
+
+impl Source {
+    /// One 33-bit word per source.
+    fn word(self) -> u64 {
+        match self {
+            Source::Node(n) => u64::from(n.0),
+            Source::Group(g) => 1 << 32 | u64::from(g),
+        }
+    }
+
+    fn from_word(word: u64) -> Self {
+        match word & SOURCE_BITS {
+            w if w >> 32 == 1 => Source::Group(w as u32),
+            w => Source::Node(NodeId(w as u32)),
+        }
+    }
+}
+
+/// The endorsement groups of one build: per subject item, its keyword-less
+/// tags that no live tag is on, derived as one item (their first tag's)
+/// whose source is their authors, sorted and deduplicated.
+#[derive(Default)]
+struct Groups {
+    /// Every group's authors, group after group; group `g` ends at `ends[g]`.
+    authors: Vec<NodeId>,
+    ends: Vec<u32>,
+    /// Per group, its number of tags: each of them holds every signature
+    /// of the group's item.
+    tags: Vec<u32>,
+    /// The item each group derives at → the group.
+    of_item: IdMap<u32, u32>,
+}
+
+impl Groups {
+    /// The graph nodes behind a source.
+    fn expand<'a>(&'a self, src: &'a Source) -> &'a [NodeId] {
+        match *src {
+            Source::Node(ref n) => std::slice::from_ref(n),
+            Source::Group(g) => {
+                let start = if g == 0 { 0 } else { self.ends[g as usize - 1] as usize };
+                &self.authors[start..self.ends[g as usize] as usize]
+            }
+        }
+    }
+
+    /// The union of `sources`' nodes, sorted, into `out`.
+    fn union(&self, sources: impl Iterator<Item = Source>, out: &mut Vec<NodeId>) {
+        out.clear();
+        for src in sources {
+            out.extend_from_slice(self.expand(&src));
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
 /// A newly derived tuple waiting for the rules it triggers.
 #[derive(Debug, Clone, Copy)]
 struct Derived {
     sig: Signature,
-    src: NodeId,
+    src: Source,
     /// No tuple with this signature existed at the item before.
     first: bool,
 }
@@ -229,9 +320,9 @@ struct Derived {
 struct ItemSets {
     /// Signature, as `(frag << 32 | kw, type)` → its dense slot and first
     /// source.
-    sigs: IdMap<(u64, ConnType), (u32, NodeId)>,
-    /// `slot << 32 | src` for every later source of a signature.
-    later_sources: HashSet<u64, BuildHasherDefault<IdHasher>>,
+    sigs: IdMap<(u64, ConnType), (u32, Source)>,
+    /// `slot << 33 | source word` for every later source of a signature.
+    later_sources: IdSet<u64>,
 }
 
 /// The fixpoint's working sets for one content component, one pair of
@@ -239,13 +330,21 @@ struct ItemSets {
 /// and the tags around it, so small per-item tables stay in cache where
 /// one table over all tuples misses on every insert. The build clears
 /// them between components and keeps their capacity, so their size
-/// follows the largest component, not the scope.
+/// follows the largest component's `(signature, source)` pairs, not the
+/// scope; an endorsement group's item holds its signatures once, whatever
+/// the number of its tags.
 #[derive(Default)]
 struct Derivation {
     sets: IdMap<u32, ItemSets>,
     pending: Vec<Derived>,
-    /// The tuples derived at document nodes, in derivation order.
+    /// The `(signature, source)` pairs derived at document nodes, in
+    /// derivation order.
     stored: Vec<Stored>,
+    /// Scratch for counting a tag's tuples: per slot its first source,
+    /// the later sources' words sorted, and one union.
+    firsts: Vec<Source>,
+    later: Vec<u64>,
+    union: Vec<NodeId>,
     counters: BuildCounters,
 }
 
@@ -253,36 +352,122 @@ impl Derivation {
     /// Add a tuple no rule can derive and no other seed repeats — a
     /// `contains` tuple at a document — so it needs no entry to be found
     /// by: its signature is first seen here and never again.
-    fn seed(&mut self, sig: Signature, src: NodeId) {
+    fn seed(&mut self, sig: Signature, src: Source) {
         self.counters.rule_firings += 1;
-        self.counters.tuples += 1;
+        self.counters.pairs += 1;
         self.pending.push(Derived { sig, src, first: true });
     }
 
-    /// Add one tuple; true when it is new (it then awaits its rules).
-    fn derive(&mut self, sig: Signature, src: NodeId) -> bool {
+    /// Add one `(signature, source)` pair; true when it is new (it then
+    /// awaits its rules).
+    fn derive(&mut self, sig: Signature, src: Source) -> bool {
         self.counters.rule_firings += 1;
         let set = self.sets.entry(sig.item).or_default();
         let next = set.sigs.len();
         let key = (u64::from(sig.frag) << 32 | u64::from(sig.kw.0), sig.ctype);
         let first = match set.sigs.entry(key) {
             Entry::Vacant(e) => {
-                e.insert((u32::try_from(next).expect("fewer than 2^32 signatures"), src));
+                let slot = u32::try_from(next).ok().filter(|&s| s < 1 << 31);
+                e.insert((slot.expect("fewer than 2^31 signatures at one item"), src));
                 true
             }
             Entry::Occupied(e) => {
                 let (slot, first_src) = *e.get();
-                let word = u64::from(slot) << 32 | u64::from(src.0);
+                let word = u64::from(slot) << 33 | src.word();
                 if first_src == src || !set.later_sources.insert(word) {
                     return false;
                 }
                 false
             }
         };
-        self.counters.tuples += 1;
+        self.counters.pairs += 1;
         self.pending.push(Derived { sig, src, first });
         true
     }
+
+    /// Count the tuples at the component's tags (its documents' are
+    /// counted as their blocks freeze): a group's item holds each of its
+    /// signatures once per tag of the group, any other tag the union of
+    /// its sources' nodes per signature.
+    fn count_tag_tuples(&mut self, num_nodes: u32, groups: &Groups) {
+        let (firsts, later) = (&mut self.firsts, &mut self.later);
+        for (&item, set) in self.sets.iter().filter(|(&item, _)| item >= num_nodes) {
+            if let Some(&g) = groups.of_item.get(&item) {
+                self.counters.tuples += set.sigs.len() as u64 * u64::from(groups.tags[g as usize]);
+                continue;
+            }
+            firsts.clear();
+            firsts.resize(set.sigs.len(), Source::Group(0));
+            for &(slot, src) in set.sigs.values() {
+                firsts[slot as usize] = src;
+            }
+            later.clear();
+            later.extend(set.later_sources.iter().copied());
+            later.sort_unstable();
+            let mut rest = later.as_slice();
+            for (slot, &first) in firsts.iter().enumerate() {
+                let (own, after) = rest.split_at(rest.partition_point(|w| w >> 33 == slot as u64));
+                rest = after;
+                self.counters.tuples += if own.is_empty() {
+                    groups.expand(&first).len()
+                } else {
+                    let sources = own.iter().map(|&w| Source::from_word(w));
+                    groups.union(std::iter::once(first).chain(sources), &mut self.union);
+                    self.union.len()
+                } as u64;
+            }
+        }
+    }
+}
+
+/// Per item, the items that endorse it with their sources (rules E and
+/// E′): the group of its plain endorsements, then one by one those of its
+/// endorsements something is on. A dead tag seeds nothing and inherits
+/// nothing, but carries what the tags on it lift, so the tags it is on
+/// stay items of their own too.
+fn endorsements(
+    tags: &[TagInput],
+    scope: &Scope<'_>,
+    tag_item: impl Fn(TagId) -> u32,
+) -> (IdMap<u32, Vec<(u32, Source)>>, Groups) {
+    let tagged: IdSet<TagId> = (scope.tags.iter())
+        .filter_map(|t| match tags[t.index()].subject {
+            TagSubject::Tag(b) => Some(b),
+            TagSubject::Frag(_) => None,
+        })
+        .collect();
+    let mut endorsements_on: IdMap<u32, Vec<(u32, Source)>> = IdMap::default();
+    let mut groups = Groups::default();
+    let mut group_on: IdMap<u32, u32> = IdMap::default();
+    let mut members: Vec<(u32, NodeId)> = Vec::new();
+    let plain = scope.tags.iter().copied().filter(|&t| tags[t.index()].keyword.is_none());
+    for t in plain.filter(|&t| scope.dead.tag_alive(t)) {
+        let tag = &tags[t.index()];
+        let subject = match tag.subject {
+            TagSubject::Frag(f) => f.0,
+            TagSubject::Tag(b) => tag_item(b),
+        };
+        if tagged.contains(&t) {
+            let endorsement = (tag_item(t), Source::Node(tag.author_node));
+            endorsements_on.entry(subject).or_default().push(endorsement);
+            continue;
+        }
+        let next = group_on.len() as u32;
+        let g = *group_on.entry(subject).or_insert_with(|| {
+            let endorsement = (tag_item(t), Source::Group(next));
+            endorsements_on.entry(subject).or_default().push(endorsement);
+            groups.of_item.insert(tag_item(t), next);
+            next
+        });
+        members.push((g, tag.author_node));
+    }
+    members.sort_unstable();
+    for group in members.chunk_by(|a, b| a.0 == b.0) {
+        groups.tags.push(group.len() as u32);
+        groups.authors.extend(group.chunk_by(|a, b| a.1 == b.1).map(|same| same[0].1));
+        groups.ends.push(u32::try_from(groups.authors.len()).expect("fewer than 2^32 tags"));
+    }
+    (endorsements_on, groups)
 }
 
 /// Split a scope into its content components by joining what the rules
@@ -333,18 +518,19 @@ fn components(
     keyed
 }
 
-/// A stored tuple in frozen order: `(node, keyword, frag, src, type)`.
+/// A `(signature, source)` pair at a document, in frozen order: `(node,
+/// keyword, frag, type, source)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Stored {
     doc: DocNodeId,
     kw: KeywordId,
     frag: DocNodeId,
-    src: NodeId,
     ctype: ConnType,
+    src: Source,
 }
 
-/// One directory entry: the connections of `(node, kw)` end at `end` in
-/// the block's flat array and start where the previous entry ends.
+/// One directory entry: the entries of `(node, kw)` end at `end` in the
+/// block's flat array and start where the previous directory entry ends.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct DirEntry {
     node: DocNodeId,
@@ -352,17 +538,156 @@ struct DirEntry {
     end: u32,
 }
 
-/// The connections of one document tree.
+/// The connections of one `(d, k, type, frag)`: one per source. `list`
+/// is the one source's graph node when `single`, else the first word of
+/// a list in the block's arena. `merge` marks the lists of a fragment
+/// whose sources interleave (see [`order_lists`]).
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Factored {
+    frag: DocNodeId,
+    list: u32,
+    ctype: ConnType,
+    depth: u8,
+    single: bool,
+    merge: bool,
+}
+
+/// An entry's sources, ascending.
+fn sources<'a>(lists: &'a [u32], f: &'a Factored) -> &'a [u32] {
+    if f.single {
+        std::slice::from_ref(&f.list)
+    } else {
+        list_at(lists, f.list)
+    }
+}
+
+/// Order one fragment's lists so that reading them one after the other
+/// yields their connections in `(src, type)` order. Where two lists'
+/// sources interleave, no order does: the lists stay in type order,
+/// marked for the reader to merge.
+fn order_lists(lists: &[u32], conns: &mut [Factored]) {
+    conns.sort_unstable_by_key(|f| (sources(lists, f)[0], f.ctype));
+    let in_order = conns.windows(2).all(|pair| {
+        let (a, b) = (sources(lists, &pair[0]), sources(lists, &pair[1]));
+        a[a.len() - 1] < b[0] || (a[a.len() - 1] == b[0] && pair[0].ctype < pair[1].ctype)
+    });
+    if !in_order {
+        conns.sort_unstable_by_key(|f| f.ctype);
+        conns.iter_mut().for_each(|f| f.merge = true);
+    }
+}
+
+/// The list whose first word is at `at`.
+fn list_at(lists: &[u32], at: u32) -> &[u32] {
+    let at = at as usize;
+    &lists[at + 1..at + 1 + lists[at] as usize]
+}
+
+/// The connections of one document tree, factored by source list.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct TreeBlock {
     /// Sorted by `(node, kw)`.
     dir: Vec<DirEntry>,
-    /// Per entry sorted by `(frag, src, type)`.
-    conns: Vec<Connection>,
+    /// Per directory entry sorted by `frag`, each fragment's lists as
+    /// [`order_lists`] leaves them.
+    conns: Vec<Factored>,
+    /// The lists of two sources or more, each stored once: its length,
+    /// then its graph nodes ascending. A [`Factored`] names a list by its
+    /// first word.
+    lists: Vec<u32>,
+    /// Connections stored, one per source of each entry's list.
+    len: usize,
+}
+
+/// Hash-consing of one block's source lists while it freezes, into
+/// buffers the build reuses from tree to tree: the block then copies out
+/// exactly what it keeps, one allocation per array.
+#[derive(Default)]
+struct Interner {
+    /// The block's lists, each its length, then its graph nodes ascending.
+    arena: Vec<u32>,
+    /// The block's entries.
+    conns: Vec<Factored>,
+    /// A list's hash → its first word.
+    lists: IdMap<u64, u32>,
+    /// The hash of the sources of a `(d, signature)` that name a group →
+    /// where `seen_runs` holds them, and their union. A group's union is
+    /// remembered: its list is as long as the group, and one tweet's
+    /// retweets source many signatures.
+    runs: IdMap<u64, (u32, (u32, bool))>,
+    seen_runs: Vec<Source>,
+    union: Vec<NodeId>,
+}
+
+/// The hash of a sequence, with the fixpoint's hasher.
+fn id_hash<T: Hash>(items: impl Iterator<Item = T>) -> u64 {
+    let mut hasher = IdHasher::default();
+    items.for_each(|x| x.hash(&mut hasher));
+    hasher.finish()
+}
+
+impl Interner {
+    /// The union of `run`'s sources as a [`Factored`]'s `(list, single)`:
+    /// one node inline, or a list added to the arena unless an equal list
+    /// is there. A hash that two different lists share only costs the
+    /// second one its sharing.
+    fn intern(&mut self, run: &[Stored], groups: &Groups) -> (u32, bool) {
+        if let [Stored { src: Source::Node(n), .. }] = run {
+            return (n.0, true);
+        }
+        let sources = || run.iter().map(|s| s.src);
+        let memo = run.iter().any(|s| matches!(s.src, Source::Group(_)));
+        let run_hash = id_hash(sources());
+        if let Some(&(start, at)) = self.runs.get(&run_hash).filter(|_| memo) {
+            let seen = self.seen_runs.get(start as usize..start as usize + run.len());
+            if seen.is_some_and(|seen| seen.iter().copied().eq(sources())) {
+                return at;
+            }
+        }
+        groups.union(sources(), &mut self.union);
+        let at = if let [n] = self.union[..] {
+            (n.0, true)
+        } else {
+            let hash = id_hash(self.union.iter());
+            match self.lists.get(&hash) {
+                Some(&at)
+                    if list_at(&self.arena, at).iter().eq(self.union.iter().map(|n| &n.0)) =>
+                {
+                    (at, false)
+                }
+                hit => {
+                    let at =
+                        u32::try_from(self.arena.len()).expect("a tree's lists fit in 2^32 words");
+                    self.arena
+                        .push(u32::try_from(self.union.len()).expect("fewer than 2^32 sources"));
+                    self.arena.extend(self.union.iter().map(|n| n.0));
+                    if hit.is_none() {
+                        self.lists.insert(hash, at);
+                    }
+                    (at, false)
+                }
+            }
+        };
+        if memo {
+            if let Entry::Vacant(e) = self.runs.entry(run_hash) {
+                e.insert((self.seen_runs.len() as u32, at));
+                self.seen_runs.extend(sources());
+            }
+        }
+        at
+    }
+
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.conns.clear();
+        self.lists.clear();
+        self.runs.clear();
+        self.seen_runs.clear();
+    }
 }
 
 impl TreeBlock {
-    fn span(&self, entry: usize) -> &[Connection] {
+    fn span(&self, entry: usize) -> &[Factored] {
         let start = if entry == 0 { 0 } else { self.dir[entry - 1].end as usize };
         &self.conns[start..self.dir[entry].end as usize]
     }
@@ -372,31 +697,155 @@ impl TreeBlock {
         start..start + self.dir[start..].partition_point(|e| e.node == d)
     }
 
-    /// The block of one tree's tuples, `own`, sorted in frozen order.
-    fn freeze(forest: &Forest, own: &[Stored]) -> Arc<TreeBlock> {
+    fn connections(&self, entry: usize) -> Connections<'_> {
+        Connections::new(&self.lists, self.span(entry))
+    }
+
+    /// The block of one tree's pairs, `own`, sorted in frozen order: each
+    /// `(d, signature)`'s sources unioned into one interned list.
+    fn freeze(
+        forest: &Forest,
+        own: &[Stored],
+        groups: &Groups,
+        interner: &mut Interner,
+    ) -> Arc<TreeBlock> {
+        interner.clear();
         let entries = own.chunk_by(|a, b| (a.doc, a.kw) == (b.doc, b.kw));
-        let mut block = TreeBlock {
-            dir: Vec::with_capacity(entries.clone().count()),
-            conns: Vec::with_capacity(own.len()),
-        };
+        let mut dir = Vec::with_capacity(entries.clone().count());
+        let mut len = 0;
         for entry in entries {
             let d = entry[0].doc;
-            block.conns.extend(entry.iter().map(|s| {
-                Connection {
-                    ctype: s.ctype,
-                    frag: s.frag,
-                    depth: forest
-                        .structural_distance(d, s.frag)
-                        .expect("connection fragments are fragments of d")
-                        .min(u8::MAX as u32) as u8,
-                    src: s.src,
+            for one_frag in entry.chunk_by(|a, b| a.frag == b.frag) {
+                let depth = forest
+                    .structural_distance(d, one_frag[0].frag)
+                    .expect("connection fragments are fragments of d")
+                    .min(u8::MAX as u32) as u8;
+                let start = interner.conns.len();
+                for run in one_frag.chunk_by(|a, b| a.ctype == b.ctype) {
+                    let (list, single) = interner.intern(run, groups);
+                    let (frag, ctype) = (run[0].frag, run[0].ctype);
+                    let f = Factored { frag, list, ctype, depth, single, merge: false };
+                    len += sources(&interner.arena, &f).len();
+                    interner.conns.push(f);
                 }
-            }));
+                order_lists(&interner.arena, &mut interner.conns[start..]);
+            }
             let end =
-                u32::try_from(block.conns.len()).expect("a tree holds fewer than 2^32 tuples");
-            block.dir.push(DirEntry { node: d, kw: entry[0].kw, end });
+                u32::try_from(interner.conns.len()).expect("a tree holds fewer than 2^32 entries");
+            dir.push(DirEntry { node: d, kw: entry[0].kw, end });
         }
+        let block =
+            TreeBlock { dir, conns: interner.conns.clone(), lists: interner.arena.clone(), len };
         Arc::new(block)
+    }
+}
+
+/// The connections of one `(d, k)`, in `(frag, src, type)` order: per
+/// fragment, the merge by source of its ≤ 3 lists, one per type. Returned
+/// by [`ConnectionIndex::connections`].
+#[derive(Debug, Clone)]
+pub struct Connections<'a> {
+    lists: &'a [u32],
+    /// The entries whose lists are not opened yet.
+    rest: &'a [Factored],
+    /// The sources to yield next, all of one type and depth: a run that
+    /// comes before every other open list's next source.
+    run: std::slice::Iter<'a, u32>,
+    /// The run's connections but for their source.
+    like: Connection,
+    /// The current fragment's lists with sources left outside `run`, in
+    /// type order.
+    open: [(ConnType, u8, &'a [u32]); 3],
+    num_open: usize,
+}
+
+impl<'a> Connections<'a> {
+    fn new(lists: &'a [u32], entries: &'a [Factored]) -> Self {
+        let none = (ConnType::Contains, 0, &[][..]);
+        let like = Connection { ctype: none.0, frag: DocNodeId(0), depth: 0, src: NodeId(0) };
+        Connections { lists, rest: entries, run: [].iter(), like, open: [none; 3], num_open: 0 }
+    }
+
+    /// Take the next run, opening the next fragment's lists once the
+    /// current one's are spent: the longest prefix of the list with the
+    /// least source that precedes every other list's next source. `None`
+    /// when every entry is spent.
+    #[inline(always)]
+    fn next_run(&mut self) -> Option<()> {
+        if self.num_open == 0 {
+            let (first, rest) = self.rest.split_first()?;
+            self.like.frag = first.frag;
+            if !first.merge {
+                // A list read whole, in the order `order_lists` left.
+                self.rest = rest;
+                self.run = sources(self.lists, first).iter();
+                (self.like.ctype, self.like.depth) = (first.ctype, first.depth);
+                return Some(());
+            }
+            // One list per type at most.
+            for f in self.rest.iter().take(3).take_while(|f| f.frag == first.frag) {
+                self.open[self.num_open] = (f.ctype, f.depth, sources(self.lists, f));
+                self.num_open += 1;
+            }
+            self.rest = &self.rest[self.num_open..];
+        }
+        // The least next source; on a tie the first list, whose type is
+        // the least.
+        let open = &self.open[..self.num_open];
+        let mut best = 0;
+        for i in 1..open.len() {
+            if open[i].2[0] < open[best].2[0] {
+                best = i;
+            }
+        }
+        // The run stops at another list's next source, or after it when
+        // that list's type is greater.
+        let (ctype, depth, list) = open[best];
+        let mut len = list.len();
+        for (j, &(_, _, other)) in open.iter().enumerate().filter(|&(j, _)| j != best) {
+            let precedes = |x: u32| x < other[0] || (x == other[0] && best < j);
+            if !precedes(list[len - 1]) {
+                len = list[..len].partition_point(|&x| precedes(x));
+            }
+        }
+        self.run = list[..len].iter();
+        (self.like.ctype, self.like.depth) = (ctype, depth);
+        if len == list.len() {
+            self.open.copy_within(best + 1..self.num_open, best);
+            self.num_open -= 1;
+        } else {
+            self.open[best].2 = &list[len..];
+        }
+        Some(())
+    }
+}
+
+impl Iterator for Connections<'_> {
+    type Item = Connection;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Connection> {
+        loop {
+            if let Some(&src) = self.run.next() {
+                return Some(Connection { src: NodeId(src), ..self.like });
+            }
+            self.next_run()?;
+        }
+    }
+
+    /// One loop over each run, its state in locals.
+    #[inline]
+    fn fold<B, F: FnMut(B, Connection) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        loop {
+            let like = self.like;
+            for &src in std::mem::take(&mut self.run) {
+                acc = f(acc, Connection { src: NodeId(src), ..like });
+            }
+            if self.next_run().is_none() {
+                return acc;
+            }
+        }
     }
 }
 
@@ -410,7 +859,7 @@ pub struct ConnectionIndex {
     tree_of: Vec<TreeId>,
     /// Per tree, its connections; trees without any share one empty block.
     trees: Vec<Arc<TreeBlock>>,
-    /// Total number of stored tuples.
+    /// Total number of stored tuples, one per source.
     total: usize,
 }
 
@@ -445,19 +894,12 @@ impl ConnectionIndex {
             "document nodes and tags share one u32 item space"
         );
         let tag_item = |t: TagId| num_nodes + t.0;
+        let mut set = Derivation::default();
 
         // What the rules look up (scoped tags and comments only; rules
         // never leave a component-closed scope).
-        let mut endorsements_on: IdMap<u32, Vec<TagId>> = IdMap::default();
-        let endorsements =
-            scope.tags.iter().copied().filter(|&t| tags[t.index()].keyword.is_none());
-        for t in endorsements.filter(|&t| scope.dead.tag_alive(t)) {
-            let subject = match tags[t.index()].subject {
-                TagSubject::Frag(f) => f.0,
-                TagSubject::Tag(b) => tag_item(b),
-            };
-            endorsements_on.entry(subject).or_default().push(t);
-        }
+        let (endorsements_on, groups) = endorsements(tags, scope, tag_item);
+        set.counters.rule_firings += groups.tags.iter().map(|&n| u64::from(n)).sum::<u64>();
         let mut comment_targets: IdMap<u32, Vec<DocNodeId>> = IdMap::default();
         for &(root, target) in comments {
             if scope.docs.binary_search(&forest.tree_of(root)).is_ok() {
@@ -471,11 +913,11 @@ impl ConnectionIndex {
         let run_rules = |set: &mut Derivation| {
             while let Some(Derived { sig, src, first }) = set.pending.pop() {
                 // Rules E and E′: endorsements on the item inherit the
-                // signature, with the endorser as source.
+                // signature, with the endorsers as source.
                 if first {
-                    for &a in endorsements_on.get(&sig.item).map_or(&[][..], Vec::as_slice) {
-                        let inherited = Signature { item: tag_item(a), ..sig };
-                        set.derive(inherited, tags[a.index()].author_node);
+                    let endorsers = endorsements_on.get(&sig.item).map_or(&[][..], Vec::as_slice);
+                    for &(item, by) in endorsers {
+                        set.derive(Signature { item, ..sig }, by);
                     }
                 }
                 if sig.item < num_nodes {
@@ -483,8 +925,8 @@ impl ConnectionIndex {
                         doc: DocNodeId(sig.item),
                         kw: sig.kw,
                         frag: DocNodeId(sig.frag),
-                        src,
                         ctype: sig.ctype,
+                        src,
                     });
                     // Rule C: if the item is a comment root, its
                     // connections flow to the ancestors of the commented
@@ -544,14 +986,14 @@ impl ConnectionIndex {
         trees.resize(forest.num_trees(), Arc::clone(&empty));
         let mut total = scope.prev.map_or(0, |p| p.total);
 
-        // One content component at a time: derive, clear the tables,
-        // freeze its trees' blocks. No tuple crosses components, so the
-        // result is the one-pass fixpoint's, and the working sets never
-        // hold more than the largest component's tuples.
+        // One content component at a time: derive, count and clear the
+        // tables, freeze its trees' blocks. No tuple crosses components,
+        // so the result is the one-pass fixpoint's, and the working sets
+        // never hold more than the largest component's pairs.
         let num_docs = scope.docs.len();
         let components = components(forest, tags, comments, scope);
         let element = |x: &u64| *x as u32 as usize;
-        let mut set = Derivation::default();
+        let mut interner = Interner::default();
         let mut kws: Vec<KeywordId> = Vec::new();
         for component in components.chunk_by(|a, b| a >> 32 == b >> 32) {
             let split = component.partition_point(|x| element(x) < num_docs);
@@ -568,7 +1010,7 @@ impl ConnectionIndex {
                         TagSubject::Tag(_) => NO_ORIGIN,
                     };
                     let sig = Signature { item: tag_item(t), frag, kw, ctype: ConnType::RelatedTo };
-                    set.derive(sig, tag.author_node);
+                    set.derive(sig, Source::Node(tag.author_node));
                 }
             }
             run_rules(&mut set);
@@ -586,7 +1028,7 @@ impl ConnectionIndex {
                         continue;
                     }
                     for d in forest.ancestors_or_self(f) {
-                        let src = doc_src_node(d);
+                        let src = Source::Node(doc_src_node(d));
                         for &kw in &kws {
                             let sig =
                                 Signature { item: d.0, frag: f.0, kw, ctype: ConnType::Contains };
@@ -598,8 +1040,9 @@ impl ConnectionIndex {
             }
 
             // Freeze: one block per tree of the component, |pos(d, f)|
-            // recorded per tuple. The tables go first, so the blocks can
+            // recorded per entry. The tables go first, so the blocks can
             // take the memory they held.
+            set.count_tag_tuples(num_nodes, &groups);
             set.sets.clear();
             set.stored.sort_unstable();
             let mut rest = set.stored.as_slice();
@@ -609,13 +1052,14 @@ impl ConnectionIndex {
                 let (own, later) =
                     rest.split_at(rest.partition_point(|s| s.doc.index() < range.end));
                 rest = later;
-                total -= trees[tree.index()].conns.len();
-                total += own.len();
-                trees[tree.index()] = if own.is_empty() {
+                let block = if own.is_empty() {
                     Arc::clone(&empty)
                 } else {
-                    TreeBlock::freeze(forest, own)
+                    TreeBlock::freeze(forest, own, &groups, &mut interner)
                 };
+                set.counters.tuples += block.len as u64;
+                total = total - trees[tree.index()].len + block.len;
+                trees[tree.index()] = block;
             }
             set.stored.clear();
         }
@@ -629,11 +1073,11 @@ impl ConnectionIndex {
 
     /// `conDirect(d, k)`: connections of `d` for the *exact* keyword `k`,
     /// in `(frag, src, type)` order.
-    pub fn connections(&self, d: DocNodeId, k: KeywordId) -> &[Connection] {
+    pub fn connections(&self, d: DocNodeId, k: KeywordId) -> Connections<'_> {
         let block = self.block_of(d);
         match block.dir.binary_search_by_key(&(d, k), |e| (e.node, e.kw)) {
-            Ok(entry) => block.span(entry),
-            Err(_) => &[],
+            Ok(entry) => block.connections(entry),
+            Err(_) => Connections::new(&block.lists, &[]),
         }
     }
 
@@ -643,7 +1087,7 @@ impl ConnectionIndex {
         block.dir[block.entries_of(d)].iter().map(|e| e.kw)
     }
 
-    /// Total number of stored tuples.
+    /// Total number of stored tuples, one per source.
     pub fn len(&self) -> usize {
         self.total
     }
@@ -663,10 +1107,15 @@ impl ConnectionIndex {
     /// Generic form of [`Self::smax_table`] for arbitrary structural-weight
     /// functions (generic score models).
     pub fn smax_table_with(&self, weight: impl Fn(ConnType, u8) -> f64) -> HashMap<KeywordId, f64> {
+        // Every weight a tuple can have, by depth and type, computed once.
+        let types = [ConnType::Contains, ConnType::RelatedTo, ConnType::CommentsOn];
+        let weights: Vec<[f64; 3]> =
+            (0..=u8::MAX).map(|depth| types.map(|t| weight(t, depth))).collect();
         let mut out: HashMap<KeywordId, f64> = HashMap::new();
         for block in &self.trees {
             for (entry, e) in block.dir.iter().enumerate() {
-                let s: f64 = block.span(entry).iter().map(|c| weight(c.ctype, c.depth)).sum();
+                let connections = block.connections(entry);
+                let s: f64 = connections.map(|c| weights[c.depth as usize][c.ctype as usize]).sum();
                 let best = out.entry(e.kw).or_insert(0.0);
                 if s > *best {
                     *best = s;
@@ -749,13 +1198,13 @@ mod tests {
     fn contains_connection_with_ancestors() {
         // (S3:contains, d2.7.5, d2) ∈ con(d2, "university") — §3.2.
         let f = fig1();
-        let conns = f.index.connections(f.d2, f.university);
+        let conns = f.index.connections(f.d2, f.university).collect::<Vec<_>>();
         assert!(conns.iter().any(|c| c.ctype == ConnType::Contains
             && c.frag == f.d2_7_5
             && c.src == NodeId(f.d2.0)
             && c.depth == 2));
         // The fragment itself has a depth-0 contains connection.
-        let own = f.index.connections(f.d2_7_5, f.university);
+        let own = f.index.connections(f.d2_7_5, f.university).collect::<Vec<_>>();
         assert!(own.iter().any(|c| c.ctype == ConnType::Contains && c.depth == 0));
     }
 
@@ -763,7 +1212,7 @@ mod tests {
     fn tag_connection() {
         // u4's tag creates (S3:relatedTo, d0.5.1, u4) ∈ con(d0, "university").
         let f = fig1();
-        let conns = f.index.connections(f.d0, f.university);
+        let conns = f.index.connections(f.d0, f.university).collect::<Vec<_>>();
         assert!(conns.iter().any(|c| c.ctype == ConnType::RelatedTo
             && c.frag == f.d0_5_1
             && c.src == f.u4_node
@@ -775,7 +1224,7 @@ mod tests {
         // d2 is connected to "university", d2 comments on d0.3.2 ⇒
         // (S3:commentsOn, d0.3.2, d2) ∈ con(d0, "university").
         let f = fig1();
-        let conns = f.index.connections(f.d0, f.university);
+        let conns = f.index.connections(f.d0, f.university).collect::<Vec<_>>();
         assert!(conns.iter().any(|c| c.ctype == ConnType::CommentsOn
             && c.frag == f.d0_3_2
             && c.src == NodeId(f.d2.0)
@@ -787,7 +1236,7 @@ mod tests {
         // u5 endorses d0 ⇒ (S3:relatedTo, d0.5.1, u5) ∈ con(d0, "university")
         // — the paper's exact example.
         let f = fig1();
-        let conns = f.index.connections(f.d0, f.university);
+        let conns = f.index.connections(f.d0, f.university).collect::<Vec<_>>();
         assert!(conns
             .iter()
             .any(|c| c.ctype == ConnType::RelatedTo && c.frag == f.d0_5_1 && c.src == f.u5_node));
@@ -798,15 +1247,11 @@ mod tests {
         let f = fig1();
         // d0.3 (parent of d0.3.2) gets the comment connection at depth 1.
         let d0_3 = f.forest.parent(f.d0_3_2).unwrap();
-        let conns = f.index.connections(d0_3, f.university);
+        let conns = f.index.connections(d0_3, f.university).collect::<Vec<_>>();
         assert!(conns.iter().any(|c| c.ctype == ConnType::CommentsOn && c.depth == 1));
         // But d0.5 does not get it (d0.3.2 is not its fragment).
         let d0_5 = f.forest.parent(f.d0_5_1).unwrap();
-        assert!(!f
-            .index
-            .connections(d0_5, f.university)
-            .iter()
-            .any(|c| c.ctype == ConnType::CommentsOn));
+        assert!(!f.index.connections(d0_5, f.university).any(|c| c.ctype == ConnType::CommentsOn));
     }
 
     #[test]
@@ -826,7 +1271,7 @@ mod tests {
             },
         ];
         let index = ConnectionIndex::build(&forest, &tags, &[], |d| NodeId(d.0));
-        let conns = index.connections(d, kw);
+        let conns = index.connections(d, kw).collect::<Vec<_>>();
         assert!(
             conns.iter().any(|c| c.ctype == ConnType::RelatedTo && c.src == NodeId(501)),
             "higher-level tag keyword must reach the base document: {conns:?}"
@@ -846,7 +1291,7 @@ mod tests {
         let (d, c1, c2) = (forest.root(td), forest.root(tc1), forest.root(tc2));
         let comments = vec![(c1, d), (c2, c1)];
         let index = ConnectionIndex::build(&forest, &[], &comments, |x| NodeId(x.0));
-        let conns = index.connections(d, kw);
+        let conns = index.connections(d, kw).collect::<Vec<_>>();
         assert!(
             conns.iter().any(|c| c.ctype == ConnType::CommentsOn && c.src == NodeId(c2.0)),
             "comment chains must carry sources transitively: {conns:?}"
@@ -866,7 +1311,7 @@ mod tests {
         for idx in 0..f.forest.num_nodes() {
             let d = DocNodeId(idx as u32);
             let sum: f64 =
-                f.index.connections(d, f.university).iter().map(|c| eta.powi(c.depth as i32)).sum();
+                f.index.connections(d, f.university).map(|c| eta.powi(c.depth as i32)).sum();
             assert!(s + 1e-12 >= sum, "smax violated at {d}");
         }
         assert!(s > 0.0);
@@ -886,7 +1331,7 @@ mod tests {
             TagInput { subject: TagSubject::Frag(d), author_node: NodeId(602), keyword: Some(kw) },
         ];
         let index = ConnectionIndex::build(&forest, &tags, &[], |x| NodeId(x.0));
-        let conns = index.connections(d, kw);
+        let conns = index.connections(d, kw).collect::<Vec<_>>();
         // Original tag + both endorsers as sources.
         let srcs: HashSet<NodeId> = conns.iter().map(|c| c.src).collect();
         assert!(srcs.contains(&NodeId(600)));
@@ -1281,9 +1726,15 @@ mod tests {
             kws.sort_unstable();
             prop_assert_eq!(index.keywords_of(d).collect::<Vec<_>>(), kws, "keywords of {}", d);
             for (&kw, conns) in map.iter() {
-                prop_assert_eq!(index.connections(d, kw), conns.as_slice(), "con({}, {:?})", d, kw);
+                prop_assert_eq!(
+                    index.connections(d, kw).collect::<Vec<_>>(),
+                    conns.clone(),
+                    "con({}, {:?})",
+                    d,
+                    kw
+                );
             }
-            prop_assert!(index.connections(d, KeywordId(KEYWORDS)).is_empty());
+            prop_assert!(index.connections(d, KeywordId(KEYWORDS)).next().is_none());
         }
         Ok(())
     }
@@ -1305,7 +1756,7 @@ mod tests {
                 ConnectionIndex::build_scoped(&c.forest, &c.tags, &comments, src_of, &scope);
             check_same(&index, &reference)?;
             prop_assert_eq!(counters.tuples as usize, reference.distinct);
-            prop_assert!(counters.rule_firings >= counters.tuples);
+            prop_assert!(counters.rule_firings >= counters.pairs);
             if dead.trees.is_empty() && dead.tags.is_empty() {
                 let public = ConnectionIndex::build(&c.forest, &c.tags, &comments, src_of);
                 check_same(&public, &reference)?;
@@ -1407,7 +1858,7 @@ mod tests {
         let scope = Scope::all(&c.forest, c.tags.len(), &dead);
         let (_, cold) =
             ConnectionIndex::build_scoped(&c.forest, &c.tags, &c.comments, src_of, &scope);
-        assert_eq!(cold, BuildCounters { tuples: 177, rule_firings: 243 });
+        assert_eq!(cold, BuildCounters { tuples: 177, pairs: 185, rule_firings: 255 });
 
         let tags0 = &c.tags[..c.base_tags];
         let comments0 = &c.comments[..c.base_comments];
@@ -1450,16 +1901,18 @@ mod tests {
         assert_eq!((scope.docs.len(), trees), (5, 6));
         let (_, scoped) =
             ConnectionIndex::build_scoped(&c.forest, &c.tags, &c.comments, src_of, &scope);
-        assert_eq!(scoped, BuildCounters { tuples: 116, rule_firings: 152 });
+        assert_eq!(scoped, BuildCounters { tuples: 116, pairs: 124, rule_firings: 162 });
     }
 
     /// The clock-free linearity gate: a retweet cascade — one document, `E`
     /// endorsers, every second one endorsing the previous endorser's tag —
     /// costs a bounded number of insert attempts per tuple it derives.
-    /// (Re-firing rule E per source grows ∝ E² here.)
+    /// (Re-firing rule E per source grows ∝ E² here.) Every endorsed tag
+    /// has one endorser, so each group is of one and the pairs are the
+    /// tuples; the firings count each endorser joining its group too.
     #[test]
     fn a_retweet_cascade_costs_what_it_derives() {
-        for endorsers in [8u32, 64, 512] {
+        for (endorsers, tuples, firings) in [(8u32, 118, 154), (64, 902, 1190), (512, 7174, 9478)] {
             let mut forest = Forest::new();
             let mut b = DocBuilder::new("tweet");
             b.set_content(b.root(), vec![KeywordId(0), KeywordId(1)]);
@@ -1483,13 +1936,56 @@ mod tests {
             let (index, counters) =
                 ConnectionIndex::build_scoped(&forest, &tags, &[], src_of, &scope);
             assert!(counters.rule_firings <= 4 * counters.tuples, "E = {endorsers}: {counters:?}");
+            assert_eq!(counters, BuildCounters { tuples, pairs: tuples, rule_firings: firings });
             // Every endorser sources every one of the root's four
             // (fragment, keyword) occurrences, next to the contains tuples.
             assert_eq!(index.len(), 4 * (1 + endorsers as usize) + 2, "E = {endorsers}");
-            assert_eq!(index.connections(d, KeywordId(0)).len(), 1 + endorsers as usize);
+            assert_eq!(index.connections(d, KeywordId(0)).count(), 1 + endorsers as usize);
             let reference = reference_cold(&forest, &tags, &[], &dead);
             assert_eq!(counters.tuples as usize, reference.distinct);
             check_same(&index, &reference).expect("the cascade equals the oracle");
         }
+    }
+
+    /// The clock-free factoring gate: one tweet with `S` keywords and `E`
+    /// plain retweets. The retweets derive as one group, so raising `E`
+    /// costs one firing per retweet joining it, whatever `S` is (one tuple
+    /// per retweet and signature made it grow ∝ `S`), and the tweet's block
+    /// stores the retweeters' list once, not once per signature.
+    #[test]
+    fn a_retweet_costs_the_same_at_any_signature_count() {
+        let build = |keywords: u32, endorsers: u32| {
+            let mut forest = Forest::new();
+            let mut b = DocBuilder::new("tweet");
+            let text = b.child(b.root(), "text");
+            // Past `KEYWORDS`, which `check_same` probes as absent.
+            b.set_content(text, (0..keywords).map(|k| KeywordId(KEYWORDS + 1 + k)).collect());
+            let tree = forest.add_document(b);
+            let d = forest.root(tree);
+            let tags: Vec<TagInput> = (0..endorsers)
+                .map(|i| TagInput {
+                    subject: TagSubject::Frag(d),
+                    author_node: NodeId(1000 + i),
+                    keyword: None,
+                })
+                .collect();
+            let dead = Tombstones::default();
+            let scope = Scope::all(&forest, tags.len(), &dead);
+            let (index, counters) =
+                ConnectionIndex::build_scoped(&forest, &tags, &[], src_of, &scope);
+            let reference = reference_cold(&forest, &tags, &[], &dead);
+            check_same(&index, &reference).expect("the retweets equal the oracle");
+            assert_eq!(counters.tuples as usize, reference.distinct);
+            // The block's entries and list words.
+            let block = index.block_of(d);
+            (counters.rule_firings, block.conns.len() + block.lists.len())
+        };
+        let few = [2, 16].map(|s| build(s, 8));
+        let many = [2, 16].map(|s| build(s, 64));
+        assert_eq!(many[0].0 - few[0].0, 56, "S = 2: {few:?} → {many:?}");
+        assert_eq!(many[1].0 - few[1].0, 56, "S = 16: {few:?} → {many:?}");
+        // The retweeters' list is stored once per tree: 56 more sources.
+        assert_eq!(many[0].1 - few[0].1, 56);
+        assert_eq!(many[1].1 - few[1].1, 56);
     }
 }

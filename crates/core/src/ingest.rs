@@ -232,8 +232,22 @@ impl Codec for IngestDoc {
     }
 }
 
-/// A batch of additions for [`InstanceBuilder::apply`]: users, weighted
-/// social edges, documents (with posters), comment edges and tags.
+/// The most users one [`IngestBatch`] may create: 2^26, the byte cap of
+/// one wire frame (`s3_wire::MAX_FRAME`, which `s3-wire` asserts equal).
+///
+/// A batch travels as one frame to a replica and as one record of the
+/// same body to the journal. Every document, edge and tag it adds costs
+/// at least one byte of that body, but its users cost none: the batch
+/// carries only their count. Without this bound a frame of a few bytes
+/// could make [`InstanceBuilder::apply`] add users by the billion. Capped
+/// at the frame's byte count, a batch adds no more of any entity than a
+/// frame can carry bytes. [`InstanceBuilder::check`] refuses a batch
+/// above it.
+pub const MAX_NEW_USERS: usize = 1 << 26;
+
+/// A batch of additions for [`InstanceBuilder::apply`]: users (at most
+/// [`MAX_NEW_USERS`]), weighted social edges, documents (with posters),
+/// comment edges and tags.
 ///
 /// ```
 /// use s3_core::{IngestBatch, IngestDoc};
@@ -364,19 +378,6 @@ impl IngestBatch {
     ) -> DocRef {
         self.delete_documents.push(old);
         self.add_document(doc, poster)
-    }
-
-    /// Retag as delete + append: tombstone tag `old` (cascading to tags on
-    /// it) and add a replacement tag with a fresh id.
-    pub fn retag(
-        &mut self,
-        old: TagId,
-        subject: TagSubjectRef,
-        author: UserRef,
-        keyword: Option<&str>,
-    ) -> TagRef {
-        self.delete_tags.push(old);
-        self.add_tag(subject, author, keyword)
     }
 
     /// Users this batch creates.
@@ -784,6 +785,9 @@ impl InstanceBuilder {
                 prev.graph.num_nodes()
             )
         })?;
+        ensure(batch.new_users <= MAX_NEW_USERS, || {
+            format!("{} new users exceed the {MAX_NEW_USERS} one batch may add", batch.new_users)
+        })?;
         let del_users: HashSet<UserId> = batch.delete_users.iter().copied().collect();
         let del_trees: HashSet<TreeId> = batch.delete_documents.iter().copied().collect();
         let del_tags: HashSet<TagId> = batch.delete_tags.iter().copied().collect();
@@ -1150,5 +1154,16 @@ mod tests {
         let (live, summary) = b.apply(&prev, &spared);
         assert_eq!((summary.deleted_tags, summary.new_tags), (1, 1));
         assert_eq!(live.num_tags(), 3);
+    }
+
+    /// `check` takes a batch of [`MAX_NEW_USERS`] users and refuses one
+    /// more; neither is applied.
+    #[test]
+    fn check_bounds_new_users_by_the_frame() {
+        let (b, _, prev) = base();
+        let batch = |new_users| IngestBatch { new_users, ..IngestBatch::new() };
+        b.check(&prev, &batch(MAX_NEW_USERS)).expect("the bound itself is accepted");
+        let refused = b.check(&prev, &batch(MAX_NEW_USERS + 1)).expect_err("one past the bound");
+        assert!(refused.to_string().contains("one batch may add"), "{refused}");
     }
 }

@@ -278,11 +278,6 @@ impl InstanceBuilder {
         id
     }
 
-    /// The user registered under an RDF URI, if any.
-    pub fn user_by_uri(&self, uri: UriId) -> Option<UserId> {
-        self.user_uris.get(&uri).copied()
-    }
-
     /// Add a weighted social edge `from S3:social to` (§2.2). The higher
     /// the weight, the closer the users.
     pub fn add_social_edge(&mut self, from: UserId, to: UserId, weight: f64) {
@@ -388,19 +383,6 @@ impl InstanceBuilder {
         let before = self.social_edges.len();
         self.social_edges.retain(|&(a, b, _)| !(a == from && b == to));
         before - self.social_edges.len()
-    }
-
-    /// Remove every `comment S3:commentsOn target` edge. Returns how many
-    /// were removed (0 is an idempotent no-op).
-    pub fn remove_comment_edge(&mut self, comment: TreeId, target: DocNodeId) -> usize {
-        let mut log = RetractionLog::default();
-        self.retract_comment_edge(comment, target, &mut log);
-        log.removed_comments.len()
-    }
-
-    /// Is this user deleted?
-    pub fn user_is_deleted(&self, u: UserId) -> bool {
-        !self.dead.user_alive(u)
     }
 
     /// Is this document deleted?
@@ -1142,13 +1124,6 @@ impl S3Instance {
         let table = Arc::new(self.conn_index.smax_table_with(|t, d| score.structural_weight(t, d)));
         self.smax_cache.lock().expect("smax cache poisoned").insert(key, Arc::clone(&table));
         table
-    }
-
-    /// Is a graph node tombstoned (a deleted user, fragment of a deleted
-    /// document, or deleted tag)? Dead nodes keep their ids but have no
-    /// edges and no connections — they can never appear in results.
-    pub fn node_is_dead(&self, n: NodeId) -> bool {
-        self.dead_nodes.get(n.index())
     }
 
     /// Number of tombstoned graph nodes.

@@ -66,7 +66,7 @@ pub use connections::{ConnType, Connection, ConnectionIndex};
 pub use ids::{TagId, TagSubject, UserId};
 pub use ingest::{
     DocRef, FragRef, IngestBatch, IngestDoc, IngestError, IngestSummary, TagRef, TagSubjectRef,
-    UserRef,
+    UserRef, MAX_NEW_USERS,
 };
 pub use instance::{CompactionReport, InstanceBuilder, InstanceStats, S3Instance};
 pub use partition::ComponentPartition;

@@ -159,13 +159,19 @@ pub fn assert_identical(a: &TopKResult, b: &TopKResult) -> Result<(), TestCaseEr
 /// seventeen bytes that would have `apply` add users one at a time past
 /// the u32 ids.
 pub fn oversized_ingest_frame() -> Vec<u8> {
+    ingest_frame_adding_users(1 << 40)
+}
+
+/// An otherwise empty ingest frame whose `new_users` count says
+/// `new_users`.
+pub fn ingest_frame_adding_users(new_users: usize) -> Vec<u8> {
     let (empty, mut body, mut frame) = (IngestBatch::new(), Vec::new(), Vec::new());
     empty.encode(&mut body);
     s3_wire::encode_ingest(&empty, &mut frame);
     // `new_users` is the body's first field: one byte while it is zero.
     let at = frame.len() - body.len();
     let mut count = Vec::new();
-    (1usize << 40).encode(&mut count);
+    new_users.encode(&mut count);
     frame.splice(at..at + 1, count);
     frame
 }

@@ -16,12 +16,13 @@
 
 mod common;
 
-use common::{oversized_ingest_frame, random_builder};
+use common::{ingest_frame_adding_users, oversized_ingest_frame, random_builder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s3_core::{
-    read_snapshot, write_snapshot, IngestBatch, InstanceBuilder, TagId, UserId, WAL_VERSION,
+    read_snapshot, write_snapshot, IngestBatch, InstanceBuilder, TagId, UserId, MAX_NEW_USERS,
+    WAL_VERSION,
 };
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_doc::TreeId;
@@ -143,6 +144,22 @@ fn a_wal_record_counting_2_40_new_users_fails_open() {
         Err(PersistError::Replay(e)) => assert!(e.to_string().contains("overflow the u32 ids")),
         Err(other) => panic!("expected a replay error, got {other}"),
         Ok(_) => panic!("a record past the u32 ids replayed"),
+    }
+}
+
+/// One user past `MAX_NEW_USERS` as a journaled record under a resealed
+/// CRC: within the u32 ids, and still a typed replay error.
+#[test]
+fn a_wal_record_adding_one_user_too_many_fails_open() {
+    let dir =
+        std::env::temp_dir().join(format!("s3-decoders-wal-max-users-{}", std::process::id()));
+    write_wal(&dir, &ingest_frame_adding_users(MAX_NEW_USERS + 1));
+    let opened = LiveEngine::open(&dir, random_builder(5).0, test_config());
+    std::fs::remove_dir_all(&dir).ok();
+    match opened {
+        Err(PersistError::Replay(e)) => assert!(e.to_string().contains("one batch may add")),
+        Err(other) => panic!("expected a replay error, got {other}"),
+        Ok(_) => panic!("a record past MAX_NEW_USERS replayed"),
     }
 }
 

@@ -8,11 +8,14 @@
 
 mod common;
 
-use common::{assert_identical, oversized_ingest_frame, random_builder, random_queries};
+use common::{
+    assert_identical, ingest_frame_adding_users, oversized_ingest_frame, random_builder,
+    random_queries,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use s3_core::{IngestBatch, Query, StopReason, UserId, UserRef};
+use s3_core::{IngestBatch, Query, StopReason, UserId, UserRef, MAX_NEW_USERS};
 use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{
     EngineConfig, EngineError, FleetEngine, LocalShard, ShardHost, ShardServer, ShardedEngine,
@@ -414,6 +417,20 @@ fn ingest_naming_an_unknown_user_is_refused() {
         Err(WireError::Protocol(what)) => assert_eq!(what, refused),
         other => panic!("expected a protocol error, got {other:?}"),
     }
+}
+
+#[test]
+fn an_ingest_adding_one_user_too_many_is_refused() {
+    let mut batch = IngestBatch::new();
+    decode_ingest(&ingest_frame_adding_users(MAX_NEW_USERS + 1), &mut batch)
+        .expect("the frame is well-formed");
+
+    let (mut fleet, hosts) = spawn_fleet(5, 2, Transport::Local);
+    match fleet.ingest(&batch) {
+        Err(EngineError::Rejected(e)) => assert!(e.to_string().contains("one batch may add")),
+        other => panic!("expected a rejected batch, got {other:?}"),
+    }
+    shutdown(fleet, hosts);
 }
 
 #[test]

@@ -56,11 +56,6 @@ impl EdgeKind {
         matches!(self, CommentsOn | CommentsOnInv | HasSubject | HasSubjectInv)
     }
 
-    /// All kinds are network edges (that is the invariant of this type).
-    pub fn is_network(self) -> bool {
-        true
-    }
-
     /// Short display name.
     pub fn name(self) -> &'static str {
         use EdgeKind::*;

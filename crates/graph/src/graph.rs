@@ -347,11 +347,6 @@ impl SocialGraph {
         self.kinds[node.index()].as_frag()
     }
 
-    /// The tree of a fragment node.
-    pub fn tree_of_node(&self, node: NodeId) -> Option<TreeId> {
-        self.frag_of_node(node).map(|f| self.forest.tree_of(f))
-    }
-
     /// The graph node of a registered tree's root (the first node of its
     /// contiguous range).
     pub fn tree_root_node(&self, tree: TreeId) -> Option<NodeId> {

@@ -602,11 +602,6 @@ impl<'g> Propagation<'g> {
         self.s.border_mass / (self.s.gamma_pow * self.s.gamma)
     }
 
-    /// An upper bound on the full proximity to `node`.
-    pub fn prox_upper(&mut self, node: NodeId) -> f64 {
-        (self.prox_leq(node) + self.bound_beyond()).min(1.0)
-    }
-
     /// Run one explore step (Algorithm 3's `ExploreStep`, in `borderProx`
     /// form). Returns the nodes that received border mass for the first
     /// time, in a state-owned buffer reused across calls (copy it out with

@@ -9,6 +9,9 @@ use std::io::{Read, Write};
 /// cannot ask the decoder for an absurd allocation.
 pub const MAX_FRAME: u32 = 1 << 26;
 
+// A batch may add as many users as its frame carries bytes.
+const _: () = assert!(s3_core::MAX_NEW_USERS == MAX_FRAME as usize);
+
 /// Write one frame: length prefix + payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     debug_assert!(payload.len() <= MAX_FRAME as usize, "oversized outbound frame");

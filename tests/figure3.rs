@@ -69,11 +69,11 @@ fn comment_and_tag_connections_reach_the_root() {
     let uri0 = forest.root(s3::doc::TreeId(0));
     // k0 lives in URI0.0.0 → contains connection at the root with depth 2.
     let k0 = inst.vocabulary().get("alpha").unwrap();
-    let conns = inst.connections().connections(uri0, k0);
+    let conns: Vec<_> = inst.connections().connections(uri0, k0).collect();
     assert!(conns.iter().any(|c| c.depth == 2), "{conns:?}");
     // The tag keyword reaches the root as relatedTo.
     let k2 = inst.vocabulary().get("gamma-tag").unwrap();
-    let conns = inst.connections().connections(uri0, k2);
+    let conns: Vec<_> = inst.connections().connections(uri0, k2).collect();
     assert!(!conns.is_empty());
 }
 
