@@ -16,7 +16,7 @@
 
 use s3_core::{Query, S3Instance, S3kEngine, SearchConfig, TopKResult};
 use s3_datasets::Workload;
-use s3_topks::{ItemId, TopkSConfig, TopkSEngine, TopkSResult, UitAdaptation};
+use s3_topks::{ItemId, TopkSResult, UitAdaptation};
 use std::collections::{HashMap, HashSet};
 
 /// The Figure 8 row for one instance.
@@ -174,27 +174,6 @@ pub fn compare_runs(
         }
     }
     acc
-}
-
-/// Convenience used by the harness: run both systems on a workload and
-/// compare.
-pub fn run_and_compare(
-    instance: &S3Instance,
-    adaptation: &UitAdaptation,
-    workload: &Workload,
-    s3k_config: &SearchConfig,
-    topks_config: TopkSConfig,
-) -> QualitativeMeasures {
-    // (averages over one workload)
-    let engine = S3kEngine::new(instance, s3k_config.clone());
-    let (_, s3k_results) = crate::runner::run_s3k_workload(&engine, workload);
-    let topks_engine = TopkSEngine::new(&adaptation.uit, topks_config);
-    let topks_results: Vec<TopkSResult> = workload
-        .queries
-        .iter()
-        .map(|q| topks_engine.run(q.query.seeker, &q.query.keywords, q.query.k))
-        .collect();
-    compare_runs(instance, adaptation, workload, &s3k_results, &topks_results, s3k_config).finish()
 }
 
 #[cfg(test)]

@@ -79,10 +79,9 @@
 //! sorted list: a single source sits in its entry, longer lists in the
 //! block's arena, each stored once (hash-consed), so the endorsers of a
 //! tweet are stored once per block, not once per signature.
-//! A fragment has ≤ 3 lists, one per type, stored in the order of their
-//! sources, so [`ConnectionIndex::connections`] reads them whole; only
-//! where two of them interleave does it merge them by source. Readers
-//! see one [`Connection`] per tuple, in `(frag, src, type)` order.
+//! [`ConnectionIndex::connections`] reads the lists whole, one after the
+//! other: readers see one [`Connection`] per tuple, in `(frag, type,
+//! src)` order.
 //!
 //! A component is a union of whole trees, so its blocks are final when
 //! its fixpoint ends and are written then, at their exact size; a scoped
@@ -540,8 +539,7 @@ struct DirEntry {
 
 /// The connections of one `(d, k, type, frag)`: one per source. `list`
 /// is the one source's graph node when `single`, else the first word of
-/// a list in the block's arena. `merge` marks the lists of a fragment
-/// whose sources interleave (see [`order_lists`]).
+/// a list in the block's arena.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Factored {
     frag: DocNodeId,
@@ -549,7 +547,6 @@ struct Factored {
     ctype: ConnType,
     depth: u8,
     single: bool,
-    merge: bool,
 }
 
 /// An entry's sources, ascending.
@@ -558,22 +555,6 @@ fn sources<'a>(lists: &'a [u32], f: &'a Factored) -> &'a [u32] {
         std::slice::from_ref(&f.list)
     } else {
         list_at(lists, f.list)
-    }
-}
-
-/// Order one fragment's lists so that reading them one after the other
-/// yields their connections in `(src, type)` order. Where two lists'
-/// sources interleave, no order does: the lists stay in type order,
-/// marked for the reader to merge.
-fn order_lists(lists: &[u32], conns: &mut [Factored]) {
-    conns.sort_unstable_by_key(|f| (sources(lists, f)[0], f.ctype));
-    let in_order = conns.windows(2).all(|pair| {
-        let (a, b) = (sources(lists, &pair[0]), sources(lists, &pair[1]));
-        a[a.len() - 1] < b[0] || (a[a.len() - 1] == b[0] && pair[0].ctype < pair[1].ctype)
-    });
-    if !in_order {
-        conns.sort_unstable_by_key(|f| f.ctype);
-        conns.iter_mut().for_each(|f| f.merge = true);
     }
 }
 
@@ -588,8 +569,7 @@ fn list_at(lists: &[u32], at: u32) -> &[u32] {
 struct TreeBlock {
     /// Sorted by `(node, kw)`.
     dir: Vec<DirEntry>,
-    /// Per directory entry sorted by `frag`, each fragment's lists as
-    /// [`order_lists`] leaves them.
+    /// Per directory entry sorted by `(frag, type)`.
     conns: Vec<Factored>,
     /// The lists of two sources or more, each stored once: its length,
     /// then its graph nodes ascending. A [`Factored`] names a list by its
@@ -697,8 +677,12 @@ impl TreeBlock {
         start..start + self.dir[start..].partition_point(|e| e.node == d)
     }
 
-    fn connections(&self, entry: usize) -> Connections<'_> {
-        Connections::new(&self.lists, self.span(entry))
+    /// The connections of `entries`, list by list.
+    fn connections<'a>(&'a self, entries: &'a [Factored]) -> impl Iterator<Item = Connection> + 'a {
+        entries.iter().flat_map(|f| {
+            let like = Connection { ctype: f.ctype, frag: f.frag, depth: f.depth, src: NodeId(0) };
+            sources(&self.lists, f).iter().map(move |&src| Connection { src: NodeId(src), ..like })
+        })
     }
 
     /// The block of one tree's pairs, `own`, sorted in frozen order: each
@@ -720,15 +704,13 @@ impl TreeBlock {
                     .structural_distance(d, one_frag[0].frag)
                     .expect("connection fragments are fragments of d")
                     .min(u8::MAX as u32) as u8;
-                let start = interner.conns.len();
                 for run in one_frag.chunk_by(|a, b| a.ctype == b.ctype) {
                     let (list, single) = interner.intern(run, groups);
                     let (frag, ctype) = (run[0].frag, run[0].ctype);
-                    let f = Factored { frag, list, ctype, depth, single, merge: false };
+                    let f = Factored { frag, list, ctype, depth, single };
                     len += sources(&interner.arena, &f).len();
                     interner.conns.push(f);
                 }
-                order_lists(&interner.arena, &mut interner.conns[start..]);
             }
             let end =
                 u32::try_from(interner.conns.len()).expect("a tree holds fewer than 2^32 entries");
@@ -737,115 +719,6 @@ impl TreeBlock {
         let block =
             TreeBlock { dir, conns: interner.conns.clone(), lists: interner.arena.clone(), len };
         Arc::new(block)
-    }
-}
-
-/// The connections of one `(d, k)`, in `(frag, src, type)` order: per
-/// fragment, the merge by source of its ≤ 3 lists, one per type. Returned
-/// by [`ConnectionIndex::connections`].
-#[derive(Debug, Clone)]
-pub struct Connections<'a> {
-    lists: &'a [u32],
-    /// The entries whose lists are not opened yet.
-    rest: &'a [Factored],
-    /// The sources to yield next, all of one type and depth: a run that
-    /// comes before every other open list's next source.
-    run: std::slice::Iter<'a, u32>,
-    /// The run's connections but for their source.
-    like: Connection,
-    /// The current fragment's lists with sources left outside `run`, in
-    /// type order.
-    open: [(ConnType, u8, &'a [u32]); 3],
-    num_open: usize,
-}
-
-impl<'a> Connections<'a> {
-    fn new(lists: &'a [u32], entries: &'a [Factored]) -> Self {
-        let none = (ConnType::Contains, 0, &[][..]);
-        let like = Connection { ctype: none.0, frag: DocNodeId(0), depth: 0, src: NodeId(0) };
-        Connections { lists, rest: entries, run: [].iter(), like, open: [none; 3], num_open: 0 }
-    }
-
-    /// Take the next run, opening the next fragment's lists once the
-    /// current one's are spent: the longest prefix of the list with the
-    /// least source that precedes every other list's next source. `None`
-    /// when every entry is spent.
-    #[inline(always)]
-    fn next_run(&mut self) -> Option<()> {
-        if self.num_open == 0 {
-            let (first, rest) = self.rest.split_first()?;
-            self.like.frag = first.frag;
-            if !first.merge {
-                // A list read whole, in the order `order_lists` left.
-                self.rest = rest;
-                self.run = sources(self.lists, first).iter();
-                (self.like.ctype, self.like.depth) = (first.ctype, first.depth);
-                return Some(());
-            }
-            // One list per type at most.
-            for f in self.rest.iter().take(3).take_while(|f| f.frag == first.frag) {
-                self.open[self.num_open] = (f.ctype, f.depth, sources(self.lists, f));
-                self.num_open += 1;
-            }
-            self.rest = &self.rest[self.num_open..];
-        }
-        // The least next source; on a tie the first list, whose type is
-        // the least.
-        let open = &self.open[..self.num_open];
-        let mut best = 0;
-        for i in 1..open.len() {
-            if open[i].2[0] < open[best].2[0] {
-                best = i;
-            }
-        }
-        // The run stops at another list's next source, or after it when
-        // that list's type is greater.
-        let (ctype, depth, list) = open[best];
-        let mut len = list.len();
-        for (j, &(_, _, other)) in open.iter().enumerate().filter(|&(j, _)| j != best) {
-            let precedes = |x: u32| x < other[0] || (x == other[0] && best < j);
-            if !precedes(list[len - 1]) {
-                len = list[..len].partition_point(|&x| precedes(x));
-            }
-        }
-        self.run = list[..len].iter();
-        (self.like.ctype, self.like.depth) = (ctype, depth);
-        if len == list.len() {
-            self.open.copy_within(best + 1..self.num_open, best);
-            self.num_open -= 1;
-        } else {
-            self.open[best].2 = &list[len..];
-        }
-        Some(())
-    }
-}
-
-impl Iterator for Connections<'_> {
-    type Item = Connection;
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<Connection> {
-        loop {
-            if let Some(&src) = self.run.next() {
-                return Some(Connection { src: NodeId(src), ..self.like });
-            }
-            self.next_run()?;
-        }
-    }
-
-    /// One loop over each run, its state in locals.
-    #[inline]
-    fn fold<B, F: FnMut(B, Connection) -> B>(mut self, init: B, mut f: F) -> B {
-        let mut acc = init;
-        loop {
-            let like = self.like;
-            for &src in std::mem::take(&mut self.run) {
-                acc = f(acc, Connection { src: NodeId(src), ..like });
-            }
-            if self.next_run().is_none() {
-                return acc;
-            }
-        }
     }
 }
 
@@ -1072,13 +945,21 @@ impl ConnectionIndex {
     }
 
     /// `conDirect(d, k)`: connections of `d` for the *exact* keyword `k`,
-    /// in `(frag, src, type)` order.
-    pub fn connections(&self, d: DocNodeId, k: KeywordId) -> Connections<'_> {
+    /// one `(frag, type)` list after the other, each list's sources
+    /// ascending.
+    ///
+    /// Within one source, its tuples come in `(frag, type)` order, so a
+    /// sum kept per source while `k` walks `Ext` in order adds the same
+    /// terms in the same order however the sources interleave. The order
+    /// across sources is unspecified; a sum across sources, as
+    /// [`Self::smax_table_with`] takes, rounds as this order makes it.
+    pub fn connections(&self, d: DocNodeId, k: KeywordId) -> impl Iterator<Item = Connection> + '_ {
         let block = self.block_of(d);
-        match block.dir.binary_search_by_key(&(d, k), |e| (e.node, e.kw)) {
-            Ok(entry) => block.connections(entry),
-            Err(_) => Connections::new(&block.lists, &[]),
-        }
+        let entries = match block.dir.binary_search_by_key(&(d, k), |e| (e.node, e.kw)) {
+            Ok(entry) => block.span(entry),
+            Err(_) => &[],
+        };
+        block.connections(entries)
     }
 
     /// The keywords `d` is connected to, ascending.
@@ -1114,7 +995,7 @@ impl ConnectionIndex {
         let mut out: HashMap<KeywordId, f64> = HashMap::new();
         for block in &self.trees {
             for (entry, e) in block.dir.iter().enumerate() {
-                let connections = block.connections(entry);
+                let connections = block.connections(block.span(entry));
                 let s: f64 = connections.map(|c| weights[c.depth as usize][c.ctype as usize]).sum();
                 let best = out.entry(e.kw).or_insert(0.0);
                 if s > *best {
@@ -1595,7 +1476,7 @@ mod tests {
                 total += 1;
             }
             for v in map.values_mut() {
-                v.sort_unstable_by_key(|c| (c.frag, c.src, c.ctype));
+                v.sort_unstable_by_key(|c| (c.frag, c.ctype, c.src));
             }
             per_doc.push(Arc::new(map));
         }
@@ -1761,6 +1642,35 @@ mod tests {
                 let public = ConnectionIndex::build(&c.forest, &c.tags, &comments, src_of);
                 check_same(&public, &reference)?;
             }
+        }
+
+        /// `Smax` equals, bit for bit, the max over documents of the
+        /// oracle's per-`(d, k)` sums, each taken in the oracle's order,
+        /// under a type-weighted weight whose sums round differently in
+        /// different orders.
+        #[test]
+        fn smax_is_the_max_of_the_oracle_sums(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let c = random_corpus(&mut rng);
+            let dead = random_tombstones(&mut rng, c.forest.num_trees(), c.tags.len());
+            let comments = live_comments(&c.forest, &c.comments, &dead);
+            let reference = reference_cold(&c.forest, &c.tags, &comments, &dead);
+            let scope = Scope::all(&c.forest, c.tags.len(), &dead);
+            let (index, _) =
+                ConnectionIndex::build_scoped(&c.forest, &c.tags, &comments, src_of, &scope);
+            let weight = |t: ConnType, depth: u8| [1.0, 0.8, 0.6][t as usize] * 0.7f64.powi(depth.into());
+            let mut expected: HashMap<KeywordId, f64> = HashMap::new();
+            for (&kw, conns) in reference.per_doc.iter().flat_map(|map| map.iter()) {
+                let sum: f64 = conns.iter().map(|c| weight(c.ctype, c.depth)).sum();
+                let best = expected.entry(kw).or_insert(0.0);
+                *best = best.max(sum);
+            }
+            let bits = |table: HashMap<KeywordId, f64>| {
+                let mut bits: Vec<_> = table.into_iter().map(|(kw, s)| (kw, s.to_bits())).collect();
+                bits.sort_unstable();
+                bits
+            };
+            prop_assert_eq!(bits(index.smax_table_with(weight)), bits(expected));
         }
 
         /// A rebuild scoped to the content components an ingest batch

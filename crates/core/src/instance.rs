@@ -625,18 +625,6 @@ impl InstanceBuilder {
         self.num_users as usize
     }
 
-    /// [`Self::build`], plus a balanced assignment of the frozen instance's
-    /// content components to `num_shards` shards — the partition-aware
-    /// build path behind sharded serving (`s3-engine`'s `ShardedEngine`).
-    pub fn build_sharded(
-        self,
-        num_shards: usize,
-    ) -> (S3Instance, crate::partition::ComponentPartition) {
-        let instance = self.build();
-        let partition = crate::partition::ComponentPartition::balanced(&instance, num_shards);
-        (instance, partition)
-    }
-
     /// Freeze the instance: saturate the RDF graph, build the network graph
     /// (with inverse edges, normalization weights and components), run the
     /// `con(d,k)` fixpoint, and bridge keywords to RDF URIs.
@@ -1350,23 +1338,6 @@ mod tests {
             .map(|(_, _, w)| w)
             .collect();
         assert_eq!(social, vec![0.4], "the explicit edge wins; no duplicate");
-    }
-
-    #[test]
-    fn build_sharded_partitions_all_documents() {
-        let mut b = InstanceBuilder::new(Language::English);
-        let u = b.add_user();
-        for i in 0..6 {
-            let kws = b.analyze(&format!("post number {i}"));
-            let mut doc = DocBuilder::new("post");
-            doc.set_content(doc.root(), kws);
-            b.add_document(doc, Some(u));
-        }
-        let (inst, partition) = b.build_sharded(3);
-        assert_eq!(partition.num_shards(), 3);
-        assert_eq!(partition.num_components(), inst.graph().components().len());
-        let total: usize = (0..3).map(|s| partition.doc_count(s)).sum();
-        assert_eq!(total, inst.num_documents());
     }
 
     #[test]

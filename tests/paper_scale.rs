@@ -51,7 +51,7 @@ fn check_smax(instance: &S3Instance, keywords: usize, s3k: u64, type_weighted: u
 #[test]
 fn paper_shape_small_smax_bits_are_pinned() {
     let instance = twitter::generate_builder(&TwitterConfig::scaled(Scale::Small)).0.snapshot();
-    check_smax(&instance, 1_477, 0x2940_d371_931c_f039, 0xb20c_dfd5_de1f_e606);
+    check_smax(&instance, 1_477, 0x2940_d371_931c_f039, 0xebec_3eb3_0936_3219);
 }
 
 #[test]
@@ -69,5 +69,5 @@ fn social_1k_smax_bits_are_pinned() {
         ..TwitterConfig::scaled(Scale::Small)
     };
     let instance = twitter::generate_builder(&config).0.snapshot();
-    check_smax(&instance, 563, 0xcbf1_a573_8061_592e, 0x6a98_5382_4740_635f);
+    check_smax(&instance, 563, 0xcbf1_a573_8061_592e, 0xdd71_e11b_e402_5c9a);
 }
