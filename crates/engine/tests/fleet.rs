@@ -1,25 +1,18 @@
-//! The cross-process acceptance property: for every query, the fleet —
-//! shard servers behind the `Local`, `Loopback` and unix-`Socket`
-//! transports — returns byte-identical results (hits with exact bounds,
-//! admission-ordered candidate lists, stop reason) to the in-process
-//! `ShardedEngine` with the same shard count, for shard counts {1, 2, 4},
-//! **including after shipped `IngestBatch`es** (every replica applies the
-//! same wire-shipped batch; the cold reference rebuilds from scratch).
+//! Targeted fleet tests: the pinned wire traffic, the pipelined wave
+//! order, and the refusals a shard server or client answers malformed
+//! requests with. Byte-identity over every transport lives in
+//! `identity.rs`.
 
 mod common;
 
 use common::{
-    assert_identical, ingest_frame_adding_users, oversized_ingest_frame, random_builder,
-    random_queries,
+    config, ingest_frame_adding_users, oversized_ingest_frame, random_builder, random_queries,
+    Corpus, Exec, Rig, Shape, State, Wire,
 };
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s3_core::{IngestBatch, Query, StopReason, UserId, UserRef, MAX_NEW_USERS};
-use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
-use s3_engine::{
-    EngineConfig, EngineError, FleetEngine, LocalShard, ShardHost, ShardServer, ShardedEngine,
-};
+use s3_engine::{EngineError, FleetEngine, LocalShard, ShardHost, ShardServer};
 use s3_text::KeywordId;
 use s3_wire::{
     decode_ingest, CompactAck, IngestAck, RoundReply, ShardTransport, SnapshotAck, Start,
@@ -27,137 +20,6 @@ use s3_wire::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
-
-#[derive(Clone, Copy, Debug)]
-enum Transport {
-    Local,
-    Loopback,
-    Socket,
-}
-
-fn fleet_config() -> EngineConfig {
-    EngineConfig::builder().threads(1).cache_capacity(0).build()
-}
-
-/// Spawn a fleet of `shards` servers over `transport`, every replica
-/// grown from `random_builder(seed)`.
-fn spawn_fleet(seed: u64, shards: usize, transport: Transport) -> (FleetEngine, Vec<ShardHost>) {
-    let mut hosts = Vec::new();
-    let mut transports: Vec<Box<dyn ShardTransport>> = Vec::new();
-    for s in 0..shards {
-        let server = ShardServer::new(random_builder(seed).0, fleet_config(), shards, s);
-        match transport {
-            Transport::Local => transports.push(Box::new(LocalShard::new(server))),
-            Transport::Loopback => {
-                let (conn, host) = server.spawn_loopback();
-                transports.push(Box::new(conn));
-                hosts.push(host);
-            }
-            Transport::Socket => {
-                let path = std::env::temp_dir()
-                    .join(format!("s3-fleet-{}-{seed:x}-{shards}-{s}.sock", std::process::id()));
-                let (conn, host) = server.spawn_unix(&path).expect("bind unix socket");
-                transports.push(Box::new(conn));
-                hosts.push(host);
-            }
-        }
-    }
-    (FleetEngine::new(random_builder(seed).0, fleet_config(), transports), hosts)
-}
-
-fn shutdown(fleet: FleetEngine, hosts: Vec<ShardHost>) {
-    fleet.shutdown().expect("shutdown");
-    for host in hosts {
-        host.join().expect("shard server exits cleanly");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-    /// Query-only byte-identity over every transport and shard count.
-    #[test]
-    fn fleet_matches_sharded_engine(seed in 0u64..3000) {
-        let (builder, pool) = random_builder(seed);
-        let inst = Arc::new(builder.snapshot());
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xF1EE7);
-        let queries = random_queries(&mut rng, inst.num_users(), &pool, 8);
-
-        for shards in [1usize, 2, 4] {
-            let reference = ShardedEngine::new(Arc::clone(&inst), fleet_config(), shards);
-            let expected: Vec<_> = queries.iter().map(|q| reference.query(q)).collect();
-            for transport in [Transport::Local, Transport::Loopback, Transport::Socket] {
-                let (mut fleet, hosts) = spawn_fleet(seed, shards, transport);
-                prop_assert_eq!(fleet.num_shards(), shards);
-                for (q, want) in queries.iter().zip(&expected) {
-                    let got = fleet.query(q).expect("fleet query");
-                    assert_identical(&got, want)?;
-                }
-                // Repeat a prefix: server-side warm propagation state must
-                // reset cleanly between queries.
-                for (q, want) in queries.iter().zip(&expected).take(3) {
-                    assert_identical(&fleet.query(q).expect("fleet requery"), want)?;
-                }
-                // A round is a compact request/reply pair per shard plus
-                // amortized query framing and stop checks: past 512 bytes
-                // the encoding grew or the client chatters mid-round.
-                let bytes: u64 =
-                    fleet.transport_stats().iter().map(|s| s.bytes_sent + s.bytes_received).sum();
-                if bytes > 0 {
-                    let per_round = bytes as f64 / fleet.rounds().max(1) as f64;
-                    prop_assert!(per_round <= 512.0, "{:?}: {} B/round", transport, per_round);
-                }
-                shutdown(fleet, hosts);
-            }
-        }
-    }
-
-    /// Ingest byte-identity: ship batches over the wire to every replica,
-    /// compare post-ingest answers against an in-process `ShardedEngine`
-    /// rebuilt cold from the same batches.
-    #[test]
-    fn fleet_matches_after_shipped_ingest(seed in 0u64..1000) {
-        let base = random_builder(seed).0.snapshot();
-        let config = LiveWorkloadConfig {
-            batches: 2,
-            queries_per_batch: 5,
-            attach_probability: 0.25 + 0.5 * ((seed % 3) as f64 / 2.0),
-            seed: seed ^ 0xF00D,
-            ..LiveWorkloadConfig::default()
-        };
-        let steps = live_workload(&base, &config);
-
-        for shards in [1usize, 2, 4] {
-            let transport = match shards {
-                1 => Transport::Local,
-                2 => Transport::Loopback,
-                _ => Transport::Socket,
-            };
-            let (mut fleet, hosts) = spawn_fleet(seed, shards, transport);
-            let (mut ref_builder, _) = random_builder(seed);
-            let mut prev = ref_builder.snapshot();
-            for step in &steps {
-                let summary = fleet.ingest(&step.batch).expect("fleet ingest");
-                let (next, ref_summary) = ref_builder.apply(&prev, &step.batch);
-                prev = next;
-                prop_assert_eq!(summary.detached, ref_summary.detached);
-                prop_assert_eq!(summary.new_users, ref_summary.new_users);
-
-                let cold = Arc::new(ref_builder.snapshot());
-                let reference = ShardedEngine::new(Arc::clone(&cold), fleet_config(), shards);
-                for spec in &step.queries {
-                    let kws = cold.query_keywords(&spec.text);
-                    let q = Query::new(spec.seeker, kws, spec.k);
-                    let got = fleet.query(&q).expect("fleet query");
-                    assert_identical(&got, &reference.query(&q))?;
-                }
-            }
-            let stats = fleet.transport_stats();
-            prop_assert_eq!(stats.len(), shards);
-            shutdown(fleet, hosts);
-        }
-    }
-}
 
 /// The fleet's wire traffic, pinned: 2 shards over loopback, a fixed
 /// seed and query list (one of them unanswerable), no deadline. Each
@@ -171,7 +33,9 @@ fn fleet_traffic_is_pinned() {
     let users = builder.snapshot().num_users();
     let mut queries = random_queries(&mut StdRng::seed_from_u64(seed), users, &pool, 24);
     queries.push(Query::new(UserId(0), vec![KeywordId(99_999)], 3));
-    let (mut fleet, hosts) = spawn_fleet(seed, 2, Transport::Loopback);
+    let mut rig =
+        Rig::open(Shape(State::Live, Exec::Fleet(Wire::Loopback), 2, 0), &Corpus::random(seed));
+    let fleet = rig.fleet().expect("a fleet");
     let mut no_match = 0;
     for q in &queries {
         let before = fleet.rounds();
@@ -200,7 +64,7 @@ fn fleet_traffic_is_pinned() {
         total.bytes_received,
     );
     assert_eq!(measured, (1, 192, 489, 447, 4306, 15721));
-    shutdown(fleet, hosts);
+    rig.close();
 }
 
 /// One transport call a [`Recording`] shard logged.
@@ -299,12 +163,12 @@ fn every_wave_flushes_all_shards_before_reading_a_reply() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let transports = (0..shards)
         .map(|shard| {
-            let server = ShardServer::new(random_builder(seed).0, fleet_config(), shards, shard);
+            let server = ShardServer::new(random_builder(seed).0, config(0), shards, shard);
             let inner = LocalShard::new(server);
             Box::new(Recording { shard, inner, log: Arc::clone(&log) }) as Box<dyn ShardTransport>
         })
         .collect();
-    let mut fleet = FleetEngine::new(builder, fleet_config(), transports);
+    let mut fleet = FleetEngine::new(builder, config(0), transports);
     for q in &random_queries(&mut StdRng::seed_from_u64(seed), users, &pool, 12) {
         fleet.query(q).expect("fleet query");
     }
@@ -350,7 +214,7 @@ fn every_wave_flushes_all_shards_before_reading_a_reply() {
 /// A one-shard server over loopback and the keywords of `seed`'s instance.
 fn lone_server(seed: u64) -> (Box<dyn ShardTransport>, ShardHost, Vec<KeywordId>) {
     let (builder, pool) = random_builder(seed);
-    let (conn, host) = ShardServer::new(builder, fleet_config(), 1, 0).spawn_loopback();
+    let (conn, host) = ShardServer::new(builder, config(0), 1, 0).spawn_loopback();
     (Box::new(conn), host, pool)
 }
 
@@ -412,7 +276,7 @@ fn ingest_naming_an_unknown_user_is_refused() {
     conn.flush().unwrap();
     assert_refused(conn, host, refused);
 
-    let server = ShardServer::new(random_builder(5).0, fleet_config(), 1, 0);
+    let server = ShardServer::new(random_builder(5).0, config(0), 1, 0);
     match LocalShard::new(server).send_ingest(&batch) {
         Err(WireError::Protocol(what)) => assert_eq!(what, refused),
         other => panic!("expected a protocol error, got {other:?}"),
@@ -425,12 +289,12 @@ fn an_ingest_adding_one_user_too_many_is_refused() {
     decode_ingest(&ingest_frame_adding_users(MAX_NEW_USERS + 1), &mut batch)
         .expect("the frame is well-formed");
 
-    let (mut fleet, hosts) = spawn_fleet(5, 2, Transport::Local);
-    match fleet.ingest(&batch) {
+    let mut rig = Rig::open(Shape(State::Live, Exec::Fleet(Wire::Local), 2, 0), &Corpus::random(5));
+    match rig.ingest(&batch) {
         Err(EngineError::Rejected(e)) => assert!(e.to_string().contains("one batch may add")),
         other => panic!("expected a rejected batch, got {other:?}"),
     }
-    shutdown(fleet, hosts);
+    rig.close();
 }
 
 #[test]
@@ -438,12 +302,12 @@ fn an_ingest_counting_2_40_new_users_is_refused() {
     let mut batch = IngestBatch::new();
     decode_ingest(&oversized_ingest_frame(), &mut batch).expect("the frame is well-formed");
 
-    let (mut fleet, hosts) = spawn_fleet(5, 2, Transport::Local);
-    match fleet.ingest(&batch) {
+    let mut rig = Rig::open(Shape(State::Live, Exec::Fleet(Wire::Local), 2, 0), &Corpus::random(5));
+    match rig.ingest(&batch) {
         Err(EngineError::Rejected(e)) => assert!(e.to_string().contains("overflow the u32 ids")),
         other => panic!("expected a rejected batch, got {other:?}"),
     }
-    shutdown(fleet, hosts);
+    rig.close();
 
     let (mut conn, host, _) = lone_server(5);
     conn.send_ingest(&batch).unwrap();
