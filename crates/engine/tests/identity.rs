@@ -317,11 +317,10 @@ fn wire_bytes(fleet: &FleetEngine) -> u64 {
 /// `batches` of `live_workload` with `queries` after each, `attach` of
 /// their elements pointing at existing data.
 fn plain(seed: u64, batches: usize, queries: usize, attach: f64) -> LiveWorkloadConfig {
-    let (queries_per_batch, attach_probability) = (queries, attach);
     LiveWorkloadConfig {
         batches,
-        queries_per_batch,
-        attach_probability,
+        queries_per_batch: queries,
+        attach_probability: attach,
         seed,
         ..Default::default()
     }
@@ -329,10 +328,9 @@ fn plain(seed: u64, batches: usize, queries: usize, attach: f64) -> LiveWorkload
 
 /// Batches that also delete and update a document each.
 fn mutating(seed: u64, batches: usize) -> LiveWorkloadConfig {
-    let (deletes_per_batch, updates_per_batch) = (1, 1);
     LiveWorkloadConfig {
-        deletes_per_batch,
-        updates_per_batch,
+        deletes_per_batch: 1,
+        updates_per_batch: 1,
         ..plain(seed, batches, 5, attach(seed))
     }
 }
