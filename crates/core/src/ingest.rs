@@ -19,7 +19,7 @@
 //!   fixpoint reruns **only inside the touched components** — untouched
 //!   documents keep their connection entries verbatim.
 //!
-//! The correctness bar, property-tested in `crates/engine/tests/identity.rs`:
+//! The correctness bar, property-tested in `crates/engine/tests/ingest.rs`:
 //! after any sequence of batches, the extended instance is
 //! query-for-query **byte-identical** to a cold
 //! [`InstanceBuilder::snapshot`] of the same final data. The key invariant

@@ -21,7 +21,7 @@
 //! components, the [`TopKResult`] is byte-identical to [`S3kEngine::run`]
 //! on hits (documents, order, certified bounds), candidate list, stop
 //! reason and quality. Property-tested here and end-to-end in
-//! `crates/engine/tests/identity.rs`.
+//! `crates/engine/tests/sharding.rs`.
 
 use super::exec::Local;
 use super::scratch::{Pool, SearchScratch};

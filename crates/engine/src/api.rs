@@ -18,8 +18,8 @@
 //!
 //! All five types answer byte-identically for the same data
 //! (the crate-wide property bar), so code written against `dyn Engine`
-//! is oblivious to which one it drives — `tests/identity.rs` drives
-//! every one of them through these traits.
+//! is oblivious to which one it drives — `tests/api.rs` runs one shared
+//! harness over all of them.
 
 use crate::gate::{LoadStats, ServeOutcome};
 use crate::persist::PersistError;

@@ -25,8 +25,8 @@
 //! [`S3Engine`] is that engine at one shard, and [`LiveEngine`] is the
 //! live engine ([`LiveShardedEngine`]) at one shard. Batched, cached and
 //! warm-scratch execution is result-identical to a cold `S3kEngine::run`
-//! at every shard count and cache capacity — property-tested in
-//! `tests/identity.rs`.
+//! at every shard count — property-tested in `tests/parity.rs` and
+//! `tests/sharding.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,7 +23,7 @@
 //! ([`crate::CacheStats::invalidated`]). Nothing else carries answers
 //! across a swap: every search starts its propagation at step 0.
 //!
-//! Correctness bar (property-tested in `tests/identity.rs`): after any
+//! Correctness bar (property-tested in `tests/ingest.rs`): after any
 //! sequence of batches, query results are byte-identical to a cold
 //! [`InstanceBuilder::snapshot`] of the same final data, on both the
 //! unsharded and the sharded `{1, 2, 4}` paths.

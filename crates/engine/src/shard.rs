@@ -21,7 +21,7 @@
 //! invariant: for every query and any shard count, `ShardedEngine`
 //! returns byte-identical hits, candidate lists and stop reasons to the
 //! core's unsharded `S3kEngine::run` (property-tested in
-//! `tests/identity.rs`).
+//! `tests/sharding.rs`).
 
 use crate::batch::{self, CacheKey, EpochConfig, ResultCache};
 use crate::gate::{AdmissionGate, LoadStats, ServeOutcome};

@@ -1,7 +1,7 @@
 //! Shared pieces of the serving-layer test suites: the seeded corpora and
 //! query streams, the byte-identity assertion, scratch directories that
 //! never leak, and the engine shapes — every engine type, fleet transport
-//! and durable directory the byte-identity harness (`identity.rs`) and
+//! and durable directory the byte-identity harness (`harness/mod.rs`) and
 //! the targeted tests build.
 
 #![allow(dead_code)] // each test binary uses a subset

@@ -1,14 +1,17 @@
 //! Targeted fleet tests: the pinned wire traffic, the pipelined wave
 //! order, and the refusals a shard server or client answers malformed
-//! requests with. Byte-identity over every transport lives in
-//! `identity.rs`.
+//! requests with, and byte-identity after shipped ingests. Byte-identity
+//! over every transport lives in `identity.rs`.
 
 mod common;
+mod harness;
 
 use common::{
     config, ingest_frame_adding_users, oversized_ingest_frame, random_builder, random_queries,
     Corpus, Exec, Rig, Shape, State, Wire,
 };
+use harness::{ingesting, run};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use s3_core::{IngestBatch, Query, StopReason, UserId, UserRef, MAX_NEW_USERS};
@@ -20,6 +23,20 @@ use s3_wire::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// Batches shipped to every shard server over each transport, and a
+    /// refused one between them: the fleet answers like a cold rebuild.
+    #[test]
+    fn fleet_matches_after_shipped_ingest(seed in 0u64..1000) {
+        let s = ingesting(seed);
+        for (wire, shards) in [(Wire::Local, 1), (Wire::Loopback, 2), (Wire::Unix, 4)] {
+            run(Shape(State::Live, Exec::Fleet(wire), shards, 0), &s)?;
+        }
+    }
+}
 
 /// The fleet's wire traffic, pinned: 2 shards over loopback, a fixed
 /// seed and query list (one of them unanswerable), no deadline. Each

@@ -1,408 +1,18 @@
-//! The byte-identity bar in one harness: every serving shape answers
-//! byte-identically — hits with exact bounds, candidate lists, stop
-//! reasons — to a cold `S3kEngine` run over a cold rebuild of the same
-//! data, after any schedule of queries, ingests, compactions,
-//! checkpoints and reopens.
-//!
-//! A case is one seeded world: a [`Corpus`] and a [`Schedule`] whose
-//! steps carry the oracle's answers. The oracle is one reference
-//! `InstanceBuilder` that applies every batch and compacts at every
-//! compaction epoch, judged by its cold `snapshot()` and `S3kEngine::run`
-//! (a session reused across each step's queries must agree). Before a
-//! compaction that is a cold replay of the full event log, tombstones
-//! included; after one it is the reference's own compaction, which
-//! core's `compact_equals_cold_build_of_survivors` ties to a cold build
-//! of the surviving events. [`run`] replays a schedule on one [`Shape`]
-//! through the `Engine`/`Ingest` traits and makes the shape's own checks
-//! beside every answer. Each property names its rows.
+//! Byte-identity over fleets and mutations: fleets over every transport
+//! and shard count, snapshot-bootstrapped fleets, and live engines and
+//! fleets through deletions, updates and a compaction epoch, each
+//! replayed on the harness (`harness/mod.rs`) against its cold oracle.
 
 mod common;
+mod harness;
 
 use common::Exec::{Boot, Fleet, InProcess};
-use common::State::{Durable, Frozen, Live};
+use common::State::Live;
 use common::Wire::{Local, Loopback, Unix};
-use common::{assert_identical, base_builder, random_queries, skewed_queries, Corpus, Rig, Shape};
+use common::{random_queries, Corpus, Shape};
+use harness::{mutating, plain, run, Schedule};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use s3_core::{
-    write_snapshot, CompactionReport, IngestBatch, IngestSummary, InstanceBuilder, Query,
-    S3Instance, S3kEngine, SearchConfig, TopKResult, UserId, UserRef,
-};
-use s3_datasets::workload::{live_workload, LiveQuerySpec, LiveStep, LiveWorkloadConfig};
-use s3_engine::{persist::snapshot_path, EngineError, FleetEngine, RecoverySource};
-use s3_text::KeywordId;
-use std::sync::Arc;
-
-/// One step of a schedule, with what the oracle says it must yield.
-enum Step {
-    /// Answer each query, then answer it again (see [`query`]).
-    Query(Vec<(Query, TopKResult)>),
-    Ingest(IngestBatch, IngestSummary),
-    /// A batch naming a user the engine lacks: refused before anything
-    /// is journaled, shipped or applied.
-    Reject(IngestBatch),
-    Compact(CompactionReport),
-    /// Checkpoint a durable engine; its snapshot file must hold these
-    /// bytes.
-    Checkpoint(Vec<u8>),
-    /// Close a durable engine and open it again from its directory; it
-    /// must hold the oracle's share of tombstoned nodes.
-    Reopen(f64),
-}
-
-/// A corpus, the steps to run over it, and the oracle that answered them.
-struct Schedule {
-    corpus: Corpus,
-    steps: Vec<Step>,
-    /// The oracle: applies every batch, compacts at every epoch.
-    reference: InstanceBuilder,
-    /// Its cold snapshot now.
-    cold: Arc<S3Instance>,
-    /// The instance `apply` chained to since the last compaction.
-    applied: Arc<S3Instance>,
-    /// Every workload query so far, for [`Schedule::requery`].
-    specs: Vec<LiveQuerySpec>,
-}
-
-type Stream = fn(&mut StdRng, usize, &[KeywordId], usize) -> Vec<Query>;
-
-impl Schedule {
-    fn new(corpus: Corpus) -> Schedule {
-        let reference = (corpus.grow)();
-        // `apply` extends the snapshot its builder took last.
-        let (cold, applied) = (Arc::clone(&corpus.base), Arc::new(reference.snapshot()));
-        Schedule { corpus, steps: Vec::new(), reference, cold, applied, specs: Vec::new() }
-    }
-
-    /// A query step: the oracle answers each query with a cold run over
-    /// a cold snapshot, and a session reused across them must agree.
-    fn query(&mut self, queries: Vec<Query>) -> &mut Self {
-        let engine = S3kEngine::new(&self.cold, SearchConfig::default());
-        let mut session = engine.session();
-        let answers = queries.into_iter().map(|q| {
-            let want = engine.run(&q);
-            assert_identical(&session.run(&q), &want).expect("a reused session leaked state");
-            (q, want)
-        });
-        self.steps.push(Step::Query(answers.collect()));
-        self
-    }
-
-    /// `n` queries of `stream` over the corpus's keyword pool.
-    fn stream(&mut self, stream: Stream, seed: u64, n: usize) -> &mut Self {
-        let users = self.cold.num_users();
-        self.query(stream(&mut StdRng::seed_from_u64(seed), users, &self.corpus.pool, n))
-    }
-
-    /// Workload queries, their text resolved against the current state.
-    fn specs(&mut self, specs: &[LiveQuerySpec]) -> &mut Self {
-        let cold = &self.cold;
-        let queries = specs.iter().map(|s| Query::new(s.seeker, cold.query_keywords(&s.text), s.k));
-        self.query(queries.collect())
-    }
-
-    /// Queries at k = 4, by seeker and text.
-    fn texts(&mut self, texts: &[(UserId, &str)]) -> &mut Self {
-        let cold = Arc::clone(&self.cold);
-        self.query(texts.iter().map(|&(u, t)| Query::new(u, cold.query_keywords(t), 4)).collect())
-    }
-
-    /// Every workload query so far, against the current state.
-    fn requery(&mut self) -> &mut Self {
-        self.specs(&self.specs.clone())
-    }
-
-    /// One `live_workload` step: its batch, then its queries.
-    fn step(&mut self, step: &LiveStep) -> &mut Self {
-        self.specs.extend(step.queries.iter().cloned());
-        self.ingest(step.batch.clone()).specs(&step.queries)
-    }
-
-    /// The steps of `live_workload` against the current state.
-    fn workload(&mut self, config: &LiveWorkloadConfig) -> &mut Self {
-        for step in &live_workload(&self.cold, config) {
-            self.step(step);
-        }
-        self
-    }
-
-    fn ingest(&mut self, batch: IngestBatch) -> &mut Self {
-        let (next, summary) = self.reference.apply(&self.applied, &batch);
-        (self.applied, self.cold) = (Arc::new(next), Arc::new(self.reference.snapshot()));
-        self.steps.push(Step::Ingest(batch, summary));
-        self
-    }
-
-    fn reject(&mut self) -> &mut Self {
-        let (mut batch, ghost) = (IngestBatch::new(), UserId(self.cold.num_users() as u32 + 7));
-        batch.add_social_edge(UserRef::Existing(ghost), UserRef::Existing(UserId(0)), 0.5);
-        self.steps.push(Step::Reject(batch));
-        self
-    }
-
-    fn compact(&mut self) -> &mut Self {
-        let (compacted, report) = self.reference.compact();
-        assert!(report.dropped_documents >= 1, "the schedule left no tombstone to reclaim");
-        self.reference = compacted;
-        self.cold = Arc::new(self.reference.snapshot());
-        self.applied = Arc::clone(&self.cold);
-        self.steps.push(Step::Compact(report));
-        self
-    }
-
-    /// A checkpoint. A snapshot is a function of its builder alone, so
-    /// the instance `apply` grew writes a cold build's bytes.
-    fn checkpoint(&mut self) -> &mut Self {
-        let bytes = write_snapshot(&self.reference, &self.cold);
-        assert!(write_snapshot(&self.reference, &self.applied) == bytes, "live ≠ cold");
-        self.steps.push(Step::Checkpoint(bytes));
-        self
-    }
-
-    fn reopen(&mut self) -> &mut Self {
-        self.steps.push(Step::Reopen(self.cold.dead_fraction()));
-        self
-    }
-
-    /// A compaction that shrinks the graph under the buffers an engine
-    /// keeps between queries: query from the user whose node comes
-    /// last, delete every document but the newest, compact, and query
-    /// every user for every surviving keyword.
-    fn shrink(&mut self) -> &mut Self {
-        let cold = Arc::clone(&self.cold);
-        let users = (0..cold.num_users() as u32).map(UserId);
-        let last = users.max_by_key(|&u| cold.user_node(u)).expect("the corpus has users");
-        let mut batch = IngestBatch::new();
-        for t in 0..cold.num_documents() as u32 - 1 {
-            batch.delete_document(s3_doc::TreeId(t));
-        }
-        self.texts(&["w0", "w1", "w2", "ex:c0"].map(|t| (last, t))).ingest(batch).compact();
-        let shrunk = Arc::clone(&self.cold);
-        let below = shrunk.graph().num_nodes() <= cold.user_node(last).index();
-        assert!(below, "the graph shrank below the last seeker's node");
-        let components = shrunk.graph().components().iter();
-        let mut keywords: Vec<_> =
-            components.flat_map(|c| shrunk.component_keywords(c).iter().copied()).collect();
-        keywords.sort_unstable();
-        keywords.dedup();
-        assert!(!keywords.is_empty(), "the newest document still answers");
-        let users = (0..shrunk.num_users() as u32).map(UserId);
-        self.query(
-            users.flat_map(|u| keywords.iter().map(move |&k| Query::new(u, vec![k], 4))).collect(),
-        )
-    }
-}
-
-/// Replay `schedule` on `shape`: every answer equals the oracle's, and
-/// the shape's own counters, reports and files say what they must.
-fn run(shape: Shape, schedule: &Schedule) -> Result<(), TestCaseError> {
-    let mut rig = Rig::open(shape, &schedule.corpus);
-    let shards = match (rig.frozen(), rig.live()) {
-        (Some(e), _) => e.num_shards(),
-        (_, Some(e)) => e.engine().num_shards(),
-        _ => rig.fleet().expect("a fleet").num_shards(),
-    };
-    prop_assert_eq!(shards, shape.2, "{:?}", shape);
-    // WAL records since the last checkpoint, and whether one happened.
-    let (mut journaled, mut checkpointed) = (0u64, false);
-    if let Some(report) = &rig.recovered {
-        prop_assert_eq!((report.source, report.replayed), (RecoverySource::Seed, 0));
-    }
-    for step in &schedule.steps {
-        match step {
-            Step::Query(answers) => query(&mut rig, answers)?,
-            Step::Ingest(batch, want) => {
-                let got = rig.ingest(batch).expect("ingest");
-                prop_assert_eq!((got.detached, got.new_users), (want.detached, want.new_users));
-                journaled += 1;
-            }
-            Step::Reject(batch) => match rig.ingest(batch) {
-                Err(EngineError::Rejected(e)) => {
-                    prop_assert!(e.to_string().contains("unknown user"))
-                }
-                other => {
-                    prop_assert!(false, "{:?} took a batch naming a ghost: {:?}", shape, other)
-                }
-            },
-            Step::Compact(want) => {
-                if let Some(fleet) = rig.fleet() {
-                    prop_assert_eq!(fleet.compact().expect("fleet compact"), *want);
-                } else {
-                    let live = rig.live().expect("a frozen engine does not compact");
-                    prop_assert!(live.dead_fraction() > 0.0, "{:?} holds no tombstone", shape);
-                    let report = live.compact().expect("compact");
-                    prop_assert_eq!(report.compaction, *want, "{:?}", shape);
-                    prop_assert_eq!(live.dead_fraction(), 0.0, "compaction reclaims everything");
-                    let durable = rig.recovered.is_some();
-                    prop_assert_eq!(report.checkpointed, durable.then_some(journaled));
-                    checkpointed |= durable;
-                }
-                journaled = 0;
-            }
-            Step::Checkpoint(bytes) => {
-                let live = rig.live().expect("a frozen engine does not checkpoint");
-                prop_assert_eq!(live.checkpoint().expect("checkpoint").absorbed, journaled);
-                let file = std::fs::read(snapshot_path(&rig.dir.0.join("durable"))).expect("read");
-                prop_assert!(file == *bytes, "{:?}: the checkpoint wrote other bytes", shape);
-                (journaled, checkpointed) = (0, true);
-            }
-            Step::Reopen(dead) => {
-                rig = rig.reopen();
-                let report = rig.recovered.as_ref().expect("a durable open reports");
-                let source =
-                    [RecoverySource::Seed, RecoverySource::Snapshot][checkpointed as usize];
-                prop_assert_eq!(report.source, source, "{:?}", shape);
-                prop_assert_eq!(report.replayed as u64, journaled, "{:?}: the WAL tail", shape);
-                prop_assert!(!report.dropped_tail);
-                prop_assert_eq!(rig.live().map(|l| l.dead_fraction()), Some(*dead));
-            }
-        }
-    }
-    rig.close();
-    Ok(())
-}
-
-/// One query step on `rig`: every query in one batch (one at a time over
-/// a fleet), then again through the `Engine` trait, alternating `serve`
-/// and `query` — a cache hit when the shape caches, a recomputation
-/// (through the admission gate, for `serve`) when it does not. A fleet
-/// keeps no cache; it repeats a prefix, enough to show every server
-/// resets between queries.
-fn query(rig: &mut Rig, answers: &[(Query, TopKResult)]) -> Result<(), TestCaseError> {
-    let queries: Vec<Query> = answers.iter().map(|(q, _)| q.clone()).collect();
-    let (before, wire) = (rig.engine().stats(), rig.fleet().map(|f| (wire_bytes(f), f.rounds())));
-    let batch = match (rig.frozen(), rig.live()) {
-        (Some(e), _) => e.run_batch(&queries),
-        (_, Some(e)) => e.run_batch(&queries),
-        _ => queries.iter().map(|q| rig.engine().query(q).expect("query")).collect(),
-    };
-    for (got, (_, want)) in batch.iter().zip(answers) {
-        assert_identical(got, want)?;
-    }
-    let again = if wire.is_some() { answers.len().min(3) } else { answers.len() };
-    for (i, (q, want)) in answers[..again].iter().enumerate() {
-        let got = match i % 2 {
-            0 => rig.engine().serve(q, None).expect("serve").answer().cloned(),
-            _ => Some(rig.engine().query(q).expect("query")),
-        };
-        assert_identical(&got.expect("ungated serving never sheds"), want)?;
-    }
-    let (after, cache) = (rig.engine().stats(), rig.shape.3);
-    prop_assert_eq!(after.load.shed, 0);
-    if cache == 0 {
-        let served = again.div_ceil(2) as u64;
-        prop_assert_eq!(after.load.admitted - before.load.admitted, served, "{:?}", rig.shape);
-    } else {
-        prop_assert!(after.cache.entries <= cache, "{:?} overfills", rig.shape);
-        let hits = after.cache.hits - before.cache.hits;
-        prop_assert!(cache < again || hits >= again as u64, "{:?}: {} hits", rig.shape, hits);
-    }
-    let shards = rig.shape.2;
-    if let (Some(fleet), Some((bytes, rounds))) = (rig.fleet(), wire) {
-        prop_assert_eq!(fleet.transport_stats().len(), shards);
-        // A round is a compact request/reply pair per shard plus
-        // amortized query framing and stop checks: past 512 bytes the
-        // encoding grew or the client chatters mid-round.
-        let (bytes, rounds) = (wire_bytes(fleet) - bytes, fleet.rounds() - rounds);
-        prop_assert!(bytes <= 512 * rounds.max(1), "{} B in {} rounds", bytes, rounds);
-    }
-    Ok(())
-}
-
-fn wire_bytes(fleet: &FleetEngine) -> u64 {
-    fleet.transport_stats().iter().map(|s| s.bytes_sent + s.bytes_received).sum()
-}
-
-/// `batches` of `live_workload` with `queries` after each, `attach` of
-/// their elements pointing at existing data.
-fn plain(seed: u64, batches: usize, queries: usize, attach: f64) -> LiveWorkloadConfig {
-    LiveWorkloadConfig {
-        batches,
-        queries_per_batch: queries,
-        attach_probability: attach,
-        seed,
-        ..Default::default()
-    }
-}
-
-/// Batches that also delete and update a document each.
-fn mutating(seed: u64, batches: usize) -> LiveWorkloadConfig {
-    LiveWorkloadConfig {
-        deletes_per_batch: 1,
-        updates_per_batch: 1,
-        ..plain(seed, batches, 5, attach(seed))
-    }
-}
-
-/// A quarter, half or three quarters attached, by seed.
-fn attach(seed: u64) -> f64 {
-    0.25 + 0.5 * ((seed % 3) as f64 / 2.0)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
-
-    /// One-shard frozen engines at cache capacities from roomy down to
-    /// one, where almost every insert evicts.
-    #[test]
-    fn frozen_engines_match_cold_runs(seed in 0u64..3000) {
-        let mut s = Schedule::new(Corpus::random(seed));
-        s.stream(random_queries, seed ^ 0xE6617E, 12);
-        for cache in [64, 1, 2, 4] {
-            run(Shape(Frozen, InProcess, 1, cache), &s)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 30, ..ProptestConfig::default() })]
-
-    /// A seeker-skewed stream with the cache off, so every repeat
-    /// recomputes: consecutive same-seeker queries start afresh.
-    #[test]
-    fn skewed_streams_match_cold_runs(seed in 0u64..3000) {
-        let mut s = Schedule::new(Corpus::random(seed));
-        s.stream(skewed_queries, seed ^ 0xBA7C4, 14);
-        for shards in [1, 2, 4] {
-            run(Shape(Frozen, InProcess, shards, 0), &s)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 25, ..ProptestConfig::default() })]
-
-    /// Sharded frozen engines with a roomy and a churning front cache.
-    #[test]
-    fn sharded_engines_match_cold_runs(seed in 0u64..3000) {
-        let mut s = Schedule::new(Corpus::random(seed));
-        s.stream(random_queries, seed ^ 0x5AA3D, 10);
-        for (shards, cache) in [2, 4].into_iter().flat_map(|n| [(n, 64), (n, 1), (n, 4)]) {
-            run(Shape(Frozen, InProcess, shards, cache), &s)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// Live engines over the workload's own words; detached-only
-    /// batches are classified detached at every ingest.
-    #[test]
-    fn live_engines_match_a_cold_rebuild(seed in 0u64..1000) {
-        let corpus = Corpus::new(move || base_builder(seed), Vec::new());
-        let mut s = Schedule::new(corpus.clone());
-        s.workload(&plain(seed ^ 0xF00D, 3, 6, attach(seed)));
-        for (shards, cache) in [(1, 128), (1, 1), (2, 8), (4, 128)] {
-            run(Shape(Live, InProcess, shards, cache), &s)?;
-        }
-        let mut s = Schedule::new(corpus);
-        s.workload(&plain(seed ^ 0xD157, 3, 4, 0.0));
-        prop_assert!(s.steps.iter().all(|s| !matches!(s, Step::Ingest(_, sum) if !sum.detached)));
-        run(Shape(Live, InProcess, 2, 128), &s)?;
-    }
-}
+use s3_core::UserId;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
@@ -415,19 +25,6 @@ proptest! {
         let wires = [Local, Loopback, Unix].into_iter();
         for (wire, shards) in wires.flat_map(|w| [(w, 1), (w, 2), (w, 4)]) {
             run(Shape(Live, Fleet(wire), shards, 0), &s)?;
-        }
-    }
-
-    /// Every ingesting engine type through applied or shipped batches,
-    /// and a refused one between them.
-    #[test]
-    fn ingesting_engines_match_a_cold_rebuild(seed in 0u64..3000) {
-        let mut s = Schedule::new(Corpus::random(seed));
-        let steps = live_workload(&s.cold, &plain(seed ^ 0xF00D, 2, 5, attach(seed)));
-        s.step(&steps[0]).reject().step(&steps[1]);
-        let fleets = [(Fleet(Local), 1), (Fleet(Local), 2), (Fleet(Loopback), 2), (Fleet(Unix), 4)];
-        for (exec, shards) in [(InProcess, 1), (InProcess, 2)].into_iter().chain(fleets) {
-            run(Shape(Live, exec, shards, 0), &s)?;
         }
     }
 }
@@ -471,22 +68,6 @@ proptest! {
         let rows = [(Fleet(Local), 1), (Fleet(Loopback), 2), (Fleet(Unix), 4), (Boot(Loopback), 2)];
         for (exec, shards) in rows {
             run(Shape(Live, exec, shards, 0), &s)?;
-        }
-    }
-
-    /// Durable engines: a checkpoint between batches (so recovery reads
-    /// a snapshot *and* a WAL tail), a refused batch that never reaches
-    /// the WAL, a restart, a compaction that checkpoints before it
-    /// publishes, a restart with nothing to replay, a checkpoint that
-    /// rewrites the same bytes, and a shrink.
-    #[test]
-    fn durable_engines_survive_restart_and_compaction(seed in 0u64..500) {
-        let mut s = Schedule::new(Corpus::random(seed));
-        let steps = live_workload(&s.cold, &mutating(seed ^ 0xDEAD, 2));
-        s.step(&steps[0]).checkpoint().step(&steps[1]).reject().reopen().requery();
-        s.compact().reopen().checkpoint().requery().shrink();
-        for (shards, cache) in [(1, 64), (1, 0), (2, 0), (4, 0)] {
-            run(Shape(Durable, InProcess, shards, cache), &s)?;
         }
     }
 }

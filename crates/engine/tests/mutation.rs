@@ -1,13 +1,18 @@
 //! The tombstone edge cases: deleting a component's last document,
 //! deleting a bridge document (connectivity split), re-adding a deleted
 //! keyword, and a wire-shipped deletion of an id no replica has seen.
-//! Byte-identity through appends, deletions, updates and compactions
-//! lives in `identity.rs`.
+//! And a durable engine through mutations, restarts and compaction.
+//! Byte-identity of live engines and fleets through appends, deletions,
+//! updates and compactions lives in `identity.rs`.
 
 mod common;
+mod harness;
 
 use common::{config, Corpus, Exec, Rig, Shape, State, Wire};
+use harness::{mutating, Schedule};
+use proptest::prelude::*;
 use s3_core::{InstanceBuilder, Query, SearchConfig};
+use s3_datasets::workload::live_workload;
 use s3_engine::LiveEngine;
 use s3_text::Language;
 
@@ -29,6 +34,26 @@ fn two_components() -> (InstanceBuilder, s3_core::UserId) {
     doc.set_content(doc.root(), kws);
     b.add_document(doc, Some(seeker));
     (b, seeker)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// Durable engines, unsharded and at 2 shards: a checkpoint between
+    /// batches (so recovery reads a snapshot *and* a WAL tail), a refused
+    /// batch that never reaches the WAL, a restart, a compaction that
+    /// checkpoints before it publishes, a restart with nothing to replay,
+    /// a checkpoint that rewrites the same bytes, and a shrink.
+    #[test]
+    fn mutated_durable_engine_survives_restart_and_compaction(seed in 0u64..500) {
+        let mut s = Schedule::new(Corpus::random(seed));
+        let steps = live_workload(&s.cold, &mutating(seed ^ 0xDEAD, 2));
+        s.step(&steps[0]).checkpoint().step(&steps[1]).reject().reopen().requery();
+        s.compact().reopen().checkpoint().requery().shrink();
+        for (shards, cache) in [(1, 64), (2, 0)] {
+            harness::run(Shape(State::Durable, Exec::InProcess, shards, cache), &s)?;
+        }
+    }
 }
 
 fn run(

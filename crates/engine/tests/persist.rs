@@ -5,18 +5,25 @@
 //! snapshot resealed under a fresh CRC reaches the decoder and the cold
 //! build, and still never panics; an old-version file is a typed error,
 //! never a fresh seed; a fleet bootstrapped from a damaged snapshot
-//! reports the cause. Restart byte-identity, snapshot purity, refused
-//! batches and fleet bootstrap live in `identity.rs`.
+//! reports the cause. And restart byte-identity: a durable engine
+//! reopened from its snapshot and WAL tail, the snapshot's bytes a pure
+//! function of its builder, and a refused batch never journaled or
+//! shipped. Fleet bootstrap lives in `identity.rs`.
 
 mod common;
+mod harness;
 
-use common::{config, random_builder, Scratch};
+use common::Exec::{Fleet, InProcess};
+use common::State::{Durable, Live};
+use common::{config, random_builder, random_queries, Corpus, Scratch, Shape, Wire};
+use harness::{attach, plain, run, Schedule};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use s3_core::{
     read_snapshot, write_snapshot, IngestBatch, InstanceBuilder, UserId, UserRef, WriteAheadLog,
 };
+use s3_datasets::workload::{live_workload, LiveWorkloadConfig};
 use s3_engine::{FleetEngine, LiveEngine, LocalShard, PersistError, ShardServer};
 use s3_snap::SnapError;
 use s3_text::Language;
@@ -100,6 +107,23 @@ fn replaying_a_record_for_an_unknown_user_fails_open() {
     }
 }
 
+/// A batch naming a user the engine lacks is refused before it is
+/// journaled or shipped: serving is unchanged, a reopen replays only the
+/// good batch before it, and the fleet's servers never see it.
+#[test]
+fn a_bad_batch_is_rejected_before_it_is_journaled_or_shipped() {
+    let seed = 11;
+    let mut s = Schedule::new(Corpus::random(seed));
+    let good = live_workload(&s.cold, &plain(seed ^ 0xBAD, 1, 8, 0.5)).remove(0);
+    s.step(&good).reject().requery().reopen().requery();
+    for shards in [1, 2] {
+        run(Shape(Durable, InProcess, shards, 0), &s).expect("a durable engine");
+    }
+    let mut s = Schedule::new(Corpus::random(seed));
+    s.reject().stream(random_queries, seed, 8);
+    run(Shape(Live, Fleet(Wire::Unix), 2, 0), &s).expect("a fleet");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -175,5 +199,48 @@ proptest! {
                 "byte {pos} flipped by {mask:#x}"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// Grow a durable engine (a checkpoint between batches, so recovery
+    /// reads a snapshot *and* a WAL tail), reopen it, and require every
+    /// answer to equal a cold rebuild's, unsharded and sharded {2, 4}.
+    #[test]
+    fn reopened_engines_answer_byte_identically(seed in 0u64..500) {
+        let mut s = Schedule::new(Corpus::random(seed));
+        let steps = live_workload(&s.cold, &plain(seed ^ 0xBEEF, 2, 4, attach(seed)));
+        s.step(&steps[0]).checkpoint().step(&steps[1]).reopen().requery();
+        for shards in [1, 2, 4] {
+            run(Shape(Durable, InProcess, shards, 0), &s)?;
+        }
+    }
+
+    /// After appends, deletes, updates and component merges the live
+    /// instance's snapshot is a cold build's bytes, the checkpoint writes
+    /// exactly those, the engine reopened from them answers like the one
+    /// that wrote them, and its own checkpoint rewrites them byte for
+    /// byte.
+    #[test]
+    fn a_snapshot_is_a_pure_function_of_its_builder(seed in 0u64..500) {
+        let mut s = Schedule::new(Corpus::random(seed));
+        s.workload(&LiveWorkloadConfig {
+            batches: 4,
+            users_per_batch: 2,
+            docs_per_batch: 3,
+            tags_per_batch: 3,
+            comments_per_batch: 2,
+            deletes_per_batch: 1,
+            updates_per_batch: 1,
+            queries_per_batch: 0,
+            attach_probability: 0.75,
+            seed: seed ^ 0x5EED,
+            ..LiveWorkloadConfig::default()
+        });
+        s.checkpoint().stream(random_queries, seed ^ 0xFACE, 8).reopen();
+        s.stream(random_queries, seed ^ 0xFACE, 8).checkpoint();
+        run(Shape(Durable, InProcess, 1, 0), &s)?;
     }
 }
