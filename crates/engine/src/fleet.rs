@@ -601,8 +601,7 @@ impl ShardTransport for LocalShard {
 /// For every query and any transport mix, the returned [`TopKResult`] is
 /// byte-identical (hits, candidate order, stop reason) to
 /// [`crate::ShardedEngine`] with the same shard count — including after
-/// shipped ingests. Property-tested in `tests/identity.rs` (every
-/// transport) and `tests/fleet.rs` (shipped ingests).
+/// shipped ingests. Property-tested in `tests/identity.rs` and `tests/fleet.rs`.
 pub struct FleetEngine {
     builder: InstanceBuilder,
     instance: Arc<S3Instance>,

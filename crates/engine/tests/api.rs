@@ -22,7 +22,7 @@ proptest! {
     #[test]
     fn every_engine_type_answers_identically_through_the_trait(seed in 0u64..3000) {
         let mut s = Schedule::new(Corpus::random(seed));
-        s.stream(random_queries, seed ^ 0xAB1, 8);
+        s.stream(random_queries, seed ^ 0xAB1, 8).through_trait();
         let rows = [
             (Frozen, InProcess, 1),
             (Frozen, InProcess, 2),

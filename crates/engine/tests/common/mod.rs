@@ -239,7 +239,9 @@ impl Corpus {
 
     /// [`random_builder`]'s corpus.
     pub fn random(seed: u64) -> Corpus {
-        Corpus::new(move || random_builder(seed).0, random_builder(seed).1)
+        let (builder, pool) = random_builder(seed);
+        let grow = Rc::new(move || random_builder(seed).0);
+        Corpus { base: Arc::new(builder.snapshot()), grow, pool }
     }
 }
 

@@ -10,14 +10,14 @@
 //! A case is one seeded world: a [`Corpus`] and a [`Schedule`] whose
 //! steps carry the oracle's answers. The oracle is one reference
 //! `InstanceBuilder` that applies every batch and compacts at every
-//! compaction epoch, judged by its cold `snapshot()` and `S3kEngine::run`
-//! (a session reused across each step's queries must agree). Before a
-//! compaction that is a cold replay of the full event log, tombstones
-//! included; after one it is the reference's own compaction, which
-//! core's `compact_equals_cold_build_of_survivors` ties to a cold build
-//! of the surviving events. [`run`] replays a schedule on one [`Shape`]
+//! compaction epoch, judged by its cold `snapshot()` and
+//! `S3kEngine::run`. Before a compaction that is a cold replay of the
+//! full event log, tombstones included; after one it is the reference's
+//! own compaction, which core's `compact_equals_cold_build_of_survivors`
+//! ties to a cold build of the surviving events. [`run`] replays a schedule on one [`Shape`]
 //! through the `Engine`/`Ingest` traits and makes the shape's own checks
-//! beside every answer.
+//! beside every answer. The two session properties hold a reused
+//! `S3kSession` to cold runs instead ([`session_matches_cold_runs`]).
 
 #![allow(dead_code)] // each test binary uses a subset
 
@@ -38,6 +38,10 @@ use std::sync::Arc;
 pub enum Step {
     /// Answer each query, then answer it again (see [`query`]).
     Query(Vec<(Query, TopKResult)>),
+    /// Answer each query through the `Engine` trait alone, with `query`
+    /// and then `serve`, which the gate admits every time on a row
+    /// without a cache.
+    Trait(Vec<(Query, TopKResult)>),
     Ingest(IngestBatch, IngestSummary),
     /// A batch naming a user the engine lacks: refused before anything
     /// is journaled, shipped or applied.
@@ -55,12 +59,12 @@ pub enum Step {
 pub struct Schedule {
     pub corpus: Corpus,
     pub steps: Vec<Step>,
-    /// The oracle: applies every batch, compacts at every epoch.
-    pub reference: InstanceBuilder,
-    /// Its cold snapshot now.
+    /// The oracle, grown at the first step that needs it: a builder that
+    /// applies every batch and compacts at every epoch, and the instance
+    /// `apply` chained to since the last compaction.
+    oracle: Option<(InstanceBuilder, Arc<S3Instance>)>,
+    /// The oracle's cold snapshot now.
     pub cold: Arc<S3Instance>,
-    /// The instance `apply` chained to since the last compaction.
-    pub applied: Arc<S3Instance>,
     /// Every workload query so far, for [`Schedule::requery`].
     pub specs: Vec<LiveQuerySpec>,
 }
@@ -69,20 +73,26 @@ pub type Stream = fn(&mut StdRng, usize, &[KeywordId], usize) -> Vec<Query>;
 
 impl Schedule {
     pub fn new(corpus: Corpus) -> Schedule {
-        let reference = (corpus.grow)();
-        // `apply` extends the snapshot its builder took last.
-        let (cold, applied) = (Arc::clone(&corpus.base), Arc::new(reference.snapshot()));
-        Schedule { corpus, steps: Vec::new(), reference, cold, applied, specs: Vec::new() }
+        let cold = Arc::clone(&corpus.base);
+        Schedule { corpus, steps: Vec::new(), oracle: None, cold, specs: Vec::new() }
+    }
+
+    fn oracle(&mut self) -> &mut (InstanceBuilder, Arc<S3Instance>) {
+        let grow = &self.corpus.grow;
+        self.oracle.get_or_insert_with(|| {
+            // `apply` extends the snapshot its builder took last.
+            let reference = grow();
+            let applied = Arc::new(reference.snapshot());
+            (reference, applied)
+        })
     }
 
     /// A query step: the oracle answers each query with a cold run over
-    /// a cold snapshot, and a session reused across them must agree.
+    /// a cold snapshot.
     pub fn query(&mut self, queries: Vec<Query>) -> &mut Self {
         let engine = S3kEngine::new(&self.cold, SearchConfig::default());
-        let mut session = engine.session();
         let answers = queries.into_iter().map(|q| {
             let want = engine.run(&q);
-            assert_identical(&session.run(&q), &want).expect("a reused session leaked state");
             (q, want)
         });
         self.steps.push(Step::Query(answers.collect()));
@@ -113,6 +123,15 @@ impl Schedule {
         self.specs(&self.specs.clone())
     }
 
+    /// The last query step goes through the `Engine` trait alone.
+    pub fn through_trait(&mut self) -> &mut Self {
+        match self.steps.pop() {
+            Some(Step::Query(answers)) => self.steps.push(Step::Trait(answers)),
+            _ => panic!("the last step is not a query step"),
+        }
+        self
+    }
+
     /// One `live_workload` step: its batch, then its queries.
     pub fn step(&mut self, step: &LiveStep) -> &mut Self {
         self.specs.extend(step.queries.iter().cloned());
@@ -128,8 +147,10 @@ impl Schedule {
     }
 
     pub fn ingest(&mut self, batch: IngestBatch) -> &mut Self {
-        let (next, summary) = self.reference.apply(&self.applied, &batch);
-        (self.applied, self.cold) = (Arc::new(next), Arc::new(self.reference.snapshot()));
+        let (reference, applied) = self.oracle();
+        let (next, summary) = reference.apply(applied, &batch);
+        let cold = Arc::new(reference.snapshot());
+        (*applied, self.cold) = (Arc::new(next), cold);
         self.steps.push(Step::Ingest(batch, summary));
         self
     }
@@ -142,11 +163,12 @@ impl Schedule {
     }
 
     pub fn compact(&mut self) -> &mut Self {
-        let (compacted, report) = self.reference.compact();
+        let (reference, applied) = self.oracle();
+        let (compacted, report) = reference.compact();
         assert!(report.dropped_documents >= 1, "the schedule left no tombstone to reclaim");
-        self.reference = compacted;
-        self.cold = Arc::new(self.reference.snapshot());
-        self.applied = Arc::clone(&self.cold);
+        *reference = compacted;
+        *applied = Arc::new(reference.snapshot());
+        self.cold = Arc::clone(applied);
         self.steps.push(Step::Compact(report));
         self
     }
@@ -154,8 +176,10 @@ impl Schedule {
     /// A checkpoint. A snapshot is a function of its builder alone, so
     /// the instance `apply` grew writes a cold build's bytes.
     pub fn checkpoint(&mut self) -> &mut Self {
-        let bytes = write_snapshot(&self.reference, &self.cold);
-        assert!(write_snapshot(&self.reference, &self.applied) == bytes, "live ≠ cold");
+        let cold = Arc::clone(&self.cold);
+        let (reference, applied) = self.oracle();
+        let bytes = write_snapshot(reference, &cold);
+        assert!(write_snapshot(reference, applied) == bytes, "live ≠ cold");
         self.steps.push(Step::Checkpoint(bytes));
         self
     }
@@ -194,9 +218,32 @@ impl Schedule {
     }
 }
 
+/// A session reused across `n` queries of `stream` answers each as a
+/// cold run does: no state leaks from one query into the next.
+pub fn session_matches_cold_runs(
+    corpus: &Corpus,
+    stream: Stream,
+    seed: u64,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let (base, rng) = (&corpus.base, &mut StdRng::seed_from_u64(seed));
+    let engine = S3kEngine::new(base, SearchConfig::default());
+    let mut session = engine.session();
+    for q in &stream(rng, base.num_users(), &corpus.pool, n) {
+        assert_identical(&session.run(q), &engine.run(q))?;
+    }
+    Ok(())
+}
+
 /// Replay `schedule` on `shape`: every answer equals the oracle's, and
-/// the shape's own counters, reports and files say what they must.
+/// the shape's own counters, reports and files say what they must. An
+/// in-process batch runs on two workers.
 pub fn run(shape: Shape, schedule: &Schedule) -> Result<(), TestCaseError> {
+    run_on(shape, schedule, 2)
+}
+
+/// [`run`] with in-process batches on `workers` threads.
+pub fn run_on(shape: Shape, schedule: &Schedule, workers: usize) -> Result<(), TestCaseError> {
     let mut rig = Rig::open(shape, &schedule.corpus);
     let shards = match (rig.frozen(), rig.live()) {
         (Some(e), _) => e.num_shards(),
@@ -211,7 +258,17 @@ pub fn run(shape: Shape, schedule: &Schedule) -> Result<(), TestCaseError> {
     }
     for step in &schedule.steps {
         match step {
-            Step::Query(answers) => query(&mut rig, answers)?,
+            Step::Query(answers) => query(&mut rig, answers, workers)?,
+            Step::Trait(answers) => {
+                let admitted = rig.engine().stats().load.admitted;
+                for (q, want) in answers {
+                    assert_identical(&rig.engine().query(q).expect("query"), want)?;
+                    let served = rig.engine().serve(q, None).expect("serve");
+                    assert_identical(served.answer().expect("ungated serving never sheds"), want)?;
+                }
+                let load = rig.engine().stats().load;
+                prop_assert_eq!((load.admitted - admitted, load.shed), (answers.len() as u64, 0));
+            }
             Step::Ingest(batch, want) => {
                 let got = rig.ingest(batch).expect("ingest");
                 prop_assert_eq!((got.detached, got.new_users), (want.detached, want.new_users));
@@ -263,40 +320,52 @@ pub fn run(shape: Shape, schedule: &Schedule) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// One query step on `rig`: every query in one batch (one at a time over
-/// a fleet), then again through the `Engine` trait, alternating `serve`
-/// and `query` — a cache hit when the shape caches, a recomputation
-/// (through the admission gate, for `serve`) when it does not. A fleet
-/// keeps no cache; it repeats a prefix, enough to show every server
-/// resets between queries.
-fn query(rig: &mut Rig, answers: &[(Query, TopKResult)]) -> Result<(), TestCaseError> {
+/// One query step on `rig`. In process, the step runs as one batch on
+/// `workers` threads and then as a second batch: every lookup a hit
+/// when the cache holds the step, hits and misses merged by position
+/// when it churns, a recomputation when it is off. A fleet keeps no
+/// cache and answers one query at a time. Then a prefix goes through
+/// the `Engine` trait once more, alternating `serve` (through the
+/// admission gate when nothing caches) and `query`; over a fleet it
+/// shows every server resets between queries.
+fn query(
+    rig: &mut Rig,
+    answers: &[(Query, TopKResult)],
+    workers: usize,
+) -> Result<(), TestCaseError> {
     let queries: Vec<Query> = answers.iter().map(|(q, _)| q.clone()).collect();
     let (before, wire) = (rig.engine().stats(), rig.fleet().map(|f| (wire_bytes(f), f.rounds())));
-    let batch = match (rig.frozen(), rig.live()) {
-        (Some(e), _) => e.run_batch(&queries),
-        (_, Some(e)) => e.run_batch(&queries),
-        _ => queries.iter().map(|q| rig.engine().query(q).expect("query")).collect(),
-    };
-    for (got, (_, want)) in batch.iter().zip(answers) {
-        assert_identical(got, want)?;
+    let (n, cache) = (answers.len(), rig.shape.3);
+    for pass in 0..2 {
+        let hits = rig.engine().stats().cache.hits;
+        let batch = match (rig.frozen(), rig.live()) {
+            (Some(e), _) => e.run_batch_on(&queries, workers),
+            (_, Some(e)) => e.engine().run_batch_on(&queries, workers),
+            _ if pass == 0 => {
+                queries.iter().map(|q| rig.engine().query(q).expect("query")).collect()
+            }
+            _ => break,
+        };
+        for (got, (_, want)) in batch.iter().zip(answers) {
+            assert_identical(got, want)?;
+        }
+        let hits = rig.engine().stats().cache.hits - hits;
+        prop_assert!(pass == 0 || cache < n || hits >= n as u64, "{:?}: {} hits", rig.shape, hits);
     }
-    let again = if wire.is_some() { answers.len().min(3) } else { answers.len() };
-    for (i, (q, want)) in answers[..again].iter().enumerate() {
+    for (i, (q, want)) in answers.iter().take(3).enumerate() {
         let got = match i % 2 {
             0 => rig.engine().serve(q, None).expect("serve").answer().cloned(),
             _ => Some(rig.engine().query(q).expect("query")),
         };
         assert_identical(&got.expect("ungated serving never sheds"), want)?;
     }
-    let (after, cache) = (rig.engine().stats(), rig.shape.3);
+    let after = rig.engine().stats();
     prop_assert_eq!(after.load.shed, 0);
     if cache == 0 {
-        let served = again.div_ceil(2) as u64;
+        let served = n.min(3).div_ceil(2) as u64;
         prop_assert_eq!(after.load.admitted - before.load.admitted, served, "{:?}", rig.shape);
     } else {
         prop_assert!(after.cache.entries <= cache, "{:?} overfills", rig.shape);
-        let hits = after.cache.hits - before.cache.hits;
-        prop_assert!(cache < again || hits >= again as u64, "{:?}: {} hits", rig.shape, hits);
     }
     let shards = rig.shape.2;
     if let (Some(fleet), Some((bytes, rounds))) = (rig.fleet(), wire) {
@@ -326,11 +395,12 @@ pub fn plain(seed: u64, batches: usize, queries: usize, attach: f64) -> LiveWork
     }
 }
 
-/// Batches that also delete and update a document each.
+/// Batches that also delete and update a document each, at k = 4.
 pub fn mutating(seed: u64, batches: usize) -> LiveWorkloadConfig {
     LiveWorkloadConfig {
         deletes_per_batch: 1,
         updates_per_batch: 1,
+        k: 4,
         ..plain(seed, batches, 5, attach(seed))
     }
 }

@@ -114,7 +114,7 @@ fn replaying_a_record_for_an_unknown_user_fails_open() {
 fn a_bad_batch_is_rejected_before_it_is_journaled_or_shipped() {
     let seed = 11;
     let mut s = Schedule::new(Corpus::random(seed));
-    let good = live_workload(&s.cold, &plain(seed ^ 0xBAD, 1, 8, 0.5)).remove(0);
+    let good = live_workload(&s.cold, &plain(seed ^ 0xBAD, 1, 8, 0.3)).remove(0);
     s.step(&good).reject().requery().reopen().requery();
     for shards in [1, 2] {
         run(Shape(Durable, InProcess, shards, 0), &s).expect("a durable engine");
